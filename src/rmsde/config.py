@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import EnsembleError, EntryDistribution, VarianceProfile
-from .experiments import ExperimentConfig, ExperimentError, SystemTemplate
-from .dynamics import IntegratorConfig
+from .experiments import ExperimentConfig, ExperimentError
+from .dynamics import IntegratorConfig, SystemTemplate
 from .observables import BuildingBlock, QuadraticObservable, TensorObservable, eval_quadratic, eval_tensor
 from .experiments import (SuiteItem, autocorr_item, gradsq_item,
                           hamiltonian_item, overlap_item)

@@ -10,10 +10,12 @@ driven by independent Brownian motions ``B_j``.  The convention
 martingale part ``M`` (``M(0) = 0``) is accumulated alongside ``X`` so
 trajectories decompose exactly into drift plus martingale.
 
-Integration is Euler-Maruyama on a fixed step.  The recorded snapshot
-grid is a subset of the step grid; requested times are rounded to step
-multiples at construction time and the rounding error is kept for
-inspection.
+Integration is Euler-Maruyama on a fixed step, in one loop that serves
+a single shared system and a per-path stack of drift matrices alike.
+The recorded snapshot grid is a subset of the step grid; requested times
+are rounded to step multiples at construction time and the rounding
+error is kept for inspection.  A :class:`SystemTemplate` turns a
+sampled coupling into a full parameter set.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .rng import RngStream
 
 __all__ = [
     "SystemParams",
+    "SystemTemplate",
     "IntegratorConfig",
     "Trajectory",
     "PathBatch",
     "simulate",
     "simulate_paths",
+    "euler_maruyama",
     "drift",
     "diffusion_row",
     "exact_mean_linear",
@@ -292,39 +296,60 @@ def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
     if n_paths < 1:
         raise ParameterError("n_paths must be at least 1")
     x0 = _check_x0(params, x0)
-    n = params.n
     rng = stream.generator()
-    sqrt2dt = math.sqrt(2.0 * config.dt)
+    shape = (n_paths, params.n)
+    noise = (rng.standard_normal((min(_NOISE_BLOCK, config.n_steps - lo),) + shape)
+             for lo in range(0, config.n_steps, _NOISE_BLOCK))
+    xs, ms = euler_maruyama(params.drift_matrix(), params.h, params.sigma,
+                            np.broadcast_to(x0, shape), config, noise)
+    return PathBatch(config.times, xs, ms, x0, params, config)
 
-    x = np.broadcast_to(x0, (n_paths, n)).copy()
-    m = np.zeros((n_paths, n))
+
+def euler_maruyama(drift_mat: np.ndarray, h: np.ndarray, sigma: np.ndarray,
+                   x0s: np.ndarray, config: IntegratorConfig, noise) -> tuple:
+    """Euler-Maruyama for C paths; snapshot arrays of shape (C, S, N).
+
+    ``drift_mat`` is the combined drift ``(J + Lam)^T``, either one
+    (N, N) matrix shared by every path or a (C, N, N) stack with one
+    per path.  ``h`` and ``sigma`` (shape (N+1, N)) are shared.
+    ``noise`` yields blocks of standard-normal increments of shape
+    (steps, C, N) that together cover ``config.n_steps`` steps.
+
+    Raises :class:`SimulationBlowupError` (with the step index) as soon
+    as the state stops being finite.
+    """
+    c, n = x0s.shape
+    sqrt2dt = math.sqrt(2.0 * config.dt)
+    shared = drift_mat.T if drift_mat.ndim == 2 else None  # right-multiply: x @ shared
+    sig0 = sigma[0]
+    sig_state = sigma[1:] if sigma[1:].any() else None
+    x = x0s.copy()
+    m = np.zeros((c, n))
     want = {s: i for i, s in enumerate(config.snapshot_steps)}
-    xs = np.empty((n_paths, len(want), n))
-    ms = np.empty((n_paths, len(want), n))
+    xs = np.empty((c, len(want), n))
+    ms = np.empty((c, len(want), n))
     if 0 in want:
         xs[:, want[0]] = x
         ms[:, want[0]] = m
 
-    dmat = params.drift_matrix().T.copy()  # right-multiply convention: x @ dmat
-    const_sigma = params.constant_diffusion
-    sig0, sig_state = params.sigma[0], params.sigma[1:]
-
     step = 0
-    while step < config.n_steps:
-        block = min(_NOISE_BLOCK, config.n_steps - step)
-        xi = rng.standard_normal((block, n_paths, n))
-        for b in range(block):
+    for block in noise:
+        for xi in block:
             step += 1
-            amp = sig0 if const_sigma else sig0 + x @ sig_state
-            dm = sqrt2dt * amp * xi[b]
-            x = x + config.dt * (x @ dmat + params.h) + dm
+            amp = sig0 if sig_state is None else sig0 + x @ sig_state
+            dm = sqrt2dt * amp * xi
+            if shared is None:
+                lin = np.matmul(drift_mat, x[:, :, None])[:, :, 0]
+            else:
+                lin = x @ shared
+            x = x + config.dt * (lin + h) + dm
             m = m + dm
             if not np.all(np.isfinite(x)):
                 raise SimulationBlowupError(step)
             if step in want:
                 xs[:, want[step]] = x
                 ms[:, want[step]] = m
-    return PathBatch(config.times, xs, ms, x0, params, config)
+    return xs, ms
 
 
 def exact_mean_linear(params: SystemParams, x0, t: float) -> np.ndarray:
@@ -355,20 +380,49 @@ def langevin_params(coupling, beta: float, confinement: float) -> SystemParams:
     flow.
     """
     if isinstance(coupling, CouplingMatrix):
-        if not coupling.symmetric:
-            raise ParameterError("langevin dynamics needs a symmetric coupling")
-        j = coupling.j
+        symmetric = coupling.symmetric
     else:
         j = np.asarray(coupling, dtype=np.float64)
-        if j.ndim != 2 or j.shape[0] != j.shape[1] or not np.array_equal(j, j.T):
-            raise ParameterError("langevin dynamics needs a symmetric coupling")
-    if not beta > 0:
-        raise ParameterError("beta must be positive (use math.inf for zero noise)")
-    n = j.shape[0]
-    sigma = np.zeros((n + 1, n))
-    if math.isfinite(beta):
-        sigma[0] = 1.0 / math.sqrt(2.0 * beta)
-    return SystemParams(coupling=2.0 * j,
-                        lam=-confinement * np.eye(n),
-                        h=np.zeros(n),
-                        sigma=sigma)
+        symmetric = j.ndim == 2 and j.shape[0] == j.shape[1] and np.array_equal(j, j.T)
+    if not symmetric:
+        raise ParameterError("langevin dynamics needs a symmetric coupling")
+    return SystemTemplate(confinement=confinement, beta=beta, langevin=True).build(coupling)
+
+
+@dataclass(frozen=True)
+class SystemTemplate:
+    """How a sampled coupling becomes a full parameter set.
+
+    ``langevin=True`` uses the gradient-flow drift ``2J - K I`` of the
+    quadratic energy; otherwise the coupling enters unscaled,
+    ``J - K I``.  ``beta`` sets the additive noise ``sigma_0j =
+    1/sqrt(2 beta)`` (``inf`` for a noiseless flow) and ``thresholds``
+    the constant drift, either one value for all coordinates or a full
+    vector.
+    """
+
+    confinement: float = 1.0
+    beta: float = 1.0
+    langevin: bool = False
+    thresholds: object = 0.0
+
+    def coupling_drift(self, j: np.ndarray) -> np.ndarray:
+        """The coupling's part of the drift: ``2J`` for the gradient flow, else ``J``."""
+        return 2.0 * j if self.langevin else j
+
+    def build(self, coupling) -> SystemParams:
+        """Parameters for a :class:`CouplingMatrix` or an already scaled array."""
+        if not self.beta > 0:
+            raise ParameterError("beta must be positive (use math.inf for zero noise)")
+        if isinstance(coupling, CouplingMatrix):
+            j = coupling.j
+        else:
+            j = np.asarray(coupling, dtype=np.float64)
+        n = j.shape[0]
+        sigma = np.zeros((n + 1, n))
+        if math.isfinite(self.beta):
+            sigma[0] = 1.0 / math.sqrt(2.0 * self.beta)
+        h = np.broadcast_to(np.asarray(self.thresholds, dtype=np.float64), (n,))
+        return SystemParams(coupling=self.coupling_drift(j),
+                            lam=-self.confinement * np.eye(n),
+                            h=np.array(h), sigma=sigma)

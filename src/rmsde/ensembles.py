@@ -36,6 +36,7 @@ __all__ = [
     "moment_growth_constant",
     "VarianceProfile",
     "CouplingMatrix",
+    "sample_coupling",
     "sample_matrix",
     "InitialLaw",
     "sample_initial",
@@ -217,8 +218,9 @@ class CouplingMatrix:
             raise EnsembleError("coupling matrix and profile shapes differ")
         if self.symmetric and not np.array_equal(a, a.T):
             raise EnsembleError("symmetric ensemble produced an asymmetric matrix")
-        a = a.copy()
-        a.setflags(write=False)
+        if a.flags.writeable or a.base is not None:  # not yet a frozen array of its own
+            a = a.copy()
+            a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
     @property
@@ -231,30 +233,35 @@ class CouplingMatrix:
         return self.a / math.sqrt(self.n)
 
 
-def sample_matrix(dist: EntryDistribution,
-                  profile: VarianceProfile,
-                  symmetric: bool,
-                  stream: RngStream) -> CouplingMatrix:
-    """Sample a coupling matrix from the given ensemble.
+def sample_coupling(dist: EntryDistribution,
+                    profile: VarianceProfile,
+                    symmetric: bool,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Unscaled entries ``A`` of one coupling, drawn from ``rng``.
 
     For a symmetric ensemble only the upper triangle (diagonal
     included) is drawn and mirrored, so the profile must be symmetric.
     Entries with ``m_ij = 0`` come out exactly zero.
     """
     n = profile.n
-    rng = stream.generator()
     scale = np.sqrt(profile.m)
     if symmetric:
         if not profile.is_symmetric:
             raise EnsembleError("symmetric ensemble requires a symmetric variance profile")
         iu = np.triu_indices(n)
-        z = sample_entries(dist, len(iu[0]), rng)
         a = np.zeros((n, n))
-        a[iu] = scale[iu] * z
-        a = a + np.triu(a, 1).T
-    else:
-        z = sample_entries(dist, (n, n), rng)
-        a = scale * z
+        a[iu] = scale[iu] * sample_entries(dist, len(iu[0]), rng)
+        return a + np.triu(a, 1).T
+    return scale * sample_entries(dist, (n, n), rng)
+
+
+def sample_matrix(dist: EntryDistribution,
+                  profile: VarianceProfile,
+                  symmetric: bool,
+                  stream: RngStream) -> CouplingMatrix:
+    """Sample a coupling matrix from the given ensemble (see :func:`sample_coupling`)."""
+    a = sample_coupling(dist, profile, symmetric, stream.generator())
+    a.setflags(write=False)  # hand the fresh array over without a copy
     return CouplingMatrix(a, dist, profile, symmetric, stream)
 
 

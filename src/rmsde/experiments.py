@@ -24,13 +24,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, SystemParams, Trajectory, SimulationBlowupError
+from .dynamics import (IntegratorConfig, SystemParams, SystemTemplate, Trajectory,
+                       euler_maruyama)
 from .ensembles import (CouplingMatrix, EntryDistribution, InitialLaw,
-                        VarianceProfile, sample_entries, sample_initial,
-                        sample_matrix)
+                        VarianceProfile, sample_coupling, sample_entries,
+                        sample_initial, sample_matrix)
 from .generator import taylor_mean, taylor_mean_multitime, taylor_terms
 from .algebra import MomentOracle, Polynomial
-from .observables import autocorrelation, grad_sq_density, hamiltonian_density
+from .observables import (ObservableError, autocorrelation, grad_sq_density,
+                          hamiltonian_density)
 from .rng import PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE, RngStream
 
 __all__ = [
@@ -65,42 +67,6 @@ class ExperimentError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-@dataclass(frozen=True)
-class SystemTemplate:
-    """How a sampled coupling becomes a full parameter set.
-
-    ``langevin=True`` uses the gradient-flow drift ``2J - K I`` of the
-    quadratic energy; otherwise the coupling enters unscaled,
-    ``J - K I``.  ``beta`` sets the additive noise ``sigma_0j =
-    1/sqrt(2 beta)`` (``inf`` for a noiseless flow) and ``thresholds``
-    the constant drift, either one value for all coordinates or a full
-    vector.
-    """
-
-    confinement: float = 1.0
-    beta: float = 1.0
-    langevin: bool = False
-    thresholds: object = 0.0
-
-    def build(self, coupling: CouplingMatrix) -> SystemParams:
-        j = coupling.j
-        if self.langevin:
-            j = 2.0 * j
-        n = j.shape[0]
-        sigma = np.zeros((n + 1, n))
-        if not self.beta > 0:
-            raise ExperimentError("beta must be positive (math.inf for no noise)")
-        if math.isfinite(self.beta):
-            sigma[0] = 1.0 / math.sqrt(2.0 * self.beta)
-        h = np.broadcast_to(np.asarray(self.thresholds, dtype=np.float64), (n,))
-        return SystemParams(coupling=j, lam=-self.confinement * np.eye(n),
-                            h=np.array(h), sigma=sigma)
-
-    @property
-    def constant_diffusion(self) -> bool:
-        return True  # templates only ever produce additive noise
 
 
 @dataclass(frozen=True)
@@ -216,42 +182,24 @@ def _chunk_size(n: int, steps: int) -> int:
     return max(1, min(64, budget))
 
 
-def _integrate_batch(dmats: np.ndarray, h: np.ndarray, sig0: np.ndarray,
-                     sig_state, x0s: np.ndarray, cfg: IntegratorConfig,
-                     xi: np.ndarray) -> tuple:
-    """Euler-Maruyama for a stack of systems sharing everything but the drift.
-
-    ``dmats`` has shape (C, N, N) with the transposed combined drift per
-    replica; ``xi`` holds the standard-normal increments, shape
-    (steps, C, N).  Returns snapshot arrays of shape (C, S, N).
-    """
-    c, n = x0s.shape
-    sqrt2dt = math.sqrt(2.0 * cfg.dt)
-    x = x0s.copy()
-    m = np.zeros((c, n))
-    want = {s: i for i, s in enumerate(cfg.snapshot_steps)}
-    xs = np.empty((c, len(want), n))
-    ms = np.empty((c, len(want), n))
-    if 0 in want:
-        xs[:, want[0]] = x
-        ms[:, want[0]] = m
-    for step in range(1, cfg.n_steps + 1):
-        amp = sig0 if sig_state is None else sig0 + x @ sig_state
-        dm = sqrt2dt * amp * xi[step - 1]
-        x = x + cfg.dt * (np.matmul(dmats, x[:, :, None])[:, :, 0] + h) + dm
-        m = m + dm
-        if not np.all(np.isfinite(x)):
-            raise SimulationBlowupError(step)
-        if step in want:
-            xs[:, want[step]] = x
-            ms[:, want[step]] = m
-    return xs, ms
+_GRID_TOL = 1e-9  # how far a requested time may sit from a step multiple
 
 
-def _suite_grid(cfg: ExperimentConfig) -> IntegratorConfig:
-    times = sorted({t for item in cfg.suite for t in item.times})
-    horizon = max(cfg.horizon, times[-1] if times else 0.0)
-    return IntegratorConfig(cfg.dt, horizon, tuple(times))
+def _grid_row(icfg: IntegratorConfig, t: float) -> int:
+    """Row of time ``t`` among the recorded times of ``icfg``."""
+    hits = np.nonzero(np.abs(icfg.times - t) <= _GRID_TOL)[0]
+    if len(hits) == 0:
+        raise ObservableError(f"time {t:g} is not on the step grid of dt = {icfg.dt:g}")
+    return int(hits[0])
+
+
+def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
+    """Step grid recording ``times``, each of which must be a step multiple."""
+    times = sorted(set(times))
+    icfg = IntegratorConfig(dt, max([horizon] + times), tuple(times))
+    for t in times:
+        _grid_row(icfg, t)
+    return icfg
 
 
 def _paired_chunk(cfg: ExperimentConfig, n: int, profile: VarianceProfile,
@@ -278,10 +226,7 @@ def _paired_chunk(cfg: ExperimentConfig, n: int, profile: VarianceProfile,
                                                    RngStream(cfg.jseed, r, PURPOSE_COUPLING)))
                   for r in chunk]
         dmats = np.stack([p.drift_matrix() for p in params])
-        p0 = params[0]
-        sig_state = None if p0.constant_diffusion else p0.sigma[1:]
-        xs, ms = _integrate_batch(dmats, p0.h, p0.sigma[0], sig_state,
-                                  x0s, icfg, xi)
+        xs, ms = euler_maruyama(dmats, params[0].h, params[0].sigma, x0s, icfg, (xi,))
         vals = np.empty((c, len(cfg.suite)))
         for k in range(c):
             traj = Trajectory(icfg.times, xs[k], ms[k], x0s[k], params[k], icfg)
@@ -298,19 +243,17 @@ def _map_chunks(cfg: ExperimentConfig, work: Callable, chunks: list) -> list:
         return list(ex.map(work, chunks))
 
 
-def _paired_values(cfg: ExperimentConfig, n: int) -> tuple:
-    """(values_a, values_b): arrays of shape (replicas, len(suite))."""
+def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> list:
+    """One array of shape (replicas, len(suite)) per arm."""
     profile = cfg.make_profile(n)
     law = InitialLaw.uniform(cfg.init_dist, n)
-    icfg = _suite_grid(cfg)
+    icfg = _time_grid(cfg.dt, [t for item in cfg.suite for t in item.times], cfg.horizon)
     size = _chunk_size(n, icfg.n_steps)
     chunks = [range(lo, min(lo + size, cfg.replicas))
               for lo in range(0, cfg.replicas, size)]
-    parts = _map_chunks(cfg, lambda ch: _paired_chunk(cfg, n, profile, law, icfg, ch),
+    parts = _map_chunks(cfg, lambda ch: _paired_chunk(cfg, n, profile, law, icfg, ch, arms),
                         chunks)
-    values_a = np.concatenate([part[0] for part in parts], axis=0)
-    values_b = np.concatenate([part[1] for part in parts], axis=0)
-    return values_a, values_b
+    return [np.concatenate([part[k] for part in parts], axis=0) for k in range(len(arms))]
 
 
 # ---------------------------------------------------------------------------
@@ -446,29 +389,18 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     statistics center each grid point at its replica mean and take the
     sup over the grid per replica.
     """
-    probe = cfg.template.build(
-        sample_matrix(cfg.dist_a, cfg.make_profile(2), cfg.symmetric,
-                      RngStream(cfg.jseed, 0, PURPOSE_COUPLING)))
-    if not probe.constant_diffusion:
+    n0 = cfg.sizes[0]
+    if not cfg.template.build(np.zeros((n0, n0))).constant_diffusion:
         raise ExperimentError("concentration runs need constant diffusion")
     # Snap the evaluation grid to step multiples so lookups are exact.
     steps = sorted({int(round(t / cfg.dt))
                     for t in np.linspace(0.0, cfg.horizon, cfg.grid_points)})
     grid = tuple(k * cfg.dt for k in steps)
     suite = tuple(autocorr_item(t, t) for t in grid)
-    sub = replace(cfg, suite=suite, dist_b=cfg.dist_a)
+    sub = replace(cfg, suite=suite)
     rows = []
     for n in cfg.sizes:
-        profile = sub.make_profile(n)
-        law = InitialLaw.uniform(sub.init_dist, n)
-        icfg = _suite_grid(sub)
-        size = _chunk_size(n, icfg.n_steps)
-        chunks = [range(lo, min(lo + size, sub.replicas))
-                  for lo in range(0, sub.replicas, size)]
-        parts = _map_chunks(sub, lambda ch: _paired_chunk(sub, n, profile, law,
-                                                          icfg, ch, arms=("a",))[0],
-                            chunks)
-        curve = np.concatenate(parts, axis=0)  # (replicas, grid)
+        (curve,) = _paired_values(sub, n, arms=("a",))  # (replicas, grid)
         sups = curve.max(axis=1)
         dev = np.abs(curve - curve.mean(axis=0)).max(axis=1)
         tails = tuple((lam, int((dev > lam).sum())) for lam in cfg.tail_thresholds)
@@ -616,23 +548,21 @@ class TaylorVsMcReport:
     any_diverging: bool
 
 
-def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
+def _mc_moments(cfg: ExperimentConfig, n: int, specs: list,
+                params: SystemParams) -> tuple:
     """Monte Carlo of ``E[prod_k f_k(X_{t_k})]`` over coupling, start, noise.
 
-    Each spec is (list of x-polynomials, matching times).  Chunks are
-    keyed by their index, so the estimate is deterministic in the seed
-    and independent of the chunk width heuristic staying fixed.
+    Each spec is (list of x-polynomials, matching times); ``params`` is
+    the template at this size, whose coupling slot is replaced per path.
+    Chunks are keyed by their index, so the estimate is deterministic in
+    the seed and independent of the chunk width heuristic staying fixed.
     """
     profile = cfg.make_profile(n)
-    law = InitialLaw.uniform(cfg.init_dist, n)
-    all_times = sorted({t for _, ts in specs for t in ts})
-    icfg = IntegratorConfig(cfg.dt, all_times[-1], tuple(all_times))
+    icfg = _time_grid(cfg.dt, [t for _, ts in specs for t in ts])
     steps = icfg.n_steps
     chunk = max(1, min(8192, 64 * 2 ** 20 // max(1, (steps + 1) * n * 8)))
     sums = np.zeros(len(specs))
     sums_sq = np.zeros(len(specs))
-    base = _template_symbolic_params(cfg, n)
-    scale = np.sqrt(profile.m)
     total = 0
     cid = 0
     while total < cfg.mc_paths:
@@ -640,26 +570,18 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
         gen_j = RngStream(cfg.jseed, cid, PURPOSE_COUPLING).generator()
         gen_x0 = RngStream(cfg.seed, cid, PURPOSE_INITIAL).generator()
         gen_b = RngStream(cfg.seed, cid, PURPOSE_NOISE).generator()
-        dmats = np.empty((c, n, n))
+        a = np.empty((c, n, n))
         for k in range(c):
-            if cfg.symmetric:
-                a = np.zeros((n, n))
-                iu = np.triu_indices(n)
-                a[iu] = scale[iu] * sample_entries(cfg.dist_a, len(iu[0]), gen_j)
-                a = a + np.triu(a, 1).T
-            else:
-                a = scale * sample_entries(cfg.dist_a, (n, n), gen_j)
-            j = a / math.sqrt(n)
-            if cfg.template.langevin:
-                j = 2.0 * j
-            dmats[k] = (j + base.lam).T
+            a[k] = sample_coupling(cfg.dist_a, profile, cfg.symmetric, gen_j)
+        j = cfg.template.coupling_drift(a / math.sqrt(n))
+        dmats = (j + params.lam).transpose(0, 2, 1).copy()
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         xi = gen_b.standard_normal((steps, c, n))
-        xs, _ = _integrate_batch(dmats, base.h, base.sigma[0], None, x0s, icfg, xi)
+        xs, _ = euler_maruyama(dmats, params.h, params.sigma, x0s, icfg, (xi,))
         for q, (poly_list, ts) in enumerate(specs):
             vals = np.ones(c)
             for f, t in zip(poly_list, ts):
-                row = int(np.nonzero(np.abs(icfg.times - t) <= 1e-9)[0][0])
+                row = _grid_row(icfg, t)
                 per = np.zeros(c)
                 for mono in f:
                     contrib = np.full(c, mono.coeff)
@@ -695,7 +617,8 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     profile = cfg.make_profile(n)
     law = InitialLaw.uniform(cfg.init_dist, n)
     oracle = MomentOracle.from_ensemble(cfg.dist_a, profile, law, cfg.symmetric)
-    params = _template_symbolic_params(cfg, n)
+    # the symbolic engine reads only the deterministic parts of the template
+    params = cfg.template.build(np.zeros((n, n)))
 
     singles = [("x1", Polynomial.from_x(1)), ("x1^2", Polynomial.from_x(1, 1))]
     if n >= 2:
@@ -704,7 +627,7 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     multi_fs = [Polynomial.from_x(1), Polynomial.from_x(1)]
     multi_ts = (t / 2, t)
     specs = [([f], (t,)) for _, f in singles] + [(multi_fs, multi_ts)]
-    mean, se = _mc_moments(cfg, n, specs)
+    mean, se = _mc_moments(cfg, n, specs, params)
 
     rows = []
     orders = []
@@ -726,22 +649,6 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     rows.append(TaylorRow(multi_name, mv, math.nan, False, float(mean[q]),
                           float(se[q]), float(z)))
     return TaylorVsMcReport(tuple(rows), tuple(orders), any_div)
-
-
-def _template_symbolic_params(cfg: ExperimentConfig, n: int) -> SystemParams:
-    """Template parameters with a symbolic (identity-free) coupling slot.
-
-    The symbolic engine only reads the deterministic parts plus the
-    dimension, so the coupling array content is irrelevant; zeros keep
-    accidental numeric use harmless.
-    """
-    sigma = np.zeros((n + 1, n))
-    if math.isfinite(cfg.template.beta):
-        sigma[0] = 1.0 / math.sqrt(2.0 * cfg.template.beta)
-    h = np.broadcast_to(np.asarray(cfg.template.thresholds, dtype=np.float64), (n,))
-    return SystemParams(coupling=np.zeros((n, n)),
-                        lam=-cfg.template.confinement * np.eye(n),
-                        h=np.array(h), sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -214,3 +214,38 @@ def test_handler_experiment_error_is_status_1(tmp_path, capsys):
     assert "status = 1" in err
     assert "beta = inf" in err
     assert (out / "error.txt").read_text().startswith("status = 1\n")
+
+
+OFF_GRID = {
+    # the default suite time 0.1 is not a multiple of dt = 0.03
+    "universality": """
+[experiment]
+sizes = 4, 8
+replicas = 4
+[integrator]
+dt = 0.03
+horizon = 0.1
+""",
+    # the Monte Carlo times t/2 = 0.1 and t = 0.2 are not multiples of dt
+    "taylor-check": """
+[experiment]
+sizes = 2
+time = 0.2
+truncation = 2
+mc_paths = 10
+[integrator]
+dt = 0.03
+horizon = 0.2
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFF_GRID))
+def test_off_grid_times_are_status_2(tmp_path, capsys, kind):
+    status, out = invoke(tmp_path, kind, OFF_GRID[kind])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "status = 2" in err
+    assert "not on the step grid" in err
+    assert (out / "error.txt").read_text().startswith("status = 2\n")
+    assert not (out / CSV_NAMES[kind]).exists()

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rmsde.dynamics import SystemParams
+from rmsde.dynamics import ParameterError, SystemParams
 from rmsde.ensembles import (EntryDistribution, VarianceProfile,
                              sample_matrix)
 from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
@@ -61,7 +61,7 @@ def test_template_vector_thresholds():
 def test_template_rejects_bad_beta():
     cm = sample_matrix(GAUSSIAN, VarianceProfile.offdiagonal(2), True,
                        RngStream(0, 0, PURPOSE_COUPLING))
-    with pytest.raises(ExperimentError, match="beta"):
+    with pytest.raises(ParameterError, match="beta"):
         SystemTemplate(beta=0.0).build(cm)
 
 
@@ -234,6 +234,12 @@ def test_concentration_snaps_grid_to_steps():
     cfg = small_cfg(sizes=(4,), replicas=8, dt=0.01, horizon=0.1, grid_points=7)
     report = run_concentration(cfg)  # would raise on any off-grid lookup
     assert len(report.rows) == 1
+
+
+def test_concentration_accepts_fixed_profile():
+    cfg = small_cfg(sizes=(8,), replicas=6, grid_points=3)
+    fixed = replace(cfg, profile=VarianceProfile.offdiagonal(8))
+    assert run_concentration(fixed).rows == run_concentration(cfg).rows
 
 
 def test_concentration_rejects_state_dependent_noise():

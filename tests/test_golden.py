@@ -1,0 +1,124 @@
+"""Golden outputs: sha256 of the CSV each experiment writes at tiny configs.
+
+The hashes pin every byte of the results tables of the experiments that
+run the Euler-Maruyama loop (universality, hopfield, concentration,
+simulate, taylor-check), so refactors of the integrator, the coupling
+sampler or the template builder cannot silently change the numbers.
+The cases cover both symmetric and non-symmetric ensembles, the
+gradient-flow template, thresholds, two threads, and a simulate run
+long enough to span two noise blocks.  Float formatting and BLAS
+rounding are part of what is pinned, so the hashes are specific to the
+numpy/BLAS build they were recorded with (numpy 2.4, OpenBLAS, x86-64).
+"""
+
+import hashlib
+
+import pytest
+
+from rmsde.cli import main
+
+CASES = {
+    "simulate": ("simulate", "trajectory.csv", """
+[system]
+template = langevin
+beta = 2.0
+confinement = 1.5
+thresholds = 0.1
+[experiment]
+sizes = 5
+[integrator]
+dt = 0.0001
+horizon = 0.45
+""",
+        "08a80e4ecaa040570b62db258d1bec4daa1a7cb4a2029e3f06a3149b25d1323f"),
+    "universality": ("universality", "universality.csv", """
+[ensemble]
+dist = uniform
+[experiment]
+sizes = 4, 8
+replicas = 6
+[integrator]
+dt = 0.02
+horizon = 0.1
+""",
+        "126269e822e0124689a3cd1c30688cb2cc6130a0d7ab1c990a1974883cde3a6b"),
+    "universality-asymmetric": ("universality", "universality.csv", """
+[run]
+threads = 2
+[ensemble]
+symmetric = false
+profile = full
+[experiment]
+sizes = 3, 6, 9
+replicas = 5
+[integrator]
+dt = 0.05
+horizon = 0.2
+""",
+        "f5e88bf0d536b117d0e25f6492ef36c2c17e3bda5ab21523eb47bf11f8a29ad1"),
+    "hopfield": ("hopfield", "hopfield.csv", """
+[system]
+beta = 4.0
+thresholds = 0.2
+[experiment]
+sizes = 4, 8
+replicas = 5
+[integrator]
+dt = 0.02
+horizon = 0.1
+""",
+        "20d283a9ff9000bc8b8313b62f13e1ace76842e6203feb69ae750e696b1131fd"),
+    "concentration": ("concentration", "concentration.csv", """
+[experiment]
+sizes = 4, 8
+replicas = 8
+grid_points = 4
+[integrator]
+dt = 0.02
+horizon = 0.1
+""",
+        "850847266891b537fe4d82c36f0a908ab5dc6604f94e622ec782554d14fc3c19"),
+    "taylor-check": ("taylor-check", "taylor.csv", """
+[system]
+template = langevin
+thresholds = 0.3
+[experiment]
+sizes = 3
+time = 0.2
+truncation = 4
+mc_paths = 3000
+[integrator]
+dt = 0.01
+horizon = 0.2
+""",
+        "aae8e7550819aef7c7570488ea08a593236f44be114b2b377a71787811d0a9a0"),
+    "taylor-check-asymmetric": ("taylor-check", "taylor.csv", """
+[ensemble]
+dist = exponential
+symmetric = false
+profile = full
+[experiment]
+sizes = 2
+time = 0.1
+truncation = 3
+mc_paths = 1500
+[integrator]
+dt = 0.01
+horizon = 0.1
+""",
+        "360bcad58ee58c2d22bb7ed855941adbba6da5f97133e6941b259573d078105b"),
+}
+
+
+def csv_digest(tmp_path, kind: str, csv_name: str, text: str) -> str:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    return hashlib.sha256((out / csv_name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_matches_golden_hash(tmp_path, case):
+    kind, csv_name, text, expected = CASES[case]
+    assert csv_digest(tmp_path, kind, csv_name, text) == expected
