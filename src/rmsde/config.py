@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import EnsembleError, EntryDistribution, VarianceProfile
-from .experiments import ExperimentConfig, ExperimentError
+from .experiments import ExperimentConfig, ExperimentError, check_preconditions
 from .dynamics import IntegratorConfig, SystemTemplate
 from .observables import BuildingBlock, QuadraticObservable, TensorObservable, eval_quadratic, eval_tensor
 from .experiments import (SuiteItem, autocorr_item, gradsq_item,
@@ -473,10 +473,14 @@ def observable_suite(rc: RunConfig) -> tuple:
 
 
 def experiment_config(rc: RunConfig) -> ExperimentConfig:
-    """Wire a parsed configuration into an :class:`ExperimentConfig`."""
+    """Wire a parsed configuration into an :class:`ExperimentConfig`.
+
+    The configured experiment's preconditions are checked here, so a
+    configuration that cannot run is a :class:`ConfigError`.
+    """
     ens_seed = rc.get("ensemble", "seed")
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             dist_a=_dist(rc.get("ensemble", "dist")),
             dist_b=_dist(rc.get("ensemble_b", "dist")),
             symmetric=rc.get("ensemble", "symmetric"),
@@ -503,5 +507,7 @@ def experiment_config(rc: RunConfig) -> ExperimentConfig:
             rayleigh_points=rc.get("experiment", "rayleigh_points"),
             rayleigh_replicas=rc.get("experiment", "rayleigh_replicas"),
         )
+        check_preconditions(rc.get("run", "experiment"), cfg)
     except (ExperimentError, EnsembleError) as exc:
         raise ConfigError(str(exc)) from None
+    return cfg

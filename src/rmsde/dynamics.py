@@ -20,6 +20,7 @@ sampled coupling into a full parameter set.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -150,6 +151,12 @@ class SystemParams:
     def drift_matrix(self) -> np.ndarray:
         """Combined linear drift ``(J + Lam)^T`` acting on column states."""
         return (self.coupling + self.lam).T
+
+    def with_coupling(self, coupling) -> "SystemParams":
+        """Copy with ``J`` replaced; only ``coupling`` is checked, the rest is shared."""
+        out = copy.copy(self)
+        object.__setattr__(out, "coupling", _frozen(coupling, (self.n, self.n), "coupling"))
+        return out
 
 
 def drift(params: SystemParams, x: np.ndarray) -> np.ndarray:

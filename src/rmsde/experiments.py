@@ -57,6 +57,7 @@ __all__ = [
     "gradsq_item",
     "overlap_item",
     "rayleigh_quotient_curve",
+    "check_preconditions",
     "ExperimentError",
 ]
 
@@ -171,6 +172,28 @@ class ExperimentConfig:
         return self.seed if self.coupling_seed is None else self.coupling_seed
 
 
+def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
+    """Raise :class:`ExperimentError` if ``cfg`` cannot run experiment ``kind``.
+
+    ``kind`` is a command-line experiment name; kinds without
+    preconditions (and the empty name) pass.  The checks read only the
+    configuration, so a run that cannot succeed fails before any work.
+    """
+    if kind in ("universality", "hopfield", "concentration", "aging") and cfg.replicas < 2:
+        raise ExperimentError("need at least 2 replicas for a standard error")
+    if kind in ("aging", "rayleigh") and math.isfinite(cfg.template.beta):
+        raise ExperimentError(f"{kind} runs are defined for beta = inf (noise-free flow)")
+    if kind == "concentration":
+        n0 = cfg.sizes[0]
+        if not cfg.template.build(np.zeros((n0, n0))).constant_diffusion:
+            raise ExperimentError("concentration runs need constant diffusion")
+    if kind == "taylor-check":
+        if cfg.sizes[0] > 4:
+            raise ExperimentError("series-vs-MC runs are limited to dimension <= 4")
+        if cfg.time > 0.5:
+            raise ExperimentError("series-vs-MC runs are limited to times <= 0.5")
+
+
 # ---------------------------------------------------------------------------
 # batched integration of one chunk of replicas
 
@@ -202,34 +225,44 @@ def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
     return icfg
 
 
-def _paired_chunk(cfg: ExperimentConfig, n: int, profile: VarianceProfile,
+def _drift_couplings(cfg: ExperimentConfig, dist: EntryDistribution,
+                     profile: VarianceProfile, gens: list) -> np.ndarray:
+    """(C, N, N) stack of ``coupling_drift(A / sqrt(N))``, one ``A`` per generator."""
+    a = np.empty((len(gens), profile.n, profile.n))
+    for k, gen in enumerate(gens):
+        a[k] = sample_coupling(dist, profile, cfg.symmetric, gen)
+    return cfg.template.coupling_drift(a / math.sqrt(profile.n))
+
+
+def _paired_chunk(cfg: ExperimentConfig, base: SystemParams, profile: VarianceProfile,
                   law: InitialLaw, icfg: IntegratorConfig, chunk: range,
                   arms: tuple = ("a", "b")) -> list:
     """Per-replica suite values, one array of shape (C, len(suite)) per arm.
 
     Initial conditions and noise are drawn once per replica and shared
-    by every arm; only the coupling streams differ.
+    by every arm; only the coupling streams differ.  ``base`` is the
+    template at this size; each replica swaps in its own coupling.
     """
     c = len(chunk)
     steps = icfg.n_steps
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
     x0s = np.stack([sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
                     for r in chunk])
-    xi = np.empty((steps, c, n))
+    xi = np.empty((steps, c, base.n))
     for k, r in enumerate(chunk):
         gen = RngStream(cfg.seed, r, PURPOSE_NOISE).generator()
-        xi[:, k, :] = gen.standard_normal((steps, n))
+        xi[:, k, :] = gen.standard_normal((steps, base.n))
 
     out = []
     for arm in arms:
-        params = [cfg.template.build(sample_matrix(dists[arm], profile, cfg.symmetric,
-                                                   RngStream(cfg.jseed, r, PURPOSE_COUPLING)))
-                  for r in chunk]
-        dmats = np.stack([p.drift_matrix() for p in params])
-        xs, ms = euler_maruyama(dmats, params[0].h, params[0].sigma, x0s, icfg, (xi,))
+        gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in chunk]
+        j = _drift_couplings(cfg, dists[arm], profile, gens)
+        # keep the transposed view: its (N^2, 1, N) strides are pinned by the golden bytes
+        dmats = (j + base.lam).transpose(0, 2, 1)
+        xs, ms = euler_maruyama(dmats, base.h, base.sigma, x0s, icfg, (xi,))
         vals = np.empty((c, len(cfg.suite)))
         for k in range(c):
-            traj = Trajectory(icfg.times, xs[k], ms[k], x0s[k], params[k], icfg)
+            traj = Trajectory(icfg.times, xs[k], ms[k], x0s[k], base.with_coupling(j[k]), icfg)
             for q, item in enumerate(cfg.suite):
                 vals[k, q] = item.fn(traj)
         out.append(vals)
@@ -251,7 +284,8 @@ def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> l
     size = _chunk_size(n, icfg.n_steps)
     chunks = [range(lo, min(lo + size, cfg.replicas))
               for lo in range(0, cfg.replicas, size)]
-    parts = _map_chunks(cfg, lambda ch: _paired_chunk(cfg, n, profile, law, icfg, ch, arms),
+    base = cfg.template.build(np.zeros((n, n)))
+    parts = _map_chunks(cfg, lambda ch: _paired_chunk(cfg, base, profile, law, icfg, ch, arms),
                         chunks)
     return [np.concatenate([part[k] for part in parts], axis=0) for k in range(len(arms))]
 
@@ -310,6 +344,17 @@ def _fit_loglog(ns, values) -> Optional[SlopeFit]:
     return SlopeFit(slope, slope - 1.96 * stderr, slope + 1.96 * stderr)
 
 
+def _finite_rows(rows: list) -> tuple:
+    """``rows`` as a tuple; :class:`ExperimentError` if a statistic is not finite."""
+    for row in rows:
+        for name, value in vars(row).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ExperimentError(
+                    f"non-finite {name} = {value} at n={row.n} for {row.observable}: "
+                    "the integration is numerically unstable")
+    return tuple(rows)
+
+
 def run_universality(cfg: ExperimentConfig) -> UniversalityReport:
     """Paired-arm expectation differences across sizes.
 
@@ -317,8 +362,7 @@ def run_universality(cfg: ExperimentConfig) -> UniversalityReport:
     arms and only the coupling is redrawn, so with identical entry
     distributions the per-replica difference is exactly zero.
     """
-    if cfg.replicas < 2:
-        raise ExperimentError("need at least 2 replicas for a standard error")
+    check_preconditions("universality", cfg)
     if not cfg.suite:
         cfg = replace(cfg, suite=default_suite(cfg.horizon))
     rows = []
@@ -336,7 +380,7 @@ def run_universality(cfg: ExperimentConfig) -> UniversalityReport:
             per_obs_delta[item.name].append(abs(delta))
     slopes = {name: _fit_loglog(cfg.sizes, deltas)
               for name, deltas in per_obs_delta.items()}
-    return UniversalityReport(tuple(rows), slopes)
+    return UniversalityReport(_finite_rows(rows), slopes)
 
 
 def run_hopfield(cfg: ExperimentConfig) -> UniversalityReport:
@@ -389,9 +433,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     statistics center each grid point at its replica mean and take the
     sup over the grid per replica.
     """
-    n0 = cfg.sizes[0]
-    if not cfg.template.build(np.zeros((n0, n0))).constant_diffusion:
-        raise ExperimentError("concentration runs need constant diffusion")
+    check_preconditions("concentration", cfg)
     # Snap the evaluation grid to step multiples so lookups are exact.
     steps = sorted({int(round(t / cfg.dt))
                     for t in np.linspace(0.0, cfg.horizon, cfg.grid_points)})
@@ -409,7 +451,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
                                      float(dev.std(ddof=1)),
                                      float(dev.mean()),
                                      sub.replicas, tails))
-    return ConcentrationReport(tuple(rows))
+    return ConcentrationReport(_finite_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +520,7 @@ def run_aging(cfg: ExperimentConfig) -> AgingReport:
     confinement, replicas whose sampled operator norm reaches it are
     dropped and counted.
     """
-    if math.isfinite(cfg.template.beta):
-        raise ExperimentError("aging runs are defined for beta = inf (noise-free flow)")
-    if cfg.replicas < 2:
-        raise ExperimentError("need at least 2 replicas")
+    check_preconditions("aging", cfg)
     pairs = [(float(s), float(lam)) for s in cfg.s_values for lam in cfg.lambdas]
     rows = []
     dropped = {"a": 0, "b": 0}
@@ -570,10 +609,8 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list,
         gen_j = RngStream(cfg.jseed, cid, PURPOSE_COUPLING).generator()
         gen_x0 = RngStream(cfg.seed, cid, PURPOSE_INITIAL).generator()
         gen_b = RngStream(cfg.seed, cid, PURPOSE_NOISE).generator()
-        a = np.empty((c, n, n))
-        for k in range(c):
-            a[k] = sample_coupling(cfg.dist_a, profile, cfg.symmetric, gen_j)
-        j = cfg.template.coupling_drift(a / math.sqrt(n))
+        j = _drift_couplings(cfg, cfg.dist_a, profile, [gen_j] * c)
+        # keep the C-contiguous copy: this layout is pinned by the golden bytes
         dmats = (j + params.lam).transpose(0, 2, 1).copy()
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         xi = gen_b.standard_normal((steps, c, n))
@@ -581,15 +618,7 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list,
         for q, (poly_list, ts) in enumerate(specs):
             vals = np.ones(c)
             for f, t in zip(poly_list, ts):
-                row = _grid_row(icfg, t)
-                per = np.zeros(c)
-                for mono in f:
-                    contrib = np.full(c, mono.coeff)
-                    for i in mono.x_idx:
-                        if i != 0:
-                            contrib = contrib * xs[:, row, i - 1]
-                    per += contrib
-                vals *= per
+                vals *= f.evaluate(None, xs[:, _grid_row(icfg, t)].T)
             sums[q] += vals.sum()
             sums_sq[q] += (vals * vals).sum()
         total += c
@@ -608,12 +637,9 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     for the single-time observables plus z-scores, and propagates the
     divergence warning of the symbolic engine.
     """
+    check_preconditions("taylor-check", cfg)
     n = cfg.sizes[0]
-    if n > 4:
-        raise ExperimentError("series-vs-MC runs are limited to dimension <= 4")
     t = cfg.time
-    if t > 0.5:
-        raise ExperimentError("series-vs-MC runs are limited to times <= 0.5")
     profile = cfg.make_profile(n)
     law = InitialLaw.uniform(cfg.init_dist, n)
     oracle = MomentOracle.from_ensemble(cfg.dist_a, profile, law, cfg.symmetric)
@@ -704,8 +730,7 @@ def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
     coupling.  Monotonicity is recorded per replica as a strict
     step-by-step check.
     """
-    if math.isfinite(cfg.template.beta):
-        raise ExperimentError("rayleigh runs are defined for beta = inf")
+    check_preconditions("rayleigh", cfg)
     n = cfg.sizes[0]
     profile = cfg.make_profile(n)
     law = InitialLaw.uniform(cfg.init_dist, n)

@@ -207,12 +207,14 @@ def test_handler_config_error_is_status_2(tmp_path, capsys):
 
 
 def test_handler_experiment_error_is_status_1(tmp_path, capsys):
-    text = FAST["aging"].replace("beta = inf", "beta = 2.0")
+    # a fixed confinement below every sampled spectral radius drops all replicas
+    text = FAST["aging"].replace("beta = inf", "beta = inf\nconfinement = 0.1") + \
+        "confinement_mode = fixed\n"
     status, out = invoke(tmp_path, "aging", text)
     assert status == 1
     err = capsys.readouterr().err
     assert "status = 1" in err
-    assert "beta = inf" in err
+    assert "dropped" in err
     assert (out / "error.txt").read_text().startswith("status = 1\n")
 
 
@@ -247,5 +249,58 @@ def test_off_grid_times_are_status_2(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert "status = 2" in err
     assert "not on the step grid" in err
+    assert (out / "error.txt").read_text().startswith("status = 2\n")
+    assert not (out / CSV_NAMES[kind]).exists()
+
+
+UNSTABLE = """
+[system]
+confinement = 0
+[experiment]
+sizes = 4, 8, 16
+replicas = 20
+[integrator]
+dt = 5
+horizon = 500
+"""
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["universality", "hopfield", "concentration"])
+def test_non_finite_statistics_are_status_1(tmp_path, capsys, kind):
+    # dt = 5 without confinement overflows the squared deviations but not the state
+    status, out = invoke(tmp_path, kind, UNSTABLE)
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "status = 1" in err
+    assert "non-finite" in err
+    assert (out / "error.txt").read_text().startswith("status = 1\n")
+    assert not (out / CSV_NAMES[kind]).exists()
+
+
+PRECONDITIONS = {
+    "universality-replicas":
+        ("universality", FAST["universality"].replace("replicas = 6", "replicas = 1"), "replicas"),
+    "concentration-replicas":
+        ("concentration", FAST["concentration"].replace("replicas = 6", "replicas = 1"),
+         "replicas"),
+    "aging-replicas": ("aging", FAST["aging"].replace("replicas = 4", "replicas = 1"), "replicas"),
+    "aging-beta": ("aging", FAST["aging"].replace("beta = inf", "beta = 2.0"), "beta = inf"),
+    "rayleigh-beta":
+        ("rayleigh", FAST["rayleigh"].replace("beta = inf", "beta = 2.0"), "beta = inf"),
+    "taylor-check-size":
+        ("taylor-check", FAST["taylor-check"].replace("sizes = 3", "sizes = 8"), "dimension"),
+    "taylor-check-time":
+        ("taylor-check", FAST["taylor-check"].replace("time = 0.2", "time = 0.6"), "times"),
+}
+
+
+@pytest.mark.parametrize("kind,text,message", PRECONDITIONS.values(), ids=PRECONDITIONS)
+def test_config_preconditions_are_status_2(tmp_path, capsys, kind, text, message):
+    status, out = invoke(tmp_path, kind, text)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "status = 2" in err
+    assert message in err
     assert (out / "error.txt").read_text().startswith("status = 2\n")
     assert not (out / CSV_NAMES[kind]).exists()

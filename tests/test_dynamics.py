@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rmsde.dynamics import (IntegratorConfig, ParameterError, SystemParams,
-                            SimulationBlowupError, Trajectory, diffusion_row,
+                            SimulationBlowupError, SystemTemplate, Trajectory, diffusion_row,
                             drift, exact_mean_linear, langevin_params,
                             simulate, simulate_paths)
 from rmsde.ensembles import (EntryDistribution, VarianceProfile,
@@ -94,6 +94,22 @@ def test_drift_matrix_matches_drift_function():
     p = random_params(4, seed=3)
     x = np.random.default_rng(0).standard_normal(4)
     assert np.allclose(p.drift_matrix() @ x, drift(p, x) - p.h, atol=1e-14)
+
+
+def test_with_coupling_checks_only_the_new_coupling():
+    j = random_params(4, seed=5).coupling
+    template = SystemTemplate(confinement=2.0, beta=3.0, thresholds=0.4)
+    base = template.build(np.zeros((4, 4)))
+    swapped = base.with_coupling(j)
+    assert np.array_equal(swapped.coupling, j)
+    assert not swapped.coupling.flags.writeable
+    assert swapped.lam is base.lam and swapped.h is base.h and swapped.sigma is base.sigma
+    x = np.random.default_rng(1).standard_normal(4)
+    assert np.array_equal(drift(swapped, x), drift(template.build(j), x))
+    with pytest.raises(ParameterError, match="shape"):
+        base.with_coupling(np.zeros((3, 3)))
+    with pytest.raises(ParameterError, match="finite"):
+        base.with_coupling(np.where(np.eye(4) > 0, np.nan, j))
 
 
 def test_diffusion_row_formula():

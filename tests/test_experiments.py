@@ -159,6 +159,19 @@ def test_universality_slope_fit_with_three_sizes():
         assert fit.lo <= fit.slope <= fit.hi
 
 
+def test_universality_builds_one_template_per_size(monkeypatch):
+    calls = []
+    build = SystemTemplate.build
+
+    def counted(self, coupling):
+        calls.append(np.shape(coupling))
+        return build(self, coupling)
+
+    monkeypatch.setattr(SystemTemplate, "build", counted)
+    run_universality(small_cfg(sizes=(4, 8, 16), replicas=5))
+    assert calls == [(4, 4), (8, 8), (16, 16)]
+
+
 def test_universality_needs_two_replicas():
     with pytest.raises(ExperimentError, match="replicas"):
         run_universality(small_cfg(replicas=1))
