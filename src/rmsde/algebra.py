@@ -1,12 +1,15 @@
 """Monomial algebra for exact generator expansions.
 
 A monomial is a coefficient times a product of symbolic coupling
-entries ``J_ij``, audit records of deterministic factors that were
-already folded into the coefficient (drift matrix entries, constant
-drifts, diffusion coefficients), and state factors ``x_i`` where the
-index 0 stands for the constant 1.  Keeping placeholder ``x_0`` factors
-makes the state degree ``r = |x_idx|`` invariant under the generator
-letters, which is what the term-count bookkeeping relies on.
+entries ``J_ij`` and state factors ``x_i``, where the index 0 stands
+for the constant 1.  Deterministic factors (drift matrix entries,
+constant drifts, diffusion coefficients) are folded into the
+coefficient when a generator letter is applied, so a monomial's
+identity is its coupling multiset and its state monomial, the two
+parts an expectation reads, and like terms are collected on exactly
+that key.  Keeping placeholder ``x_0`` factors makes the state degree
+``r = |x_idx|`` invariant under the generator letters, which is what
+the term-count bookkeeping relies on.
 
 Expectations factorize over independent entries: each distinct coupling
 pair contributes its raw moment scaled by ``N**(-mult/2)``, each state
@@ -51,45 +54,34 @@ def canonical_pair(pair: tuple, symmetric: bool) -> tuple:
     return pair
 
 
-def _sorted_pairs(pairs, low: int, what: str) -> tuple:
+def _sorted_pairs(pairs) -> tuple:
     out = []
     for p in pairs:
         i, j = int(p[0]), int(p[1])
-        if i < low or j < 1:
-            raise AlgebraError(f"{what} pair ({i},{j}) out of range")
+        if i < 1 or j < 1:
+            raise AlgebraError(f"coupling pair ({i},{j}) out of range")
         out.append((i, j))
     return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
 class Monomial:
-    """One term ``coeff * prod J_pairs * prod x_idx`` plus audit parts.
+    """One term ``coeff * prod J_pairs * prod x_idx``.
 
-    ``lam_pairs``, ``h_idx``, and ``sig_pairs`` record which
-    deterministic factors were folded into ``coeff``; they carry no
-    numeric value of their own but keep the structural counts
-    inspectable.
+    ``key`` is ``(j_pairs, x_idx)``, everything an expectation reads
+    besides the coefficient.
     """
 
     coeff: float = 1.0
     j_pairs: tuple = ()
-    lam_pairs: tuple = ()
-    h_idx: tuple = ()
-    sig_pairs: tuple = ()
     x_idx: tuple = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeff", float(self.coeff))
-        object.__setattr__(self, "j_pairs", _sorted_pairs(self.j_pairs, 1, "coupling"))
-        object.__setattr__(self, "lam_pairs", _sorted_pairs(self.lam_pairs, 1, "drift"))
-        object.__setattr__(self, "sig_pairs", _sorted_pairs(self.sig_pairs, 0, "diffusion"))
-        h_idx = tuple(sorted(int(i) for i in self.h_idx))
-        if h_idx and h_idx[0] < 1:
-            raise AlgebraError("constant-drift indices must be >= 1")
+        object.__setattr__(self, "j_pairs", _sorted_pairs(self.j_pairs))
         x_idx = tuple(sorted(int(i) for i in self.x_idx))
         if x_idx and x_idx[0] < 0:
             raise AlgebraError("state indices must be >= 0")
-        object.__setattr__(self, "h_idx", h_idx)
         object.__setattr__(self, "x_idx", x_idx)
 
     @classmethod
@@ -99,7 +91,7 @@ class Monomial:
     @property
     def key(self) -> tuple:
         """Canonical identity ignoring the coefficient."""
-        return (self.j_pairs, self.lam_pairs, self.h_idx, self.sig_pairs, self.x_idx)
+        return (self.j_pairs, self.x_idx)
 
     @property
     def degree(self) -> int:
@@ -110,25 +102,14 @@ class Monomial:
         """Multiplicities of the genuine state factors (index 0 excluded)."""
         return Counter(i for i in self.x_idx if i != 0)
 
-    def with_coeff(self, coeff: float) -> "Monomial":
-        return Monomial(coeff, self.j_pairs, self.lam_pairs, self.h_idx,
-                        self.sig_pairs, self.x_idx)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial(self.coeff * other.coeff,
-                        self.j_pairs + other.j_pairs,
-                        self.lam_pairs + other.lam_pairs,
-                        self.h_idx + other.h_idx,
-                        self.sig_pairs + other.sig_pairs,
+        return Monomial(self.coeff * other.coeff, self.j_pairs + other.j_pairs,
                         self.x_idx + other.x_idx)
 
     def evaluate(self, j: np.ndarray, x: np.ndarray) -> float:
-        """Numeric value given coupling entries and a state (1-based).
-
-        Audit parts contribute nothing; their values live in ``coeff``.
-        """
+        """Numeric value given coupling entries and a state (1-based)."""
         val = self.coeff
         for a, b in self.j_pairs:
             val *= j[a - 1, b - 1]
@@ -138,18 +119,7 @@ class Monomial:
         return val
 
     def max_index(self) -> int:
-        top = 0
-        for a, b in self.j_pairs:
-            top = max(top, a, b)
-        for a, b in self.lam_pairs:
-            top = max(top, a, b)
-        for a, b in self.sig_pairs:
-            top = max(top, a, b)
-        for i in self.h_idx:
-            top = max(top, i)
-        for i in self.x_idx:
-            top = max(top, i)
-        return top
+        return max([0, *self.x_idx, *(i for pair in self.j_pairs for i in pair)])
 
 
 class Polynomial:
@@ -167,14 +137,10 @@ class Polynomial:
             if not isinstance(m, Monomial):
                 raise AlgebraError(f"not a monomial: {m!r}")
             key = m.key
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = m
-            else:
-                acc[key] = prev.with_coeff(prev.coeff + m.coeff)
+            acc[key] = acc.get(key, 0.0) + m.coeff
         object.__setattr__(self, "_terms",
-                           tuple(sorted((m for m in acc.values() if m.coeff != 0.0),
-                                        key=lambda m: m.key)))
+                           tuple(Monomial(coeff, *key) for key, coeff in sorted(acc.items())
+                                 if coeff != 0.0))
 
     @classmethod
     def from_x(cls, *indices: int, coeff: float = 1.0) -> "Polynomial":
@@ -204,7 +170,7 @@ class Polynomial:
         return Polynomial(a * b for a in self._terms for b in other._terms)
 
     def scale(self, factor: float) -> "Polynomial":
-        return Polynomial(m.with_coeff(m.coeff * factor) for m in self._terms)
+        return Polynomial(Monomial(m.coeff * factor, *m.key) for m in self._terms)
 
     def coeff_of(self, key: tuple) -> float:
         for m in self._terms:

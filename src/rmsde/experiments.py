@@ -29,7 +29,7 @@ from .dynamics import (IntegratorConfig, SystemParams, SystemTemplate, Trajector
 from .ensembles import (CouplingMatrix, EntryDistribution, InitialLaw,
                         VarianceProfile, sample_coupling, sample_entries,
                         sample_initial, sample_matrix)
-from .generator import taylor_mean, taylor_mean_multitime, taylor_terms
+from .generator import taylor_mean, taylor_mean_multitime
 from .algebra import MomentOracle, Polynomial
 from .observables import (ObservableError, autocorrelation, grad_sq_density,
                           hamiltonian_density)
@@ -179,7 +179,8 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     preconditions (and the empty name) pass.  The checks read only the
     configuration, so a run that cannot succeed fails before any work.
     """
-    if kind in ("universality", "hopfield", "concentration", "aging") and cfg.replicas < 2:
+    every_size = kind in ("universality", "hopfield", "concentration", "aging")
+    if every_size and cfg.replicas < 2:
         raise ExperimentError("need at least 2 replicas for a standard error")
     if kind in ("aging", "rayleigh") and math.isfinite(cfg.template.beta):
         raise ExperimentError(f"{kind} runs are defined for beta = inf (noise-free flow)")
@@ -192,6 +193,10 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
             raise ExperimentError("series-vs-MC runs are limited to dimension <= 4")
         if cfg.time > 0.5:
             raise ExperimentError("series-vs-MC runs are limited to times <= 0.5")
+    if isinstance(cfg.profile, VarianceProfile) and (
+            every_size or kind in ("simulate", "taylor-check", "rayleigh")):
+        for n in cfg.sizes if every_size else cfg.sizes[:1]:
+            cfg.make_profile(n)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +374,17 @@ def run_universality(cfg: ExperimentConfig) -> UniversalityReport:
     per_obs_delta: dict = {item.name: [] for item in cfg.suite}
     for n in cfg.sizes:
         va, vb = _paired_values(cfg, n)
-        diffs = va - vb
-        for q, item in enumerate(cfg.suite):
-            d = diffs[:, q]
-            delta = float(d.mean())
-            se = float(d.std(ddof=1)) / math.sqrt(len(d))
-            rows.append(UniversalityRow(n, item.name, delta, se,
-                                        float(va[:, q].mean()), float(vb[:, q].mean()),
-                                        len(d)))
-            per_obs_delta[item.name].append(abs(delta))
+        # an unstable run overflows here; _finite_rows reports it, not numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = va - vb
+            for q, item in enumerate(cfg.suite):
+                d = diffs[:, q]
+                delta = float(d.mean())
+                se = float(d.std(ddof=1)) / math.sqrt(len(d))
+                rows.append(UniversalityRow(n, item.name, delta, se,
+                                            float(va[:, q].mean()), float(vb[:, q].mean()),
+                                            len(d)))
+                per_obs_delta[item.name].append(abs(delta))
     slopes = {name: _fit_loglog(cfg.sizes, deltas)
               for name, deltas in per_obs_delta.items()}
     return UniversalityReport(_finite_rows(rows), slopes)
@@ -443,14 +450,15 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     rows = []
     for n in cfg.sizes:
         (curve,) = _paired_values(sub, n, arms=("a",))  # (replicas, grid)
-        sups = curve.max(axis=1)
-        dev = np.abs(curve - curve.mean(axis=0)).max(axis=1)
-        tails = tuple((lam, int((dev > lam).sum())) for lam in cfg.tail_thresholds)
-        rows.append(ConcentrationRow(n, "autocorr[t,t]",
-                                     float(sups.std(ddof=1)),
-                                     float(dev.std(ddof=1)),
-                                     float(dev.mean()),
-                                     sub.replicas, tails))
+        with np.errstate(over="ignore", invalid="ignore"):  # see run_universality
+            sups = curve.max(axis=1)
+            dev = np.abs(curve - curve.mean(axis=0)).max(axis=1)
+            tails = tuple((lam, int((dev > lam).sum())) for lam in cfg.tail_thresholds)
+            rows.append(ConcentrationRow(n, "autocorr[t,t]",
+                                         float(sups.std(ddof=1)),
+                                         float(dev.std(ddof=1)),
+                                         float(dev.mean()),
+                                         sub.replicas, tails))
     return ConcentrationReport(_finite_rows(rows))
 
 
@@ -659,14 +667,13 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     orders = []
     any_div = False
     for q, (name, f) in enumerate(singles):
-        terms = taylor_terms(f, params, oracle, t, cfg.truncation)
         res = taylor_mean(f, params, oracle, t, cfg.truncation)
         z = (res.value - mean[q]) / se[q] if se[q] > 0 else 0.0
         rows.append(TaylorRow(name, res.value, res.tail_bound, res.diverging,
                               float(mean[q]), float(se[q]), float(z)))
         any_div = any_div or res.diverging
         partial = 0.0
-        for k, term in enumerate(terms):
+        for k, term in enumerate(res.terms):
             partial += term
             orders.append(OrderRow(name, k, term, partial))
     mv = taylor_mean_multitime(multi_fs, multi_ts, params, oracle, cfg.truncation)

@@ -85,20 +85,17 @@ def _letter_terms(mono: Monomial, letter: Letter, params: SystemParams):
         if letter is Letter.CONSTANT:
             hj = params.h[j - 1]
             if hj != 0.0:
-                yield Monomial(mono.coeff * c * hj, mono.j_pairs, mono.lam_pairs,
-                               mono.h_idx + (j,), mono.sig_pairs,
+                yield Monomial(mono.coeff * c * hj, mono.j_pairs,
                                _replace_one(mono.x_idx, j, 0))
         elif letter is Letter.COUPLING:
             for i in range(1, n + 1):
                 yield Monomial(mono.coeff * c, mono.j_pairs + ((i, j),),
-                               mono.lam_pairs, mono.h_idx, mono.sig_pairs,
                                _replace_one(mono.x_idx, j, i))
         elif letter is Letter.DRIFT:
             col = params.lam[:, j - 1]
             for i in np.nonzero(col)[0]:
                 yield Monomial(mono.coeff * c * col[i], mono.j_pairs,
-                               mono.lam_pairs + ((int(i) + 1, j),), mono.h_idx,
-                               mono.sig_pairs, _replace_one(mono.x_idx, j, int(i) + 1))
+                               _replace_one(mono.x_idx, j, int(i) + 1))
         elif letter is Letter.DIFFUSION:
             if c < 2:
                 continue
@@ -107,9 +104,7 @@ def _letter_terms(mono: Monomial, letter: Letter, params: SystemParams):
             for i in nz:
                 for i2 in nz:
                     yield Monomial(mono.coeff * c * (c - 1) * col[i] * col[i2],
-                                   mono.j_pairs, mono.lam_pairs, mono.h_idx,
-                                   mono.sig_pairs + ((int(i), j), (int(i2), j)),
-                                   _replace_two(mono.x_idx, j, int(i), int(i2)))
+                                   mono.j_pairs, _replace_two(mono.x_idx, j, int(i), int(i2)))
         else:
             raise AlgebraError(f"unhandled letter {letter}")
 
@@ -140,12 +135,14 @@ class TaylorResult(NamedTuple):
     ``diverging`` is set when the partial terms were still growing at
     the truncation order, in which case ``tail_bound`` is infinite and
     the value should not be trusted.  The geometric tail estimate is a
-    heuristic, not a proven bound.
+    heuristic, not a proven bound.  ``terms`` holds the per-order
+    contributions that ``value`` sums, as :func:`taylor_terms` gives them.
     """
 
     value: float
     tail_bound: float
     diverging: bool
+    terms: tuple
 
 
 def _tail_estimate(terms: list) -> tuple:
@@ -195,15 +192,16 @@ def taylor_mean(f: Polynomial, params: SystemParams, oracle: MomentOracle,
 
     Computes ``sum_{k'=0..k} t^k'/k'! * E[L^k' f(X_0)]`` with the
     expectation taken through the moment oracle.  Intended for small
-    dimension; the coupling stays symbolic.
+    dimension; the coupling stays symbolic.  At ``t = 0`` nothing is
+    expanded and every term past order 0 is zero.
     """
     if t == 0.0:
         _validate_caps(k, cap, params, symbolic=True)
         value = sum(expected_value(m, oracle) for m in f)
-        return TaylorResult(value, 0.0, False)
+        return TaylorResult(value, 0.0, False, (value,) + (0.0,) * k)
     terms = taylor_terms(f, params, oracle, t, k, cap)
     tail, diverging = _tail_estimate(terms)
-    return TaylorResult(sum(terms), tail, diverging)
+    return TaylorResult(sum(terms), tail, diverging, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

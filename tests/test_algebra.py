@@ -47,19 +47,14 @@ def test_monomial_validation():
         Monomial(j_pairs=((0, 1),))
     with pytest.raises(AlgebraError):
         Monomial(x_idx=(-1,))
-    with pytest.raises(AlgebraError):
-        Monomial(h_idx=(0,))
-    Monomial(sig_pairs=((0, 1),))  # diffusion rows start at 0
 
 
 def test_monomial_product():
     a = Monomial(coeff=2.0, j_pairs=((1, 2),), x_idx=(1,))
-    b = Monomial(coeff=-3.0, x_idx=(2,), h_idx=(1,))
+    b = Monomial(coeff=-3.0, x_idx=(2,))
     c = a * b
     assert c.coeff == -6.0
-    assert c.j_pairs == ((1, 2),)
-    assert c.x_idx == (1, 2)
-    assert c.h_idx == (1,)
+    assert c.key == (((1, 2),), (1, 2))
 
 
 def test_monomial_evaluate():
@@ -83,7 +78,7 @@ def test_polynomial_collects_like_terms():
 def test_polynomial_drops_exact_cancellation():
     p = Polynomial([Monomial.from_x(1), Monomial.from_x(1, coeff=-1.0)])
     assert len(p) == 0
-    assert p.coeff_of(((), (), (), (), (1,))) == 0.0
+    assert p.coeff_of(((), (1,))) == 0.0
 
 
 def test_polynomial_addition_and_scaling():

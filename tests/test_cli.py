@@ -1,5 +1,8 @@
 """End-to-end command line runs: artifacts, exit codes, determinism."""
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 from rmsde.cli import main, run
@@ -265,11 +268,13 @@ horizon = 500
 """
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["universality", "hopfield", "concentration"])
 def test_non_finite_statistics_are_status_1(tmp_path, capsys, kind):
     # dt = 5 without confinement overflows the squared deviations but not the state
-    status, out = invoke(tmp_path, kind, UNSTABLE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, out = invoke(tmp_path, kind, UNSTABLE)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert status == 1
     err = capsys.readouterr().err
     assert "status = 1" in err
@@ -292,6 +297,10 @@ PRECONDITIONS = {
         ("taylor-check", FAST["taylor-check"].replace("sizes = 3", "sizes = 8"), "dimension"),
     "taylor-check-time":
         ("taylor-check", FAST["taylor-check"].replace("time = 0.2", "time = 0.6"), "times"),
+    "universality-profile-size":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 3, 4")
+         + f"[ensemble]\nprofile = {Path(__file__).with_name('profile_3x3.csv')}\n",
+         "cannot run at size 4"),
 }
 
 

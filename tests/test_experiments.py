@@ -402,6 +402,25 @@ def test_taylor_vs_mc_small_system():
         assert [o.order for o in rows] == list(range(cfg.truncation + 1))
 
 
+def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
+    import rmsde.experiments
+    import rmsde.generator
+    real = rmsde.generator.taylor_terms
+    calls = []
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(rmsde.generator, "taylor_terms", counting)
+    # a name imported into experiments would bypass the patch above
+    monkeypatch.setattr(rmsde.experiments, "taylor_terms", counting, raising=False)
+    report = run_taylor_vs_mc(ExperimentConfig(sizes=(3,), truncation=2, time=0.2,
+                                               mc_paths=50, dt=0.05))
+    assert len(calls) == 3 == len(report.rows) - 1
+    assert len(report.orders) == 3 * 3
+
+
 def test_taylor_vs_mc_preconditions():
     with pytest.raises(ExperimentError, match="dimension"):
         run_taylor_vs_mc(ExperimentConfig(sizes=(8,)))

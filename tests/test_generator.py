@@ -15,8 +15,8 @@ import hypothesis.strategies as st
 
 from rmsde.algebra import (AlgebraError, Monomial, MomentOracle, Polynomial,
                            expected_value)
-from rmsde.dynamics import (IntegratorConfig, SystemParams, exact_mean_linear,
-                            simulate)
+from rmsde.dynamics import (IntegratorConfig, SystemParams, SystemTemplate,
+                            exact_mean_linear, simulate)
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                              sample_initial, sample_matrix)
 from rmsde.generator import (DEFAULT_TRUNCATION_CAP, Letter, TruncationError,
@@ -49,8 +49,8 @@ def test_constant_letter_on_product():
     out = apply_letter(Polynomial.from_x(1, 2), Letter.CONSTANT, p)
     assert len(out) == 2
     # replacing x_1 leaves x_2 and a placeholder, weighted by h_1
-    assert out.coeff_of(Monomial(h_idx=(1,), x_idx=(0, 2)).key) == 3.0
-    assert out.coeff_of(Monomial(h_idx=(2,), x_idx=(0, 1)).key) == 5.0
+    assert out.coeff_of(((), (0, 2))) == 3.0
+    assert out.coeff_of(((), (0, 1))) == 5.0
 
 
 def test_constant_letter_skips_zero_entries():
@@ -79,7 +79,7 @@ def test_drift_letter_uses_sparse_column():
     p = params_with(2, lam=lam)
     out = apply_letter(Polynomial.from_x(1), Letter.DRIFT, p)
     assert len(out) == 1
-    assert out.coeff_of(Monomial(lam_pairs=((2, 1),), x_idx=(2,)).key) == 5.0
+    assert out.coeff_of(((), (2,))) == 5.0
     assert len(apply_letter(Polynomial.from_x(2), Letter.DRIFT, p)) == 0
 
 
@@ -92,8 +92,7 @@ def test_diffusion_letter_needs_a_square():
     assert len(out) == 1
     m = out.terms()[0]
     assert m.coeff == pytest.approx(2 * 0.7 * 0.7)
-    assert m.x_idx == (0, 0)
-    assert m.sig_pairs == ((0, 1), (0, 1))
+    assert m.key == ((), (0, 0))
 
 
 def test_diffusion_letter_state_dependent():
@@ -121,13 +120,25 @@ def test_generator_is_sum_of_letters():
     assert total.terms() == by_hand.terms()
 
 
+def test_generator_collects_on_coupling_and_state():
+    # drift, constant-drift and diffusion factors live in the coefficient,
+    # so terms that differ only in how they were derived are one term
+    p = SystemTemplate().build(np.zeros((3, 3)))
+    poly = Polynomial.from_x(1, 1)
+    for _ in range(5):
+        poly = apply_generator(poly, p)
+    keys = [(m.j_pairs, m.x_idx) for m in poly]
+    assert len(set(keys)) == len(keys)
+
+
 def test_generator_scalar_linear_case():
     # N = 1: L x = (J_11 + lam_11) x + h_1
     p = params_with(1, coupling=[[0.0]], lam=[[-2.0]], h=[3.0])
     out = apply_generator(Polynomial.from_x(1), p)
-    assert out.coeff_of(Monomial(j_pairs=((1, 1),), x_idx=(1,)).key) == 1.0
-    assert out.coeff_of(Monomial(lam_pairs=((1, 1),), x_idx=(1,)).key) == -2.0
-    assert out.coeff_of(Monomial(h_idx=(1,), x_idx=(0,)).key) == 3.0
+    assert len(out) == 3
+    assert out.coeff_of((((1, 1),), (1,))) == 1.0
+    assert out.coeff_of(((), (1,))) == -2.0
+    assert out.coeff_of(((), (0,))) == 3.0
 
 
 def test_apply_letter_checks_dimensions():
@@ -238,7 +249,7 @@ def test_taylor_terms_sum_to_mean():
 def test_taylor_at_time_zero():
     p = params_with(2)
     res = taylor_mean(Polynomial.from_x(1, 1), p, gaussian_oracle(2), t=0.0, k=0)
-    assert res == (1.0, 0.0, False)
+    assert res == (1.0, 0.0, False, (1.0,))
 
 
 def test_taylor_annealed_coupling_variance():

@@ -91,7 +91,7 @@ mc_paths = 3000
 dt = 0.01
 horizon = 0.2
 """,
-        "aae8e7550819aef7c7570488ea08a593236f44be114b2b377a71787811d0a9a0"),
+        "04d1074c683ebe0e56a70525d5a7ed821de9cc6d867363f5ddd6c391b83e3070"),
     "taylor-check-asymmetric": ("taylor-check", "taylor.csv", """
 [ensemble]
 dist = exponential
