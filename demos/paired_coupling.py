@@ -8,9 +8,9 @@ bit for bit; with different laws the pairing strips away most of the
 replica-to-replica variance and leaves the law dependence.
 """
 
-import numpy as np
+import math
 
-from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_matrix
+from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
 from rmsde.experiments import ExperimentConfig, run_universality
 from rmsde.rng import PURPOSE_COUPLING, RngStream
 
@@ -19,9 +19,10 @@ def main() -> None:
     profile = VarianceProfile.offdiagonal(6)
     print("one replica, same stream, two entry laws")
     for dist in (EntryDistribution.GAUSSIAN, EntryDistribution.RADEMACHER):
-        j = sample_matrix(dist, profile, True, RngStream(7, 0, PURPOSE_COUPLING))
+        a = sample_coupling(dist, profile, True,
+                            RngStream(7, 0, PURPOSE_COUPLING).generator())
         print(f"  {dist.value:<12} first row of J: "
-              + " ".join(f"{v: .3f}" for v in j.j[0]))
+              + " ".join(f"{v: .3f}" for v in a[0] / math.sqrt(profile.n)))
 
     cfg = ExperimentConfig(sizes=(16, 32), replicas=300, dt=0.05,
                            horizon=0.5, seed=7)

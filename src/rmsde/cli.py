@@ -21,8 +21,8 @@ from .config import (EXPERIMENT_KINDS, ConfigError, RunConfig, config_hash,
                      serialize, system_template)
 from .dynamics import ParameterError, SimulationBlowupError, simulate
 from .ensembles import (EnsembleError, EntryDistribution, InitialLaw,
-                        entry_moment, sample_entries, sample_initial,
-                        sample_matrix)
+                        entry_moment, sample_coupling, sample_entries,
+                        sample_initial)
 from .experiments import (ExperimentError, run_aging, run_concentration,
                           run_hopfield, run_rayleigh, run_taylor_vs_mc,
                           run_universality)
@@ -152,9 +152,9 @@ def _run_simulate(rc: RunConfig):
     if not snapshots:
         snapshots = tuple(np.linspace(0.0, cfg.horizon, 11))
     icfg = integrator_config(rc, snapshots)
-    coupling = sample_matrix(cfg.dist_a, cfg.make_profile(n), cfg.symmetric,
-                             RngStream(cfg.jseed, 0, PURPOSE_COUPLING))
-    params = system_template(rc).build(coupling)
+    a = sample_coupling(cfg.dist_a, cfg.make_profile(n), cfg.symmetric,
+                        RngStream(cfg.jseed, 0, PURPOSE_COUPLING).generator())
+    params = system_template(rc).build(a / math.sqrt(n))
     x0 = sample_initial(InitialLaw.uniform(cfg.init_dist, n),
                         RngStream(cfg.seed, 0, PURPOSE_INITIAL))
     traj = simulate(params, x0, icfg, RngStream(cfg.seed, 0, PURPOSE_NOISE))

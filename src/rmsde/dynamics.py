@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ensembles import CouplingMatrix
 from .rng import RngStream
 
 __all__ = [
@@ -386,14 +385,10 @@ def langevin_params(coupling, beta: float, confinement: float) -> SystemParams:
     ``sigma_0j = 1/sqrt(2 beta)``.  ``beta = inf`` gives the noiseless
     flow.
     """
-    if isinstance(coupling, CouplingMatrix):
-        symmetric = coupling.symmetric
-    else:
-        j = np.asarray(coupling, dtype=np.float64)
-        symmetric = j.ndim == 2 and j.shape[0] == j.shape[1] and np.array_equal(j, j.T)
-    if not symmetric:
+    j = np.asarray(coupling, dtype=np.float64)
+    if not (j.ndim == 2 and j.shape[0] == j.shape[1] and np.array_equal(j, j.T)):
         raise ParameterError("langevin dynamics needs a symmetric coupling")
-    return SystemTemplate(confinement=confinement, beta=beta, langevin=True).build(coupling)
+    return SystemTemplate(confinement=confinement, beta=beta, langevin=True).build(j)
 
 
 @dataclass(frozen=True)
@@ -418,13 +413,10 @@ class SystemTemplate:
         return 2.0 * j if self.langevin else j
 
     def build(self, coupling) -> SystemParams:
-        """Parameters for a :class:`CouplingMatrix` or an already scaled array."""
+        """Parameters for a scaled coupling ``J = A / sqrt(N)``."""
         if not self.beta > 0:
             raise ParameterError("beta must be positive (use math.inf for zero noise)")
-        if isinstance(coupling, CouplingMatrix):
-            j = coupling.j
-        else:
-            j = np.asarray(coupling, dtype=np.float64)
+        j = np.asarray(coupling, dtype=np.float64)
         n = j.shape[0]
         sigma = np.zeros((n + 1, n))
         if math.isfinite(self.beta):

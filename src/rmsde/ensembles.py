@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +34,7 @@ __all__ = [
     "entry_moment",
     "moment_growth_constant",
     "VarianceProfile",
-    "CouplingMatrix",
     "sample_coupling",
-    "sample_matrix",
     "InitialLaw",
     "sample_initial",
     "operator_norm",
@@ -192,47 +189,6 @@ class VarianceProfile:
         return cls(np.full((n, n), value))
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """A sampled coupling ``J = A / sqrt(N)`` plus how it was drawn.
-
-    Attributes
-    ----------
-    a : ndarray, shape (N, N)
-        Unscaled entries.
-    dist, profile, symmetric, stream
-        How ``a`` was produced.
-    """
-
-    a: np.ndarray
-    dist: EntryDistribution
-    profile: VarianceProfile
-    symmetric: bool
-    stream: RngStream = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise EnsembleError("coupling matrix must be square")
-        if a.shape != self.profile.m.shape:
-            raise EnsembleError("coupling matrix and profile shapes differ")
-        if self.symmetric and not np.array_equal(a, a.T):
-            raise EnsembleError("symmetric ensemble produced an asymmetric matrix")
-        if a.flags.writeable or a.base is not None:  # not yet a frozen array of its own
-            a = a.copy()
-            a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def j(self) -> np.ndarray:
-        """Scaled coupling ``A / sqrt(N)``."""
-        return self.a / math.sqrt(self.n)
-
-
 def sample_coupling(dist: EntryDistribution,
                     profile: VarianceProfile,
                     symmetric: bool,
@@ -253,16 +209,6 @@ def sample_coupling(dist: EntryDistribution,
         a[iu] = scale[iu] * sample_entries(dist, len(iu[0]), rng)
         return a + np.triu(a, 1).T
     return scale * sample_entries(dist, (n, n), rng)
-
-
-def sample_matrix(dist: EntryDistribution,
-                  profile: VarianceProfile,
-                  symmetric: bool,
-                  stream: RngStream) -> CouplingMatrix:
-    """Sample a coupling matrix from the given ensemble (see :func:`sample_coupling`)."""
-    a = sample_coupling(dist, profile, symmetric, stream.generator())
-    a.setflags(write=False)  # hand the fresh array over without a copy
-    return CouplingMatrix(a, dist, profile, symmetric, stream)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ import numpy as np
 
 from .dynamics import (IntegratorConfig, SystemParams, SystemTemplate, Trajectory,
                        euler_maruyama)
-from .ensembles import (CouplingMatrix, EntryDistribution, InitialLaw,
-                        VarianceProfile, sample_coupling, sample_entries,
-                        sample_initial, sample_matrix)
-from .generator import taylor_mean, taylor_mean_multitime
+from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
+                        sample_coupling, sample_entries, sample_initial)
+from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
 from .algebra import MomentOracle, Polynomial
 from .observables import (ObservableError, autocorrelation, grad_sq_density,
                           hamiltonian_density)
@@ -176,8 +175,9 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     """Raise :class:`ExperimentError` if ``cfg`` cannot run experiment ``kind``.
 
     ``kind`` is a command-line experiment name; kinds without
-    preconditions (and the empty name) pass.  The checks read only the
-    configuration, so a run that cannot succeed fails before any work.
+    kind-specific preconditions (and the empty name) only need a fixed
+    profile to be symmetric when the ensemble is.  The checks read only
+    the configuration, so a run that cannot succeed fails before any work.
     """
     every_size = kind in ("universality", "hopfield", "concentration", "aging")
     if every_size and cfg.replicas < 2:
@@ -193,10 +193,15 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
             raise ExperimentError("series-vs-MC runs are limited to dimension <= 4")
         if cfg.time > 0.5:
             raise ExperimentError("series-vs-MC runs are limited to times <= 0.5")
-    if isinstance(cfg.profile, VarianceProfile) and (
-            every_size or kind in ("simulate", "taylor-check", "rayleigh")):
-        for n in cfg.sizes if every_size else cfg.sizes[:1]:
-            cfg.make_profile(n)
+        if cfg.truncation > DEFAULT_TRUNCATION_CAP:
+            raise ExperimentError(f"truncation order {cfg.truncation} exceeds the cap "
+                                  f"{DEFAULT_TRUNCATION_CAP}")
+    if isinstance(cfg.profile, VarianceProfile):
+        if cfg.symmetric and not cfg.profile.is_symmetric:
+            raise ExperimentError("symmetric ensemble requires a symmetric variance profile")
+        if every_size or kind in ("simulate", "taylor-check", "rayleigh"):
+            for n in cfg.sizes if every_size else cfg.sizes[:1]:
+                cfg.make_profile(n)
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +496,42 @@ class AgingReport:
         raise KeyError((n, s, lam))
 
 
-def _aging_ratios_one(coupling: CouplingMatrix, x0: np.ndarray,
-                      pairs: list) -> list:
+def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
+             replicas: int, scale: float):
+    """Per arm and replica, ``(arm, r, w, c2)``: the eigenvalues ``w`` of
+    ``scale * J`` and the squared eigenbasis coefficients
+    ``c2 = (v^T x0)^2`` of the replica's start.
+
+    A generator over both arms, so each replica's entries ``A`` stay
+    referenced until the next draw replaces them, across the arm switch
+    too; freeing them before a draw made glibc trim and re-fault the
+    heap.  The eigenvectors are freed before the yield, so peak memory
+    stays at one replica in flight.
+    """
+    n = profile.n
+    for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b)):
+        for r in range(replicas):
+            a = sample_coupling(dist, profile, cfg.symmetric,
+                                RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator())
+            w, v = np.linalg.eigh(scale * (a / math.sqrt(n)))
+            x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
+            c2 = (v.T @ x0) ** 2
+            del v
+            yield arm, r, w, c2
+
+
+def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
     """Normalized autocorrelation ratios of the noise-free flow.
 
     The flow ``x_t = exp((2J - K I) t) x0`` gives
     ``C(s, t) = (1/N) sum_i c_i^2 exp((mu_i - K)(s + t))`` over the
-    eigenpairs ``mu_i`` of ``2J``.  The confinement cancels from the
-    normalized ratio exactly, so the computation shifts all exponents
-    by the spectral top and never forms the (possibly huge or tiny)
-    bare correlations.
+    eigenvalues ``w = mu`` of ``2J`` (ascending) and the squared
+    eigenbasis coefficients ``c2`` of ``x0``.  The confinement cancels
+    from the normalized ratio exactly, so the computation shifts all
+    exponents by the spectral top and never forms the (possibly huge or
+    tiny) bare correlations.
     """
-    w, v = np.linalg.eigh(2.0 * coupling.j)
-    c2 = (v.T @ x0) ** 2
-    top = w[-1]
-    shifted = w - top
+    shifted = w - w[-1]
 
     def corr(sum_t: float) -> float:
         return float(c2 @ np.exp(shifted * sum_t))
@@ -530,28 +556,23 @@ def run_aging(cfg: ExperimentConfig) -> AgingReport:
     """
     check_preconditions("aging", cfg)
     pairs = [(float(s), float(lam)) for s in cfg.s_values for lam in cfg.lambdas]
+    fixed = cfg.confinement_mode != "auto"
     rows = []
     dropped = {"a": 0, "b": 0}
     for n in cfg.sizes:
         profile = cfg.make_profile(n)
         law = InitialLaw.uniform(cfg.init_dist, n)
-        per_arm = {}
-        for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b)):
-            vals = []
-            for r in range(cfg.replicas):
-                coupling = sample_matrix(dist, profile, cfg.symmetric,
-                                         RngStream(cfg.jseed, r, PURPOSE_COUPLING))
-                if cfg.confinement_mode != "auto":
-                    radius = float(np.abs(np.linalg.eigvalsh(2.0 * coupling.j)).max())
-                    if cfg.template.confinement <= radius:
-                        dropped[arm] += 1
-                        continue
-                x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-                vals.append(_aging_ratios_one(coupling, x0, pairs))
+        per_arm = {"a": [], "b": []}
+        for arm, _, w, c2 in _spectra(cfg, profile, law, cfg.replicas, 2.0):
+            if not (fixed and cfg.template.confinement <= max(-w[0], w[-1])):
+                per_arm[arm].append(_aging_ratios_one(w, c2, pairs))
+        for arm, vals in per_arm.items():
+            lost = cfg.replicas - len(vals)
+            dropped[arm] += lost
             if len(vals) < 2:
                 raise ExperimentError(
                     f"arm {arm!r} at n={n}: only {len(vals)} replicas below the "
-                    f"confinement {cfg.template.confinement} ({dropped[arm]} dropped)")
+                    f"confinement {cfg.template.confinement} ({lost} dropped)")
             per_arm[arm] = np.asarray(vals)
         for q, (s, lam) in enumerate(pairs):
             stats = {}
@@ -744,21 +765,15 @@ def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
     times = np.linspace(0.0, cfg.rayleigh_horizon, cfg.rayleigh_points)
     rows = []
     finals = {"a": [], "b": []}
-    for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b)):
-        for r in range(cfg.rayleigh_replicas):
-            coupling = sample_matrix(dist, profile, cfg.symmetric,
-                                     RngStream(cfg.jseed, r, PURPOSE_COUPLING))
-            lam, v = np.linalg.eigh(coupling.j)
-            x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-            c2 = (v.T @ x0) ** 2
-            curve = rayleigh_quotient_curve(lam, c2, times)
-            # the exact quotient is nondecreasing; allow ulp-level rounding
-            # wiggle once the curve has plateaued at the top
-            tol = 8 * np.finfo(np.float64).eps * max(1.0, float(np.abs(lam).max()))
-            monotone = bool(np.all(np.diff(curve) >= -tol))
-            top = float(lam[-1])
-            final = float(curve[-1])
-            rows.append(RayleighRow(arm, r, top, final, top - final, monotone))
-            finals[arm].append(final)
+    for arm, r, lam, c2 in _spectra(cfg, profile, law, cfg.rayleigh_replicas, 1.0):
+        curve = rayleigh_quotient_curve(lam, c2, times)
+        # the exact quotient is nondecreasing; allow ulp-level rounding
+        # wiggle once the curve has plateaued at the top
+        tol = 8 * np.finfo(np.float64).eps * max(1.0, float(np.abs(lam).max()))
+        monotone = bool(np.all(np.diff(curve) >= -tol))
+        top = float(lam[-1])
+        final = float(curve[-1])
+        rows.append(RayleighRow(arm, r, top, final, top - final, monotone))
+        finals[arm].append(final)
     gap = abs(float(np.mean(finals["a"])) - float(np.mean(finals["b"])))
     return RayleighReport(tuple(rows), tuple(times), gap)

@@ -12,7 +12,7 @@ from rmsde.algebra import (AlgebraError, Monomial, MomentOracle,
                            difference_vanishes, expected_value,
                            multiplicity_profile)
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
-                             sample_initial, sample_matrix)
+                             sample_coupling, sample_initial)
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
@@ -270,9 +270,10 @@ def test_expected_value_against_monte_carlo(dist, pairs, x_idx):
     mono = Monomial(j_pairs=pairs, x_idx=x_idx)
     vals = []
     for r in range(40_000):
-        cm = sample_matrix(dist, profile, False, RngStream(3, r, PURPOSE_COUPLING))
+        a = sample_coupling(dist, profile, False,
+                            RngStream(3, r, PURPOSE_COUPLING).generator())
         x0 = sample_initial(law, RngStream(3, r, PURPOSE_INITIAL))
-        vals.append(mono.evaluate(cm.j, x0))
+        vals.append(mono.evaluate(a / math.sqrt(n), x0))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - expected_value(mono, oracle)) <= 5 * se + 1e-12

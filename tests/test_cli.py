@@ -301,6 +301,13 @@ PRECONDITIONS = {
         ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 3, 4")
          + f"[ensemble]\nprofile = {Path(__file__).with_name('profile_3x3.csv')}\n",
          "cannot run at size 4"),
+    "taylor-check-truncation":
+        ("taylor-check", FAST["taylor-check"].replace("truncation = 6", "truncation = 20"),
+         "exceeds the cap"),
+    "taylor-check-asymmetric-profile":
+        ("taylor-check", FAST["taylor-check"].replace("sizes = 3", "sizes = 2")
+         + f"[ensemble]\nprofile = {Path(__file__).with_name('profile_2x2_asymmetric.csv')}\n",
+         "symmetric variance profile"),
 }
 
 

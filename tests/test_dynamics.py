@@ -17,8 +17,7 @@ from rmsde.dynamics import (IntegratorConfig, ParameterError, SystemParams,
                             SimulationBlowupError, SystemTemplate, Trajectory, diffusion_row,
                             drift, exact_mean_linear, langevin_params,
                             simulate, simulate_paths)
-from rmsde.ensembles import (EntryDistribution, VarianceProfile,
-                             sample_matrix)
+from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_NOISE, RngStream
 
 
@@ -38,12 +37,12 @@ def plain_params(n, coupling=None, lam=None, h=None, sigma0=0.0):
 
 def random_params(n, seed, sigma0=0.5):
     p = VarianceProfile.offdiagonal(n)
-    cm = sample_matrix(EntryDistribution.GAUSSIAN, p, False,
-                       RngStream(seed, 0, PURPOSE_COUPLING))
+    a = sample_coupling(EntryDistribution.GAUSSIAN, p, False,
+                        RngStream(seed, 0, PURPOSE_COUPLING).generator())
     rng = np.random.default_rng(seed + 1)
     lam = np.diag(-1.0 - rng.uniform(size=n))
     h = rng.uniform(-1, 1, size=n)
-    return plain_params(n, coupling=cm.j, lam=lam, h=h, sigma0=sigma0)
+    return plain_params(n, coupling=a / math.sqrt(n), lam=lam, h=h, sigma0=sigma0)
 
 
 # ------------------------------------------------------------- parameters
@@ -339,10 +338,11 @@ def test_langevin_zero_temperature():
 
 
 def test_langevin_accepts_coupling_matrix():
-    cm = sample_matrix(EntryDistribution.GAUSSIAN, VarianceProfile.offdiagonal(4),
-                       True, RngStream(0, 0, PURPOSE_COUPLING))
-    p = langevin_params(cm, beta=math.inf, confinement=2.0)
-    assert np.array_equal(p.coupling, 2.0 * cm.j)
+    a = sample_coupling(EntryDistribution.GAUSSIAN, VarianceProfile.offdiagonal(4),
+                        True, RngStream(0, 0, PURPOSE_COUPLING).generator())
+    j = a / math.sqrt(4)
+    p = langevin_params(j, beta=math.inf, confinement=2.0)
+    assert np.array_equal(p.coupling, 2.0 * j)
 
 
 def test_langevin_rejects_asymmetric_coupling():

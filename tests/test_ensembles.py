@@ -1,4 +1,4 @@
-"""Entry laws, variance profiles, coupling matrices, operator norm.
+"""Entry laws, variance profiles, coupling draws, operator norm.
 
 The exact moment formulas are checked three ways: against a frozen hand
 table, against symbolic integration, and against large-sample Monte
@@ -13,11 +13,10 @@ import sympy as sp
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rmsde.ensembles import (CouplingMatrix, EnsembleError, EntryDistribution,
-                             InitialLaw, PowerIterationError, VarianceProfile,
-                             entry_moment, moment_growth_constant,
-                             operator_norm, sample_entries, sample_initial,
-                             sample_matrix)
+from rmsde.ensembles import (EnsembleError, EntryDistribution, InitialLaw,
+                             PowerIterationError, VarianceProfile, entry_moment,
+                             moment_growth_constant, operator_norm, sample_coupling,
+                             sample_entries, sample_initial)
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 ALL_DISTS = list(EntryDistribution)
@@ -177,69 +176,57 @@ def test_profile_is_frozen():
 
 # ------------------------------------------------------- coupling matrices
 
-def coupling_stream(seed=0, replica=0):
-    return RngStream(seed, replica, PURPOSE_COUPLING)
+def draw(dist, profile, symmetric, seed=0, replica=0):
+    """Unscaled entries ``A`` of one coupling from its replica stream."""
+    return sample_coupling(dist, profile, symmetric,
+                           RngStream(seed, replica, PURPOSE_COUPLING).generator())
 
 
 def test_sampling_is_reproducible():
     p = VarianceProfile.offdiagonal(6)
-    a = sample_matrix(EntryDistribution.GAUSSIAN, p, False, coupling_stream())
-    b = sample_matrix(EntryDistribution.GAUSSIAN, p, False, coupling_stream())
-    assert np.array_equal(a.a, b.a)
+    a = draw(EntryDistribution.GAUSSIAN, p, False)
+    b = draw(EntryDistribution.GAUSSIAN, p, False)
+    assert np.array_equal(a, b)
 
 
 def test_replicas_differ():
     p = VarianceProfile.offdiagonal(6)
-    a = sample_matrix(EntryDistribution.GAUSSIAN, p, False, coupling_stream(0, 0))
-    b = sample_matrix(EntryDistribution.GAUSSIAN, p, False, coupling_stream(0, 1))
-    assert not np.array_equal(a.a, b.a)
+    a = draw(EntryDistribution.GAUSSIAN, p, False, 0, 0)
+    b = draw(EntryDistribution.GAUSSIAN, p, False, 0, 1)
+    assert not np.array_equal(a, b)
 
 
 def test_symmetric_sample_is_exactly_symmetric():
     p = VarianceProfile.offdiagonal(16)
-    cm = sample_matrix(EntryDistribution.EXPONENTIAL_CENTERED, p, True, coupling_stream())
-    assert np.array_equal(cm.a, cm.a.T)
-    assert cm.symmetric
+    a = draw(EntryDistribution.EXPONENTIAL_CENTERED, p, True)
+    assert np.array_equal(a, a.T)
 
 
 def test_zero_variance_entries_are_exactly_zero():
     p = VarianceProfile.offdiagonal(8)
-    cm = sample_matrix(EntryDistribution.GAUSSIAN, p, False, coupling_stream())
-    assert np.all(np.diag(cm.a) == 0.0)
+    a = draw(EntryDistribution.GAUSSIAN, p, False)
+    assert np.all(np.diag(a) == 0.0)
 
 
 def test_profile_scales_entries():
     # rademacher entries through variance 4 must land exactly on +-2
     p = VarianceProfile(np.full((3, 3), 4.0))
-    cm = sample_matrix(EntryDistribution.RADEMACHER, p, False, coupling_stream())
-    assert set(np.unique(np.abs(cm.a))) == {2.0}
+    a = draw(EntryDistribution.RADEMACHER, p, False)
+    assert set(np.unique(np.abs(a))) == {2.0}
 
 
 def test_j_is_a_over_sqrt_n():
+    # the draw is unscaled, so J = A / sqrt(N) has entries of size 1/sqrt(N)
     p = VarianceProfile.offdiagonal(5)
-    cm = sample_matrix(EntryDistribution.GAUSSIAN, p, False, coupling_stream())
-    assert np.array_equal(cm.j, cm.a / math.sqrt(5))
+    j = draw(EntryDistribution.RADEMACHER, p, False) / math.sqrt(5)
+    assert set(np.unique(np.abs(j[p.m > 0]))) == {1.0 / math.sqrt(5)}
 
 
 def test_symmetric_needs_symmetric_profile():
     m = np.zeros((3, 3))
     m[0, 1] = 1.0  # no matching (1, 0) entry
     with pytest.raises(EnsembleError, match="symmetric"):
-        sample_matrix(EntryDistribution.GAUSSIAN, VarianceProfile(m), True,
-                      coupling_stream())
-
-
-def test_coupling_matrix_validates_shape_against_profile():
-    with pytest.raises(EnsembleError):
-        CouplingMatrix(np.zeros((2, 2)), EntryDistribution.GAUSSIAN,
-                       VarianceProfile.offdiagonal(3), False)
-
-
-def test_coupling_matrix_rejects_false_symmetry_claim():
-    a = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(EnsembleError, match="asymmetric"):
-        CouplingMatrix(a, EntryDistribution.GAUSSIAN,
-                       VarianceProfile.offdiagonal(2), True)
+        draw(EntryDistribution.GAUSSIAN, VarianceProfile(m), True)
 
 
 @given(n=st.integers(2, 12), dist=st.sampled_from(ALL_DISTS),
@@ -247,11 +234,11 @@ def test_coupling_matrix_rejects_false_symmetry_claim():
 @settings(max_examples=40, deadline=None)
 def test_sampled_matrix_respects_profile_support(n, dist, seed, symmetric):
     p = VarianceProfile.offdiagonal(n)
-    cm = sample_matrix(dist, p, symmetric, coupling_stream(seed))
-    assert np.all(cm.a[p.m == 0.0] == 0.0)
+    a = draw(dist, p, symmetric, seed)
+    assert np.all(a[p.m == 0.0] == 0.0)
     if symmetric:
-        assert np.array_equal(cm.a, cm.a.T)
-    assert cm.n == n
+        assert np.array_equal(a, a.T)
+    assert a.shape == (n, n)
 
 
 def test_offdiagonal_second_moment_statistics():
@@ -259,9 +246,8 @@ def test_offdiagonal_second_moment_statistics():
     p = VarianceProfile.offdiagonal(10)
     sq = []
     for r in range(200):
-        cm = sample_matrix(EntryDistribution.UNIFORM_CENTERED, p, False,
-                           coupling_stream(3, r))
-        sq.append(cm.a[p.m > 0] ** 2)
+        a = draw(EntryDistribution.UNIFORM_CENTERED, p, False, 3, r)
+        sq.append(a[p.m > 0] ** 2)
     sq = np.concatenate(sq)
     se = sq.std(ddof=1) / math.sqrt(len(sq))
     assert abs(sq.mean() - 1.0) <= 5 * se

@@ -2,14 +2,14 @@
 thread-count invariance, and the eigen-exact flow computations."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rmsde.dynamics import ParameterError, SystemParams
-from rmsde.ensembles import (EntryDistribution, VarianceProfile,
-                             sample_matrix)
+from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
 from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                SystemTemplate, autocorr_item, default_suite,
                                gradsq_item, hamiltonian_item, hopfield_suite,
@@ -31,12 +31,17 @@ def small_cfg(**kw):
 
 # ---------------------------------------------------------------- template
 
+def scaled_coupling(n):
+    a = sample_coupling(GAUSSIAN, VarianceProfile.offdiagonal(n), True,
+                        RngStream(0, 0, PURPOSE_COUPLING).generator())
+    return a / math.sqrt(n)
+
+
 def test_template_build_plain():
-    cm = sample_matrix(GAUSSIAN, VarianceProfile.offdiagonal(3), True,
-                       RngStream(0, 0, PURPOSE_COUPLING))
+    j = scaled_coupling(3)
     t = SystemTemplate(confinement=2.0, beta=8.0, thresholds=0.3)
-    p = t.build(cm)
-    assert np.array_equal(p.coupling, cm.j)
+    p = t.build(j)
+    assert np.array_equal(p.coupling, j)
     assert np.array_equal(p.lam, -2.0 * np.eye(3))
     assert np.allclose(p.h, 0.3)
     assert np.allclose(p.sigma[0], 0.25)
@@ -44,25 +49,20 @@ def test_template_build_plain():
 
 
 def test_template_langevin_doubles_coupling():
-    cm = sample_matrix(GAUSSIAN, VarianceProfile.offdiagonal(3), True,
-                       RngStream(0, 0, PURPOSE_COUPLING))
-    p = SystemTemplate(langevin=True, beta=math.inf).build(cm)
-    assert np.array_equal(p.coupling, 2.0 * cm.j)
+    j = scaled_coupling(3)
+    p = SystemTemplate(langevin=True, beta=math.inf).build(j)
+    assert np.array_equal(p.coupling, 2.0 * j)
     assert np.all(p.sigma == 0.0)
 
 
 def test_template_vector_thresholds():
-    cm = sample_matrix(GAUSSIAN, VarianceProfile.offdiagonal(2), True,
-                       RngStream(0, 0, PURPOSE_COUPLING))
-    p = SystemTemplate(thresholds=(0.1, -0.2)).build(cm)
+    p = SystemTemplate(thresholds=(0.1, -0.2)).build(scaled_coupling(2))
     assert np.array_equal(p.h, [0.1, -0.2])
 
 
 def test_template_rejects_bad_beta():
-    cm = sample_matrix(GAUSSIAN, VarianceProfile.offdiagonal(2), True,
-                       RngStream(0, 0, PURPOSE_COUPLING))
     with pytest.raises(ParameterError, match="beta"):
-        SystemTemplate(beta=0.0).build(cm)
+        SystemTemplate(beta=0.0).build(scaled_coupling(2))
 
 
 # ------------------------------------------------------------------ config
@@ -324,6 +324,18 @@ def test_aging_drops_all_replicas_is_an_error():
                                             confinement=1e-9))
     with pytest.raises(ExperimentError, match="dropped"):
         run_aging(cfg)
+
+
+def test_aging_drop_message_counts_at_the_failing_size():
+    # sizes 8 and 16 both drop replicas; the message must count only n=16
+    cfg = aging_cfg(sizes=(8, 16), replicas=20, seed=5, confinement_mode="fixed",
+                    template=SystemTemplate(beta=math.inf, langevin=True,
+                                            confinement=3.2))
+    with pytest.raises(ExperimentError, match="at n=16") as err:
+        run_aging(cfg)
+    kept, dropped = re.search(r"only (\d+) replicas .* \((\d+) dropped\)",
+                              str(err.value)).groups()
+    assert int(kept) + int(dropped) == 20
 
 
 def test_aging_report_lookup():

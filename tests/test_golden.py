@@ -2,11 +2,13 @@
 
 The hashes pin every byte of the results tables of the experiments that
 run the Euler-Maruyama loop (universality, hopfield, concentration,
-simulate, taylor-check), so refactors of the integrator, the coupling
-sampler or the template builder cannot silently change the numbers.
-The cases cover both symmetric and non-symmetric ensembles, the
-gradient-flow template, thresholds, two threads, and a simulate run
-long enough to span two noise blocks.  Float formatting and BLAS
+simulate, taylor-check) and of the spectral ones (aging, rayleigh), so
+refactors of the integrator, the coupling sampler, the template builder
+or the per-replica eigendecomposition cannot silently change the
+numbers.  The cases cover both symmetric and non-symmetric ensembles,
+the gradient-flow template, thresholds, two threads, a simulate run
+long enough to span two noise blocks, and aging with a fixed
+confinement that drops replicas in both arms.  Float formatting and BLAS
 rounding are part of what is pinned, so the hashes are specific to the
 numpy/BLAS build they were recorded with (numpy 2.4, OpenBLAS, x86-64).
 """
@@ -16,6 +18,21 @@ import hashlib
 import pytest
 
 from rmsde.cli import main
+
+# fixed confinement below some sampled spectral radii: replicas drop in both arms
+FIXED_AGING = """
+[system]
+beta = inf
+confinement = 3.6
+[ensemble]
+profile = full
+[experiment]
+sizes = 6, 10
+replicas = 8
+s_values = 1, 3
+lambdas = 1, 2.5
+confinement_mode = fixed
+"""
 
 CASES = {
     "simulate": ("simulate", "trajectory.csv", """
@@ -107,6 +124,32 @@ dt = 0.01
 horizon = 0.1
 """,
         "360bcad58ee58c2d22bb7ed855941adbba6da5f97133e6941b259573d078105b"),
+    "aging": ("aging", "aging.csv", """
+[system]
+beta = inf
+[ensemble]
+dist = uniform
+[experiment]
+sizes = 8, 16
+replicas = 5
+s_values = 1, 4
+lambdas = 1, 3
+""",
+        "332f7f02ecca1471c79c8cbd38258ca0d1b8c03e914e34012b1a4cba6848cc3a"),
+    "aging-fixed": ("aging", "aging.csv", FIXED_AGING,
+        "361157bab82110ad3b5d45e7cfd410e5c691b83f6de80355e99aa9cbe6f3311b"),
+    "rayleigh": ("rayleigh", "rayleigh.csv", """
+[system]
+beta = inf
+[ensemble_b]
+dist = exponential
+[experiment]
+sizes = 12
+rayleigh_replicas = 3
+rayleigh_points = 9
+rayleigh_horizon = 5.0
+""",
+        "7e48506bedf7875f085a5785c666ed4fed1ea9b30d53694b165752fc8714d6a3"),
 }
 
 
@@ -122,3 +165,11 @@ def csv_digest(tmp_path, kind: str, csv_name: str, text: str) -> str:
 def test_csv_matches_golden_hash(tmp_path, case):
     kind, csv_name, text, expected = CASES[case]
     assert csv_digest(tmp_path, kind, csv_name, text) == expected
+
+
+def test_fixed_aging_case_drops_in_both_arms(tmp_path):
+    csv_digest(tmp_path, "aging", "aging.csv", FIXED_AGING)
+    summary = dict(line.split(" = ") for line in
+                   (tmp_path / "out" / "summary.txt").read_text().splitlines())
+    assert int(summary["dropped_a"]) >= 1
+    assert int(summary["dropped_b"]) >= 1
