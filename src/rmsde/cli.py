@@ -163,10 +163,16 @@ def _run_simulate(rc: RunConfig):
     for row, t in enumerate(traj.times):
         for j in range(n):
             rows.append((float(t), j + 1, float(traj.x[row, j]), float(traj.m[row, j])))
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite state can still overflow these
+        residual = traj.decomposition_residual()
+        norm_sq = float(traj.x[-1] @ traj.x[-1]) / n
+    if not (math.isfinite(residual) and math.isfinite(norm_sq)):
+        raise ExperimentError("non-finite trajectory statistic: "
+                              "the integration is numerically unstable")
     summary = [("n", n), ("steps", icfg.n_steps), ("dt", icfg.dt),
                ("snapshot_rounding", icfg.rounding),
-               ("decomposition_residual", traj.decomposition_residual()),
-               ("final_norm_sq_density", float(traj.x[-1] @ traj.x[-1]) / n)]
+               ("decomposition_residual", residual),
+               ("final_norm_sq_density", norm_sq)]
     return "trajectory.csv", header, rows, summary
 
 

@@ -305,7 +305,8 @@ def _validate(rc: RunConfig) -> None:
     _require(g("system", "template") in ("plain", "langevin"),
              f"system.template must be 'plain' or 'langevin', got {g('system', 'template')!r}")
     _require(g("system", "beta") > 0, "system.beta must be positive (inf allowed)")
-    _require(g("system", "confinement") >= 0, "system.confinement must be >= 0")
+    _require(0 <= g("system", "confinement") < math.inf,
+             "system.confinement must be finite and >= 0")
     _require(g("integrator", "dt") > 0 and math.isfinite(g("integrator", "dt")),
              "integrator.dt must be positive and finite")
     _require(g("integrator", "horizon") >= 0 and math.isfinite(g("integrator", "horizon")),
@@ -321,6 +322,15 @@ def _validate(rc: RunConfig) -> None:
     _require(g("experiment", "mc_paths") >= 2, "experiment.mc_paths must be >= 2")
     _require(g("experiment", "rayleigh_points") >= 2, "experiment.rayleigh_points must be >= 2")
     _require(g("experiment", "rayleigh_replicas") >= 1, "experiment.rayleigh_replicas must be >= 1")
+    _require(0 <= g("experiment", "rayleigh_horizon") < math.inf,
+             "experiment.rayleigh_horizon must be finite and >= 0")
+    for key in ("s_values", "lambdas"):
+        _require(all(0 <= v < math.inf for v in g("experiment", key)),
+                 f"experiment.{key} entries must be finite and >= 0")
+    # the aging ratios read the flow at times 2s, s + lambda s and 2 lambda s
+    _require(all(math.isfinite(2 * s * (1 + lam)) for s in g("experiment", "s_values")
+                 for lam in g("experiment", "lambdas")),
+             "experiment.s_values and lambdas give an infinite time")
 
     dt = g("integrator", "dt")
     horizon = g("integrator", "horizon")
@@ -409,14 +419,15 @@ def integrator_config(rc: RunConfig, snapshots: tuple = None) -> IntegratorConfi
                             tuple(snapshots))
 
 
-def _weights(spec: str, n: int) -> np.ndarray:
-    """Scalar fill or CSV path, resolved to an array."""
+def _weight_file(spec: str):
+    """The weights stored in CSV file ``spec``, or None when ``spec`` is a number."""
     try:
-        return np.full(n, float(spec))
+        float(spec)
+        return None
     except ValueError:
         pass
     try:
-        return np.loadtxt(spec, delimiter=",")
+        return np.loadtxt(spec, delimiter=",", ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"observable.a: cannot load {spec!r}: {exc}") from None
 
@@ -444,17 +455,24 @@ def observable_suite(rc: RunConfig) -> tuple:
 
     blocks = tuple(BuildingBlock.from_name(b) for b in rc.get("observable", "blocks"))
     a_spec = rc.get("observable", "a")
+    weights = _weight_file(a_spec)
+
+    def flat_weights(size: int) -> np.ndarray:
+        return np.full(size, float(a_spec)) if weights is None else weights
+
     if kind == "quadratic":
         if len(times) != 2 or len(blocks) != 2:
             raise ConfigError("kind=quadratic needs exactly two times and two blocks")
+        if weights is not None and weights.ndim != 1:
+            raise ConfigError("observable.a: kind=quadratic needs one row or column of weights")
 
         def make_quadratic(traj):
-            obs = QuadraticObservable(_weights(a_spec, traj.x.shape[1]),
+            obs = QuadraticObservable(flat_weights(traj.x.shape[1]),
                                       blocks[0], blocks[1], times[0], times[1])
             return eval_quadratic(traj, obs)
 
         name = f"quadratic[{times[0]:g},{times[1]:g}]"
-        return (SuiteItem(name, tuple(times), make_quadratic),)
+        return (SuiteItem(name, tuple(times), make_quadratic, weights),)
     if kind == "tensor":
         if not blocks or len(blocks) % len(times):
             raise ConfigError("kind=tensor needs blocks as m rows flattened over p times")
@@ -463,12 +481,11 @@ def observable_suite(rc: RunConfig) -> tuple:
 
         def make_tensor(traj):
             n = traj.x.shape[1]
-            a = _weights(a_spec, n ** m).reshape((n,) * m)
-            obs = TensorObservable(rows, tuple(times), a)
+            obs = TensorObservable(rows, tuple(times), flat_weights(n ** m).reshape((n,) * m))
             return eval_tensor(traj, obs)
 
         name = f"tensor[{','.join(f'{t:g}' for t in times)}]"
-        return (SuiteItem(name, tuple(times), make_tensor),)
+        return (SuiteItem(name, tuple(times), make_tensor, weights, m),)
     raise ConfigError(f"unhandled observable kind {kind!r}")
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .rng import RngStream
 
@@ -39,7 +38,6 @@ __all__ = [
     "simulate_paths",
     "euler_maruyama",
     "drift",
-    "diffusion_row",
     "exact_mean_linear",
     "langevin_params",
     "SimulationBlowupError",
@@ -86,9 +84,6 @@ class SystemParams:
     sigma : ndarray, shape (N+1, N)
         Diffusion coefficients; row 0 is the constant part, row i >= 1
         multiplies ``X_i``.
-    c_lam, c_h, c_sigma : float, optional
-        Declared size constants.  Derived from the arrays when omitted;
-        an explicit value smaller than the derived one is rejected.
 
     Attributes
     ----------
@@ -104,9 +99,6 @@ class SystemParams:
     lam: np.ndarray
     h: np.ndarray
     sigma: np.ndarray
-    c_lam: float = None  # type: ignore[assignment]
-    c_h: float = None  # type: ignore[assignment]
-    c_sigma: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         coupling = np.asarray(self.coupling, dtype=np.float64)
@@ -125,23 +117,7 @@ class SystemParams:
         n_sigma = max(1, int(np.count_nonzero(sigma, axis=0).max(initial=0)))
         object.__setattr__(self, "n_lam", n_lam)
         object.__setattr__(self, "n_sigma", n_sigma)
-
-        derived_c_lam = max(float(np.abs(lam).sum(axis=1).max(initial=0.0)),
-                            n_lam * float(np.abs(lam).max(initial=0.0)))
-        derived_c_h = float(np.abs(self.h).max(initial=0.0))
-        state_rows = sigma[1:]
-        derived_c_sigma = max(float(np.abs(sigma[0]).max(initial=0.0)),
-                              n_sigma * float(np.abs(state_rows).max(initial=0.0)))
-        for name, declared, derived in (("c_lam", self.c_lam, derived_c_lam),
-                                        ("c_h", self.c_h, derived_c_h),
-                                        ("c_sigma", self.c_sigma, derived_c_sigma)):
-            if declared is None:
-                declared = derived
-            elif declared < derived - 1e-12:
-                raise ParameterError(
-                    f"declared {name}={declared} is below the derived value {derived}")
-            object.__setattr__(self, name, float(declared))
-        object.__setattr__(self, "constant_diffusion", not state_rows.any())
+        object.__setattr__(self, "constant_diffusion", not sigma[1:].any())
 
     @property
     def n(self) -> int:
@@ -161,11 +137,6 @@ class SystemParams:
 def drift(params: SystemParams, x: np.ndarray) -> np.ndarray:
     """Drift vector at state ``x``."""
     return x @ params.coupling + x @ params.lam + params.h
-
-
-def diffusion_row(params: SystemParams, x: np.ndarray) -> np.ndarray:
-    """Diffusion amplitudes: component j is sqrt(2)*(sigma_0j + sum_i sigma_ij x_i)."""
-    return math.sqrt(2.0) * (params.sigma[0] + x @ params.sigma[1:])
 
 
 @dataclass(frozen=True)
@@ -207,6 +178,14 @@ class IntegratorConfig:
         """Rounded snapshot times actually recorded."""
         return self.dt * np.asarray(self.snapshot_steps, dtype=np.float64)
 
+    def row(self, t: float) -> int:
+        """Index of time ``t`` in :attr:`times`, which it must match to 1e-9."""
+        times = self.times
+        k = int(np.argmin(np.abs(times - t))) if len(times) else -1
+        if k < 0 or abs(times[k] - t) > 1e-9:
+            raise ParameterError(f"time {t:g} is not on the step grid of dt = {self.dt:g}")
+        return k
+
     @classmethod
     def every_step(cls, dt: float, horizon: float) -> "IntegratorConfig":
         n = int(round(horizon / dt))
@@ -223,13 +202,6 @@ class Trajectory:
     x0: np.ndarray
     params: SystemParams
     config: IntegratorConfig
-
-    def at(self, t: float) -> int:
-        """Row index of recorded time t (exact up to 1e-9)."""
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-9)[0]
-        if len(hits) != 1:
-            raise KeyError(f"time {t} is not on the recorded grid")
-        return int(hits[0])
 
     def decomposition_residual(self) -> float:
         """Largest relative defect of X_{t+dt} = X_t + dt*drift + dM.
@@ -339,22 +311,24 @@ def euler_maruyama(drift_mat: np.ndarray, h: np.ndarray, sigma: np.ndarray,
         ms[:, want[0]] = m
 
     step = 0
-    for block in noise:
-        for xi in block:
-            step += 1
-            amp = sig0 if sig_state is None else sig0 + x @ sig_state
-            dm = sqrt2dt * amp * xi
-            if shared is None:
-                lin = np.matmul(drift_mat, x[:, :, None])[:, :, 0]
-            else:
-                lin = x @ shared
-            x = x + config.dt * (lin + h) + dm
-            m = m + dm
-            if not np.all(np.isfinite(x)):
-                raise SimulationBlowupError(step)
-            if step in want:
-                xs[:, want[step]] = x
-                ms[:, want[step]] = m
+    # an overflow is reported as SimulationBlowupError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in noise:
+            for xi in block:
+                step += 1
+                amp = sig0 if sig_state is None else sig0 + x @ sig_state
+                dm = sqrt2dt * amp * xi
+                if shared is None:
+                    lin = np.matmul(drift_mat, x[:, :, None])[:, :, 0]
+                else:
+                    lin = x @ shared
+                x = x + config.dt * (lin + h) + dm
+                m = m + dm
+                if not np.all(np.isfinite(x)):
+                    raise SimulationBlowupError(step)
+                if step in want:
+                    xs[:, want[step]] = x
+                    ms[:, want[step]] = m
     return xs, ms
 
 
@@ -368,6 +342,8 @@ def exact_mean_linear(params: SystemParams, x0, t: float) -> np.ndarray:
     x0 = _check_x0(params, x0)
     if not (t >= 0 and math.isfinite(t)):
         raise ParameterError("t must be non-negative and finite")
+    import scipy.linalg  # only this oracle needs scipy; keep it off the CLI import path
+
     n = params.n
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = params.drift_matrix()

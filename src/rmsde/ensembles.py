@@ -37,8 +37,6 @@ __all__ = [
     "sample_coupling",
     "InitialLaw",
     "sample_initial",
-    "operator_norm",
-    "PowerIterationError",
     "EnsembleError",
 ]
 
@@ -116,8 +114,7 @@ def entry_moment(dist: EntryDistribution, ell: int) -> float:
 def moment_growth_constant(dist: EntryDistribution) -> float:
     """Smallest convenient C with E[|A|^ell] <= (ell-1)! * C**(ell/2).
 
-    Witnesses the sub-exponential tail hypothesis for each law; used in
-    tests and in the a-priori bound reporting.
+    Witnesses the sub-exponential tail hypothesis for each law.
     """
     if dist is EntryDistribution.EXPONENTIAL_CENTERED:
         return 2.0
@@ -260,50 +257,3 @@ def sample_initial(law: InitialLaw, stream: RngStream) -> np.ndarray:
             out[idx] = sample_entries(dist, len(idx), rng)
     return out
 
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; ``best`` holds the last estimate."""
-
-    def __init__(self, message: str, best: float):
-        super().__init__(message)
-        self.best = best
-
-
-def operator_norm(mat: np.ndarray, tol: float = 1e-6, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on ``M.T @ M``.
-
-    Deterministic start vectors, no randomness.  Raises
-    :class:`PowerIterationError` carrying the best estimate when the
-    relative change has not dropped below ``tol`` within ``max_iter``
-    sweeps.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("operator_norm expects a matrix")
-    n = mat.shape[1]
-    if n == 0 or mat.shape[0] == 0 or not mat.any():
-        return 0.0
-    starts = [np.ones(n), 1.0 + np.arange(n, dtype=np.float64)]
-    starts.append(np.eye(n)[0] if n else np.ones(1))
-    est = 0.0
-    for v0 in starts:
-        v = v0 / np.linalg.norm(v0)
-        est = 0.0
-        stalled = False
-        for _ in range(max_iter):
-            w = mat.T @ (mat @ v)
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                stalled = True  # start vector lies in the kernel; try the next one
-                break
-            v = w / nw
-            new = math.sqrt(nw)
-            if abs(new - est) <= tol * max(new, 1e-300):
-                return new
-            est = new
-        if not stalled:
-            raise PowerIterationError(
-                f"power iteration did not converge within {max_iter} sweeps", est)
-    # every deterministic start collapsed into the kernel; the matrix is
-    # nonzero, so this should be unreachable for any sane input
-    raise PowerIterationError("power iteration made no progress from any start", est)

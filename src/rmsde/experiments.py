@@ -30,8 +30,7 @@ from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                         sample_coupling, sample_entries, sample_initial)
 from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
 from .algebra import MomentOracle, Polynomial
-from .observables import (ObservableError, autocorrelation, grad_sq_density,
-                          hamiltonian_density)
+from .observables import autocorrelation, grad_sq_density, hamiltonian_density
 from .rng import PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE, RngStream
 
 __all__ = [
@@ -71,11 +70,17 @@ class ExperimentError(ValueError):
 
 @dataclass(frozen=True)
 class SuiteItem:
-    """Named scalar observable with the snapshot times it needs."""
+    """Named scalar observable with the snapshot times it needs.
+
+    ``weights``, when set, are weights read from a file; at size N they
+    must number ``N ** arity``.
+    """
 
     name: str
     times: tuple
     fn: Callable
+    weights: Optional[np.ndarray] = None
+    arity: int = 1
 
 
 def autocorr_item(s: float, t: float) -> SuiteItem:
@@ -182,6 +187,12 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     every_size = kind in ("universality", "hopfield", "concentration", "aging")
     if every_size and cfg.replicas < 2:
         raise ExperimentError("need at least 2 replicas for a standard error")
+    if kind in ("universality", "hopfield"):  # the kinds that evaluate cfg.suite
+        for item in [item for item in cfg.suite if item.weights is not None]:
+            for n in cfg.sizes:
+                if item.weights.size != n ** item.arity:
+                    raise ExperimentError(f"{item.name} has {item.weights.size} weights "
+                                          f"but size {n} needs {n ** item.arity}")
     if kind in ("aging", "rayleigh") and math.isfinite(cfg.template.beta):
         raise ExperimentError(f"{kind} runs are defined for beta = inf (noise-free flow)")
     if kind == "concentration":
@@ -215,23 +226,12 @@ def _chunk_size(n: int, steps: int) -> int:
     return max(1, min(64, budget))
 
 
-_GRID_TOL = 1e-9  # how far a requested time may sit from a step multiple
-
-
-def _grid_row(icfg: IntegratorConfig, t: float) -> int:
-    """Row of time ``t`` among the recorded times of ``icfg``."""
-    hits = np.nonzero(np.abs(icfg.times - t) <= _GRID_TOL)[0]
-    if len(hits) == 0:
-        raise ObservableError(f"time {t:g} is not on the step grid of dt = {icfg.dt:g}")
-    return int(hits[0])
-
-
 def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
     """Step grid recording ``times``, each of which must be a step multiple."""
     times = sorted(set(times))
     icfg = IntegratorConfig(dt, max([horizon] + times), tuple(times))
     for t in times:
-        _grid_row(icfg, t)
+        icfg.row(t)
     return icfg
 
 
@@ -271,10 +271,13 @@ def _paired_chunk(cfg: ExperimentConfig, base: SystemParams, profile: VariancePr
         dmats = (j + base.lam).transpose(0, 2, 1)
         xs, ms = euler_maruyama(dmats, base.h, base.sigma, x0s, icfg, (xi,))
         vals = np.empty((c, len(cfg.suite)))
-        for k in range(c):
-            traj = Trajectory(icfg.times, xs[k], ms[k], x0s[k], base.with_coupling(j[k]), icfg)
-            for q, item in enumerate(cfg.suite):
-                vals[k, q] = item.fn(traj)
+        # an overflow leaves a non-finite value, which _finite_rows reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(c):
+                traj = Trajectory(icfg.times, xs[k], ms[k], x0s[k], base.with_coupling(j[k]),
+                                  icfg)
+                for q, item in enumerate(cfg.suite):
+                    vals[k, q] = item.fn(traj)
         out.append(vals)
     return out
 
@@ -644,14 +647,19 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list,
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         xi = gen_b.standard_normal((steps, c, n))
         xs, _ = euler_maruyama(dmats, params.h, params.sigma, x0s, icfg, (xi,))
-        for q, (poly_list, ts) in enumerate(specs):
-            vals = np.ones(c)
-            for f, t in zip(poly_list, ts):
-                vals *= f.evaluate(None, xs[:, _grid_row(icfg, t)].T)
-            sums[q] += vals.sum()
-            sums_sq[q] += (vals * vals).sum()
+        # an overflow leaves a non-finite sum of squares, which is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q, (poly_list, ts) in enumerate(specs):
+                vals = np.ones(c)
+                for f, t in zip(poly_list, ts):
+                    vals *= f.evaluate(None, xs[:, icfg.row(t)].T)
+                sums[q] += vals.sum()
+                sums_sq[q] += (vals * vals).sum()
         total += c
         cid += 1
+    if not np.all(np.isfinite(sums_sq)):  # then the sums and moments are finite too
+        raise ExperimentError("non-finite Monte Carlo moment: "
+                              "the integration is numerically unstable")
     mean = sums / total
     var = np.maximum(sums_sq / total - mean ** 2, 0.0)
     se = np.sqrt(var / total)
@@ -724,9 +732,6 @@ class RayleighReport:
     rows: tuple
     times: tuple
     mean_gap: float
-
-    def arm_rows(self, arm: str) -> list:
-        return [r for r in self.rows if r.arm == arm]
 
 
 def rayleigh_quotient_curve(eigvals: np.ndarray, coeffs_sq: np.ndarray,

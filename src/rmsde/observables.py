@@ -11,35 +11,29 @@ dimension grows.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .ensembles import operator_norm
 
 __all__ = [
     "BuildingBlock",
     "QuadraticObservable",
     "TensorObservable",
-    "LocalizationReport",
-    "eval_block",
     "block_values",
     "eval_quadratic",
     "eval_tensor",
     "autocorrelation",
     "hamiltonian_density",
     "grad_sq_density",
-    "localization_report",
-    "gronwall_bound",
     "ObservableError",
 ]
 
 
 class ObservableError(ValueError):
-    """Malformed observable or off-grid evaluation time."""
+    """Malformed observable."""
 
 
 class BuildingBlock(enum.Enum):
@@ -61,7 +55,7 @@ class BuildingBlock(enum.Enum):
 
 def block_values(traj: Trajectory, block: BuildingBlock, t: float) -> np.ndarray:
     """All N coordinates of one block at a recorded time."""
-    row = traj.at(t)
+    row = traj.config.row(t)
     if block is BuildingBlock.ONE:
         return np.ones(traj.x.shape[1])
     if block is BuildingBlock.X:
@@ -71,14 +65,6 @@ def block_values(traj: Trajectory, block: BuildingBlock, t: float) -> np.ndarray
     if block is BuildingBlock.M:
         return traj.m[row]
     raise ObservableError(f"unhandled block {block}")
-
-
-def eval_block(traj: Trajectory, block: BuildingBlock, i: int, t: float) -> float:
-    """Single coordinate ``i`` (1-based) of a block at grid time ``t``."""
-    n = traj.x.shape[1]
-    if not 1 <= i <= n:
-        raise ObservableError(f"coordinate {i} out of range 1..{n}")
-    return float(block_values(traj, block, t)[i - 1])
 
 
 @dataclass(frozen=True)
@@ -231,68 +217,20 @@ def eval_tensor(traj: Trajectory, obs: TensorObservable) -> float:
 
 def autocorrelation(traj: Trajectory, s: float, t: float) -> float:
     """``C_N(s, t) = (1/N) sum_i X_i(s) X_i(t)``."""
-    xs = traj.x[traj.at(s)]
-    xt = traj.x[traj.at(t)]
+    xs = traj.x[traj.config.row(s)]
+    xt = traj.x[traj.config.row(t)]
     return float(xs @ xt) / traj.x.shape[1]
 
 
 def hamiltonian_density(traj: Trajectory, t: float) -> float:
     """``H(X_t)/N`` for the quadratic energy ``H(x) = x . (J x)``."""
-    x = traj.x[traj.at(t)]
+    x = traj.x[traj.config.row(t)]
     return float(x @ (traj.params.coupling @ x)) / traj.x.shape[1]
 
 
 def grad_sq_density(traj: Trajectory, t: float) -> float:
     """``(1/N) sum_i G_i(X_t)^2``, the squared field strength per site."""
-    x = traj.x[traj.at(t)]
+    x = traj.x[traj.config.row(t)]
     g = x @ traj.params.coupling
     return float(g @ g) / traj.x.shape[1]
 
-
-@dataclass(frozen=True)
-class LocalizationReport:
-    """Size diagnostics controlling pathwise growth.
-
-    ``r_effective`` is the localization radius implied by the run:
-    ``(|x0|^2 + N |J|_op^2 + sup_t |M_t|^2) / N``.  ``mix_norm`` is the
-    companion mixed norm with the Frobenius-squared coupling term
-    ``N * sum_ij J_ij^2`` in place of the operator-norm term.
-    """
-
-    norm0_sq: float
-    coupling_sq: float
-    martingale_sup_sq: float
-    r_effective: float
-    mix_norm: float
-
-    def __post_init__(self) -> None:
-        for name in ("norm0_sq", "coupling_sq", "martingale_sup_sq",
-                     "r_effective", "mix_norm"):
-            if getattr(self, name) < 0:
-                raise ObservableError(f"{name} must be non-negative")
-
-
-def localization_report(traj: Trajectory) -> LocalizationReport:
-    n = traj.x.shape[1]
-    j = traj.params.coupling
-    norm0_sq = float(traj.x0 @ traj.x0)
-    coupling_sq = n * operator_norm(j, tol=1e-6) ** 2 if j.any() else 0.0
-    mart = float((traj.m * traj.m).sum(axis=1).max(initial=0.0))
-    r_eff = (norm0_sq + coupling_sq + mart) / n
-    mix = norm0_sq + n * float((j * j).sum()) + mart
-    return LocalizationReport(norm0_sq, coupling_sq, mart, r_eff, mix)
-
-
-def gronwall_bound(traj: Trajectory) -> tuple[float, float]:
-    """(observed, bound): sup_t |X_t|/sqrt(N) against its a-priori bound.
-
-    The bound is ``(sqrt(R) + C_h T) * exp((sqrt(R) + C_lam) T)`` with
-    ``R`` the effective localization radius of the run.
-    """
-    n = traj.x.shape[1]
-    horizon = traj.config.horizon
-    observed = math.sqrt(float((traj.x * traj.x).sum(axis=1).max(initial=0.0)) / n)
-    r = localization_report(traj).r_effective
-    root = math.sqrt(r)
-    bound = (root + traj.params.c_h * horizon) * math.exp((root + traj.params.c_lam) * horizon)
-    return observed, bound

@@ -19,7 +19,6 @@ __all__ = [
     "format_value",
     "atomic_write_text",
     "render_csv",
-    "write_csv",
     "write_summary",
 ]
 
@@ -59,10 +58,6 @@ def render_csv(config_hash: str, header, rows) -> str:
     for row in rows:
         writer.writerow([format_value(v) for v in row])
     return buf.getvalue()
-
-
-def write_csv(path: str, config_hash: str, header, rows) -> None:
-    atomic_write_text(path, render_csv(config_hash, header, rows))
 
 
 def write_summary(path: str, pairs) -> None:

@@ -70,9 +70,3 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=int(self.seed),
                                     spawn_key=(int(self.stream), int(self.purpose)))
         return np.random.default_rng(ss)
-
-    def with_stream(self, stream: int) -> "RngStream":
-        return RngStream(self.seed, stream, self.purpose)
-
-    def with_purpose(self, purpose: int) -> "RngStream":
-        return RngStream(self.seed, self.stream, purpose)

@@ -1,12 +1,20 @@
 """End-to-end command line runs: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from rmsde.cli import main, run
-from rmsde.config import config_hash, parse_config
+from rmsde.config import _SCHEMA, EXPERIMENT_KINDS, config_hash, parse_config
 
 FAST = {
     "simulate": """
@@ -308,6 +316,22 @@ PRECONDITIONS = {
         ("taylor-check", FAST["taylor-check"].replace("sizes = 3", "sizes = 2")
          + f"[ensemble]\nprofile = {Path(__file__).with_name('profile_2x2_asymmetric.csv')}\n",
          "symmetric variance profile"),
+    # a wrong-size weight file fails before any chunk integrates, not mid-run
+    "universality-quadratic-weights":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
+         + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\n"
+         + f"a = {Path(__file__).with_name('weights_3.csv')}\n",
+         "has 3 weights but size 4 needs 4"),
+    "universality-tensor-weights":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
+         + "[observable]\nkind = tensor\ntimes = 0.04\nblocks = x, x\n"
+         + f"a = {Path(__file__).with_name('weights_3.csv')}\n",
+         "has 3 weights but size 4 needs 16"),
+    "universality-quadratic-weight-matrix":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 9")
+         + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\n"
+         + f"a = {Path(__file__).with_name('profile_3x3.csv')}\n",
+         "kind=quadratic needs one row or column of weights"),
 }
 
 
@@ -320,3 +344,188 @@ def test_config_preconditions_are_status_2(tmp_path, capsys, kind, text, message
     assert message in err
     assert (out / "error.txt").read_text().startswith("status = 2\n")
     assert not (out / CSV_NAMES[kind]).exists()
+
+
+# Configs the fuzz test below turned up, directly or through its wild
+# values: each escaped as a numpy RuntimeWarning (a traceback under this
+# suite's warning filter) instead of a status record.
+FUZZ_REGRESSIONS = {
+    "confinement-inf":
+        ("universality", FAST["universality"] + "[system]\nconfinement = inf\n", 2,
+         "confinement must be finite"),
+    "euler-overflow":
+        ("universality", FAST["universality"] + "[system]\nconfinement = 1e300\n", 1,
+         "non-finite state at step 2"),
+    "observable-overflow":
+        ("hopfield", FAST["hopfield"] + "[system]\nthresholds = 1e300\n", 1, "non-finite"),
+    "simulate-statistic-overflow":
+        ("simulate", FAST["simulate"] + "[system]\nthresholds = 1e300\n", 1,
+         "non-finite trajectory statistic"),
+    "taylor-check-moment-overflow":
+        ("taylor-check", FAST["taylor-check"] + "[system]\nbeta = 1e-300\n", 1,
+         "non-finite Monte Carlo moment"),
+    "aging-negative-s":
+        ("aging", FAST["aging"].replace("s_values = 1, 2", "s_values = -1e300"), 2,
+         "s_values entries must be finite and >= 0"),
+    "aging-infinite-time":
+        ("aging", FAST["aging"].replace("s_values = 1, 2", "s_values = 1e300")
+         .replace("lambdas = 1, 2", "lambdas = 1e300"), 2, "infinite time"),
+    "rayleigh-negative-horizon":
+        ("rayleigh", FAST["rayleigh"].replace("rayleigh_horizon = 2.0", "rayleigh_horizon = -1e300"),
+         2, "rayleigh_horizon must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("kind,text,status,message", FUZZ_REGRESSIONS.values(),
+                         ids=FUZZ_REGRESSIONS)
+def test_fuzz_regressions_exit_with_a_record(tmp_path, capsys, kind, text, status, message):
+    got, out = invoke(tmp_path, kind, text)
+    assert got == status
+    err = capsys.readouterr().err
+    assert err.startswith(f"status = {status}\nerror = ")
+    assert message in err
+    assert (out / "error.txt").read_text() == err
+    assert not (out / CSV_NAMES[kind]).exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only the exact_mean_linear oracle; a command-line run never needs it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", "import sys, rmsde.cli; print('scipy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------- config fuzzing
+#
+# Every key of the schema may appear.  Each value is drawn from the key's
+# domain, except for at most two keys per config, which draw from a wild
+# set of out-of-range or unparsable values.  Both sets keep every run
+# small: sizes <= 6, replicas <= 4, at most 50 Euler steps,
+# mc_paths <= 64, two threads.  Keys whose defaults would make a large
+# run are always written.
+
+_HERE = Path(__file__).resolve().parent
+_FILES = [str(_HERE / name) for name in
+          ("profile_3x3.csv", "profile_2x2_asymmetric.csv", "weights_3.csv")]
+_DTS = (0.01, 0.02, 0.05, 0.1, 0.5, 1.0)
+_ALWAYS = {("integrator", "dt"), ("integrator", "horizon"), ("experiment", "sizes"),
+           ("experiment", "replicas"), ("experiment", "grid_points"),
+           ("experiment", "truncation"), ("experiment", "mc_paths"),
+           ("experiment", "rayleigh_points"), ("experiment", "rayleigh_replicas")}
+
+
+def _text(strategy):
+    return strategy.map(lambda v: v if isinstance(v, str) else repr(v))
+
+
+def _listed(strategy, min_size=1, max_size=3):
+    return st.lists(_text(strategy), min_size=min_size, max_size=max_size).map(", ".join)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+_WILD_NUMBERS = st.sampled_from(["-1", "0", "-0.0", "x", "", "nan", "inf", "-inf"])
+_WILD_FLOATS = st.one_of(_WILD_NUMBERS, st.sampled_from(["1e-300", "1e300", "-1e300"]))
+_WILD = {  # per codec
+    "u64": st.sampled_from(["-1", str(2 ** 64), "x"]),
+    "seed": st.sampled_from(["-2", "x"]),
+    "int": _WILD_NUMBERS,
+    "float": _WILD_FLOATS,
+    "bool": st.sampled_from(["yes", ""]),
+    "str": st.sampled_from(["bogus", ""]),
+    "floats": st.one_of(_WILD_FLOATS, st.just("1,,2")),
+    "ints": st.one_of(_WILD_NUMBERS, st.just("1,,2")),
+    "strs": st.sampled_from(["bogus", "x,,g", ""]),
+}
+
+
+def _domains(kind, dt, steps):
+    """Per key, values in its domain; times lie on the step grid of ``dt``."""
+    on_grid = st.integers(0, steps).map(lambda k: k * dt)
+    dists = st.sampled_from(["gaussian", "rademacher", "uniform", "exponential"])
+    return {
+        ("run", "experiment"): st.sampled_from([kind, ""]),
+        ("run", "seed"): st.integers(0, 2 ** 64 - 1),
+        ("run", "threads"): st.integers(1, 2),
+        ("ensemble", "dist"): dists,
+        ("ensemble", "symmetric"): st.sampled_from(["true", "false"]),
+        ("ensemble", "profile"): st.sampled_from(["offdiagonal", "full"] + _FILES),
+        ("ensemble", "seed"): st.integers(-1, 2 ** 20),
+        ("ensemble", "init"): dists,
+        ("ensemble_b", "dist"): dists,
+        ("system", "template"): st.sampled_from(["plain", "langevin"]),
+        ("system", "beta"): st.one_of(_floats(0.01, 100), st.just("inf")),
+        ("system", "confinement"): _floats(0, 10),
+        ("system", "thresholds"): _floats(-2, 2),
+        ("integrator", "dt"): st.just(dt),
+        ("integrator", "horizon"): st.just(steps * dt),
+        ("integrator", "snapshots"): _listed(on_grid, min_size=0),
+        ("experiment", "sizes"): _listed(st.integers(1, 6)),
+        ("experiment", "replicas"): st.integers(1, 4),
+        ("experiment", "s_values"): _listed(_floats(0.1, 10)),
+        ("experiment", "lambdas"): _listed(_floats(0.1, 5)),
+        ("experiment", "confinement_mode"): st.sampled_from(["auto", "fixed"]),
+        ("experiment", "tail_thresholds"): _listed(_floats(0, 1)),
+        ("experiment", "grid_points"): st.integers(2, 8),
+        ("experiment", "truncation"): st.integers(0, 3),
+        ("experiment", "time"): st.integers(0, 50).map(lambda k: k * dt),
+        ("experiment", "mc_paths"): st.integers(2, 64),
+        ("experiment", "rayleigh_horizon"): _floats(0, 30),
+        ("experiment", "rayleigh_points"): st.integers(2, 8),
+        ("experiment", "rayleigh_replicas"): st.integers(1, 4),
+        ("observable", "kind"): st.sampled_from(
+            ["", "quadratic", "tensor", "autocorr", "hamiltonian", "gradsq", "overlap"]),
+        ("observable", "times"): _listed(on_grid),
+        ("observable", "a"): st.sampled_from(["1.0", "-0.5"] + _FILES),
+        ("observable", "blocks"): _listed(st.sampled_from(["one", "x", "g", "m"]), max_size=4),
+    }
+
+
+@st.composite
+def config_texts(draw, kind):
+    dt = draw(st.sampled_from(_DTS))
+    domains = _domains(kind, dt, draw(st.integers(0, 50)))
+    wild_keys = draw(st.sets(st.sampled_from(sorted(domains)), max_size=2))
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (codec, _) in keys.items():
+            if key == "out" or not ((section, key) in _ALWAYS or draw(st.booleans())):
+                continue
+            wild = (section, key) in wild_keys
+            # wild steps and times stay within 50 steps but may leave the grid
+            if wild and key == "dt":
+                value = draw(st.one_of(_WILD_NUMBERS, st.just("1e300")))
+            elif wild and key in ("horizon", "snapshots", "times", "time"):
+                value = draw(st.one_of(_WILD_NUMBERS, _listed(_floats(-dt, 50 * dt))))
+            else:
+                value = draw(_WILD[codec] if wild else _text(domains[(section, key)]))
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@given(st.sampled_from(EXPERIMENT_KINDS).flatmap(lambda k: st.tuples(st.just(k), config_texts(k))))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_configs_exit_0_1_or_2_with_a_record(case):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main([kind, "--config", str(cfg), "--out", str(out)])
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if status:
+            record = f"status = {status}\nerror = "
+            assert err.getvalue().startswith(record)
+            assert (out / "error.txt").read_text().startswith(record)
+        else:
+            assert (out / "summary.txt").exists()

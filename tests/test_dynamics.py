@@ -14,8 +14,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rmsde.dynamics import (IntegratorConfig, ParameterError, SystemParams,
-                            SimulationBlowupError, SystemTemplate, Trajectory, diffusion_row,
-                            drift, exact_mean_linear, langevin_params,
+                            SimulationBlowupError, SystemTemplate,
+                            drift, euler_maruyama, exact_mean_linear, langevin_params,
                             simulate, simulate_paths)
 from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_NOISE, RngStream
@@ -61,14 +61,6 @@ def test_params_reject_non_finite():
         plain_params(2, h=np.array([1.0, np.inf]))
 
 
-def test_declared_constants_must_cover_derived():
-    lam = np.array([[0.0, 2.0], [0.0, 0.0]])
-    p = SystemParams(np.zeros((2, 2)), lam, np.zeros(2), np.zeros((3, 2)), c_lam=5.0)
-    assert p.c_lam == 5.0
-    with pytest.raises(ParameterError, match="c_lam"):
-        SystemParams(np.zeros((2, 2)), lam, np.zeros(2), np.zeros((3, 2)), c_lam=1.0)
-
-
 def test_support_counts():
     lam = np.zeros((3, 3))
     lam[0, 1] = 1.0
@@ -111,15 +103,18 @@ def test_with_coupling_checks_only_the_new_coupling():
         base.with_coupling(np.where(np.eye(4) > 0, np.nan, j))
 
 
-def test_diffusion_row_formula():
-    sigma = np.array([[0.5, 0.0], [0.2, 0.0], [0.0, 0.1]])
-    p = SystemParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), sigma)
-    x = np.array([2.0, 3.0])
-    want = math.sqrt(2.0) * np.array([0.5 + 0.2 * 2.0, 0.1 * 3.0])
-    assert np.allclose(diffusion_row(p, x), want, atol=1e-15)
-
-
 # ------------------------------------------------------------- integrator
+
+def test_euler_step_diffusion_formula():
+    # one step from x: dM_j = sqrt(2 dt) * (sigma_0j + sum_i sigma_ij x_i) * xi_j
+    sigma = np.array([[0.5, 0.0], [0.2, 0.0], [0.0, 0.1]])
+    xi = np.array([[[0.7, -1.3]]])
+    cfg = IntegratorConfig(0.01, 0.01, (0.01,))
+    _, ms = euler_maruyama(np.zeros((2, 2)), np.zeros(2), sigma, np.array([[2.0, 3.0]]), cfg,
+                           (xi,))
+    want = math.sqrt(2.0 * 0.01) * np.array([0.5 + 0.2 * 2.0, 0.1 * 3.0]) * xi[0, 0]
+    assert np.allclose(ms[0, 0], want, atol=1e-15)
+
 
 def test_snapshot_rounding_and_dedup():
     cfg = IntegratorConfig(0.1, 1.0, (0.0, 0.31, 0.29, 1.0))
@@ -197,9 +192,12 @@ def test_trajectory_time_lookup():
     p = plain_params(1)
     cfg = IntegratorConfig(0.1, 1.0, (0.0, 0.5, 1.0))
     traj = simulate(p, np.ones(1), cfg, noise_stream())
-    assert traj.at(0.5) == 1
-    with pytest.raises(KeyError):
-        traj.at(0.25)
+    assert traj.config.row(0.5) == 1
+    assert cfg.row(0.5 + 1e-10) == 1
+    with pytest.raises(ParameterError, match="not on the step grid"):
+        cfg.row(0.25)
+    with pytest.raises(ParameterError, match="not on the step grid"):
+        IntegratorConfig(0.1, 1.0).row(0.0)
 
 
 def test_blowup_raises_with_step_index():
@@ -250,7 +248,7 @@ def test_deterministic_weak_error_is_first_order():
         p = plain_params(1, lam=np.array([[-1.0]]))
         traj = simulate(p, np.ones(1), IntegratorConfig(dt, 1.0, (1.0,)),
                         noise_stream())
-        errs.append(abs(traj.x[traj.at(1.0), 0] - math.exp(-1.0)))
+        errs.append(abs(traj.x[traj.config.row(1.0), 0] - math.exp(-1.0)))
     assert 1.8 <= errs[0] / errs[1] <= 2.2
     assert 1.8 <= errs[1] / errs[2] <= 2.2
 

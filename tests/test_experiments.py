@@ -383,8 +383,8 @@ def test_rayleigh_run_converges_upward():
         assert row.monotone
         assert row.final_quotient <= row.top_eigenvalue + 1e-12
         assert row.deficit < 0.2  # 30 time units get close to the top
-    finals_a = [r.final_quotient for r in report.arm_rows("a")]
-    finals_b = [r.final_quotient for r in report.arm_rows("b")]
+    finals_a = [r.final_quotient for r in report.rows if r.arm == "a"]
+    finals_b = [r.final_quotient for r in report.rows if r.arm == "b"]
     assert report.mean_gap == pytest.approx(
         abs(float(np.mean(finals_a)) - float(np.mean(finals_b))))
 

@@ -270,7 +270,7 @@ def test_taylor_annealed_coupling_variance():
         p = params_with(n, coupling=a / math.sqrt(n), sigma=sigma)
         x0 = sample_initial(law, RngStream(9, r, PURPOSE_INITIAL))
         traj = simulate(p, x0, cfg, RngStream(9, r, PURPOSE_NOISE))
-        vals.append(traj.x[traj.at(t), 0] ** 2)
+        vals.append(traj.x[traj.config.row(t), 0] ** 2)
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
 

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rmsde.dynamics import IntegratorConfig, SystemParams, simulate
-from rmsde.observables import (BuildingBlock, LocalizationReport,
-                               ObservableError, QuadraticObservable,
+from rmsde.dynamics import IntegratorConfig, ParameterError, SystemParams, simulate
+from rmsde.observables import (BuildingBlock, ObservableError, QuadraticObservable,
                                TensorObservable, autocorrelation, block_values,
-                               eval_block, eval_quadratic, eval_tensor,
-                               grad_sq_density, gronwall_bound,
-                               hamiltonian_density, localization_report)
+                               eval_quadratic, eval_tensor, grad_sq_density,
+                               hamiltonian_density)
 from rmsde.rng import PURPOSE_NOISE, RngStream
 
 ONE, X, G, M = (BuildingBlock.ONE, BuildingBlock.X, BuildingBlock.G,
@@ -34,7 +32,7 @@ def make_traj(n=4, seed=0, sigma0=0.6, horizon=0.4, dt=0.05):
 
 def brute_block(traj, block, i, t):
     """Loop-level definition of a single block coordinate (1-based i)."""
-    row = traj.at(t)
+    row = traj.config.row(t)
     if block is ONE:
         return 1.0
     if block is X:
@@ -56,15 +54,6 @@ def test_block_values_against_loops():
             for i in range(1, n + 1):
                 assert vals[i - 1] == pytest.approx(brute_block(traj, block, i, t),
                                                     rel=1e-13, abs=1e-13)
-
-
-def test_eval_block_is_one_based():
-    traj = make_traj()
-    assert eval_block(traj, X, 1, 0.0) == traj.x[0, 0]
-    with pytest.raises(ObservableError):
-        eval_block(traj, X, 0, 0.0)
-    with pytest.raises(ObservableError):
-        eval_block(traj, X, 5, 0.0)
 
 
 def test_field_block_hand_case():
@@ -93,7 +82,7 @@ def test_block_from_name():
 
 def test_off_grid_time_rejected():
     traj = make_traj()
-    with pytest.raises(KeyError):
+    with pytest.raises(ParameterError, match="not on the step grid"):
         block_values(traj, X, 0.123)
 
 
@@ -241,7 +230,7 @@ def test_tensor_arity4_needs_callback():
     obs = TensorObservable(blocks=((X,),) * 4, times=(0.0,),
                            a=lambda idx: 1.0,
                            support=((1, 1, 1, 1), (2, 2, 2, 2)))
-    x = traj.x[traj.at(0.0)]
+    x = traj.x[traj.config.row(0.0)]
     want = (x[0] ** 4 + x[1] ** 4) / 2 ** 4
     assert eval_tensor(traj, obs) == pytest.approx(want, rel=1e-13)
 
@@ -297,49 +286,3 @@ def test_tensor_matches_loops_property(seed, arity):
     assert eval_tensor(traj, obs) == pytest.approx(brute_tensor_dense(traj, obs),
                                                    rel=1e-11, abs=1e-13)
 
-
-# ----------------------------------------------------- growth diagnostics
-
-def test_localization_report_zero_system():
-    params = SystemParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2),
-                          np.zeros((3, 2)))
-    cfg = IntegratorConfig(0.1, 0.2, (0.0, 0.2))
-    traj = simulate(params, np.array([3.0, 4.0]), cfg, RngStream(0))
-    rep = localization_report(traj)
-    assert rep.norm0_sq == 25.0
-    assert rep.coupling_sq == 0.0
-    assert rep.martingale_sup_sq == 0.0
-    assert rep.r_effective == pytest.approx(12.5)
-    assert rep.mix_norm == pytest.approx(25.0)
-
-
-def test_localization_report_consistency():
-    traj = make_traj(n=4, seed=20)
-    rep = localization_report(traj)
-    n = 4
-    assert rep.r_effective == pytest.approx(
-        (rep.norm0_sq + rep.coupling_sq + rep.martingale_sup_sq) / n, rel=1e-12)
-    frob = float((traj.params.coupling ** 2).sum())
-    assert rep.mix_norm == pytest.approx(
-        rep.norm0_sq + n * frob + rep.martingale_sup_sq, rel=1e-12)
-    assert rep.martingale_sup_sq >= float((traj.m[-1] ** 2).sum()) - 1e-12
-
-
-def test_localization_report_rejects_negative_fields():
-    with pytest.raises(ObservableError):
-        LocalizationReport(-1.0, 0.0, 0.0, 0.0, 0.0)
-
-
-@given(seed=st.integers(0, 2**32))
-@settings(max_examples=15, deadline=None)
-def test_gronwall_bound_holds(seed):
-    traj = make_traj(n=4, seed=seed % 10_000, sigma0=0.5, horizon=0.5)
-    observed, bound = gronwall_bound(traj)
-    assert observed <= bound
-
-
-def test_gronwall_observed_value():
-    traj = make_traj(n=3, seed=21)
-    observed, _ = gronwall_bound(traj)
-    want = math.sqrt(max(float((row @ row)) for row in traj.x) / 3)
-    assert observed == pytest.approx(want, rel=1e-13)

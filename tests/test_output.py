@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from rmsde.output import (atomic_write_text, format_value, render_csv,
-                          write_csv, write_summary)
+from rmsde.output import atomic_write_text, format_value, render_csv, write_summary
 
 
 def test_format_value_floats_round_trip():
@@ -44,13 +43,6 @@ def test_render_csv_quotes_commas():
     rows = list(csv.reader(io.StringIO(body)))
     assert rows == [["name"], ["autocorr[0.5,1]"]]
     assert '"autocorr[0.5,1]"' in text
-
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "rows.csv"
-    write_csv(str(path), "f" * 64, ("a", "b"), [(1, 2.5), (3, False)])
-    assert path.read_text() == render_csv("f" * 64, ("a", "b"),
-                                          [(1, 2.5), (3, False)])
 
 
 def test_atomic_write_creates_directories(tmp_path):
