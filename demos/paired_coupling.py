@@ -8,9 +8,7 @@ bit for bit; with different laws the pairing strips away most of the
 replica-to-replica variance and leaves the law dependence.
 """
 
-import math
-
-from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
+from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_couplings
 from rmsde.experiments import ExperimentConfig, run_universality
 from rmsde.rng import PURPOSE_COUPLING, RngStream
 
@@ -19,10 +17,10 @@ def main() -> None:
     profile = VarianceProfile.offdiagonal(6)
     print("one replica, same stream, two entry laws")
     for dist in (EntryDistribution.GAUSSIAN, EntryDistribution.RADEMACHER):
-        a = sample_coupling(dist, profile, True,
-                            RngStream(7, 0, PURPOSE_COUPLING).generator())
+        j = sample_couplings(dist, profile, True,
+                             [RngStream(7, 0, PURPOSE_COUPLING).generator()])[0]
         print(f"  {dist.value:<12} first row of J: "
-              + " ".join(f"{v: .3f}" for v in a[0] / math.sqrt(profile.n)))
+              + " ".join(f"{v: .3f}" for v in j[0]))
 
     cfg = ExperimentConfig(sizes=(16, 32), replicas=300, dt=0.05,
                            horizon=0.5, seed=7)

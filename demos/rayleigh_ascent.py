@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
+from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_couplings
 from rmsde.experiments import (ExperimentConfig, SystemTemplate,
                                rayleigh_quotient_curve, run_rayleigh)
 from rmsde.rng import PURPOSE_COUPLING, RngStream
@@ -21,10 +21,10 @@ from rmsde.rng import PURPOSE_COUPLING, RngStream
 
 def main() -> None:
     n = 64
-    a = sample_coupling(EntryDistribution.GAUSSIAN,
-                        VarianceProfile.offdiagonal(n), True,
-                        RngStream(2, 0, PURPOSE_COUPLING).generator())
-    w, v = np.linalg.eigh(2.0 * (a / math.sqrt(n)))
+    j = sample_couplings(EntryDistribution.GAUSSIAN,
+                         VarianceProfile.offdiagonal(n), True,
+                         [RngStream(2, 0, PURPOSE_COUPLING).generator()])[0]
+    w, v = np.linalg.eigh(2.0 * j)
     x0 = np.random.default_rng(2).standard_normal(n)
     c2 = (v.T @ x0) ** 2
 

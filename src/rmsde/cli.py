@@ -21,7 +21,7 @@ from .config import (EXPERIMENT_KINDS, ConfigError, RunConfig, config_hash,
                      serialize, system_template)
 from .dynamics import ParameterError, SimulationBlowupError, simulate
 from .ensembles import (EnsembleError, EntryDistribution, InitialLaw,
-                        entry_moment, sample_coupling, sample_entries,
+                        entry_moment, sample_couplings, sample_entries,
                         sample_initial)
 from .experiments import (ExperimentError, run_aging, run_concentration,
                           run_hopfield, run_rayleigh, run_taylor_vs_mc,
@@ -152,9 +152,9 @@ def _run_simulate(rc: RunConfig):
     if not snapshots:
         snapshots = tuple(np.linspace(0.0, cfg.horizon, 11))
     icfg = integrator_config(rc, snapshots)
-    a = sample_coupling(cfg.dist_a, cfg.make_profile(n), cfg.symmetric,
-                        RngStream(cfg.jseed, 0, PURPOSE_COUPLING).generator())
-    params = system_template(rc).build(a / math.sqrt(n))
+    j = sample_couplings(cfg.dist_a, cfg.make_profile(n), cfg.symmetric,
+                         [RngStream(cfg.jseed, 0, PURPOSE_COUPLING).generator()])[0]
+    params = system_template(rc).build(j)
     x0 = sample_initial(InitialLaw.uniform(cfg.init_dist, n),
                         RngStream(cfg.seed, 0, PURPOSE_INITIAL))
     traj = simulate(params, x0, icfg, RngStream(cfg.seed, 0, PURPOSE_NOISE))

@@ -350,9 +350,11 @@ def _validate(rc: RunConfig) -> None:
                  "observable.times must be set when observable.kind is")
     a = g("observable", "a")
     try:
-        float(a)
+        weight = float(a)
     except ValueError:
         _require(os.path.exists(a), f"observable.a: not a number and no file named {a!r}")
+    else:
+        _require(math.isfinite(weight), f"observable.a must be finite, got {a!r}")
 
 
 def serialize(rc: RunConfig) -> str:
@@ -427,9 +429,11 @@ def _weight_file(spec: str):
     except ValueError:
         pass
     try:
-        return np.loadtxt(spec, delimiter=",", ndmin=1)
+        weights = np.loadtxt(spec, delimiter=",", ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"observable.a: cannot load {spec!r}: {exc}") from None
+    _require(np.all(np.isfinite(weights)), f"observable.a: {spec!r} holds non-finite weights")
+    return weights
 
 
 def observable_suite(rc: RunConfig) -> tuple:

@@ -389,7 +389,7 @@ class SystemTemplate:
         return 2.0 * j if self.langevin else j
 
     def build(self, coupling) -> SystemParams:
-        """Parameters for a scaled coupling ``J = A / sqrt(N)``."""
+        """Parameters for a scaled coupling ``J = A / sqrt(N)`` from ``sample_couplings``."""
         if not self.beta > 0:
             raise ParameterError("beta must be positive (use math.inf for zero noise)")
         j = np.asarray(coupling, dtype=np.float64)

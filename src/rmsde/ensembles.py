@@ -15,8 +15,9 @@ kind                        moments of order ell
 ``EXPONENTIAL_CENTERED``    derangement number D_ell
 ==========================  ============================================
 
-The exact moment table is what the expansion engine consumes; sampling
-is only ever used for Monte Carlo cross-checks.
+The exact moment table is what the expansion engine consumes; every
+simulation draws its couplings, scaled to ``J = A / sqrt(N)``, through
+:func:`sample_couplings`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "entry_moment",
     "moment_growth_constant",
     "VarianceProfile",
-    "sample_coupling",
+    "sample_couplings",
     "InitialLaw",
     "sample_initial",
     "EnsembleError",
@@ -137,18 +138,15 @@ def sample_entries(dist: EntryDistribution, size, rng: np.random.Generator) -> n
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Entrywise variances ``m_ij = E[A_ij**2]`` with a uniform bound.
+    """Entrywise variances ``m_ij = E[A_ij**2]``.
 
     Parameters
     ----------
     m : ndarray, shape (N, N)
         Non-negative variance matrix.
-    bound : float, optional
-        Declared uniform bound on the entries.  Defaults to ``max(m)``.
     """
 
     m: np.ndarray
-    bound: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         m = np.asarray(self.m, dtype=np.float64)
@@ -156,15 +154,9 @@ class VarianceProfile:
             raise EnsembleError(f"variance profile must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise EnsembleError("variance profile entries must be finite and non-negative")
-        bound = self.bound
-        if bound is None:
-            bound = float(m.max()) if m.size else 0.0
-        if float(m.max(initial=0.0)) > bound + 1e-15:
-            raise EnsembleError("declared bound is smaller than the largest profile entry")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "bound", float(bound))
 
     @property
     def n(self) -> int:
@@ -175,37 +167,49 @@ class VarianceProfile:
         return bool(np.array_equal(self.m, self.m.T))
 
     @classmethod
-    def offdiagonal(cls, n: int, value: float = 1.0) -> "VarianceProfile":
+    def offdiagonal(cls, n: int) -> "VarianceProfile":
         """Unit variances off the diagonal, zero on it (the default)."""
-        m = np.full((n, n), value)
+        m = np.ones((n, n))
         np.fill_diagonal(m, 0.0)
         return cls(m)
 
     @classmethod
-    def full(cls, n: int, value: float = 1.0) -> "VarianceProfile":
-        return cls(np.full((n, n), value))
+    def full(cls, n: int) -> "VarianceProfile":
+        return cls(np.ones((n, n)))
 
 
-def sample_coupling(dist: EntryDistribution,
-                    profile: VarianceProfile,
-                    symmetric: bool,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Unscaled entries ``A`` of one coupling, drawn from ``rng``.
+def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetric: bool,
+                     gens: list) -> np.ndarray:
+    """Scaled couplings ``J = A / sqrt(N)``, one per generator, shape (C, N, N).
 
-    For a symmetric ensemble only the upper triangle (diagonal
-    included) is drawn and mirrored, so the profile must be symmetric.
-    Entries with ``m_ij = 0`` come out exactly zero.
+    Each generator, in list order, draws one ``A``: the upper triangle
+    row-major, diagonal included, mirrored for a symmetric ensemble (which
+    needs a symmetric profile), else the full matrix row-major.  Entries
+    with ``m_ij = 0`` come out zero (``+0.0`` in a symmetric ensemble).
     """
     n = profile.n
-    scale = np.sqrt(profile.m)
+    root = math.sqrt(n)
     if symmetric:
         if not profile.is_symmetric:
             raise EnsembleError("symmetric ensemble requires a symmetric variance profile")
-        iu = np.triu_indices(n)
-        a = np.zeros((n, n))
-        a[iu] = scale[iu] * sample_entries(dist, len(iu[0]), rng)
-        return a + np.triu(a, 1).T
-    return scale * sample_entries(dist, (n, n), rng)
+        iu, ju = np.triu_indices(n)
+        upper, lower = iu * n + ju, ju * n + iu
+        scale = np.sqrt(profile.m[iu, ju])
+    else:
+        scale = np.sqrt(profile.m).ravel()
+    # allocated after the index arrays: their space, freed on return, then takes a
+    # one-matrix caller's eigh temporaries, so glibc does not trim the heap per draw
+    out = np.empty((len(gens), n * n))
+    for row, gen in zip(out, gens):
+        if symmetric:
+            # + 0.0 turns the -0.0 of a zero variance times a negative draw into +0.0
+            vals = scale * sample_entries(dist, len(scale), gen) + 0.0
+            row[upper] = vals
+            row[lower] = vals
+        else:
+            np.multiply(scale, sample_entries(dist, n * n, gen), out=row)
+        row /= root
+    return out.reshape(len(gens), n, n)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import (IntegratorConfig, SystemParams, SystemTemplate, Trajectory,
                        euler_maruyama)
 from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
-                        sample_coupling, sample_entries, sample_initial)
+                        sample_couplings, sample_entries, sample_initial)
 from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
 from .algebra import MomentOracle, Polynomial
 from .observables import autocorrelation, grad_sq_density, hamiltonian_density
@@ -235,15 +235,6 @@ def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
     return icfg
 
 
-def _drift_couplings(cfg: ExperimentConfig, dist: EntryDistribution,
-                     profile: VarianceProfile, gens: list) -> np.ndarray:
-    """(C, N, N) stack of ``coupling_drift(A / sqrt(N))``, one ``A`` per generator."""
-    a = np.empty((len(gens), profile.n, profile.n))
-    for k, gen in enumerate(gens):
-        a[k] = sample_coupling(dist, profile, cfg.symmetric, gen)
-    return cfg.template.coupling_drift(a / math.sqrt(profile.n))
-
-
 def _paired_chunk(cfg: ExperimentConfig, base: SystemParams, profile: VarianceProfile,
                   law: InitialLaw, icfg: IntegratorConfig, chunk: range,
                   arms: tuple = ("a", "b")) -> list:
@@ -266,7 +257,8 @@ def _paired_chunk(cfg: ExperimentConfig, base: SystemParams, profile: VariancePr
     out = []
     for arm in arms:
         gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in chunk]
-        j = _drift_couplings(cfg, dists[arm], profile, gens)
+        j = cfg.template.coupling_drift(
+            sample_couplings(dists[arm], profile, cfg.symmetric, gens))
         # keep the transposed view: its (N^2, 1, N) strides are pinned by the golden bytes
         dmats = (j + base.lam).transpose(0, 2, 1)
         xs, ms = euler_maruyama(dmats, base.h, base.sigma, x0s, icfg, (xi,))
@@ -505,18 +497,17 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
     ``scale * J`` and the squared eigenbasis coefficients
     ``c2 = (v^T x0)^2`` of the replica's start.
 
-    A generator over both arms, so each replica's entries ``A`` stay
-    referenced until the next draw replaces them, across the arm switch
-    too; freeing them before a draw made glibc trim and re-fault the
+    A generator over both arms, so each replica's coupling ``J`` stays
+    referenced until the next draw replaces it, across the arm switch
+    too; freeing it before a draw made glibc trim and re-fault the
     heap.  The eigenvectors are freed before the yield, so peak memory
     stays at one replica in flight.
     """
-    n = profile.n
     for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b)):
         for r in range(replicas):
-            a = sample_coupling(dist, profile, cfg.symmetric,
-                                RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator())
-            w, v = np.linalg.eigh(scale * (a / math.sqrt(n)))
+            j = sample_couplings(dist, profile, cfg.symmetric,
+                                 [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()])[0]
+            w, v = np.linalg.eigh(scale * j)
             x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
             c2 = (v.T @ x0) ** 2
             del v
@@ -641,7 +632,8 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list,
         gen_j = RngStream(cfg.jseed, cid, PURPOSE_COUPLING).generator()
         gen_x0 = RngStream(cfg.seed, cid, PURPOSE_INITIAL).generator()
         gen_b = RngStream(cfg.seed, cid, PURPOSE_NOISE).generator()
-        j = _drift_couplings(cfg, cfg.dist_a, profile, [gen_j] * c)
+        j = cfg.template.coupling_drift(
+            sample_couplings(cfg.dist_a, profile, cfg.symmetric, [gen_j] * c))
         # keep the C-contiguous copy: this layout is pinned by the golden bytes
         dmats = (j + params.lam).transpose(0, 2, 1).copy()
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)

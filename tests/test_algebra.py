@@ -12,7 +12,7 @@ from rmsde.algebra import (AlgebraError, Monomial, MomentOracle,
                            difference_vanishes, expected_value,
                            multiplicity_profile)
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
-                             sample_coupling, sample_initial)
+                             sample_couplings, sample_initial)
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
@@ -269,11 +269,11 @@ def test_expected_value_against_monte_carlo(dist, pairs, x_idx):
     oracle = MomentOracle.from_ensemble(dist, profile, law)
     mono = Monomial(j_pairs=pairs, x_idx=x_idx)
     vals = []
-    for r in range(40_000):
-        a = sample_coupling(dist, profile, False,
-                            RngStream(3, r, PURPOSE_COUPLING).generator())
+    js = sample_couplings(dist, profile, False,
+                          [RngStream(3, r, PURPOSE_COUPLING).generator() for r in range(40_000)])
+    for r, j in enumerate(js):
         x0 = sample_initial(law, RngStream(3, r, PURPOSE_INITIAL))
-        vals.append(mono.evaluate(a / math.sqrt(n), x0))
+        vals.append(mono.evaluate(j, x0))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - expected_value(mono, oracle)) <= 5 * se + 1e-12

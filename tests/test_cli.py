@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rmsde import dynamics, experiments
 from rmsde.cli import main, run
+from rmsde.dynamics import euler_maruyama
 from rmsde.config import _SCHEMA, EXPERIMENT_KINDS, config_hash, parse_config
 
 FAST = {
@@ -332,13 +334,36 @@ PRECONDITIONS = {
          + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\n"
          + f"a = {Path(__file__).with_name('profile_3x3.csv')}\n",
          "kind=quadratic needs one row or column of weights"),
+    # a non-finite weight fails at resolution, not at the first suite evaluation
+    "universality-quadratic-nan-weight":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
+         + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\na = nan\n",
+         "observable.a must be finite"),
+    "universality-tensor-inf-weight":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
+         + "[observable]\nkind = tensor\ntimes = 0.04\nblocks = x\na = -inf\n",
+         "observable.a must be finite"),
+    "universality-quadratic-nonfinite-weight-file":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
+         + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\n"
+         + f"a = {Path(__file__).with_name('weights_4_nonfinite.csv')}\n",
+         "holds non-finite weights"),
 }
 
 
 @pytest.mark.parametrize("kind,text,message", PRECONDITIONS.values(), ids=PRECONDITIONS)
-def test_config_preconditions_are_status_2(tmp_path, capsys, kind, text, message):
+def test_config_preconditions_are_status_2(tmp_path, capsys, monkeypatch, kind, text, message):
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return euler_maruyama(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "euler_maruyama", counted)
+    monkeypatch.setattr(dynamics, "euler_maruyama", counted)
     status, out = invoke(tmp_path, kind, text)
     assert status == 2
+    assert steps == []  # rejected before any integration
     err = capsys.readouterr().err
     assert "status = 2" in err
     assert message in err

@@ -17,7 +17,7 @@ from rmsde.dynamics import (IntegratorConfig, ParameterError, SystemParams,
                             SimulationBlowupError, SystemTemplate,
                             drift, euler_maruyama, exact_mean_linear, langevin_params,
                             simulate, simulate_paths)
-from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
+from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_couplings
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_NOISE, RngStream
 
 
@@ -37,12 +37,12 @@ def plain_params(n, coupling=None, lam=None, h=None, sigma0=0.0):
 
 def random_params(n, seed, sigma0=0.5):
     p = VarianceProfile.offdiagonal(n)
-    a = sample_coupling(EntryDistribution.GAUSSIAN, p, False,
-                        RngStream(seed, 0, PURPOSE_COUPLING).generator())
+    j = sample_couplings(EntryDistribution.GAUSSIAN, p, False,
+                         [RngStream(seed, 0, PURPOSE_COUPLING).generator()])[0]
     rng = np.random.default_rng(seed + 1)
     lam = np.diag(-1.0 - rng.uniform(size=n))
     h = rng.uniform(-1, 1, size=n)
-    return plain_params(n, coupling=a / math.sqrt(n), lam=lam, h=h, sigma0=sigma0)
+    return plain_params(n, coupling=j, lam=lam, h=h, sigma0=sigma0)
 
 
 # ------------------------------------------------------------- parameters
@@ -336,9 +336,8 @@ def test_langevin_zero_temperature():
 
 
 def test_langevin_accepts_coupling_matrix():
-    a = sample_coupling(EntryDistribution.GAUSSIAN, VarianceProfile.offdiagonal(4),
-                        True, RngStream(0, 0, PURPOSE_COUPLING).generator())
-    j = a / math.sqrt(4)
+    j = sample_couplings(EntryDistribution.GAUSSIAN, VarianceProfile.offdiagonal(4),
+                         True, [RngStream(0, 0, PURPOSE_COUPLING).generator()])[0]
     p = langevin_params(j, beta=math.inf, confinement=2.0)
     assert np.array_equal(p.coupling, 2.0 * j)
 

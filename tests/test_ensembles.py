@@ -2,7 +2,8 @@
 
 The exact moment formulas are checked three ways: against a frozen hand
 table, against symbolic integration, and against large-sample Monte
-Carlo.
+Carlo.  The coupling sampler is checked byte for byte against the
+one-matrix-at-a-time algorithm it replaced, which pins the draw order.
 """
 
 import math
@@ -13,9 +14,11 @@ import sympy as sp
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rmsde import experiments
+from rmsde.algebra import Polynomial
 from rmsde.ensembles import (EnsembleError, EntryDistribution, InitialLaw,
                              VarianceProfile, entry_moment, moment_growth_constant,
-                             sample_coupling, sample_entries, sample_initial)
+                             sample_couplings, sample_entries, sample_initial)
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 ALL_DISTS = list(EntryDistribution)
@@ -148,12 +151,12 @@ def test_offdiagonal_profile():
     assert np.all(np.diag(p.m) == 0.0)
     assert p.m[0, 1] == 1.0
     assert p.is_symmetric
-    assert p.bound == 1.0
 
 
-def test_full_profile_bound_defaults_to_max():
-    p = VarianceProfile.full(3, 2.5)
-    assert p.bound == 2.5
+def test_full_profile_is_all_ones():
+    p = VarianceProfile.full(3)
+    assert np.all(p.m == 1.0)
+    assert p.is_symmetric
 
 
 def test_profile_rejects_nonsquare():
@@ -166,11 +169,6 @@ def test_profile_rejects_negative_entries():
         VarianceProfile(np.array([[1.0, -0.5], [0.0, 1.0]]))
 
 
-def test_profile_rejects_undersized_bound():
-    with pytest.raises(EnsembleError, match="bound"):
-        VarianceProfile(np.full((2, 2), 4.0), bound=1.0)
-
-
 def test_profile_is_frozen():
     p = VarianceProfile.full(2)
     with pytest.raises(ValueError):
@@ -180,9 +178,78 @@ def test_profile_is_frozen():
 # ------------------------------------------------------- coupling matrices
 
 def draw(dist, profile, symmetric, seed=0, replica=0):
-    """Unscaled entries ``A`` of one coupling from its replica stream."""
-    return sample_coupling(dist, profile, symmetric,
-                           RngStream(seed, replica, PURPOSE_COUPLING).generator())
+    """Scaled coupling ``J = A / sqrt(N)`` of one replica from its stream."""
+    return sample_couplings(dist, profile, symmetric,
+                            [RngStream(seed, replica, PURPOSE_COUPLING).generator()])[0]
+
+
+def reference_coupling(dist, profile, symmetric, gen):
+    """One ``J``, drawn one matrix at a time: the algorithm the sampler replaced."""
+    n = profile.n
+    scale = np.sqrt(profile.m)
+    if symmetric:
+        iu = np.triu_indices(n)
+        a = np.zeros((n, n))
+        a[iu] = scale[iu] * sample_entries(dist, len(iu[0]), gen)
+        a = a + np.triu(a, 1).T
+    else:
+        a = scale * sample_entries(dist, (n, n), gen)
+    return a / math.sqrt(n)
+
+
+def banded(n):
+    """Symmetric tridiagonal profile: zero variances off the band."""
+    return VarianceProfile(np.eye(n) + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.value)
+def test_sampler_is_byte_identical_to_reference(dist, n):
+    # one stream per replica, and one stream shared by every path (the Monte Carlo form)
+    def per_replica():
+        return [RngStream(5, r, PURPOSE_COUPLING).generator() for r in range(3)]
+
+    def shared():
+        return [RngStream(5, 0, PURPOSE_COUPLING).generator()] * 3
+
+    for profile in (VarianceProfile.offdiagonal(n), VarianceProfile.full(n), banded(n)):
+        for symmetric in (True, False):
+            for gens in (per_replica, shared):
+                got = sample_couplings(dist, profile, symmetric, gens())
+                want = np.stack([reference_coupling(dist, profile, symmetric, g)
+                                 for g in gens()])
+                assert got.shape == (3, n, n)
+                assert got.tobytes() == want.tobytes()
+
+
+def counting_sampler(monkeypatch):
+    """Wrap the sampler the experiments call; each call's generators are recorded."""
+    calls = []
+
+    def counted(dist, profile, symmetric, gens):
+        calls.append(list(gens))
+        return sample_couplings(dist, profile, symmetric, gens)
+
+    monkeypatch.setattr(experiments, "sample_couplings", counted)
+    return calls
+
+
+def test_paired_chunk_samples_once_per_arm(monkeypatch):
+    calls = counting_sampler(monkeypatch)
+    # 130 replicas at n = 4 run as chunks of 64, 64 and 2
+    experiments.run_universality(experiments.ExperimentConfig(
+        sizes=(4,), replicas=130, dt=0.05, horizon=0.1))
+    assert [len(gens) for gens in calls] == [64, 64, 64, 64, 2, 2]
+
+
+def test_monte_carlo_samples_once_per_chunk(monkeypatch):
+    calls = counting_sampler(monkeypatch)
+    # 8200 paths at n = 2 run as chunks of 8192 and 8, each on one shared stream
+    cfg = experiments.ExperimentConfig(sizes=(2,), dt=0.05, mc_paths=8200)
+    experiments._mc_moments(cfg, 2, [([Polynomial.from_x(1)], (0.1,))],
+                            cfg.template.build(np.zeros((2, 2))))
+    assert [len(gens) for gens in calls] == [8192, 8]
+    assert all(len({id(g) for g in gens}) == 1 for gens in calls)
 
 
 def test_sampling_is_reproducible():
@@ -212,16 +279,16 @@ def test_zero_variance_entries_are_exactly_zero():
 
 
 def test_profile_scales_entries():
-    # rademacher entries through variance 4 must land exactly on +-2
+    # rademacher entries through variance 4 must land exactly on +-2 / sqrt(N)
     p = VarianceProfile(np.full((3, 3), 4.0))
-    a = draw(EntryDistribution.RADEMACHER, p, False)
-    assert set(np.unique(np.abs(a))) == {2.0}
+    j = draw(EntryDistribution.RADEMACHER, p, False)
+    assert set(np.unique(np.abs(j))) == {2.0 / math.sqrt(3)}
 
 
 def test_j_is_a_over_sqrt_n():
-    # the draw is unscaled, so J = A / sqrt(N) has entries of size 1/sqrt(N)
+    # the draw is scaled, so J = A / sqrt(N) has entries of size 1/sqrt(N)
     p = VarianceProfile.offdiagonal(5)
-    j = draw(EntryDistribution.RADEMACHER, p, False) / math.sqrt(5)
+    j = draw(EntryDistribution.RADEMACHER, p, False)
     assert set(np.unique(np.abs(j[p.m > 0]))) == {1.0 / math.sqrt(5)}
 
 
@@ -247,11 +314,9 @@ def test_sampled_matrix_respects_profile_support(n, dist, seed, symmetric):
 def test_offdiagonal_second_moment_statistics():
     # pooled second moment over entries and replicas ~ m_ij = 1
     p = VarianceProfile.offdiagonal(10)
-    sq = []
-    for r in range(200):
-        a = draw(EntryDistribution.UNIFORM_CENTERED, p, False, 3, r)
-        sq.append(a[p.m > 0] ** 2)
-    sq = np.concatenate(sq)
+    js = sample_couplings(EntryDistribution.UNIFORM_CENTERED, p, False,
+                          [RngStream(3, r, PURPOSE_COUPLING).generator() for r in range(200)])
+    sq = 10 * js[:, p.m > 0].ravel() ** 2  # A^2 = N J^2
     se = sq.std(ddof=1) / math.sqrt(len(sq))
     assert abs(sq.mean() - 1.0) <= 5 * se
 

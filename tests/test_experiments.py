@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rmsde.dynamics import ParameterError, SystemParams
-from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_coupling
+from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_couplings
 from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                SystemTemplate, autocorr_item, default_suite,
                                gradsq_item, hamiltonian_item, hopfield_suite,
@@ -32,9 +32,8 @@ def small_cfg(**kw):
 # ---------------------------------------------------------------- template
 
 def scaled_coupling(n):
-    a = sample_coupling(GAUSSIAN, VarianceProfile.offdiagonal(n), True,
-                        RngStream(0, 0, PURPOSE_COUPLING).generator())
-    return a / math.sqrt(n)
+    return sample_couplings(GAUSSIAN, VarianceProfile.offdiagonal(n), True,
+                            [RngStream(0, 0, PURPOSE_COUPLING).generator()])[0]
 
 
 def test_template_build_plain():

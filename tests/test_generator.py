@@ -18,7 +18,7 @@ from rmsde.algebra import (AlgebraError, Monomial, MomentOracle, Polynomial,
 from rmsde.dynamics import (IntegratorConfig, SystemParams, SystemTemplate,
                             exact_mean_linear, simulate)
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
-                             sample_coupling, sample_initial)
+                             sample_couplings, sample_initial)
 from rmsde.generator import (DEFAULT_TRUNCATION_CAP, Letter, TruncationError,
                              apply_generator, apply_letter, count_bound_check,
                              taylor_mean, taylor_mean_multitime,
@@ -264,10 +264,10 @@ def test_taylor_annealed_coupling_variance():
     t, dt = 0.2, 0.004
     vals = []
     cfg = IntegratorConfig(dt, t, (t,))
-    for r in range(1500):
-        a = sample_coupling(GAUSSIAN, profile, False,
-                            RngStream(9, r, PURPOSE_COUPLING).generator())
-        p = params_with(n, coupling=a / math.sqrt(n), sigma=sigma)
+    js = sample_couplings(GAUSSIAN, profile, False,
+                          [RngStream(9, r, PURPOSE_COUPLING).generator() for r in range(1500)])
+    for r, j in enumerate(js):
+        p = params_with(n, coupling=j, sigma=sigma)
         x0 = sample_initial(law, RngStream(9, r, PURPOSE_INITIAL))
         traj = simulate(p, x0, cfg, RngStream(9, r, PURPOSE_NOISE))
         vals.append(traj.x[traj.config.row(t), 0] ** 2)

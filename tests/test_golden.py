@@ -7,13 +7,17 @@ refactors of the integrator, the coupling sampler, the template builder
 or the per-replica eigendecomposition cannot silently change the
 numbers.  The cases cover both symmetric and non-symmetric ensembles,
 the gradient-flow template, thresholds, two threads, a simulate run
-long enough to span two noise blocks, and aging with a fixed
-confinement that drops replicas in both arms.  Float formatting and BLAS
+long enough to span two noise blocks, a banded profile file with zero
+variances off the diagonal, and aging with a fixed confinement that
+drops replicas in both arms.  Runs start in this directory, so a
+profile file is named relative to it and the pinned config hash does
+not depend on where the checkout lives.  Float formatting and BLAS
 rounding are part of what is pinned, so the hashes are specific to the
 numpy/BLAS build they were recorded with (numpy 2.4, OpenBLAS, x86-64).
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,21 @@ dt = 0.05
 horizon = 0.2
 """,
         "f5e88bf0d536b117d0e25f6492ef36c2c17e3bda5ab21523eb47bf11f8a29ad1"),
+    # symmetric tridiagonal variances: the sampler must give +0.0 off the band
+    "universality-banded": ("universality", "universality.csv", """
+[ensemble]
+profile = profile_4x4_band.csv
+dist = exponential
+[ensemble_b]
+dist = rademacher
+[experiment]
+sizes = 4
+replicas = 6
+[integrator]
+dt = 0.02
+horizon = 0.1
+""",
+        "b491403e763aa228d035d7a8cc013491844a683a3d49f3b47f9c07264cfb70e2"),
     "hopfield": ("hopfield", "hopfield.csv", """
 [system]
 beta = 4.0
@@ -162,7 +181,8 @@ def csv_digest(tmp_path, kind: str, csv_name: str, text: str) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_csv_matches_golden_hash(tmp_path, case):
+def test_csv_matches_golden_hash(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(Path(__file__).parent)
     kind, csv_name, text, expected = CASES[case]
     assert csv_digest(tmp_path, kind, csv_name, text) == expected
 
