@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import (EXPERIMENT_KINDS, ConfigError, RunConfig, config_hash,
                      experiment_config, integrator_config, parse_config,
-                     serialize, system_template)
+                     serialize)
 from .dynamics import ParameterError, SimulationBlowupError, simulate
 from .ensembles import (EnsembleError, EntryDistribution, InitialLaw,
                         entry_moment, sample_couplings, sample_entries,
@@ -154,7 +154,7 @@ def _run_simulate(rc: RunConfig):
     icfg = integrator_config(rc, snapshots)
     j = sample_couplings(cfg.dist_a, cfg.make_profile(n), cfg.symmetric,
                          [RngStream(cfg.jseed, 0, PURPOSE_COUPLING).generator()])[0]
-    params = system_template(rc).build(j)
+    params = cfg.template.build(j)
     x0 = sample_initial(InitialLaw.uniform(cfg.init_dist, n),
                         RngStream(cfg.seed, 0, PURPOSE_INITIAL))
     traj = simulate(params, x0, icfg, RngStream(cfg.seed, 0, PURPOSE_NOISE))
@@ -164,7 +164,7 @@ def _run_simulate(rc: RunConfig):
         for j in range(n):
             rows.append((float(t), j + 1, float(traj.x[row, j]), float(traj.m[row, j])))
     with np.errstate(over="ignore", invalid="ignore"):  # a finite state can still overflow these
-        residual = traj.decomposition_residual()
+        residual = traj.decomposition_residual(params)
         norm_sq = float(traj.x[-1] @ traj.x[-1]) / n
     if not (math.isfinite(residual) and math.isfinite(norm_sq)):
         raise ExperimentError("non-finite trajectory statistic: "

@@ -481,6 +481,8 @@ def observable_suite(rc: RunConfig) -> tuple:
         if not blocks or len(blocks) % len(times):
             raise ConfigError("kind=tensor needs blocks as m rows flattened over p times")
         m = len(blocks) // len(times)
+        if m > 3:
+            raise ConfigError(f"kind=tensor supports arity <= 3, got {m} block rows")
         rows = tuple(tuple(blocks[r * len(times):(r + 1) * len(times)]) for r in range(m))
 
         def make_tensor(traj):

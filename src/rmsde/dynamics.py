@@ -15,12 +15,12 @@ a single shared system and a per-path stack of drift matrices alike.
 The recorded snapshot grid is a subset of the step grid; requested times
 are rounded to step multiples at construction time and the rounding
 error is kept for inspection.  A :class:`SystemTemplate` turns a
-sampled coupling into a full parameter set.
+sampled coupling, or a stack of them, into the one parameter set every
+integration reads.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -39,7 +39,6 @@ __all__ = [
     "euler_maruyama",
     "drift",
     "exact_mean_linear",
-    "langevin_params",
     "SimulationBlowupError",
     "ParameterError",
 ]
@@ -60,7 +59,8 @@ class SimulationBlowupError(RuntimeError):
 
 
 def _frozen(arr, shape, name) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
+    """Read-only float64 view of ``arr`` (no copy when it already is float64)."""
+    out = np.asarray(arr, dtype=np.float64).view()
     if out.shape != shape:
         raise ParameterError(f"{name} must have shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -75,8 +75,9 @@ class SystemParams:
 
     Parameters
     ----------
-    coupling : ndarray, shape (N, N)
-        Random-matrix part ``J`` of the drift (already scaled).
+    coupling : ndarray, shape (N, N) or (C, N, N)
+        Random-matrix part ``J`` of the drift (already scaled), or a
+        stack with one coupling per path; the other parts are shared.
     lam : ndarray, shape (N, N)
         Deterministic drift matrix, sparse by assumption.
     h : ndarray, shape (N,)
@@ -84,6 +85,8 @@ class SystemParams:
     sigma : ndarray, shape (N+1, N)
         Diffusion coefficients; row 0 is the constant part, row i >= 1
         multiplies ``X_i``.
+
+    The arrays are kept as read-only views of the arguments, not copies.
 
     Attributes
     ----------
@@ -101,13 +104,13 @@ class SystemParams:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        coupling = np.asarray(self.coupling, dtype=np.float64)
-        if coupling.ndim != 2 or coupling.shape[0] != coupling.shape[1]:
-            raise ParameterError("coupling must be a square matrix")
-        n = coupling.shape[0]
+        shape = np.shape(self.coupling)
+        if len(shape) not in (2, 3) or shape[-1] != shape[-2]:
+            raise ParameterError("coupling must be a square matrix or a stack of them")
+        n = shape[-1]
         if n == 0:
             raise ParameterError("system dimension must be positive")
-        object.__setattr__(self, "coupling", _frozen(coupling, (n, n), "coupling"))
+        object.__setattr__(self, "coupling", _frozen(self.coupling, shape, "coupling"))
         object.__setattr__(self, "lam", _frozen(self.lam, (n, n), "lam"))
         object.__setattr__(self, "h", _frozen(self.h, (n,), "h"))
         object.__setattr__(self, "sigma", _frozen(self.sigma, (n + 1, n), "sigma"))
@@ -121,17 +124,15 @@ class SystemParams:
 
     @property
     def n(self) -> int:
-        return self.coupling.shape[0]
+        return self.coupling.shape[-1]
 
     def drift_matrix(self) -> np.ndarray:
-        """Combined linear drift ``(J + Lam)^T`` acting on column states."""
-        return (self.coupling + self.lam).T
+        """Combined linear drift ``(J + Lam)^T`` acting on column states.
 
-    def with_coupling(self, coupling) -> "SystemParams":
-        """Copy with ``J`` replaced; only ``coupling`` is checked, the rest is shared."""
-        out = copy.copy(self)
-        object.__setattr__(out, "coupling", _frozen(coupling, (self.n, self.n), "coupling"))
-        return out
+        For a stack this is the transposed view of ``J + Lam``, with
+        strides (N^2, 1, N); the golden bytes pin that layout.
+        """
+        return np.swapaxes(self.coupling + self.lam, -1, -2)
 
 
 def drift(params: SystemParams, x: np.ndarray) -> np.ndarray:
@@ -194,17 +195,23 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states and martingale part on the snapshot grid."""
+    """Recorded states and martingale part of one path on the snapshot grid.
 
-    times: np.ndarray
+    ``coupling`` is the path's coupling as its system holds it, which
+    the field observables read.
+    """
+
+    coupling: np.ndarray  # (N, N)
     x: np.ndarray  # (len(times), N)
     m: np.ndarray  # (len(times), N)
-    x0: np.ndarray
-    params: SystemParams
     config: IntegratorConfig
 
-    def decomposition_residual(self) -> float:
-        """Largest relative defect of X_{t+dt} = X_t + dt*drift + dM.
+    @property
+    def times(self) -> np.ndarray:
+        return self.config.times
+
+    def decomposition_residual(self, params: SystemParams) -> float:
+        """Largest relative defect of X_{t+dt} = X_t + dt*drift + dM under ``params``.
 
         Only adjacent recorded steps (one dt apart) are checkable; if
         the grid has none, returns 0.
@@ -217,7 +224,7 @@ class Trajectory:
                 continue
             xa, xb = self.x[a], self.x[b]
             dm = self.m[b] - self.m[a]
-            lhs = xb - xa - cfg.dt * drift(self.params, xa) - dm
+            lhs = xb - xa - cfg.dt * drift(params, xa) - dm
             scale = max(float(np.abs(xb).max()), 1.0)
             worst = max(worst, float(np.abs(lhs).max()) / scale)
         return worst
@@ -230,9 +237,6 @@ class PathBatch:
     times: np.ndarray
     x: np.ndarray  # (paths, len(times), N)
     m: np.ndarray
-    x0: np.ndarray
-    params: SystemParams
-    config: IntegratorConfig
 
     def mean_x(self) -> np.ndarray:
         return self.x.mean(axis=0)
@@ -259,8 +263,7 @@ def simulate(params: SystemParams, x0, config: IntegratorConfig,
     as the state stops being finite.
     """
     batch = simulate_paths(params, x0, config, stream, n_paths=1)
-    return Trajectory(batch.times, batch.x[0], batch.m[0], batch.x0,
-                      params, config)
+    return Trajectory(params.coupling, batch.x[0], batch.m[0], config)
 
 
 def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
@@ -280,7 +283,7 @@ def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
              for lo in range(0, config.n_steps, _NOISE_BLOCK))
     xs, ms = euler_maruyama(params.drift_matrix(), params.h, params.sigma,
                             np.broadcast_to(x0, shape), config, noise)
-    return PathBatch(config.times, xs, ms, x0, params, config)
+    return PathBatch(config.times, xs, ms)
 
 
 def euler_maruyama(drift_mat: np.ndarray, h: np.ndarray, sigma: np.ndarray,
@@ -352,31 +355,17 @@ def exact_mean_linear(params: SystemParams, x0, t: float) -> np.ndarray:
     return phi[:n, :n] @ x0 + phi[:n, n]
 
 
-def langevin_params(coupling, beta: float, confinement: float) -> SystemParams:
-    """Gradient flow of ``H(x) = -x.J x`` with confinement and temperature.
-
-    Drift ``(2 J - K I) x`` for a symmetric coupling ``J`` and
-    confinement strength ``K``; additive noise of amplitude
-    ``sqrt(2/beta) dB`` enters through constant diffusion
-    ``sigma_0j = 1/sqrt(2 beta)``.  ``beta = inf`` gives the noiseless
-    flow.
-    """
-    j = np.asarray(coupling, dtype=np.float64)
-    if not (j.ndim == 2 and j.shape[0] == j.shape[1] and np.array_equal(j, j.T)):
-        raise ParameterError("langevin dynamics needs a symmetric coupling")
-    return SystemTemplate(confinement=confinement, beta=beta, langevin=True).build(j)
-
-
 @dataclass(frozen=True)
 class SystemTemplate:
     """How a sampled coupling becomes a full parameter set.
 
-    ``langevin=True`` uses the gradient-flow drift ``2J - K I`` of the
-    quadratic energy; otherwise the coupling enters unscaled,
-    ``J - K I``.  ``beta`` sets the additive noise ``sigma_0j =
-    1/sqrt(2 beta)`` (``inf`` for a noiseless flow) and ``thresholds``
-    the constant drift, either one value for all coordinates or a full
-    vector.
+    ``langevin=True`` uses the drift ``2J - K I``: for a symmetric ``J``
+    the gradient flow of ``H(x) = -x.J x + K |x|^2 / 2``, for an
+    asymmetric one the asymmetric Hopfield dynamics, which has no
+    energy; otherwise the coupling enters unscaled, ``J - K I``.
+    ``beta`` sets the additive noise ``sigma_0j = 1/sqrt(2 beta)``
+    (``inf`` for a noiseless flow) and ``thresholds`` the constant
+    drift, either one value for all coordinates or a full vector.
     """
 
     confinement: float = 1.0
@@ -384,20 +373,18 @@ class SystemTemplate:
     langevin: bool = False
     thresholds: object = 0.0
 
-    def coupling_drift(self, j: np.ndarray) -> np.ndarray:
-        """The coupling's part of the drift: ``2J`` for the gradient flow, else ``J``."""
-        return 2.0 * j if self.langevin else j
-
     def build(self, coupling) -> SystemParams:
-        """Parameters for a scaled coupling ``J = A / sqrt(N)`` from ``sample_couplings``."""
+        """Parameters for the scaled coupling ``J = A / sqrt(N)`` from
+        ``sample_couplings``: one (N, N) matrix, or a (C, N, N) stack
+        with one system per path."""
         if not self.beta > 0:
             raise ParameterError("beta must be positive (use math.inf for zero noise)")
         j = np.asarray(coupling, dtype=np.float64)
-        n = j.shape[0]
+        n = j.shape[-1]
         sigma = np.zeros((n + 1, n))
         if math.isfinite(self.beta):
             sigma[0] = 1.0 / math.sqrt(2.0 * self.beta)
         h = np.broadcast_to(np.asarray(self.thresholds, dtype=np.float64), (n,))
-        return SystemParams(coupling=self.coupling_drift(j),
+        return SystemParams(coupling=2.0 * j if self.langevin else j,
                             lam=-self.confinement * np.eye(n),
                             h=np.array(h), sigma=sigma)

@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (IntegratorConfig, SystemParams, SystemTemplate, Trajectory,
-                       euler_maruyama)
+from .dynamics import IntegratorConfig, SystemTemplate, Trajectory, euler_maruyama
 from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                         sample_couplings, sample_entries, sample_initial)
 from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
@@ -62,6 +61,12 @@ __all__ = [
 
 class ExperimentError(ValueError):
     """Invalid experiment configuration."""
+
+
+# Largest Gaussian noise of one replica's whole run, steps * N * 8 bytes.
+# The paired and Monte Carlo paths hold it for every replica of a chunk
+# at once, and a chunk has at least one replica.
+_NOISE_CAP = 2 ** 28
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +188,12 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     kind-specific preconditions (and the empty name) only need a fixed
     profile to be symmetric when the ensemble is.  The checks read only
     the configuration, so a run that cannot succeed fails before any work.
+
+    ``universality`` and ``hopfield`` accept an asymmetric ensemble under
+    the gradient-flow template: that is the asymmetric Hopfield model,
+    whose drift ``2J - K I`` is not a gradient.  The eigen-exact
+    ``aging`` and ``rayleigh`` flows need a symmetric ``J`` and no
+    thresholds.
     """
     every_size = kind in ("universality", "hopfield", "concentration", "aging")
     if every_size and cfg.replicas < 2:
@@ -193,8 +204,15 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
                 if item.weights.size != n ** item.arity:
                     raise ExperimentError(f"{item.name} has {item.weights.size} weights "
                                           f"but size {n} needs {n ** item.arity}")
-    if kind in ("aging", "rayleigh") and math.isfinite(cfg.template.beta):
-        raise ExperimentError(f"{kind} runs are defined for beta = inf (noise-free flow)")
+    if kind in ("aging", "rayleigh"):
+        if math.isfinite(cfg.template.beta):
+            raise ExperimentError(f"{kind} runs are defined for beta = inf (noise-free flow)")
+        if not cfg.symmetric:
+            raise ExperimentError(f"{kind} runs need a symmetric ensemble: "
+                                  "the eigendecomposition reads one triangle of J")
+        if np.any(cfg.template.thresholds):
+            raise ExperimentError(f"{kind} runs need thresholds = 0: "
+                                  "the eigen-exact flow has no constant drift")
     if kind == "concentration":
         n0 = cfg.sizes[0]
         if not cfg.template.build(np.zeros((n0, n0))).constant_diffusion:
@@ -207,6 +225,14 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
         if cfg.truncation > DEFAULT_TRUNCATION_CAP:
             raise ExperimentError(f"truncation order {cfg.truncation} exceeds the cap "
                                   f"{DEFAULT_TRUNCATION_CAP}")
+    if kind in ("simulate", "universality", "hopfield", "concentration", "taylor-check"):
+        n = max(cfg.sizes) if every_size else cfg.sizes[0]
+        span = cfg.time if kind == "taylor-check" else max(
+            [cfg.horizon] + [t for item in cfg.suite for t in item.times])
+        steps = span / cfg.dt if cfg.dt > 0 else math.inf
+        if steps * n * 8 > _NOISE_CAP:
+            raise ExperimentError(f"{steps:.6g} Euler steps at size {n} need more than "
+                                  f"{_NOISE_CAP >> 20} MB of noise per replica")
     if isinstance(cfg.profile, VarianceProfile):
         if cfg.symmetric and not cfg.profile.is_symmetric:
             raise ExperimentError("symmetric ensemble requires a symmetric variance profile")
@@ -235,43 +261,43 @@ def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
     return icfg
 
 
-def _paired_chunk(cfg: ExperimentConfig, base: SystemParams, profile: VarianceProfile,
-                  law: InitialLaw, icfg: IntegratorConfig, chunk: range,
-                  arms: tuple = ("a", "b")) -> list:
+def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
+                  icfg: IntegratorConfig, chunk: range, arms: tuple = ("a", "b")) -> list:
     """Per-replica suite values, one array of shape (C, len(suite)) per arm.
 
     Initial conditions and noise are drawn once per replica and shared
-    by every arm; only the coupling streams differ.  ``base`` is the
-    template at this size; each replica swaps in its own coupling.
+    by every arm; only the coupling streams differ.
     """
-    c = len(chunk)
-    steps = icfg.n_steps
+    n = profile.n
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
     x0s = np.stack([sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
                     for r in chunk])
-    xi = np.empty((steps, c, base.n))
+    xi = np.empty((icfg.n_steps, len(chunk), n))
     for k, r in enumerate(chunk):
         gen = RngStream(cfg.seed, r, PURPOSE_NOISE).generator()
-        xi[:, k, :] = gen.standard_normal((steps, base.n))
+        xi[:, k, :] = gen.standard_normal((icfg.n_steps, n))
+    return [_arm_values(cfg, dists[arm], profile, x0s, xi, icfg, chunk) for arm in arms]
 
-    out = []
-    for arm in arms:
-        gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in chunk]
-        j = cfg.template.coupling_drift(
-            sample_couplings(dists[arm], profile, cfg.symmetric, gens))
-        # keep the transposed view: its (N^2, 1, N) strides are pinned by the golden bytes
-        dmats = (j + base.lam).transpose(0, 2, 1)
-        xs, ms = euler_maruyama(dmats, base.h, base.sigma, x0s, icfg, (xi,))
-        vals = np.empty((c, len(cfg.suite)))
-        # an overflow leaves a non-finite value, which _finite_rows reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(c):
-                traj = Trajectory(icfg.times, xs[k], ms[k], x0s[k], base.with_coupling(j[k]),
-                                  icfg)
-                for q, item in enumerate(cfg.suite):
-                    vals[k, q] = item.fn(traj)
-        out.append(vals)
-    return out
+
+def _arm_values(cfg: ExperimentConfig, dist: EntryDistribution, profile: VarianceProfile,
+                x0s: np.ndarray, xi: np.ndarray, icfg: IntegratorConfig,
+                chunk: range) -> np.ndarray:
+    """One arm's suite values, shape (C, len(suite)).
+
+    The arm's coupling stack, drift and snapshots die with the call, so
+    they are freed before the next arm is drawn.
+    """
+    gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in chunk]
+    params = cfg.template.build(sample_couplings(dist, profile, cfg.symmetric, gens))
+    xs, ms = euler_maruyama(params.drift_matrix(), params.h, params.sigma, x0s, icfg, (xi,))
+    vals = np.empty((len(chunk), len(cfg.suite)))
+    # an overflow leaves a non-finite value, which _finite_rows reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(chunk)):
+            traj = Trajectory(params.coupling[k], xs[k], ms[k], icfg)
+            for q, item in enumerate(cfg.suite):
+                vals[k, q] = item.fn(traj)
+    return vals
 
 
 def _map_chunks(cfg: ExperimentConfig, work: Callable, chunks: list) -> list:
@@ -289,9 +315,7 @@ def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> l
     size = _chunk_size(n, icfg.n_steps)
     chunks = [range(lo, min(lo + size, cfg.replicas))
               for lo in range(0, cfg.replicas, size)]
-    base = cfg.template.build(np.zeros((n, n)))
-    parts = _map_chunks(cfg, lambda ch: _paired_chunk(cfg, base, profile, law, icfg, ch, arms),
-                        chunks)
+    parts = _map_chunks(cfg, lambda ch: _paired_chunk(cfg, profile, law, icfg, ch, arms), chunks)
     return [np.concatenate([part[k] for part in parts], axis=0) for k in range(len(arms))]
 
 
@@ -610,14 +634,12 @@ class TaylorVsMcReport:
     any_diverging: bool
 
 
-def _mc_moments(cfg: ExperimentConfig, n: int, specs: list,
-                params: SystemParams) -> tuple:
+def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
     """Monte Carlo of ``E[prod_k f_k(X_{t_k})]`` over coupling, start, noise.
 
-    Each spec is (list of x-polynomials, matching times); ``params`` is
-    the template at this size, whose coupling slot is replaced per path.
-    Chunks are keyed by their index, so the estimate is deterministic in
-    the seed and independent of the chunk width heuristic staying fixed.
+    Each spec is (list of x-polynomials, matching times).  Chunks are
+    keyed by their index, so the estimate is deterministic in the seed
+    and independent of the chunk width heuristic staying fixed.
     """
     profile = cfg.make_profile(n)
     icfg = _time_grid(cfg.dt, [t for _, ts in specs for t in ts])
@@ -632,13 +654,13 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list,
         gen_j = RngStream(cfg.jseed, cid, PURPOSE_COUPLING).generator()
         gen_x0 = RngStream(cfg.seed, cid, PURPOSE_INITIAL).generator()
         gen_b = RngStream(cfg.seed, cid, PURPOSE_NOISE).generator()
-        j = cfg.template.coupling_drift(
+        params = cfg.template.build(
             sample_couplings(cfg.dist_a, profile, cfg.symmetric, [gen_j] * c))
-        # keep the C-contiguous copy: this layout is pinned by the golden bytes
-        dmats = (j + params.lam).transpose(0, 2, 1).copy()
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         xi = gen_b.standard_normal((steps, c, n))
-        xs, _ = euler_maruyama(dmats, params.h, params.sigma, x0s, icfg, (xi,))
+        # keep the C-contiguous copy: this layout is pinned by the golden bytes
+        xs, _ = euler_maruyama(params.drift_matrix().copy(), params.h, params.sigma, x0s,
+                               icfg, (xi,))
         # an overflow leaves a non-finite sum of squares, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             for q, (poly_list, ts) in enumerate(specs):
@@ -682,7 +704,7 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     multi_fs = [Polynomial.from_x(1), Polynomial.from_x(1)]
     multi_ts = (t / 2, t)
     specs = [([f], (t,)) for _, f in singles] + [(multi_fs, multi_ts)]
-    mean, se = _mc_moments(cfg, n, specs, params)
+    mean, se = _mc_moments(cfg, n, specs)
 
     rows = []
     orders = []

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .dynamics import Trajectory
@@ -61,7 +59,7 @@ def block_values(traj: Trajectory, block: BuildingBlock, t: float) -> np.ndarray
     if block is BuildingBlock.X:
         return traj.x[row]
     if block is BuildingBlock.G:
-        return traj.x[row] @ traj.params.coupling
+        return traj.x[row] @ traj.coupling
     if block is BuildingBlock.M:
         return traj.m[row]
     raise ObservableError(f"unhandled block {block}")
@@ -78,8 +76,6 @@ class QuadraticObservable:
     t, t2 : float
         Evaluation times, must lie on the snapshot grid of the
         trajectory the observable is applied to.
-    c_a : float, optional
-        Declared sup-norm bound on the weights (derived when omitted).
     """
 
     a: np.ndarray
@@ -87,7 +83,6 @@ class QuadraticObservable:
     y2: BuildingBlock
     t: float
     t2: float
-    c_a: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
@@ -95,14 +90,9 @@ class QuadraticObservable:
             raise ObservableError("weights must be a non-empty vector")
         if not np.all(np.isfinite(a)):
             raise ObservableError("weights must be finite")
-        sup = float(np.abs(a).max())
-        c_a = sup if self.c_a is None else float(self.c_a)
-        if sup > c_a + 1e-12:
-            raise ObservableError(f"sup-norm of weights {sup} exceeds declared bound {c_a}")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c_a", c_a)
 
 
 def eval_quadratic(traj: Trajectory, obs: QuadraticObservable) -> float:
@@ -118,16 +108,12 @@ class TensorObservable:
     """``N^{-m} sum a_{i_1..i_m} prod_l prod_k block[l][k]_{i_l}(t_k)``.
 
     ``blocks`` has one row per outer factor and one column per time in
-    ``times``.  Weights are a dense ndarray for arity up to 3; beyond
-    that (or for sparse tensors) pass a callable together with
-    ``support``, the list of index tuples (1-based) it is nonzero on.
+    ``times``.  Weights are a dense ndarray of arity m <= 3.
     """
 
     blocks: tuple  # m rows, each a tuple of p BuildingBlock
     times: tuple  # p floats
-    a: object  # ndarray or callable
-    support: Optional[tuple] = None
-    c_a: float = None  # type: ignore[assignment]
+    a: np.ndarray
 
     def __post_init__(self) -> None:
         blocks = tuple(tuple(row) for row in self.blocks)
@@ -142,36 +128,18 @@ class TensorObservable:
                 if not isinstance(b, BuildingBlock):
                     raise ObservableError(f"not a building block: {b!r}")
         m = len(blocks)
-        a = self.a
-        c_a = self.c_a
-        if callable(a):
-            if self.support is None:
-                raise ObservableError("callback weights need an explicit support list")
-            support = tuple(tuple(int(i) for i in idx) for idx in self.support)
-            for idx in support:
-                if len(idx) != m:
-                    raise ObservableError(f"support tuple {idx} does not have arity {m}")
-            object.__setattr__(self, "support", support)
-        else:
-            a = np.asarray(a, dtype=np.float64)
-            if a.ndim != m:
-                raise ObservableError(f"dense weights must have arity {m}, got {a.ndim}")
-            if m > 3:
-                raise ObservableError(
-                    "dense evaluation is limited to arity 3; pass a callback with support")
-            if not np.all(np.isfinite(a)):
-                raise ObservableError("weights must be finite")
-            sup = float(np.abs(a).max()) if a.size else 0.0
-            if c_a is None:
-                c_a = sup
-            elif sup > c_a + 1e-12:
-                raise ObservableError(f"sup-norm {sup} exceeds declared bound {c_a}")
-            a = a.copy()
-            a.setflags(write=False)
+        if m > 3:
+            raise ObservableError(f"tensor observables are limited to arity 3, got {m}")
+        a = np.asarray(self.a, dtype=np.float64)
+        if a.ndim != m:
+            raise ObservableError(f"weights must have arity {m}, got {a.ndim}")
+        if not np.all(np.isfinite(a)):
+            raise ObservableError("weights must be finite")
+        a = a.copy()
+        a.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c_a", c_a)
 
     @property
     def arity(self) -> int:
@@ -192,19 +160,6 @@ def eval_tensor(traj: Trajectory, obs: TensorObservable) -> float:
     n = traj.x.shape[1]
     m = obs.arity
     vs = _factor_vectors(traj, obs)
-    if callable(obs.a):
-        total = 0.0
-        for idx in obs.support:
-            entry = float(obs.a(idx))
-            if obs.c_a is not None and abs(entry) > obs.c_a + 1e-12:
-                raise ObservableError(f"weight at {idx} exceeds declared bound {obs.c_a}")
-            term = entry
-            for axis, i in enumerate(idx):
-                if not 1 <= i <= n:
-                    raise ObservableError(f"support index {idx} out of range")
-                term *= vs[axis][i - 1]
-            total += term
-        return total / n ** m
     a = obs.a
     if a.shape != (n,) * m:
         raise ObservableError(f"weights shape {a.shape} does not match dimension {n}")
@@ -225,12 +180,12 @@ def autocorrelation(traj: Trajectory, s: float, t: float) -> float:
 def hamiltonian_density(traj: Trajectory, t: float) -> float:
     """``H(X_t)/N`` for the quadratic energy ``H(x) = x . (J x)``."""
     x = traj.x[traj.config.row(t)]
-    return float(x @ (traj.params.coupling @ x)) / traj.x.shape[1]
+    return float(x @ (traj.coupling @ x)) / traj.x.shape[1]
 
 
 def grad_sq_density(traj: Trajectory, t: float) -> float:
     """``(1/N) sum_i G_i(X_t)^2``, the squared field strength per site."""
     x = traj.x[traj.config.row(t)]
-    g = x @ traj.params.coupling
+    g = x @ traj.coupling
     return float(g @ g) / traj.x.shape[1]
 

@@ -303,6 +303,15 @@ PRECONDITIONS = {
     "aging-beta": ("aging", FAST["aging"].replace("beta = inf", "beta = 2.0"), "beta = inf"),
     "rayleigh-beta":
         ("rayleigh", FAST["rayleigh"].replace("beta = inf", "beta = 2.0"), "beta = inf"),
+    # eigh reads one triangle of J, and the eigen-exact flow has no constant drift
+    "aging-asymmetric":
+        ("aging", FAST["aging"] + "[ensemble]\nsymmetric = false\n", "symmetric ensemble"),
+    "rayleigh-asymmetric":
+        ("rayleigh", FAST["rayleigh"] + "[ensemble]\nsymmetric = false\n",
+         "symmetric ensemble"),
+    "aging-thresholds":
+        ("aging", FAST["aging"].replace("beta = inf", "beta = inf\nthresholds = 0.5"),
+         "thresholds = 0"),
     "taylor-check-size":
         ("taylor-check", FAST["taylor-check"].replace("sizes = 3", "sizes = 8"), "dimension"),
     "taylor-check-time":
@@ -339,6 +348,14 @@ PRECONDITIONS = {
         ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
          + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\na = nan\n",
          "observable.a must be finite"),
+    "universality-tensor-arity":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
+         + "[observable]\nkind = tensor\ntimes = 0.04\nblocks = x, x, x, x\n",
+         "arity <= 3, got 4"),
+    # the whole noise of one replica would be allocated at once
+    "universality-step-count":
+        ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 1")
+         .replace("dt = 0.02", "dt = 1e-300"), "4e+298 Euler steps at size 1"),
     "universality-tensor-inf-weight":
         ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
          + "[observable]\nkind = tensor\ntimes = 0.04\nblocks = x\na = -inf\n",
@@ -524,9 +541,10 @@ def config_texts(draw, kind):
             if key == "out" or not ((section, key) in _ALWAYS or draw(st.booleans())):
                 continue
             wild = (section, key) in wild_keys
-            # wild steps and times stay within 50 steps but may leave the grid
+            # wild times stay within 50 steps but may leave the grid; a wild
+            # dt of 1e-300 asks for more steps than the noise cap allows
             if wild and key == "dt":
-                value = draw(st.one_of(_WILD_NUMBERS, st.just("1e300")))
+                value = draw(st.one_of(_WILD_NUMBERS, st.sampled_from(["1e300", "1e-300"])))
             elif wild and key in ("horizon", "snapshots", "times", "time"):
                 value = draw(st.one_of(_WILD_NUMBERS, _listed(_floats(-dt, 50 * dt))))
             else:

@@ -302,6 +302,10 @@ def test_suite_tensor_block_arity():
                "[observable]\nkind = tensor\ntimes = 0.0, 0.02\nblocks = x, g, m\n")
     with pytest.raises(ConfigError, match="blocks"):
         observable_suite(rc)
+    rc = rc.replaced("observable", "blocks", ("x", "g", "m", "x")).replaced(
+        "observable", "times", (0.02,))
+    with pytest.raises(ConfigError, match="arity <= 3"):
+        observable_suite(rc)
 
 
 def test_suite_weights_from_file(tmp_path):

@@ -15,8 +15,8 @@ import hypothesis.strategies as st
 
 from rmsde.dynamics import (IntegratorConfig, ParameterError, SystemParams,
                             SimulationBlowupError, SystemTemplate,
-                            drift, euler_maruyama, exact_mean_linear, langevin_params,
-                            simulate, simulate_paths)
+                            drift, euler_maruyama, exact_mean_linear, simulate,
+                            simulate_paths)
 from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_couplings
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_NOISE, RngStream
 
@@ -87,20 +87,28 @@ def test_drift_matrix_matches_drift_function():
     assert np.allclose(p.drift_matrix() @ x, drift(p, x) - p.h, atol=1e-14)
 
 
-def test_with_coupling_checks_only_the_new_coupling():
-    j = random_params(4, seed=5).coupling
-    template = SystemTemplate(confinement=2.0, beta=3.0, thresholds=0.4)
-    base = template.build(np.zeros((4, 4)))
-    swapped = base.with_coupling(j)
-    assert np.array_equal(swapped.coupling, j)
-    assert not swapped.coupling.flags.writeable
-    assert swapped.lam is base.lam and swapped.h is base.h and swapped.sigma is base.sigma
-    x = np.random.default_rng(1).standard_normal(4)
-    assert np.array_equal(drift(swapped, x), drift(template.build(j), x))
-    with pytest.raises(ParameterError, match="shape"):
-        base.with_coupling(np.zeros((3, 3)))
+def test_params_hold_read_only_views():
+    j = np.ones((2, 2))
+    p = plain_params(2, coupling=j)
+    assert np.shares_memory(p.coupling, j)
+    assert not p.coupling.flags.writeable
+    assert j.flags.writeable
+
+
+def test_stacked_build_matches_one_build_per_path():
+    template = SystemTemplate(confinement=2.0, beta=3.0, thresholds=0.4, langevin=True)
+    js = np.stack([random_params(4, seed=s).coupling for s in (5, 6, 7)])
+    stacked = template.build(js)
+    assert stacked.coupling.shape == (3, 4, 4)
+    assert stacked.drift_matrix().strides == (16 * 8, 8, 4 * 8)
+    for k in range(3):
+        one = template.build(js[k])
+        assert np.array_equal(stacked.drift_matrix()[k], one.drift_matrix())
+        assert np.array_equal(stacked.lam, one.lam) and np.array_equal(stacked.h, one.h)
+    with pytest.raises(ParameterError, match="square"):
+        template.build(np.zeros((3, 4, 5)))
     with pytest.raises(ParameterError, match="finite"):
-        base.with_coupling(np.where(np.eye(4) > 0, np.nan, j))
+        template.build(np.where(np.eye(4) > 0, np.nan, js))
 
 
 # ------------------------------------------------------------- integrator
@@ -177,7 +185,7 @@ def test_decomposition_identity_on_every_step_grid():
     p = random_params(4, seed=7, sigma0=0.8)
     cfg = IntegratorConfig.every_step(0.01, 0.3)
     traj = simulate(p, np.ones(4), cfg, noise_stream(3))
-    assert traj.decomposition_residual() <= 1e-12
+    assert traj.decomposition_residual(p) <= 1e-12
 
 
 def test_martingale_starts_at_zero_and_x_at_x0():
@@ -259,7 +267,7 @@ def test_decomposition_residual_property(seed, n):
     p = random_params(n, seed=seed, sigma0=0.5)
     cfg = IntegratorConfig.every_step(0.05, 0.25)
     traj = simulate(p, np.ones(n), cfg, noise_stream(seed))
-    assert traj.decomposition_residual() <= 1e-12
+    assert traj.decomposition_residual(p) <= 1e-12
 
 
 # ------------------------------------------------------------- exact mean
@@ -319,9 +327,13 @@ def test_exact_mean_rejects_bad_time():
 
 # ---------------------------------------------------------- langevin form
 
+def langevin(j, beta, confinement):
+    return SystemTemplate(confinement=confinement, beta=beta, langevin=True).build(j)
+
+
 def test_langevin_params_layout():
     j = np.array([[0.0, 0.3], [0.3, 0.0]])
-    p = langevin_params(j, beta=2.0, confinement=1.5)
+    p = langevin(j, beta=2.0, confinement=1.5)
     assert np.array_equal(p.coupling, 2.0 * j)
     assert np.array_equal(p.lam, -1.5 * np.eye(2))
     assert np.all(p.h == 0.0)
@@ -331,23 +343,24 @@ def test_langevin_params_layout():
 
 def test_langevin_zero_temperature():
     j = np.zeros((3, 3))
-    p = langevin_params(j, beta=math.inf, confinement=1.0)
+    p = langevin(j, beta=math.inf, confinement=1.0)
     assert np.all(p.sigma == 0.0)
 
 
 def test_langevin_accepts_coupling_matrix():
     j = sample_couplings(EntryDistribution.GAUSSIAN, VarianceProfile.offdiagonal(4),
                          True, [RngStream(0, 0, PURPOSE_COUPLING).generator()])[0]
-    p = langevin_params(j, beta=math.inf, confinement=2.0)
+    p = langevin(j, beta=math.inf, confinement=2.0)
     assert np.array_equal(p.coupling, 2.0 * j)
 
 
-def test_langevin_rejects_asymmetric_coupling():
+def test_langevin_build_accepts_asymmetric_coupling():
+    # the asymmetric Hopfield drift 2J - K I, which is not a gradient
     j = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ParameterError, match="symmetric"):
-        langevin_params(j, beta=1.0, confinement=1.0)
+    p = langevin(j, beta=1.0, confinement=1.0)
+    assert np.array_equal(p.drift_matrix(), (2.0 * j - np.eye(2)).T)
     with pytest.raises(ParameterError, match="beta"):
-        langevin_params(np.zeros((2, 2)), beta=0.0, confinement=1.0)
+        langevin(np.zeros((2, 2)), beta=0.0, confinement=1.0)
 
 
 def test_langevin_gradient_consistency():
@@ -356,7 +369,7 @@ def test_langevin_gradient_consistency():
     j = rng.standard_normal((5, 5))
     j = (j + j.T) / 2.0
     k = 1.2
-    p = langevin_params(j, beta=math.inf, confinement=k)
+    p = langevin(j, beta=math.inf, confinement=k)
     x = rng.standard_normal(5)
     eps = 1e-6
     grad = np.empty(5)

@@ -246,8 +246,7 @@ def test_monte_carlo_samples_once_per_chunk(monkeypatch):
     calls = counting_sampler(monkeypatch)
     # 8200 paths at n = 2 run as chunks of 8192 and 8, each on one shared stream
     cfg = experiments.ExperimentConfig(sizes=(2,), dt=0.05, mc_paths=8200)
-    experiments._mc_moments(cfg, 2, [([Polynomial.from_x(1)], (0.1,))],
-                            cfg.template.build(np.zeros((2, 2))))
+    experiments._mc_moments(cfg, 2, [([Polynomial.from_x(1)], (0.1,))])
     assert [len(gens) for gens in calls] == [8192, 8]
     assert all(len({id(g) for g in gens}) == 1 for gens in calls)
 

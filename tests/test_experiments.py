@@ -3,20 +3,21 @@ thread-count invariance, and the eigen-exact flow computations."""
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rmsde.dynamics import ParameterError, SystemParams
-from rmsde.ensembles import EntryDistribution, VarianceProfile, sample_couplings
+from rmsde.ensembles import EntryDistribution, InitialLaw, VarianceProfile, sample_couplings
 from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                SystemTemplate, autocorr_item, default_suite,
                                gradsq_item, hamiltonian_item, hopfield_suite,
                                overlap_item, rayleigh_quotient_curve,
                                run_aging, run_concentration, run_hopfield,
                                run_rayleigh, run_taylor_vs_mc,
-                               run_universality)
+                               run_universality, _paired_chunk, _time_grid)
 from rmsde.rng import PURPOSE_COUPLING, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
@@ -158,7 +159,7 @@ def test_universality_slope_fit_with_three_sizes():
         assert fit.lo <= fit.slope <= fit.hi
 
 
-def test_universality_builds_one_template_per_size(monkeypatch):
+def test_universality_builds_one_system_per_arm_and_chunk(monkeypatch):
     calls = []
     build = SystemTemplate.build
 
@@ -168,7 +169,43 @@ def test_universality_builds_one_template_per_size(monkeypatch):
 
     monkeypatch.setattr(SystemTemplate, "build", counted)
     run_universality(small_cfg(sizes=(4, 8, 16), replicas=5))
-    assert calls == [(4, 4), (8, 8), (16, 16)]
+    assert calls == [(5, 4, 4)] * 2 + [(5, 8, 8)] * 2 + [(5, 16, 16)] * 2
+
+
+class DoubledCoupling(SystemTemplate):
+    def build(self, coupling):
+        return super().build(2 * np.asarray(coupling))
+
+
+def test_universality_integrates_the_system_build_returns():
+    # the paired path must not rebuild the drift around an overridden build
+    cfg = small_cfg(replicas=6)
+    doubled = run_universality(replace(cfg, template=DoubledCoupling()))
+    flow = run_universality(replace(cfg, template=SystemTemplate(langevin=True)))
+    assert doubled.rows == flow.rows
+    assert doubled.rows != run_universality(cfg).rows
+
+
+@pytest.mark.parametrize("langevin,stacks", [(False, 2), (True, 3)])
+def test_paired_chunk_frees_each_arm_before_the_next(langevin, stacks):
+    # traced peak of one chunk: its shared noise plus at most `stacks` (C, N, N)
+    # arrays; a half stack of slack covers the snapshots, indices and masks
+    n, c = 128, 32
+    cfg = small_cfg(sizes=(n,), replicas=c, dt=0.05, horizon=0.5,
+                    template=SystemTemplate(langevin=langevin), suite=default_suite(0.5))
+    args = (cfg, cfg.make_profile(n), InitialLaw.uniform(cfg.init_dist, n),
+            _time_grid(cfg.dt, [0.5], cfg.horizon), range(c))
+    _paired_chunk(*args)  # first-call allocations are not the chunk's
+    noise = args[3].n_steps * c * n * 8
+    stack = c * n * n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _paired_chunk(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= noise + (stacks + 0.5) * stack
 
 
 def test_universality_needs_two_replicas():

@@ -39,7 +39,7 @@ def brute_block(traj, block, i, t):
         return float(traj.x[row, i - 1])
     if block is M:
         return float(traj.m[row, i - 1])
-    j = traj.params.coupling
+    j = traj.coupling
     return float(sum(traj.x[row, k] * j[k, i - 1] for k in range(traj.x.shape[1])))
 
 
@@ -111,15 +111,6 @@ def test_quadratic_weight_validation():
         QuadraticObservable(np.array([]), X, X, 0.0, 0.0)
     with pytest.raises(ObservableError, match="finite"):
         QuadraticObservable(np.array([np.nan]), X, X, 0.0, 0.0)
-    with pytest.raises(ObservableError, match="bound"):
-        QuadraticObservable(np.array([2.0]), X, X, 0.0, 0.0, c_a=1.0)
-    obs = QuadraticObservable(np.array([2.0]), X, X, 0.0, 0.0, c_a=3.0)
-    assert obs.c_a == 3.0
-
-
-def test_quadratic_derives_weight_bound():
-    obs = QuadraticObservable(np.array([0.5, -2.5]), X, X, 0.0, 0.0)
-    assert obs.c_a == 2.5
 
 
 def test_quadratic_dimension_mismatch():
@@ -201,40 +192,6 @@ def test_tensor_arity3_against_loops():
                                                    rel=1e-12, abs=1e-14)
 
 
-def test_tensor_callback_matches_dense():
-    traj = make_traj(n=4, seed=9)
-    a = np.random.default_rng(5).uniform(-1, 1, size=(4, 4))
-    dense = TensorObservable(blocks=((X,), (X,)), times=(0.2,), a=a)
-    support = tuple((i, j) for i in range(1, 5) for j in range(1, 5))
-    sparse = TensorObservable(blocks=((X,), (X,)), times=(0.2,),
-                              a=lambda idx: a[idx[0] - 1, idx[1] - 1],
-                              support=support)
-    assert eval_tensor(traj, sparse) == pytest.approx(eval_tensor(traj, dense),
-                                                      rel=1e-12)
-
-
-def test_tensor_sparse_support_skips_zeros():
-    traj = make_traj(n=4, seed=10)
-    # only the diagonal is nonzero: same as an arity-1 row with product blocks
-    diag = TensorObservable(blocks=((X,), (X,)), times=(0.2,),
-                            a=lambda idx: 1.0 if idx[0] == idx[1] else 0.0,
-                            support=tuple((i, i) for i in range(1, 5)))
-    want = autocorrelation(traj, 0.2, 0.2) / 4  # extra 1/N from arity 2
-    assert eval_tensor(traj, diag) == pytest.approx(want, rel=1e-13)
-
-
-def test_tensor_arity4_needs_callback():
-    with pytest.raises(ObservableError, match="arity 3"):
-        TensorObservable(blocks=((X,),) * 4, times=(0.0,), a=np.zeros((2,) * 4))
-    traj = make_traj(n=2, seed=13)
-    obs = TensorObservable(blocks=((X,),) * 4, times=(0.0,),
-                           a=lambda idx: 1.0,
-                           support=((1, 1, 1, 1), (2, 2, 2, 2)))
-    x = traj.x[traj.config.row(0.0)]
-    want = (x[0] ** 4 + x[1] ** 4) / 2 ** 4
-    assert eval_tensor(traj, obs) == pytest.approx(want, rel=1e-13)
-
-
 def test_tensor_validation():
     with pytest.raises(ObservableError, match="at least one"):
         TensorObservable(blocks=(), times=(), a=np.zeros(()))
@@ -244,27 +201,8 @@ def test_tensor_validation():
         TensorObservable(blocks=(("x",),), times=(0.0,), a=np.zeros(2))
     with pytest.raises(ObservableError, match="arity"):
         TensorObservable(blocks=((X,),), times=(0.0,), a=np.zeros((2, 2)))
-    with pytest.raises(ObservableError, match="support"):
-        TensorObservable(blocks=((X,),), times=(0.0,), a=lambda idx: 1.0)
-    with pytest.raises(ObservableError, match="arity 2"):
-        TensorObservable(blocks=((X,), (X,)), times=(0.0,), a=lambda idx: 1.0,
-                         support=((1,),))
-
-
-def test_tensor_callback_bound_enforced_at_eval():
-    traj = make_traj(n=2, seed=14)
-    obs = TensorObservable(blocks=((X,),), times=(0.0,), a=lambda idx: 5.0,
-                           support=((1,),), c_a=1.0)
-    with pytest.raises(ObservableError, match="bound"):
-        eval_tensor(traj, obs)
-
-
-def test_tensor_support_range_checked():
-    traj = make_traj(n=2, seed=15)
-    obs = TensorObservable(blocks=((X,),), times=(0.0,), a=lambda idx: 1.0,
-                           support=((3,),))
-    with pytest.raises(ObservableError, match="range"):
-        eval_tensor(traj, obs)
+    with pytest.raises(ObservableError, match="arity 3"):
+        TensorObservable(blocks=((X,),) * 4, times=(0.0,), a=np.zeros((2,) * 4))
 
 
 def test_tensor_dense_shape_checked_at_eval():
