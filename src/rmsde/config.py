@@ -15,10 +15,11 @@ resolved values back in canonical order so that
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,15 +203,9 @@ _SCHEMA = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration: every schema key bound to a typed value.
-
-    ``defaulted`` lists the keys (as ``section.key``) that were not
-    present in the source text; it is bookkeeping only and excluded
-    from equality.
-    """
+    """Resolved configuration: every schema key bound to a typed value."""
 
     values: dict
-    defaulted: tuple = field(default=(), compare=False)
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -220,8 +215,7 @@ class RunConfig:
             raise ConfigError(f"unknown key {section}.{key}")
         values = {s: dict(kv) for s, kv in self.values.items()}
         values[section][key] = value
-        defaulted = tuple(d for d in self.defaulted if d != f"{section}.{key}")
-        return RunConfig(values, defaulted)
+        return RunConfig(values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -270,14 +264,11 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {exc}") from None
 
-    defaulted = []
     for sec, keys in _SCHEMA.items():
         for key, (_, default) in keys.items():
-            if key not in values[sec]:
-                values[sec][key] = default
-                defaulted.append(f"{sec}.{key}")
+            values[sec].setdefault(key, default)
 
-    rc = RunConfig(values, tuple(defaulted))
+    rc = RunConfig(values)
     _validate(rc)
     return rc
 
@@ -361,7 +352,7 @@ def serialize(rc: RunConfig) -> str:
     """Canonical text for a resolved configuration.
 
     All sections and keys appear, in schema order, so the output
-    reparses to an equal :class:`RunConfig` with nothing defaulted.
+    reparses to an equal :class:`RunConfig`.
     """
     lines = []
     for sec, keys in _SCHEMA.items():
@@ -464,16 +455,20 @@ def observable_suite(rc: RunConfig) -> tuple:
     def flat_weights(size: int) -> np.ndarray:
         return np.full(size, float(a_spec)) if weights is None else weights
 
+    # Each observable is built, and its weights checked, once per size:
+    # sizes run one after another, so the last size is the one to keep.
     if kind == "quadratic":
         if len(times) != 2 or len(blocks) != 2:
             raise ConfigError("kind=quadratic needs exactly two times and two blocks")
         if weights is not None and weights.ndim != 1:
             raise ConfigError("observable.a: kind=quadratic needs one row or column of weights")
 
+        @functools.lru_cache(maxsize=1)
+        def quadratic_at(n: int) -> QuadraticObservable:
+            return QuadraticObservable(flat_weights(n), blocks[0], blocks[1], times[0], times[1])
+
         def make_quadratic(traj):
-            obs = QuadraticObservable(flat_weights(traj.x.shape[1]),
-                                      blocks[0], blocks[1], times[0], times[1])
-            return eval_quadratic(traj, obs)
+            return eval_quadratic(traj, quadratic_at(traj.x.shape[1]))
 
         name = f"quadratic[{times[0]:g},{times[1]:g}]"
         return (SuiteItem(name, tuple(times), make_quadratic, weights),)
@@ -485,10 +480,12 @@ def observable_suite(rc: RunConfig) -> tuple:
             raise ConfigError(f"kind=tensor supports arity <= 3, got {m} block rows")
         rows = tuple(tuple(blocks[r * len(times):(r + 1) * len(times)]) for r in range(m))
 
+        @functools.lru_cache(maxsize=1)
+        def tensor_at(n: int) -> TensorObservable:
+            return TensorObservable(rows, tuple(times), flat_weights(n ** m).reshape((n,) * m))
+
         def make_tensor(traj):
-            n = traj.x.shape[1]
-            obs = TensorObservable(rows, tuple(times), flat_weights(n ** m).reshape((n,) * m))
-            return eval_tensor(traj, obs)
+            return eval_tensor(traj, tensor_at(traj.x.shape[1]))
 
         name = f"tensor[{','.join(f'{t:g}' for t in times)}]"
         return (SuiteItem(name, tuple(times), make_tensor, weights, m),)

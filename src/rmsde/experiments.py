@@ -65,8 +65,15 @@ class ExperimentError(ValueError):
 
 # Largest Gaussian noise of one replica's whole run, steps * N * 8 bytes.
 # The paired and Monte Carlo paths hold it for every replica of a chunk
-# at once, and a chunk has at least one replica.
+# at once, and a chunk has at least one replica.  The same cap bounds
+# the float64 array of each count key below.
 _NOISE_CAP = 2 ** 28
+
+# Count keys whose whole array an experiment allocates at once:
+# moments-check draws every sample in one call, and rayleigh and
+# concentration lay out their time grids with np.linspace.
+_WHOLE_COUNTS = {"moments-check": "mc_paths", "rayleigh": "rayleigh_points",
+                 "concentration": "grid_points"}
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +200,11 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     the gradient-flow template: that is the asymmetric Hopfield model,
     whose drift ``2J - K I`` is not a gradient.  The eigen-exact
     ``aging`` and ``rayleigh`` flows need a symmetric ``J`` and no
-    thresholds.
+    thresholds; they always run the gradient flow ``2J - K I``, whatever
+    ``system.template`` says, so the template is not checked for them.
+    A count key whose whole float64 array would exceed 256 MB is
+    rejected by name: ``mc_paths`` of ``moments-check`` (``taylor-check``
+    draws its paths in chunks), ``rayleigh_points`` and ``grid_points``.
     """
     every_size = kind in ("universality", "hopfield", "concentration", "aging")
     if every_size and cfg.replicas < 2:
@@ -233,6 +244,12 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
         if steps * n * 8 > _NOISE_CAP:
             raise ExperimentError(f"{steps:.6g} Euler steps at size {n} need more than "
                                   f"{_NOISE_CAP >> 20} MB of noise per replica")
+    if kind in _WHOLE_COUNTS:
+        key = _WHOLE_COUNTS[kind]
+        count = getattr(cfg, key)
+        if count * 8 > _NOISE_CAP:
+            raise ExperimentError(f"experiment.{key} = {count} needs more than "
+                                  f"{_NOISE_CAP >> 20} MB in one array")
     if isinstance(cfg.profile, VarianceProfile):
         if cfg.symmetric and not cfg.profile.is_symmetric:
             raise ExperimentError("symmetric ensemble requires a symmetric variance profile")
@@ -566,7 +583,9 @@ def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
 def run_aging(cfg: ExperimentConfig) -> AgingReport:
     """Two-time autocorrelation ratios of the noise-free gradient flow.
 
-    Requires ``beta = inf``.  With ``confinement_mode = "auto"`` each
+    The flow is always the gradient flow ``2J - K I``, as for
+    ``hopfield``; ``system.template`` is not read.  Requires
+    ``beta = inf``.  With ``confinement_mode = "auto"`` each
     replica uses a confinement just above its own spectral radius (the
     normalized ratio does not depend on the choice); with a fixed
     confinement, replicas whose sampled operator norm reaches it are
@@ -686,7 +705,8 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     Uses the first configured size (must be at most 4) and the
     configured time (at most 0.5).  The report carries per-order terms
     for the single-time observables plus z-scores, and propagates the
-    divergence warning of the symbolic engine.
+    divergence warning of the symbolic engine for every row, the
+    multi-time one included.
     """
     check_preconditions("taylor-check", cfg)
     n = cfg.sizes[0]
@@ -708,23 +728,21 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
 
     rows = []
     orders = []
-    any_div = False
     for q, (name, f) in enumerate(singles):
         res = taylor_mean(f, params, oracle, t, cfg.truncation)
         z = (res.value - mean[q]) / se[q] if se[q] > 0 else 0.0
         rows.append(TaylorRow(name, res.value, res.tail_bound, res.diverging,
                               float(mean[q]), float(se[q]), float(z)))
-        any_div = any_div or res.diverging
         partial = 0.0
         for k, term in enumerate(res.terms):
             partial += term
             orders.append(OrderRow(name, k, term, partial))
     mv = taylor_mean_multitime(multi_fs, multi_ts, params, oracle, cfg.truncation)
     q = len(singles)
-    z = (mv - mean[q]) / se[q] if se[q] > 0 else 0.0
-    rows.append(TaylorRow(multi_name, mv, math.nan, False, float(mean[q]),
+    z = (mv.value - mean[q]) / se[q] if se[q] > 0 else 0.0
+    rows.append(TaylorRow(multi_name, mv.value, mv.tail_bound, mv.diverging, float(mean[q]),
                           float(se[q]), float(z)))
-    return TaylorVsMcReport(tuple(rows), tuple(orders), any_div)
+    return TaylorVsMcReport(tuple(rows), tuple(orders), any(r.diverging for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +790,10 @@ def rayleigh_quotient_curve(eigvals: np.ndarray, coeffs_sq: np.ndarray,
 def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
     """Gradient ascent of the quotient toward the spectral top.
 
-    Noise-free flow only; per replica the quotient curve is computed in
-    the eigenbasis and compared with the top eigenvalue of the sampled
-    coupling.  Monotonicity is recorded per replica as a strict
+    The flow is always the gradient flow ``2J - K I``, as for
+    ``hopfield``; ``system.template`` is not read.  Noise-free flow
+    only; per replica the quotient curve is computed in the eigenbasis
+    and compared with the top eigenvalue of the sampled coupling.  Monotonicity is recorded per replica as a strict
     step-by-step check.
     """
     check_preconditions("rayleigh", cfg)

@@ -10,15 +10,15 @@ hence truncated expansions of ``E[f(X_t)]``.
 Deterministic parameter values (drift matrix, constant drift,
 diffusion) fold into coefficients at application time; only coupling
 entries stay symbolic so that expectations reduce to moment products.
-A fully numeric variant substitutes the coupling values too and is much
-faster; it is the right tool for fixed-coupling conditional means.
+At a fixed numeric coupling the same letters act with the coupling
+folded into the drift, which is much faster; it is the right tool for
+fixed-coupling conditional means.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "TaylorResult",
     "apply_letter",
     "apply_generator",
-    "taylor_terms",
     "taylor_mean",
     "taylor_mean_numericJ",
     "taylor_mean_multitime",
@@ -116,27 +115,31 @@ def _check_indices(p: Polynomial, params: SystemParams) -> None:
                 f"monomial touches coordinate {mono.max_index()} but the system has {params.n}")
 
 
+def _apply(p: Polynomial, letters, params: SystemParams) -> Polynomial:
+    """The letters applied to every monomial in turn, like terms collected."""
+    _check_indices(p, params)
+    return Polynomial(t for m in p for letter in letters
+                      for t in _letter_terms(m, letter, params))
+
+
 def apply_letter(p: Polynomial, letter: Letter, params: SystemParams) -> Polynomial:
     """One letter applied to every monomial, like terms collected."""
-    _check_indices(p, params)
-    return Polynomial(t for m in p for t in _letter_terms(m, letter, params))
+    return _apply(p, (letter,), params)
 
 
 def apply_generator(p: Polynomial, params: SystemParams) -> Polynomial:
     """Full generator: sum of the four letter applications."""
-    _check_indices(p, params)
-    return Polynomial(t for m in p for letter in Letter
-                      for t in _letter_terms(m, letter, params))
+    return _apply(p, Letter, params)
 
 
 class TaylorResult(NamedTuple):
     """Truncated series value with a heuristic tail estimate.
 
-    ``diverging`` is set when the partial terms were still growing at
-    the truncation order, in which case ``tail_bound`` is infinite and
-    the value should not be trusted.  The geometric tail estimate is a
-    heuristic, not a proven bound.  ``terms`` holds the per-order
-    contributions that ``value`` sums, as :func:`taylor_terms` gives them.
+    ``terms[k]`` sums the contributions of total order ``k`` and
+    ``value`` sums the terms.  ``diverging`` is set when the terms were
+    still growing at the truncation order, in which case ``tail_bound``
+    is infinite and the value should not be trusted.  The geometric
+    tail estimate is a heuristic, not a proven bound.
     """
 
     value: float
@@ -145,7 +148,7 @@ class TaylorResult(NamedTuple):
     terms: tuple
 
 
-def _tail_estimate(terms: list) -> tuple:
+def _tail_estimate(terms: tuple) -> tuple:
     if len(terms) < 2:
         return math.inf, False
     last, prev = abs(terms[-1]), abs(terms[-2])
@@ -167,119 +170,43 @@ def _validate_caps(k: int, cap: int, params: SystemParams, symbolic: bool) -> No
             f"symbolic expansion supports dimension <= {SYMBOLIC_DIMENSION_CAP}, got {params.n}")
 
 
-def taylor_terms(f: Polynomial, params: SystemParams, oracle: MomentOracle,
-                 t: float, k: int, cap: int = DEFAULT_TRUNCATION_CAP) -> list:
-    """Per-order contributions ``t^k'/k'! * E[L^k' f(X_0)]`` for k' = 0..k."""
-    _validate_caps(k, cap, params, symbolic=True)
-    if oracle.n != params.n:
-        raise AlgebraError("oracle and system dimensions differ")
-    poly = f
-    terms = []
-    for order in range(k + 1):
-        if order > 0:
-            poly = apply_generator(poly, params)
-            if not len(poly):
-                terms.extend(0.0 for _ in range(order, k + 1))
-                break
-        s = sum(expected_value(m, oracle) for m in poly)
-        terms.append(t ** order / math.factorial(order) * s)
-    return terms
-
-
 def taylor_mean(f: Polynomial, params: SystemParams, oracle: MomentOracle,
                 t: float, k: int, cap: int = DEFAULT_TRUNCATION_CAP) -> TaylorResult:
     """Truncated expansion of ``E[f(X_t)]`` over coupling and initial law.
 
     Computes ``sum_{k'=0..k} t^k'/k'! * E[L^k' f(X_0)]`` with the
-    expectation taken through the moment oracle.  Intended for small
-    dimension; the coupling stays symbolic.  At ``t = 0`` nothing is
-    expanded and every term past order 0 is zero.
+    expectation taken through the moment oracle: the one-time case of
+    :func:`taylor_mean_multitime`.  Intended for small dimension; the
+    coupling stays symbolic.
     """
-    if t == 0.0:
-        _validate_caps(k, cap, params, symbolic=True)
-        value = sum(expected_value(m, oracle) for m in f)
-        return TaylorResult(value, 0.0, False, (value,) + (0.0,) * k)
-    terms = taylor_terms(f, params, oracle, t, k, cap)
-    tail, diverging = _tail_estimate(terms)
-    return TaylorResult(sum(terms), tail, diverging, tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# numeric-coupling fast path: polynomials in x only, keyed by sorted index
-# tuples (0 = constant placeholder)
-
-def _fold_coupling(f: Polynomial, j: np.ndarray) -> dict:
-    out: dict = {}
-    for mono in f:
-        coeff = mono.coeff
-        for a, b in mono.j_pairs:
-            coeff *= j[a - 1, b - 1]
-        if coeff != 0.0:
-            key = mono.x_idx
-            out[key] = out.get(key, 0.0) + coeff
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _numeric_generator(xpoly: dict, params: SystemParams) -> dict:
-    drift = params.coupling + params.lam
-    out: dict = {}
-
-    def add(key, value):
-        if value != 0.0:
-            key = tuple(sorted(key))
-            out[key] = out.get(key, 0.0) + value
-
-    for key, coeff in xpoly.items():
-        counts = Counter(i for i in key if i != 0)
-        for j, c in counts.items():
-            col = drift[:, j - 1]
-            for i in np.nonzero(col)[0]:
-                add(_replace_one(key, j, int(i) + 1), coeff * c * col[i])
-            hj = params.h[j - 1]
-            if hj != 0.0:
-                add(_replace_one(key, j, 0), coeff * c * hj)
-            if c >= 2:
-                scol = params.sigma[:, j - 1]
-                nz = np.nonzero(scol)[0]
-                for i in nz:
-                    for i2 in nz:
-                        add(_replace_two(key, j, int(i), int(i2)),
-                            coeff * c * (c - 1) * scol[i] * scol[i2])
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _eval_xpoly(xpoly: dict, x_full: np.ndarray) -> float:
-    total = 0.0
-    for key, coeff in xpoly.items():
-        val = coeff
-        for i in key:
-            if i != 0:
-                val *= x_full[i]
-        total += val
-    return total
+    return taylor_mean_multitime([f], [t], params, oracle, k, cap)
 
 
 def taylor_mean_numericJ(f: Polynomial, params: SystemParams, x, t: float,
                          k: int, cap: int = DEFAULT_TRUNCATION_CAP) -> float:
     """Truncated conditional mean ``E[f(X_t) | X_0 = x]`` at fixed coupling.
 
-    All parameters, coupling included, are substituted numerically, so
-    this scales to higher truncation orders than the symbolic path.
+    The numeric coupling folds into the drift letter, which then reads
+    ``J + Lam``, and into the coefficients of ``f``.  Only state
+    monomials remain, so this scales to higher truncation orders than
+    the symbolic path.
     """
     _validate_caps(k, cap, params, symbolic=False)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.n,):
         raise AlgebraError(f"state must have shape ({params.n},), got {x.shape}")
     _check_indices(f, params)
-    x_full = np.concatenate(([1.0], x))
-    xpoly = _fold_coupling(f, params.coupling)
+    j = params.coupling
+    folded = SystemParams(np.zeros_like(j), j + params.lam, params.h, params.sigma)
+    poly = Polynomial(Monomial(math.prod([m.coeff] + [j[a - 1, b - 1] for a, b in m.j_pairs]),
+                               (), m.x_idx) for m in f)
     total = 0.0
     for order in range(k + 1):
         if order > 0:
-            xpoly = _numeric_generator(xpoly, params)
-            if not xpoly:
+            poly = _apply(poly, (Letter.DRIFT, Letter.CONSTANT, Letter.DIFFUSION), folded)
+            if not len(poly):
                 break
-        total += t ** order / math.factorial(order) * _eval_xpoly(xpoly, x_full)
+        total += t ** order / math.factorial(order) * poly.evaluate(None, x)
     return total
 
 
@@ -295,12 +222,15 @@ def _compositions(total: int, parts: int):
 
 def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
                           oracle: MomentOracle, k: int,
-                          cap: int = DEFAULT_TRUNCATION_CAP) -> float:
+                          cap: int = DEFAULT_TRUNCATION_CAP) -> TaylorResult:
     """Truncated multi-time moment ``E[f1(X_{t1}) f2(X_{t2}) ...]``.
 
     Expands each semigroup gap to a truncated series with total order at
     most ``k``: the inner-most factor sits at the largest time, and each
-    gap ``t_i - t_{i-1}`` contributes its own truncation index.
+    gap ``t_i - t_{i-1}`` contributes its own truncation index.  Term
+    ``k'`` of the result sums the splits of total order ``k'``; a split
+    with a zero weight is not expanded, so when every time is 0 the
+    series is exact at order 0 and its tail is 0.
     """
     fs = list(fs)
     times = [float(t) for t in np.atleast_1d(np.asarray(ts, dtype=np.float64))]
@@ -331,16 +261,20 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
         memo[key] = poly
         return poly
 
-    total = 0.0
+    by_order: dict = {}
     for ks in _compositions(k, levels):
         weight = 1.0
         for gap, order in zip(gaps, ks):
             weight *= gap ** order / math.factorial(order)
         if weight == 0.0:
             continue
-        poly = suffix(0, ks)
-        total += weight * sum(expected_value(m, oracle) for m in poly)
-    return total
+        term = weight * sum(expected_value(m, oracle) for m in suffix(0, ks))
+        total = sum(ks)
+        # a lone split is kept as computed, so one time gives t^k/k! * s exactly
+        by_order[total] = by_order[total] + term if total in by_order else term
+    terms = tuple(by_order.get(total, 0.0) for total in range(k + 1))
+    tail, diverging = (0.0, False) if times[-1] == 0.0 else _tail_estimate(terms)
+    return TaylorResult(sum(terms), tail, diverging, terms)
 
 
 def count_bound_check(word: Iterable, f0: Monomial, params: SystemParams,

@@ -146,6 +146,19 @@ def test_thread_count_does_not_change_rows(tmp_path):
         (four / "universality.csv").read_bytes()
 
 
+def test_aging_runs_the_gradient_flow_under_either_template(tmp_path):
+    # aging is the eigen-exact flow of 2J - K I and never reads system.template
+    assert "template = langevin" in FAST["aging"]
+    plain = FAST["aging"].replace("template = langevin\n", "")
+    status_l, langevin = invoke(tmp_path / "a", "aging", FAST["aging"])
+    status_p, default = invoke(tmp_path / "b", "aging", plain)
+    assert status_l == status_p == 0
+    rows_l = (langevin / "aging.csv").read_text().split("\n", 1)
+    rows_p = (default / "aging.csv").read_text().split("\n", 1)
+    assert rows_l[0] != rows_p[0]  # the config hashes differ
+    assert rows_l[1] == rows_p[1]
+
+
 def test_seed_override_changes_output(tmp_path):
     _, a = invoke(tmp_path / "a", "simulate", FAST["simulate"], ["--seed", "1"])
     _, b = invoke(tmp_path / "b", "simulate", FAST["simulate"], ["--seed", "2"])
@@ -356,6 +369,19 @@ PRECONDITIONS = {
     "universality-step-count":
         ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 1")
          .replace("dt = 0.02", "dt = 1e-300"), "4e+298 Euler steps at size 1"),
+    # each count's whole float64 array would be allocated at once
+    "moments-check-paths":
+        ("moments-check", FAST["moments-check"].replace("mc_paths = 20000",
+                                                        "mc_paths = 10000000000000"),
+         "experiment.mc_paths = 10000000000000 needs more than 256 MB"),
+    "rayleigh-points":
+        ("rayleigh", FAST["rayleigh"].replace("rayleigh_points = 5",
+                                              "rayleigh_points = 100000000000"),
+         "experiment.rayleigh_points = 100000000000 needs more than 256 MB"),
+    "concentration-grid-points":
+        ("concentration", FAST["concentration"].replace("grid_points = 3",
+                                                        "grid_points = 100000000000"),
+         "experiment.grid_points = 100000000000 needs more than 256 MB"),
     "universality-tensor-inf-weight":
         ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
          + "[observable]\nkind = tensor\ntimes = 0.04\nblocks = x\na = -inf\n",

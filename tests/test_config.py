@@ -34,14 +34,12 @@ def test_empty_text_is_all_defaults():
     assert rc.get("ensemble", "seed") == -1
     assert rc.get("integrator", "dt") == 1e-3
     assert rc.get("experiment", "sizes") == (32, 64, 128, 256)
-    assert "run.seed" in rc.defaulted
 
 
 def test_comments_and_blank_lines():
     rc = parse("# a comment\n\n[run]\n# another\nseed = 42\n\n")
     assert rc.get("run", "seed") == 42
-    assert "run.seed" not in rc.defaulted
-    assert "run.threads" in rc.defaulted
+    assert rc.get("run", "threads") == 1
 
 
 def test_value_formats():
@@ -72,7 +70,6 @@ def test_round_trip():
     text = serialize(rc)
     again = parse(text)
     assert again == rc
-    assert again.defaulted == ()  # canonical text spells everything out
     assert text.startswith("[run]\n")
 
 
@@ -149,7 +146,6 @@ def test_replaced():
     rc2 = rc.replaced("run", "seed", 5)
     assert rc2.get("run", "seed") == 5
     assert rc.get("run", "seed") == 0
-    assert "run.seed" not in rc2.defaulted
     with pytest.raises(ConfigError, match="unknown key"):
         rc.replaced("run", "sed", 5)
 
@@ -319,6 +315,31 @@ def test_suite_weights_from_file(tmp_path):
     want = eval_quadratic(traj, QuadraticObservable(
         np.array([1.0, 2.0, 3.0]), BuildingBlock.X, BuildingBlock.X, 0.0, 0.0))
     assert item.fn(traj) == want
+
+
+@pytest.mark.parametrize("kind,obs_block", [
+    ("quadratic", "times = 0, 0.04\nblocks = x, x\n"),
+    ("tensor", "times = 0.04\nblocks = x, x\n"),
+])
+def test_suite_builds_each_observable_once_per_size(monkeypatch, kind, obs_block):
+    import rmsde.config
+    from rmsde.experiments import run_universality
+    cls = {"quadratic": QuadraticObservable, "tensor": TensorObservable}[kind]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return cls(*args)
+
+    monkeypatch.setattr(rmsde.config, cls.__name__, counting)
+    rc = parse("[run]\nexperiment = universality\nthreads = 1\n"
+               "[experiment]\nsizes = 4, 8\nreplicas = 6\n"
+               "[integrator]\ndt = 0.02\nhorizon = 0.04\n"
+               f"[observable]\nkind = {kind}\n{obs_block}")
+    report = run_universality(experiment_config(rc))
+    assert len(report.rows) == 2
+    # one per size; building per replica and arm would make 2 * 2 * 6
+    assert len(built) == 2
 
 
 # --------------------------------------------------- generated round trips

@@ -453,20 +453,30 @@ def test_taylor_vs_mc_small_system():
 def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
     import rmsde.experiments
     import rmsde.generator
-    real = rmsde.generator.taylor_terms
+    real = rmsde.generator.taylor_mean_multitime
     calls = []
 
-    def counting(f, *args, **kwargs):
-        calls.append(f)
-        return real(f, *args, **kwargs)
+    def counting(fs, *args, **kwargs):
+        calls.append(fs)
+        return real(fs, *args, **kwargs)
 
-    monkeypatch.setattr(rmsde.generator, "taylor_terms", counting)
-    # a name imported into experiments would bypass the patch above
-    monkeypatch.setattr(rmsde.experiments, "taylor_terms", counting, raising=False)
+    # taylor_mean reaches the series driver through the generator module;
+    # the multi-time row calls the name imported into experiments
+    monkeypatch.setattr(rmsde.generator, "taylor_mean_multitime", counting)
+    monkeypatch.setattr(rmsde.experiments, "taylor_mean_multitime", counting)
     report = run_taylor_vs_mc(ExperimentConfig(sizes=(3,), truncation=2, time=0.2,
                                                mc_paths=50, dt=0.05))
-    assert len(calls) == 3 == len(report.rows) - 1
+    assert len(calls) == 4 == len(report.rows)
     assert len(report.orders) == 3 * 3
+
+
+def test_taylor_vs_mc_multitime_row_reads_its_series():
+    report = run_taylor_vs_mc(ExperimentConfig(sizes=(2,), truncation=4, time=0.2,
+                                               mc_paths=50, dt=0.05))
+    row = report.rows[-1]
+    assert row.observable == "x1(t/2)*x1(t)"
+    assert math.isfinite(row.tail_bound)
+    assert not row.diverging
 
 
 def test_taylor_vs_mc_preconditions():

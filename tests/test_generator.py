@@ -22,7 +22,7 @@ from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
 from rmsde.generator import (DEFAULT_TRUNCATION_CAP, Letter, TruncationError,
                              apply_generator, apply_letter, count_bound_check,
                              taylor_mean, taylor_mean_multitime,
-                             taylor_mean_numericJ, taylor_terms)
+                             taylor_mean_numericJ)
 from rmsde.rng import (PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE,
                        RngStream)
 
@@ -240,10 +240,22 @@ def test_taylor_ou_second_moment():
 def test_taylor_terms_sum_to_mean():
     p = params_with(1, lam=[[-1.0]])
     f = Polynomial.from_x(1, 1)
-    terms = taylor_terms(f, p, gaussian_oracle(1), t=0.2, k=6)
     res = taylor_mean(f, p, gaussian_oracle(1), t=0.2, k=6)
-    assert sum(terms) == pytest.approx(res.value, rel=1e-14)
-    assert len(terms) == 7
+    assert sum(res.terms) == pytest.approx(res.value, rel=1e-14)
+    assert len(res.terms) == 7
+    # E[x^2] = 1 under the standard Gaussian start, and L^k x^2 = (-2)^k x^2
+    assert res.terms == tuple(0.2 ** k / math.factorial(k) * (-2.0) ** k for k in range(7))
+
+
+def test_taylor_mean_is_the_one_time_multitime_series():
+    p = params_with(2, lam=[[-1.0, 0.3], [0.0, -0.5]], h=[0.2, 0.0],
+                    sigma=[[0.4, 0.1], [0.0, 0.2], [0.0, 0.0]])
+    oracle = gaussian_oracle(2)
+    f = Polynomial.from_x(1, 2) + Polynomial.from_x(2, 2, coeff=0.5)
+    one = taylor_mean(f, p, oracle, 0.3, k=6)
+    multi = taylor_mean_multitime([f], [0.3], p, oracle, k=6)
+    assert one.terms == multi.terms  # bit for bit
+    assert one == multi
 
 
 def test_taylor_at_time_zero():
@@ -347,6 +359,39 @@ def test_numericj_folds_coupling_factors():
     assert taylor_mean_numericJ(f, p, x, 0.0, k=0) == pytest.approx(4 * 0.25 * 3.0)
 
 
+def test_numericj_applies_letters_through_the_symbolic_engine(monkeypatch):
+    import rmsde.generator
+    real = rmsde.generator._letter_terms
+    letters = []
+
+    def counting(mono, letter, params):
+        letters.append(letter)
+        return real(mono, letter, params)
+
+    monkeypatch.setattr(rmsde.generator, "_letter_terms", counting)
+    p = params_with(2, coupling=[[0.0, 0.5], [0.25, 0.0]],
+                    sigma=[[0.3, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    taylor_mean_numericJ(Polynomial.from_x(1, 2), p, np.array([1.0, -1.0]), 0.1, k=2)
+    # the coupling is folded into the drift letter, so it is never applied on its own
+    assert set(letters) == {Letter.DRIFT, Letter.CONSTANT, Letter.DIFFUSION}
+
+
+def test_numericj_equals_the_symbolic_series_at_the_coupling():
+    rng = np.random.default_rng(3)
+    n, t, k = 2, 0.4, 6
+    j = rng.standard_normal((n, n)) / math.sqrt(n)
+    p = params_with(n, coupling=j, lam=[[-1.0, 0.2], [0.0, -0.7]], h=[0.3, -0.1],
+                    sigma=[[0.5, 0.2], [0.1, 0.0], [0.0, 0.3]])
+    x = np.array([0.8, -1.3])
+    f = Polynomial.from_x(1, 2) + Polynomial([Monomial(2.0, ((2, 1),), (1, 1))])
+    want, poly = 0.0, f
+    for m in range(k + 1):
+        if m:
+            poly = apply_generator(poly, p)
+        want += t ** m / math.factorial(m) * poly.evaluate(j, x)
+    assert taylor_mean_numericJ(f, p, x, t, k) == pytest.approx(want, rel=1e-12)
+
+
 def test_numericj_validates_state_shape():
     p = params_with(2)
     with pytest.raises(AlgebraError, match="shape"):
@@ -361,7 +406,9 @@ def test_multitime_equal_times_reduce_to_products():
     f = Polynomial.from_x(1)
     both = taylor_mean_multitime([f, f], [0.3, 0.3], p, oracle, k=8)
     squared = taylor_mean(Polynomial.from_x(1, 1), p, oracle, 0.3, k=8)
-    assert both == pytest.approx(squared.value, rel=1e-12)
+    assert both.value == pytest.approx(squared.value, rel=1e-12)
+    # a zero gap contributes only its order 0, so the series are the same
+    assert both == squared
 
 
 def test_multitime_independent_gap_hand_case():
@@ -372,7 +419,9 @@ def test_multitime_independent_gap_hand_case():
     oracle = gaussian_oracle(1)
     f = Polynomial.from_x(1, 1)
     got = taylor_mean_multitime([f, f], [0.0, t], p, oracle, k=6)
-    assert got == pytest.approx(3.0 + 2 * s * s * t, rel=1e-12)
+    assert got.value == pytest.approx(3.0 + 2 * s * s * t, rel=1e-12)
+    assert got.tail_bound == 0.0  # the series ends at order 1
+    assert not got.diverging
 
 
 def test_multitime_single_time_matches_taylor_mean():
@@ -381,7 +430,7 @@ def test_multitime_single_time_matches_taylor_mean():
     f = Polynomial.from_x(1, 2)
     one = taylor_mean_multitime([f], [0.25], p, oracle, k=8)
     ref = taylor_mean(f, p, oracle, 0.25, k=8)
-    assert one == pytest.approx(ref.value, rel=1e-12)
+    assert one.value == pytest.approx(ref.value, rel=1e-12)
 
 
 def test_multitime_validation():
@@ -402,7 +451,7 @@ def test_multitime_martingale_orthogonality():
     oracle = gaussian_oracle(1)
     f = Polynomial.from_x(1)
     got = taylor_mean_multitime([f, f], [0.0, 0.6], p, oracle, k=6)
-    assert got == pytest.approx(1.0, rel=1e-12)
+    assert got.value == pytest.approx(1.0, rel=1e-12)
 
 
 # --------------------------------------------------- truncation diagnostics
