@@ -9,7 +9,9 @@ numbers.  The cases cover both symmetric and non-symmetric ensembles,
 the gradient-flow template, thresholds, two threads, a simulate run
 long enough to span two noise blocks, a banded profile file with zero
 variances off the diagonal, and aging with a fixed confinement that
-drops replicas in both arms.  Runs start in this directory, so a
+drops replicas in both arms.  Two universality cases run the weighted
+observables of the ``[observable]`` block: a quadratic read from a weight
+file and an arity-2 tensor over two times.  Runs start in this directory, so a
 profile file is named relative to it and the pinned config hash does
 not depend on where the checkout lives.  Float formatting and BLAS
 rounding are part of what is pinned, so the hashes are specific to the
@@ -92,6 +94,41 @@ dt = 0.02
 horizon = 0.1
 """,
         "b491403e763aa228d035d7a8cc013491844a683a3d49f3b47f9c07264cfb70e2"),
+    # kind=quadratic with a weight file: an arity-1 observable over two times
+    "universality-quadratic": ("universality", "universality.csv", """
+[run]
+threads = 2
+[experiment]
+sizes = 6
+replicas = 6
+[integrator]
+dt = 0.02
+horizon = 0.1
+[observable]
+kind = quadratic
+times = 0.04, 0.1
+blocks = g, m
+a = weights_6.csv
+""",
+        "905591486e164bf8262cce637c3fda18a03cefc2dd1086418aa3ff9f5e282f91"),
+    # kind=tensor of arity 2 over two times, on an asymmetric ensemble
+    "universality-tensor": ("universality", "universality.csv", """
+[ensemble]
+symmetric = false
+profile = full
+[experiment]
+sizes = 3, 5
+replicas = 5
+[integrator]
+dt = 0.05
+horizon = 0.2
+[observable]
+kind = tensor
+times = 0.1, 0.2
+blocks = x, g, m, one
+a = 0.7
+""",
+        "f7f6affdf30c3d3a73f3fa3f8ea7dddf7e8fed6e537dcda5245c97e7ee23c043"),
     "hopfield": ("hopfield", "hopfield.csv", """
 [system]
 beta = 4.0
