@@ -19,6 +19,7 @@ import functools
 import hashlib
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .ensembles import EnsembleError, EntryDistribution, VarianceProfile
 from .experiments import ExperimentConfig, ExperimentError, check_preconditions
 from .dynamics import IntegratorConfig, SystemTemplate
-from .observables import BuildingBlock, QuadraticObservable, TensorObservable, eval_quadratic, eval_tensor
+from .observables import BuildingBlock, TensorObservable, eval_tensor
 from .experiments import (SuiteItem, autocorr_item, gradsq_item,
                           hamiltonian_item, overlap_item)
 
@@ -383,15 +384,28 @@ def _dist(name: str) -> EntryDistribution:
     return EntryDistribution.from_name(name)
 
 
+def _load_csv(key: str, spec: str, ndmin: int) -> np.ndarray:
+    """The numbers in CSV file ``spec``; a :class:`ConfigError` naming ``key``
+    if the file cannot be read or holds no data."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy warns on a file with no data
+            return np.loadtxt(spec, delimiter=",", ndmin=ndmin)
+    except UserWarning:
+        raise ConfigError(f"{key}: {spec!r} holds no data") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot load {spec!r}: {exc}") from None
+
+
 def _profile_value(rc: RunConfig):
     """Preset name, or a VarianceProfile loaded from a CSV matrix."""
     profile = rc.get("ensemble", "profile")
     if profile in _PROFILE_PRESETS:
         return profile
+    m = _load_csv("ensemble.profile", profile, 2)
     try:
-        m = np.loadtxt(profile, delimiter=",", ndmin=2)
         return VarianceProfile(m)
-    except (OSError, ValueError, EnsembleError) as exc:
+    except EnsembleError as exc:
         raise ConfigError(f"ensemble.profile: cannot load {profile!r}: {exc}") from None
 
 
@@ -419,10 +433,7 @@ def _weight_file(spec: str):
         return None
     except ValueError:
         pass
-    try:
-        weights = np.loadtxt(spec, delimiter=",", ndmin=1)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"observable.a: cannot load {spec!r}: {exc}") from None
+    weights = _load_csv("observable.a", spec, 1)
     _require(np.all(np.isfinite(weights)), f"observable.a: {spec!r} holds non-finite weights")
     return weights
 
@@ -452,44 +463,35 @@ def observable_suite(rc: RunConfig) -> tuple:
     a_spec = rc.get("observable", "a")
     weights = _weight_file(a_spec)
 
-    def flat_weights(size: int) -> np.ndarray:
-        return np.full(size, float(a_spec)) if weights is None else weights
-
-    # Each observable is built, and its weights checked, once per size:
-    # sizes run one after another, so the last size is the one to keep.
+    # A quadratic is the arity-1 tensor over its two times.
     if kind == "quadratic":
         if len(times) != 2 or len(blocks) != 2:
             raise ConfigError("kind=quadratic needs exactly two times and two blocks")
         if weights is not None and weights.ndim != 1:
             raise ConfigError("observable.a: kind=quadratic needs one row or column of weights")
-
-        @functools.lru_cache(maxsize=1)
-        def quadratic_at(n: int) -> QuadraticObservable:
-            return QuadraticObservable(flat_weights(n), blocks[0], blocks[1], times[0], times[1])
-
-        def make_quadratic(traj):
-            return eval_quadratic(traj, quadratic_at(traj.x.shape[1]))
-
         name = f"quadratic[{times[0]:g},{times[1]:g}]"
-        return (SuiteItem(name, tuple(times), make_quadratic, weights),)
-    if kind == "tensor":
+    elif kind == "tensor":
         if not blocks or len(blocks) % len(times):
             raise ConfigError("kind=tensor needs blocks as m rows flattened over p times")
-        m = len(blocks) // len(times)
-        if m > 3:
-            raise ConfigError(f"kind=tensor supports arity <= 3, got {m} block rows")
-        rows = tuple(tuple(blocks[r * len(times):(r + 1) * len(times)]) for r in range(m))
-
-        @functools.lru_cache(maxsize=1)
-        def tensor_at(n: int) -> TensorObservable:
-            return TensorObservable(rows, tuple(times), flat_weights(n ** m).reshape((n,) * m))
-
-        def make_tensor(traj):
-            return eval_tensor(traj, tensor_at(traj.x.shape[1]))
-
         name = f"tensor[{','.join(f'{t:g}' for t in times)}]"
-        return (SuiteItem(name, tuple(times), make_tensor, weights, m),)
-    raise ConfigError(f"unhandled observable kind {kind!r}")
+    else:
+        raise ConfigError(f"unhandled observable kind {kind!r}")
+    m = len(blocks) // len(times)
+    if m > 3:
+        raise ConfigError(f"kind=tensor supports arity <= 3, got {m} block rows")
+    rows = tuple(tuple(blocks[r * len(times):(r + 1) * len(times)]) for r in range(m))
+
+    # The observable is built, and its weights checked, once per size:
+    # sizes run one after another, so the last size is the one to keep.
+    @functools.lru_cache(maxsize=1)
+    def tensor_at(n: int) -> TensorObservable:
+        a = np.full(n ** m, float(a_spec)) if weights is None else weights
+        return TensorObservable(rows, tuple(times), a.reshape((n,) * m))
+
+    def evaluate(traj):
+        return eval_tensor(traj, tensor_at(traj.x.shape[1]))
+
+    return (SuiteItem(name, tuple(times), evaluate, weights, m),)
 
 
 def experiment_config(rc: RunConfig) -> ExperimentConfig:

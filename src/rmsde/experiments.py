@@ -363,12 +363,6 @@ class UniversalityReport:
     rows: tuple
     slopes: dict
 
-    def row(self, n: int, observable: str) -> UniversalityRow:
-        for r in self.rows:
-            if r.n == n and r.observable == observable:
-                return r
-        raise KeyError((n, observable))
-
 
 def _fit_loglog(ns, values) -> Optional[SlopeFit]:
     pts = [(math.log(n), math.log(v)) for n, v in zip(ns, values) if v > 0]
@@ -382,11 +376,8 @@ def _fit_loglog(ns, values) -> Optional[SlopeFit]:
         return None
     slope = float(xc @ y) / sxx
     resid = y - (y.mean() + slope * xc)
-    dof = len(pts) - 2
-    if dof > 0:
-        stderr = math.sqrt(float(resid @ resid) / dof / sxx)
-    else:
-        stderr = 0.0
+    dof = len(pts) - 2  # >= 1: fewer than three points returned above
+    stderr = math.sqrt(float(resid @ resid) / dof / sxx)
     return SlopeFit(slope, slope - 1.96 * stderr, slope + 1.96 * stderr)
 
 
@@ -466,12 +457,6 @@ class ConcentrationRow:
 class ConcentrationReport:
     rows: tuple
 
-    def row(self, n: int, observable: str) -> ConcentrationRow:
-        for r in self.rows:
-            if r.n == n and r.observable == observable:
-                return r
-        raise KeyError((n, observable))
-
 
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     """Replica spread of sup-over-grid observables, single arm.
@@ -524,12 +509,6 @@ class AgingReport:
     rows: tuple
     dropped_a: int
     dropped_b: int
-
-    def row(self, n: int, s: float, lam: float) -> AgingRow:
-        for r in self.rows:
-            if r.n == n and r.s == s and r.lam == lam:
-                return r
-        raise KeyError((n, s, lam))
 
 
 def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,

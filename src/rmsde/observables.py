@@ -18,10 +18,8 @@ from .dynamics import Trajectory
 
 __all__ = [
     "BuildingBlock",
-    "QuadraticObservable",
     "TensorObservable",
     "block_values",
-    "eval_quadratic",
     "eval_tensor",
     "autocorrelation",
     "hamiltonian_density",
@@ -66,49 +64,13 @@ def block_values(traj: Trajectory, block: BuildingBlock, t: float) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class QuadraticObservable:
-    """``(1/N) sum_i a_i * Y_i(t) * Y'_i(t2)``.
-
-    Parameters
-    ----------
-    a : ndarray, shape (N,)
-    y, y2 : BuildingBlock
-    t, t2 : float
-        Evaluation times, must lie on the snapshot grid of the
-        trajectory the observable is applied to.
-    """
-
-    a: np.ndarray
-    y: BuildingBlock
-    y2: BuildingBlock
-    t: float
-    t2: float
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.float64)
-        if a.ndim != 1 or a.size == 0:
-            raise ObservableError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(a)):
-            raise ObservableError("weights must be finite")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-
-def eval_quadratic(traj: Trajectory, obs: QuadraticObservable) -> float:
-    if obs.a.shape[0] != traj.x.shape[1]:
-        raise ObservableError("weight vector length does not match the trajectory dimension")
-    v = block_values(traj, obs.y, obs.t)
-    w = block_values(traj, obs.y2, obs.t2)
-    return float(obs.a @ (v * w)) / traj.x.shape[1]
-
-
-@dataclass(frozen=True)
 class TensorObservable:
     """``N^{-m} sum a_{i_1..i_m} prod_l prod_k block[l][k]_{i_l}(t_k)``.
 
     ``blocks`` has one row per outer factor and one column per time in
-    ``times``.  Weights are a dense ndarray of arity m <= 3.
+    ``times``.  Weights are a dense ndarray of arity m <= 3.  The quadratic
+    ``(1/N) sum_i a_i Y_i(t) Y'_i(t2)`` is ``blocks=((Y, Y'),)``,
+    ``times=(t, t2)``.
     """
 
     blocks: tuple  # m rows, each a tuple of p BuildingBlock
@@ -133,8 +95,8 @@ class TensorObservable:
         a = np.asarray(self.a, dtype=np.float64)
         if a.ndim != m:
             raise ObservableError(f"weights must have arity {m}, got {a.ndim}")
-        if not np.all(np.isfinite(a)):
-            raise ObservableError("weights must be finite")
+        if a.size == 0 or not np.all(np.isfinite(a)):
+            raise ObservableError("weights must be non-empty and finite")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)

@@ -414,9 +414,11 @@ def test_config_preconditions_are_status_2(tmp_path, capsys, monkeypatch, kind, 
     assert not (out / CSV_NAMES[kind]).exists()
 
 
+EMPTY_CSV = str(Path(__file__).with_name("empty.csv"))
+
 # Configs the fuzz test below turned up, directly or through its wild
-# values: each escaped as a numpy RuntimeWarning (a traceback under this
-# suite's warning filter) instead of a status record.
+# values: each escaped as a numpy RuntimeWarning or UserWarning (a
+# traceback under this suite's warning filter) instead of a status record.
 FUZZ_REGRESSIONS = {
     "confinement-inf":
         ("universality", FAST["universality"] + "[system]\nconfinement = inf\n", 2,
@@ -441,6 +443,16 @@ FUZZ_REGRESSIONS = {
     "rayleigh-negative-horizon":
         ("rayleigh", FAST["rayleigh"].replace("rayleigh_horizon = 2.0", "rayleigh_horizon = -1e300"),
          2, "rayleigh_horizon must be finite and >= 0"),
+    # numpy's loadtxt warns on a file with no data
+    "quadratic-empty-weight-file":
+        ("universality", FAST["universality"]
+         + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\n"
+         + f"a = {EMPTY_CSV}\n",
+         2, f"observable.a: {EMPTY_CSV!r} holds no data"),
+    "empty-profile-file":
+        ("universality", FAST["universality"]
+         + f"[ensemble]\nprofile = {EMPTY_CSV}\n",
+         2, f"ensemble.profile: {EMPTY_CSV!r} holds no data"),
 }
 
 

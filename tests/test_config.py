@@ -14,8 +14,8 @@ from rmsde.config import (EXPERIMENT_KINDS, ConfigError, config_hash,
                           system_template)
 from rmsde.dynamics import IntegratorConfig, SystemParams, simulate
 from rmsde.ensembles import EntryDistribution, VarianceProfile
-from rmsde.observables import (BuildingBlock, QuadraticObservable,
-                               TensorObservable, eval_quadratic, eval_tensor)
+from rmsde.experiments import ExperimentConfig
+from rmsde.observables import BuildingBlock, TensorObservable, eval_tensor
 from rmsde.rng import RngStream
 
 
@@ -34,6 +34,11 @@ def test_empty_text_is_all_defaults():
     assert rc.get("ensemble", "seed") == -1
     assert rc.get("integrator", "dt") == 1e-3
     assert rc.get("experiment", "sizes") == (32, 64, 128, 256)
+
+
+def test_cli_defaults_equal_library_defaults():
+    # every default is written in the schema and again in the dataclass fields
+    assert experiment_config(parse("")) == ExperimentConfig()
 
 
 def test_comments_and_blank_lines():
@@ -277,9 +282,10 @@ def test_suite_quadratic_evaluates():
                "blocks = x, m\na = 2.0\n")
     (item,) = observable_suite(rc)
     traj = tiny_traj()
-    want = eval_quadratic(traj, QuadraticObservable(
-        np.full(3, 2.0), BuildingBlock.X, BuildingBlock.M, 0.0, 0.02))
+    want = eval_tensor(traj, TensorObservable(
+        ((BuildingBlock.X, BuildingBlock.M),), (0.0, 0.02), np.full(3, 2.0)))
     assert item.fn(traj) == want
+    assert (item.name, item.arity) == ("quadratic[0,0.02]", 1)
 
 
 def test_suite_tensor_evaluates():
@@ -312,8 +318,8 @@ def test_suite_weights_from_file(tmp_path):
                f"blocks = x, x\na = {path}\n")
     (item,) = observable_suite(rc)
     traj = tiny_traj()
-    want = eval_quadratic(traj, QuadraticObservable(
-        np.array([1.0, 2.0, 3.0]), BuildingBlock.X, BuildingBlock.X, 0.0, 0.0))
+    want = eval_tensor(traj, TensorObservable(
+        ((BuildingBlock.X, BuildingBlock.X),), (0.0, 0.0), np.array([1.0, 2.0, 3.0])))
     assert item.fn(traj) == want
 
 
@@ -324,14 +330,13 @@ def test_suite_weights_from_file(tmp_path):
 def test_suite_builds_each_observable_once_per_size(monkeypatch, kind, obs_block):
     import rmsde.config
     from rmsde.experiments import run_universality
-    cls = {"quadratic": QuadraticObservable, "tensor": TensorObservable}[kind]
     built = []
 
     def counting(*args):
         built.append(args)
-        return cls(*args)
+        return TensorObservable(*args)
 
-    monkeypatch.setattr(rmsde.config, cls.__name__, counting)
+    monkeypatch.setattr(rmsde.config, "TensorObservable", counting)
     rc = parse("[run]\nexperiment = universality\nthreads = 1\n"
                "[experiment]\nsizes = 4, 8\nreplicas = 6\n"
                "[integrator]\ndt = 0.02\nhorizon = 0.04\n"

@@ -145,10 +145,9 @@ def test_universality_distinct_arms():
 
 def test_universality_row_lookup():
     report = run_universality(small_cfg())
-    row = report.row(4, "hamiltonian[0.1]")
+    (row,) = [r for r in report.rows if r.n == 4 and r.observable == "hamiltonian[0.1]"]
     assert row.n == 4
-    with pytest.raises(KeyError):
-        report.row(5, "hamiltonian[0.1]")
+    assert not [r for r in report.rows if r.n == 5]
 
 
 def test_universality_slope_fit_with_three_sizes():
@@ -262,8 +261,9 @@ def test_hopfield_forces_flow_and_suite():
 def test_concentration_shrinks_with_size():
     cfg = small_cfg(sizes=(8, 32), replicas=60, grid_points=6)
     report = run_concentration(cfg)
-    small = report.row(8, "autocorr[t,t]")
-    big = report.row(32, "autocorr[t,t]")
+    small, big = report.rows
+    assert (small.n, big.n) == (8, 32)
+    assert small.observable == big.observable == "autocorr[t,t]"
     assert small.sup_std > 0
     assert big.sup_std <= 0.8 * small.sup_std
     assert small.replicas == 60
@@ -324,7 +324,7 @@ def test_aging_needs_noise_free_flow():
 def test_aging_lambda_one_is_exactly_one():
     report = run_aging(aging_cfg())
     for s in (1.0, 2.0):
-        row = report.row(8, s, 1.0)
+        (row,) = [r for r in report.rows if (r.n, r.s, r.lam) == (8, s, 1.0)]
         assert row.mean_a == 1.0
         assert row.se_a == 0.0
         assert row.mean_b == 1.0
@@ -377,8 +377,7 @@ def test_aging_drop_message_counts_at_the_failing_size():
 def test_aging_report_lookup():
     report = run_aging(aging_cfg())
     assert isinstance(report, AgingReport)
-    with pytest.raises(KeyError):
-        report.row(8, 3.0, 1.0)
+    assert not [r for r in report.rows if (r.n, r.s, r.lam) == (8, 3.0, 1.0)]
 
 
 # --------------------------------------------------------------- rayleigh

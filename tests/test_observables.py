@@ -1,4 +1,5 @@
-"""Quadratic and tensor observables against brute-force loop oracles."""
+"""Weighted (tensor) observables, quadratics among them, against brute-force
+loop oracles."""
 
 import math
 
@@ -8,10 +9,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rmsde.dynamics import IntegratorConfig, ParameterError, SystemParams, simulate
-from rmsde.observables import (BuildingBlock, ObservableError, QuadraticObservable,
-                               TensorObservable, autocorrelation, block_values,
-                               eval_quadratic, eval_tensor, grad_sq_density,
-                               hamiltonian_density)
+from rmsde.observables import (BuildingBlock, ObservableError, TensorObservable,
+                               autocorrelation, block_values, eval_tensor,
+                               grad_sq_density, hamiltonian_density)
 from rmsde.rng import PURPOSE_NOISE, RngStream
 
 ONE, X, G, M = (BuildingBlock.ONE, BuildingBlock.X, BuildingBlock.G,
@@ -88,12 +88,18 @@ def test_off_grid_time_rejected():
 
 # ------------------------------------------------------------- quadratics
 
+def quadratic(a, y, y2, t, t2):
+    """``(1/N) sum_i a_i Y_i(t) Y'_i(t2)``: the arity-1 tensor over two times."""
+    return TensorObservable(((y, y2),), (t, t2), a)
+
+
 def brute_quadratic(traj, obs):
+    (y, y2), (t, t2) = obs.blocks[0], obs.times
     n = traj.x.shape[1]
     total = 0.0
     for i in range(1, n + 1):
-        total += (obs.a[i - 1] * brute_block(traj, obs.y, i, obs.t)
-                  * brute_block(traj, obs.y2, i, obs.t2))
+        total += (obs.a[i - 1] * brute_block(traj, y, i, t)
+                  * brute_block(traj, y2, i, t2))
     return total / n
 
 
@@ -101,31 +107,31 @@ def brute_quadratic(traj, obs):
 def test_quadratic_against_loop_oracle(y, y2):
     traj = make_traj(n=5, seed=3)
     a = np.random.default_rng(1).uniform(-1, 1, size=5)
-    obs = QuadraticObservable(a, y, y2, 0.2, 0.4)
-    assert eval_quadratic(traj, obs) == pytest.approx(brute_quadratic(traj, obs),
-                                                      rel=1e-12, abs=1e-14)
+    obs = quadratic(a, y, y2, 0.2, 0.4)
+    assert eval_tensor(traj, obs) == pytest.approx(brute_quadratic(traj, obs),
+                                                   rel=1e-12, abs=1e-14)
 
 
 def test_quadratic_weight_validation():
     with pytest.raises(ObservableError, match="non-empty"):
-        QuadraticObservable(np.array([]), X, X, 0.0, 0.0)
+        quadratic(np.array([]), X, X, 0.0, 0.0)
     with pytest.raises(ObservableError, match="finite"):
-        QuadraticObservable(np.array([np.nan]), X, X, 0.0, 0.0)
+        quadratic(np.array([np.nan]), X, X, 0.0, 0.0)
 
 
 def test_quadratic_dimension_mismatch():
     traj = make_traj(n=4)
-    obs = QuadraticObservable(np.ones(3), X, X, 0.0, 0.0)
+    obs = quadratic(np.ones(3), X, X, 0.0, 0.0)
     with pytest.raises(ObservableError, match="dimension"):
-        eval_quadratic(traj, obs)
+        eval_tensor(traj, obs)
 
 
 def test_autocorrelation_is_weighted_quadratic():
     traj = make_traj(n=6, seed=8)
     n = 6
-    obs = QuadraticObservable(np.ones(n), X, X, 0.1, 0.3)
+    obs = quadratic(np.ones(n), X, X, 0.1, 0.3)
     assert autocorrelation(traj, 0.1, 0.3) == pytest.approx(
-        eval_quadratic(traj, obs), rel=1e-14)
+        eval_tensor(traj, obs), rel=1e-14)
     assert autocorrelation(traj, 0.1, 0.3) == autocorrelation(traj, 0.3, 0.1)
     assert autocorrelation(traj, 0.2, 0.2) >= 0.0
 
@@ -147,8 +153,8 @@ def test_grad_sq_density_is_mean_square_field():
 
 def test_grad_sq_vs_quadratic_form():
     traj = make_traj(n=5, seed=12)
-    obs = QuadraticObservable(np.ones(5), G, G, 0.2, 0.2)
-    assert grad_sq_density(traj, 0.2) == pytest.approx(eval_quadratic(traj, obs),
+    obs = quadratic(np.ones(5), G, G, 0.2, 0.2)
+    assert grad_sq_density(traj, 0.2) == pytest.approx(eval_tensor(traj, obs),
                                                        rel=1e-13)
 
 
@@ -168,12 +174,13 @@ def brute_tensor_dense(traj, obs):
 
 
 def test_tensor_arity1_matches_quadratic():
+    # 1.0 * X(t) is exact, so the tensor path forms the quadratic's own
+    # product X(t) * M(t2) and the same a @ v: the bytes match, not just the value
     traj = make_traj(n=4, seed=5)
     a = np.random.default_rng(2).uniform(-1, 1, size=4)
-    quad = QuadraticObservable(a, X, M, 0.1, 0.3)
     tens = TensorObservable(blocks=((X, M),), times=(0.1, 0.3), a=a)
-    assert eval_tensor(traj, tens) == pytest.approx(eval_quadratic(traj, quad),
-                                                    rel=1e-13)
+    v = block_values(traj, X, 0.1) * block_values(traj, M, 0.3)
+    assert eval_tensor(traj, tens) == float(a @ v) / 4
 
 
 def test_tensor_arity2_against_loops():
