@@ -3,8 +3,9 @@
 
 The normalized autocorrelation ratio C(s, t) / sqrt(C(s,s) C(t,t))
 of the flow depends on how old the system is when you first look,
-not just on the gap t - s.  The ratio is computed eigen-exactly from
-the sampled coupling, and the confinement cancels from it, so the
+not just on the gap t - s.  The ratio is computed from a Lanczos-Gauss
+rule of the sampled coupling, exact to rounding, and the confinement
+cancels from it, so the
 numbers are free of both time discretization and stabilization
 choices.  Both entry laws give the same picture.
 """

@@ -2,173 +2,6 @@
 
 Simulation, symbolic moment expansion, and paired-ensemble experiments for
 linear-drift diffusions whose interaction matrix is drawn from a scaled
-random ensemble.
+random ensemble.  The package root exports nothing: import the
+submodules (``rmsde.cli``, ``rmsde.experiments``, ...).
 """
-
-from .algebra import (
-    AlgebraError,
-    Monomial,
-    MomentOracle,
-    MultiplicityProfile,
-    Polynomial,
-    canonical_pair,
-    difference_vanishes,
-    expected_value,
-    multiplicity_profile,
-)
-from .dynamics import (
-    IntegratorConfig,
-    ParameterError,
-    PathBatch,
-    SimulationBlowupError,
-    SystemParams,
-    SystemTemplate,
-    Trajectory,
-    drift,
-    exact_mean_linear,
-    simulate,
-    simulate_paths,
-)
-from .ensembles import (
-    EnsembleError,
-    EntryDistribution,
-    InitialLaw,
-    VarianceProfile,
-    entry_moment,
-    moment_growth_constant,
-    sample_couplings,
-    sample_entries,
-    sample_initial,
-)
-from .experiments import (
-    AgingReport,
-    AgingRow,
-    ConcentrationRow,
-    ExperimentConfig,
-    ExperimentError,
-    RayleighReport,
-    RayleighRow,
-    SuiteItem,
-    TaylorRow,
-    TaylorVsMcReport,
-    UniversalityReport,
-    UniversalityRow,
-    autocorr_item,
-    default_suite,
-    gradsq_item,
-    hamiltonian_item,
-    hopfield_suite,
-    overlap_item,
-    rayleigh_quotient_curve,
-    run_aging,
-    run_concentration,
-    run_hopfield,
-    run_rayleigh,
-    run_taylor_vs_mc,
-    run_universality,
-)
-from .generator import (
-    Letter,
-    TaylorResult,
-    TruncationError,
-    apply_generator,
-    apply_letter,
-    count_bound_check,
-    taylor_mean,
-    taylor_mean_multitime,
-    taylor_mean_numericJ,
-)
-from .observables import (
-    BuildingBlock,
-    ObservableError,
-    TensorObservable,
-    autocorrelation,
-    eval_tensor,
-    grad_sq_density,
-    hamiltonian_density,
-)
-from .rng import (
-    PURPOSE_COUPLING,
-    PURPOSE_INITIAL,
-    PURPOSE_NOISE,
-    RngStream,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AgingReport",
-    "AgingRow",
-    "AlgebraError",
-    "BuildingBlock",
-    "ConcentrationRow",
-    "EnsembleError",
-    "EntryDistribution",
-    "ExperimentConfig",
-    "ExperimentError",
-    "InitialLaw",
-    "IntegratorConfig",
-    "Letter",
-    "MomentOracle",
-    "Monomial",
-    "MultiplicityProfile",
-    "ObservableError",
-    "ParameterError",
-    "PathBatch",
-    "Polynomial",
-    "PURPOSE_COUPLING",
-    "PURPOSE_INITIAL",
-    "PURPOSE_NOISE",
-    "RayleighReport",
-    "RayleighRow",
-    "RngStream",
-    "SimulationBlowupError",
-    "SuiteItem",
-    "SystemParams",
-    "SystemTemplate",
-    "TaylorResult",
-    "TaylorRow",
-    "TaylorVsMcReport",
-    "TensorObservable",
-    "Trajectory",
-    "TruncationError",
-    "UniversalityReport",
-    "UniversalityRow",
-    "VarianceProfile",
-    "apply_generator",
-    "apply_letter",
-    "autocorr_item",
-    "autocorrelation",
-    "canonical_pair",
-    "count_bound_check",
-    "default_suite",
-    "difference_vanishes",
-    "drift",
-    "entry_moment",
-    "eval_tensor",
-    "exact_mean_linear",
-    "expected_value",
-    "grad_sq_density",
-    "gradsq_item",
-    "hamiltonian_density",
-    "hamiltonian_item",
-    "hopfield_suite",
-    "moment_growth_constant",
-    "multiplicity_profile",
-    "overlap_item",
-    "rayleigh_quotient_curve",
-    "run_aging",
-    "run_concentration",
-    "run_hopfield",
-    "run_rayleigh",
-    "run_taylor_vs_mc",
-    "run_universality",
-    "sample_couplings",
-    "sample_entries",
-    "sample_initial",
-    "simulate",
-    "simulate_paths",
-    "taylor_mean",
-    "taylor_mean_multitime",
-    "taylor_mean_numericJ",
-]

@@ -347,6 +347,11 @@ def _validate(rc: RunConfig) -> None:
         _require(os.path.exists(a), f"observable.a: not a number and no file named {a!r}")
     else:
         _require(math.isfinite(weight), f"observable.a must be finite, got {a!r}")
+    if kind not in ("quadratic", "tensor"):
+        for key, unset in (("blocks", ()), ("a", _SCHEMA["observable"]["a"][1])):
+            _require(g("observable", key) == unset,
+                     f"observable.{key} is read only by kind = quadratic or tensor, "
+                     f"not by kind = {kind!r}")
 
 
 def serialize(rc: RunConfig) -> str:

@@ -198,7 +198,7 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
 
     ``universality`` and ``hopfield`` accept an asymmetric ensemble under
     the gradient-flow template: that is the asymmetric Hopfield model,
-    whose drift ``2J - K I`` is not a gradient.  The eigen-exact
+    whose drift ``2J - K I`` is not a gradient.  The spectral
     ``aging`` and ``rayleigh`` flows need a symmetric ``J`` and no
     thresholds; they always run the gradient flow ``2J - K I``, whatever
     ``system.template`` says, so the template is not checked for them.
@@ -220,10 +220,10 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
             raise ExperimentError(f"{kind} runs are defined for beta = inf (noise-free flow)")
         if not cfg.symmetric:
             raise ExperimentError(f"{kind} runs need a symmetric ensemble: "
-                                  "the eigendecomposition reads one triangle of J")
+                                  "Lanczos quadrature needs J = J^T")
         if np.any(cfg.template.thresholds):
             raise ExperimentError(f"{kind} runs need thresholds = 0: "
-                                  "the eigen-exact flow has no constant drift")
+                                  "the spectral flow has no constant drift")
     if kind == "concentration":
         n0 = cfg.sizes[0]
         if not cfg.template.build(np.zeros((n0, n0))).constant_diffusion:
@@ -489,7 +489,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
 
 # ---------------------------------------------------------------------------
-# aging (noise-free flow, exact in the eigenbasis)
+# aging (noise-free flow, a Gauss rule of the spectral measure)
 
 
 @dataclass(frozen=True)
@@ -511,27 +511,90 @@ class AgingReport:
     dropped_b: int
 
 
+# Lanczos steps between two convergence checks of the Gauss rule.
+_LANCZOS_CHECK = 16
+
+
+def _tridiagonal(alpha: list, beta: list) -> np.ndarray:
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
+def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
+    """Gauss rule ``(theta, weights)`` of the spectral measure of the
+    symmetric ``a`` seen from ``x0``: ``sum(weights * f(theta))`` equals
+    ``x0^T f(a) x0`` for every polynomial ``f`` of degree below ``2m``,
+    with ``m`` Lanczos steps (Golub & Welsch 1969; Golub & Meurant 2010).
+
+    Lanczos from ``x0`` runs with full reorthogonalization (classical
+    Gram-Schmidt, twice) and builds the tridiagonal ``T``.  The nodes are
+    its eigenvalues, the Ritz values, ascending; the weights are
+    ``|x0|^2`` times the squared first components of its eigenvectors.
+    Every ``_LANCZOS_CHECK`` steps the extreme Ritz values are compared
+    with the last check's.  The run stops when both moved by at most
+    ``1e-14 * max|theta|``, when the Krylov space closes (the next
+    ``beta`` is at rounding level), or at ``m = N``.  The stop depends
+    only on ``(a, x0)``.
+
+    Ritz values lie inside the spectrum.  When the space closes before
+    ``N`` steps the rule is exact, but its extremes need not be the
+    spectrum's ends: those ends, from ``eigvalsh``, then join the rule as
+    two zero-weight nodes.  So ``theta[0]`` and ``theta[-1]`` are the
+    spectrum's ends either way, to the stopping tolerance when the run
+    stopped on convergence.
+    """
+    n = len(x0)
+    mass = float(x0 @ x0)
+    tol = n * np.finfo(np.float64).eps * float(np.linalg.norm(a))
+    basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))
+    alpha, beta = [], []
+    r, b, ends = x0, math.sqrt(mass), None
+    while len(alpha) < n and b > tol:
+        m = len(alpha)
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty((min(n, 2 * m) - m, n))])
+        if m:
+            beta.append(b)
+        basis[m] = r / b
+        q = basis[:m + 1]
+        r = a @ basis[m]
+        h = q @ r
+        r -= h @ q
+        h2 = q @ r
+        r -= h2 @ q
+        alpha.append(h[m] + h2[m])
+        b = math.sqrt(r @ r)
+        if len(alpha) % _LANCZOS_CHECK == 0 and b > tol:
+            now = np.linalg.eigvalsh(_tridiagonal(alpha, beta))[[0, -1]]
+            if ends is not None and np.all(np.abs(now - ends) <= 1e-14 * np.abs(now).max()):
+                break
+            ends = now
+    theta, s = np.linalg.eigh(_tridiagonal(alpha, beta))
+    weights = mass * s[0] ** 2
+    if len(alpha) < n and b <= tol:
+        lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
+        theta = np.concatenate([[lo], theta, [hi]])
+        weights = np.concatenate([[0.0], weights, [0.0]])
+    return theta, weights
+
+
 def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
              replicas: int, scale: float):
-    """Per arm and replica, ``(arm, r, w, c2)``: the eigenvalues ``w`` of
-    ``scale * J`` and the squared eigenbasis coefficients
-    ``c2 = (v^T x0)^2`` of the replica's start.
+    """Per arm and replica, ``(arm, r, theta, w)``: the Gauss rule of
+    :func:`_gauss_rule` for ``scale * J`` seen from the replica's start
+    ``x0``.  It stands in for the eigenvalues of ``scale * J`` and the
+    squared eigenbasis coefficients ``(v^T x0)^2`` of ``x0``: every
+    quadratic form ``x0^T f(scale * J) x0`` the flows read is a sum over
+    its nodes, and its extreme nodes are the ends of the spectrum.
 
-    A generator over both arms, so each replica's coupling ``J`` stays
-    referenced until the next draw replaces it, across the arm switch
-    too; freeing it before a draw made glibc trim and re-fault the
-    heap.  The eigenvectors are freed before the yield, so peak memory
-    stays at one replica in flight.
+    A generator over both arms, so peak memory stays at one replica in
+    flight: one coupling and one Lanczos basis of at most ``N`` rows.
     """
     for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b)):
         for r in range(replicas):
             j = sample_couplings(dist, profile, cfg.symmetric,
                                  [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()])[0]
-            w, v = np.linalg.eigh(scale * j)
             x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-            c2 = (v.T @ x0) ** 2
-            del v
-            yield arm, r, w, c2
+            yield (arm, r) + _gauss_rule(scale * j, x0)
 
 
 def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
@@ -539,8 +602,9 @@ def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
 
     The flow ``x_t = exp((2J - K I) t) x0`` gives
     ``C(s, t) = (1/N) sum_i c_i^2 exp((mu_i - K)(s + t))`` over the
-    eigenvalues ``w = mu`` of ``2J`` (ascending) and the squared
-    eigenbasis coefficients ``c2`` of ``x0``.  The confinement cancels
+    nodes ``w = mu`` (ascending) and weights ``c2`` of the spectral
+    measure of ``2J`` seen from ``x0``: its eigenvalues and squared
+    eigenbasis coefficients, or a Gauss rule.  The confinement cancels
     from the normalized ratio exactly, so the computation shifts all
     exponents by the spectral top and never forms the (possibly huge or
     tiny) bare correlations.
@@ -747,10 +811,11 @@ class RayleighReport:
 
 def rayleigh_quotient_curve(eigvals: np.ndarray, coeffs_sq: np.ndarray,
                             times: np.ndarray) -> np.ndarray:
-    """Quotient ``<x_t, J x_t>/|x_t|^2`` of the flow, eigen-exactly.
+    """Quotient ``<x_t, J x_t>/|x_t|^2`` of the flow.
 
-    ``eigvals`` are the eigenvalues of the coupling itself and
-    ``coeffs_sq`` the squared eigenbasis coefficients of the start.
+    ``eigvals`` and ``coeffs_sq`` are the nodes and weights of the
+    spectral measure of the coupling itself seen from the start: its
+    eigenvalues and squared eigenbasis coefficients, or a Gauss rule.
     Weights are shifted by the top eigenvalue so late times never
     overflow; the confinement cancels identically.
     """
@@ -771,9 +836,10 @@ def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
 
     The flow is always the gradient flow ``2J - K I``, as for
     ``hopfield``; ``system.template`` is not read.  Noise-free flow
-    only; per replica the quotient curve is computed in the eigenbasis
-    and compared with the top eigenvalue of the sampled coupling.  Monotonicity is recorded per replica as a strict
-    step-by-step check.
+    only; per replica the quotient curve is a sum over the Gauss rule of
+    :func:`_spectra` and is compared with the top eigenvalue of the
+    sampled coupling, the rule's top node.  Monotonicity is recorded per
+    replica as a strict step-by-step check.
     """
     check_preconditions("rayleigh", cfg)
     n = cfg.sizes[0]

@@ -147,7 +147,7 @@ def test_thread_count_does_not_change_rows(tmp_path):
 
 
 def test_aging_runs_the_gradient_flow_under_either_template(tmp_path):
-    # aging is the eigen-exact flow of 2J - K I and never reads system.template
+    # aging is the spectral flow of 2J - K I and never reads system.template
     assert "template = langevin" in FAST["aging"]
     plain = FAST["aging"].replace("template = langevin\n", "")
     status_l, langevin = invoke(tmp_path / "a", "aging", FAST["aging"])
@@ -316,12 +316,21 @@ PRECONDITIONS = {
     "aging-beta": ("aging", FAST["aging"].replace("beta = inf", "beta = 2.0"), "beta = inf"),
     "rayleigh-beta":
         ("rayleigh", FAST["rayleigh"].replace("beta = inf", "beta = 2.0"), "beta = inf"),
-    # eigh reads one triangle of J, and the eigen-exact flow has no constant drift
+    # Lanczos needs J = J^T, and the spectral flow has no constant drift
     "aging-asymmetric":
         ("aging", FAST["aging"] + "[ensemble]\nsymmetric = false\n", "symmetric ensemble"),
     "rayleigh-asymmetric":
         ("rayleigh", FAST["rayleigh"] + "[ensemble]\nsymmetric = false\n",
          "symmetric ensemble"),
+    # keys the chosen kind never reads are rejected, not ignored
+    "hamiltonian-blocks":
+        ("universality", FAST["universality"]
+         + "[observable]\nkind = hamiltonian\ntimes = 0.04\nblocks = q\na = 5\n",
+         "observable.blocks is read only by kind = quadratic or tensor, not by kind = 'hamiltonian'"),
+    "hamiltonian-weight":
+        ("universality", FAST["universality"]
+         + "[observable]\nkind = hamiltonian\ntimes = 0.04\na = 5\n",
+         "observable.a is read only by kind = quadratic or tensor"),
     "aging-thresholds":
         ("aging", FAST["aging"].replace("beta = inf", "beta = inf\nthresholds = 0.5"),
          "thresholds = 0"),
@@ -477,6 +486,27 @@ def test_cli_import_does_not_load_scipy():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_spectral_runs_do_not_load_scipy(tmp_path):
+    # aging and rayleigh run the Lanczos-Gauss rule; at size 40 it passes two
+    # convergence checks before it reaches N, and none of it may pull in scipy
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = []
+    for kind in ("aging", "rayleigh"):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(FAST[kind].replace("sizes = 8", "sizes = 40"))
+        argv.append([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
+    code = ("import sys\nfrom rmsde.cli import main\n"
+            f"print([main(a) for a in {argv!r}], 'scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0] False"
+    assert (tmp_path / "aging" / "aging.csv").exists()
+    assert (tmp_path / "rayleigh" / "rayleigh.csv").exists()
 
 
 # ---------------------------------------------------------------- config fuzzing

@@ -132,6 +132,9 @@ def test_ensemble_seed_minus_one_inherits():
     ("[observable]\nkind = autocorr\n", "observable.times"),
     ("[observable]\nkind = autocorr\ntimes = 0.5, 1.0\na = weights.csv\n",
      "no file named 'weights.csv'"),
+    ("[observable]\nkind = gradsq\ntimes = 0.5\nblocks = x\n", "observable.blocks is read only"),
+    ("[observable]\nblocks = x, g\n", "not by kind = ''"),
+    ("[observable]\nkind = overlap\ntimes = 0.5\na = 2.0\n", "observable.a is read only"),
 ])
 def test_validation_errors(text, fragment):
     with pytest.raises(ConfigError) as exc:

@@ -1,5 +1,6 @@
 """Paired-ensemble experiment drivers: pairing exactness, drop handling,
-thread-count invariance, and the eigen-exact flow computations."""
+thread-count invariance, and the spectral flow computations with their
+Lanczos-Gauss rule checked against the eigh oracle."""
 
 import math
 import re
@@ -9,16 +10,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rmsde import experiments
+from rmsde.config import experiment_config, parse_config
 from rmsde.dynamics import ParameterError, SystemParams
-from rmsde.ensembles import EntryDistribution, InitialLaw, VarianceProfile, sample_couplings
+from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile, sample_couplings,
+                             sample_initial)
 from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                SystemTemplate, autocorr_item, default_suite,
                                gradsq_item, hamiltonian_item, hopfield_suite,
                                overlap_item, rayleigh_quotient_curve,
                                run_aging, run_concentration, run_hopfield,
                                run_rayleigh, run_taylor_vs_mc,
-                               run_universality, _paired_chunk, _time_grid)
-from rmsde.rng import PURPOSE_COUPLING, RngStream
+                               run_universality, _aging_ratios_one, _gauss_rule,
+                               _paired_chunk, _time_grid)
+from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
 RADEMACHER = EntryDistribution.RADEMACHER
@@ -427,6 +432,100 @@ def test_rayleigh_run_converges_upward():
 def test_rayleigh_needs_noise_free_flow():
     with pytest.raises(ExperimentError, match="beta"):
         run_rayleigh(rayleigh_cfg(template=SystemTemplate(beta=1.0)))
+
+
+# ------------------------------------------- Lanczos-Gauss rule vs eigh oracle
+
+def eigh_rule(a, x0):
+    """The oracle: all eigenvalues and the squared eigenbasis coefficients."""
+    w, v = np.linalg.eigh(a)
+    return w, (v.T @ x0) ** 2
+
+
+def moment_errors(theta, weights, a, x0, top):
+    """Per p < top, |sum w theta^p - x0^T a^p x0| over sum w |theta|^p
+    (when that is nonzero), so that odd moments whose terms cancel are
+    judged against their size."""
+    y, out = x0.copy(), []
+    for p in range(top):
+        err = abs(weights @ theta ** p - x0 @ y)
+        size = weights @ np.abs(theta) ** p
+        out.append(err / size if size else err)
+        y = a @ y
+    return np.array(out)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER, EntryDistribution.UNIFORM_CENTERED])
+@pytest.mark.parametrize("n", [4, 16, 64, 512])
+def test_gauss_rule_matches_eigh(n, dist, scale):
+    j = sample_couplings(dist, VarianceProfile.offdiagonal(n), True,
+                         [RngStream(11, 0, PURPOSE_COUPLING).generator()])[0]
+    x0 = sample_initial(InitialLaw.uniform(GAUSSIAN, n), RngStream(11, 0, PURPOSE_INITIAL))
+    a = scale * j
+    theta, weights = _gauss_rule(a, x0)
+    w, c2 = eigh_rule(a, x0)
+    m = len(theta)
+    assert m <= n and (m == n or m % 16 == 0)
+    assert np.all(np.diff(theta) >= 0) and np.all(weights >= 0)
+    assert np.max(moment_errors(theta, weights, a, x0, 2 * m)) <= 1e-12
+    pairs = [(s, lam) for s in (1.0, 2.0, 4.0, 8.0) for lam in (1.0, 2.0, 3.0)]
+    np.testing.assert_allclose(_aging_ratios_one(theta, weights, pairs),
+                               _aging_ratios_one(w, c2, pairs), rtol=1e-12, atol=0)
+    times = np.linspace(0.0, 20.0, 81)
+    np.testing.assert_allclose(rayleigh_quotient_curve(theta, weights, times),
+                               rayleigh_quotient_curve(w, c2, times), rtol=1e-12, atol=1e-12)
+    radius = np.abs(w).max()
+    assert abs(theta[0] - w[0]) <= 1e-13 * radius
+    assert abs(theta[-1] - w[-1]) <= 1e-13 * radius
+
+
+def block_diagonal_case(n=64, k=20):
+    j = scaled_coupling(n)
+    j[:k, k:] = 0.0
+    j[k:, :k] = 0.0
+    x0 = np.zeros(n)
+    x0[:k] = np.arange(1.0, k + 1)
+    return j, x0
+
+
+def eigenvector_case(n=64, k=5):
+    # an exact eigenvector, so no rounding leaks weight onto the others
+    j = scaled_coupling(n)
+    j[k, :] = 0.0
+    j[:, k] = 0.0
+    x0 = np.zeros(n)
+    x0[k] = 3.0
+    return j, x0
+
+
+@pytest.mark.parametrize("case", [block_diagonal_case, eigenvector_case])
+def test_gauss_rule_closes_early_with_exact_ends(case):
+    # the Krylov space of x0 closes before N steps: the rule is exact for
+    # every moment, and the spectrum's ends join it as zero-weight nodes,
+    # so the drop radius of a fixed confinement is the one eigh gives
+    a, x0 = case()
+    with np.errstate(all="raise"):
+        theta, weights = _gauss_rule(a, x0)
+    w, _ = eigh_rule(a, x0)
+    assert len(theta) < len(x0)
+    assert np.all(np.isfinite(theta)) and np.all(np.isfinite(weights))
+    assert (weights[0], weights[-1]) == (0.0, 0.0)
+    assert (theta[0], theta[-1]) == tuple(np.linalg.eigvalsh(a)[[0, -1]])
+    assert abs(theta[-1] - w[-1]) <= 1e-13 * np.abs(w).max()
+    assert np.max(moment_errors(theta, weights, a, x0, 2 * len(x0))) <= 1e-12
+
+
+def test_fixed_aging_drops_what_the_eigh_oracle_drops(monkeypatch):
+    from test_golden import FIXED_AGING
+    cfg = experiment_config(parse_config(FIXED_AGING))
+    got = run_aging(cfg)
+    monkeypatch.setattr(experiments, "_gauss_rule", eigh_rule)
+    want = run_aging(cfg)
+    assert (got.dropped_a, got.dropped_b) == (want.dropped_a, want.dropped_b)
+    assert got.dropped_a >= 1 and got.dropped_b >= 1
+    for g, w in zip(got.rows, want.rows):
+        np.testing.assert_allclose([g.mean_a, g.mean_b], [w.mean_a, w.mean_b], rtol=1e-12)
 
 
 # ----------------------------------------------------------- series vs MC

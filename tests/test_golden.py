@@ -4,7 +4,7 @@ The hashes pin every byte of the results tables of the experiments that
 run the Euler-Maruyama loop (universality, hopfield, concentration,
 simulate, taylor-check) and of the spectral ones (aging, rayleigh), so
 refactors of the integrator, the coupling sampler, the template builder
-or the per-replica eigendecomposition cannot silently change the
+or the per-replica Lanczos-Gauss rule cannot silently change the
 numbers.  The cases cover both symmetric and non-symmetric ensembles,
 the gradient-flow template, thresholds, two threads, a simulate run
 long enough to span two noise blocks, a banded profile file with zero
@@ -191,9 +191,9 @@ replicas = 5
 s_values = 1, 4
 lambdas = 1, 3
 """,
-        "332f7f02ecca1471c79c8cbd38258ca0d1b8c03e914e34012b1a4cba6848cc3a"),
+        "93c393f385b63c3c205b40621bd3d9328146cbddfe4e7e64a5acbb332fdaa324"),
     "aging-fixed": ("aging", "aging.csv", FIXED_AGING,
-        "361157bab82110ad3b5d45e7cfd410e5c691b83f6de80355e99aa9cbe6f3311b"),
+        "0029e06cab3c5c1f3dcffaeca1b6e17eaa246ba5795260dbd69b37e88283c3ad"),
     "rayleigh": ("rayleigh", "rayleigh.csv", """
 [system]
 beta = inf
@@ -205,7 +205,7 @@ rayleigh_replicas = 3
 rayleigh_points = 9
 rayleigh_horizon = 5.0
 """,
-        "7e48506bedf7875f085a5785c666ed4fed1ea9b30d53694b165752fc8714d6a3"),
+        "1e5bf0e23313d027714ff031a560ebff8c1bb60704c1678e71f98643b445aaee"),
 }
 
 
