@@ -11,7 +11,8 @@ martingale part ``M`` (``M(0) = 0``) is accumulated alongside ``X`` so
 trajectories decompose exactly into drift plus martingale.
 
 Integration is Euler-Maruyama on a fixed step, in one loop that serves
-a single shared system and a per-path stack of drift matrices alike.
+a single shared system and a per-path stack of drift matrices alike,
+the stack in cache-sized blocks of paths.
 The recorded snapshot grid is a subset of the step grid; requested times
 are rounded to step multiples at construction time and the rounding
 error is kept for inspection.  A :class:`SystemTemplate` turns a
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 _NOISE_BLOCK = 4096  # steps of Gaussian increments drawn per chunk
+# Drift bytes per replica block of euler_maruyama: a block's drift stays
+# in a core's L2 across all steps.  A function of N only, never of the
+# thread count or a detected cache size.
+_DRIFT_BLOCK_BYTES = 2 ** 20
 
 
 class ParameterError(ValueError):
@@ -187,11 +192,6 @@ class IntegratorConfig:
             raise ParameterError(f"time {t:g} is not on the step grid of dt = {self.dt:g}")
         return k
 
-    @classmethod
-    def every_step(cls, dt: float, horizon: float) -> "IntegratorConfig":
-        n = int(round(horizon / dt))
-        return cls(dt, horizon, tuple(k * dt for k in range(n + 1)))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -296,43 +296,85 @@ def euler_maruyama(drift_mat: np.ndarray, h: np.ndarray, sigma: np.ndarray,
     ``noise`` yields blocks of standard-normal increments of shape
     (steps, C, N) that together cover ``config.n_steps`` steps.
 
-    Raises :class:`SimulationBlowupError` (with the step index) as soon
-    as the state stops being finite.
+    A stack with additive noise is integrated one block of replicas at
+    a time, each block running every step before the next starts.  A
+    block holds ``_DRIFT_BLOCK_BYTES`` (1 MB) of drift, a function of N
+    alone: 8 replicas at N = 128, 1 at N >= 363.  The batched product
+    then reads a block's drift from cache on every step instead of
+    streaming the whole stack from memory, and the snapshots are the
+    same bytes at any block size.  Each block reads its columns of
+    every noise block, so ``noise`` for a stack is materialized once
+    (``tuple(noise)``).  A shared (N, N) drift and a state-dependent
+    diffusion run as one block.
+
+    Raises :class:`SimulationBlowupError` with the first step at which
+    any path's state stops being finite.
     """
     c, n = x0s.shape
-    sqrt2dt = math.sqrt(2.0 * config.dt)
-    shared = drift_mat.T if drift_mat.ndim == 2 else None  # right-multiply: x @ shared
-    sig0 = sigma[0]
     sig_state = sigma[1:] if sigma[1:].any() else None
-    x = x0s.copy()
-    m = np.zeros((c, n))
+    width = max(1, c)
+    if drift_mat.ndim == 3 and sig_state is None:
+        # not for x @ shared or x @ sigma[1:]: GEMMs whose last bits depend on their row count
+        width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n))
+        noise = tuple(noise)
     want = {s: i for i, s in enumerate(config.snapshot_steps)}
     xs = np.empty((c, len(want), n))
     ms = np.empty((c, len(want), n))
+    first = math.inf
+    # an overflow is reported as SimulationBlowupError below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, c, width):
+            rows = slice(lo, min(c, lo + width))
+            first = _euler_block(drift_mat if drift_mat.ndim == 2 else drift_mat[rows],
+                                 h, sigma, sig_state, x0s[rows], noise, rows, config.dt,
+                                 want, xs[rows], ms[rows], first)
+    if first < math.inf:
+        raise SimulationBlowupError(first)
+    return xs, ms
+
+
+def _euler_block(drift_mat, h, sigma, sig_state, x0s, noise, rows, dt, want, xs, ms,
+                 first):
+    """Integrate the paths ``rows`` into their snapshot slices ``xs``/``ms``.
+
+    Non-finiteness is sticky, so the block stops before step ``first``
+    (the earliest blow-up so far) and returns the smaller of its own
+    first non-finite step and ``first``.
+    """
+    sqrt2dt = math.sqrt(2.0 * dt)
+    amp = sqrt2dt * sigma[0]
+    shared = drift_mat.T if drift_mat.ndim == 2 else None  # right-multiply: x @ shared
+    x = x0s.copy()
+    m = np.zeros_like(x)
+    lin = np.empty_like(x)
     if 0 in want:
         xs[:, want[0]] = x
         ms[:, want[0]] = m
-
     step = 0
-    # an overflow is reported as SimulationBlowupError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in noise:
-            for xi in block:
-                step += 1
-                amp = sig0 if sig_state is None else sig0 + x @ sig_state
-                dm = sqrt2dt * amp * xi
-                if shared is None:
-                    lin = np.matmul(drift_mat, x[:, :, None])[:, :, 0]
-                else:
-                    lin = x @ shared
-                x = x + config.dt * (lin + h) + dm
-                m = m + dm
-                if not np.all(np.isfinite(x)):
-                    raise SimulationBlowupError(step)
-                if step in want:
-                    xs[:, want[step]] = x
-                    ms[:, want[step]] = m
-    return xs, ms
+    for block in noise:
+        for xi in block[:, rows]:
+            step += 1
+            if step >= first:
+                return first
+            if sig_state is None:
+                dm = amp * xi
+            else:
+                dm = sqrt2dt * (sigma[0] + x @ sig_state) * xi
+            if shared is None:
+                np.matmul(drift_mat, x[:, :, None], out=lin[:, :, None])
+            else:
+                np.matmul(x, shared, out=lin)
+            lin += h
+            lin *= dt
+            x += lin
+            x += dm
+            m += dm
+            if not np.isfinite(x).all():
+                return step
+            if step in want:
+                xs[:, want[step]] = x
+                ms[:, want[step]] = m
+    return first
 
 
 def exact_mean_linear(params: SystemParams, x0, t: float) -> np.ndarray:

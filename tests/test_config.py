@@ -249,7 +249,7 @@ def tiny_traj(n=3):
     rng = np.random.default_rng(0)
     params = SystemParams(rng.standard_normal((n, n)) / n, np.zeros((n, n)),
                           np.zeros(n), np.zeros((n + 1, n)))
-    cfg = IntegratorConfig.every_step(0.01, 0.02)
+    cfg = IntegratorConfig(0.01, 0.02, (0.0, 0.01, 0.02))
     return simulate(params, rng.uniform(-1, 1, n), cfg, RngStream(1))
 
 

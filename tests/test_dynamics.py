@@ -13,6 +13,7 @@ import scipy.integrate
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rmsde import dynamics
 from rmsde.dynamics import (IntegratorConfig, ParameterError, SystemParams,
                             SimulationBlowupError, SystemTemplate,
                             drift, euler_maruyama, exact_mean_linear, simulate,
@@ -23,6 +24,11 @@ from rmsde.rng import PURPOSE_COUPLING, PURPOSE_NOISE, RngStream
 
 def noise_stream(seed=0, stream=0):
     return RngStream(seed, stream, PURPOSE_NOISE)
+
+
+def every_step(dt, horizon):
+    """Grid recording every step of [0, horizon]."""
+    return IntegratorConfig(dt, horizon, tuple(k * dt for k in range(round(horizon / dt) + 1)))
 
 
 def plain_params(n, coupling=None, lam=None, h=None, sigma0=0.0):
@@ -140,8 +146,10 @@ def test_snapshot_outside_horizon_rejected():
 
 
 def test_every_step_grid():
-    cfg = IntegratorConfig.every_step(0.25, 1.0)
-    assert cfg.snapshot_steps == (0, 1, 2, 3, 4)
+    # k * 0.1 is inexact for most k, yet each rounds to step k
+    cfg = every_step(0.1, 0.7)
+    assert cfg.snapshot_steps == tuple(range(8))
+    assert cfg.rounding < 1e-15
 
 
 def test_bad_step_size():
@@ -153,11 +161,92 @@ def test_bad_step_size():
         IntegratorConfig(0.1, math.inf)
 
 
+# ----------------------------------------------------------- replica blocks
+
+def replica_stack(n, c, seed, state_sigma=0.0):
+    """Drift stack, h, sigma and x0s of ``c`` random systems of size ``n``."""
+    rng = np.random.default_rng(seed)
+    j = rng.standard_normal((c, n, n)) / math.sqrt(n)
+    drift_mat = np.swapaxes(j - 1.5 * np.eye(n), -1, -2)
+    sigma = np.zeros((n + 1, n))
+    sigma[0] = 0.7
+    sigma[1:] = state_sigma * rng.standard_normal((n, n))
+    return drift_mat, rng.uniform(-1, 1, n), sigma, rng.standard_normal((c, n))
+
+
+def replicas_per_block(monkeypatch, n, replicas):
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 8 * n * n * replicas)
+
+
+@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
+@pytest.mark.parametrize("n", [3, 17, 128])
+def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
+    # a state-dependent diffusion holds its bytes because it runs as one block
+    c, steps = 7, 40
+    drift_mat, h, sigma, x0s = replica_stack(n, c, seed=n, state_sigma=state_sigma)
+    xi = np.random.default_rng(1).standard_normal((steps, c, n))
+    cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
+    replicas_per_block(monkeypatch, n, c)
+    xs, ms = euler_maruyama(drift_mat, h, sigma, x0s, cfg, (xi,))
+    for replicas in (1, 3, c):
+        replicas_per_block(monkeypatch, n, replicas)
+        # an iterator of two noise blocks, which each replica block re-reads
+        got = euler_maruyama(drift_mat, h, sigma, x0s, cfg, iter((xi[:25], xi[25:])))
+        assert got[0].tobytes() == xs.tobytes()
+        assert got[1].tobytes() == ms.tobytes()
+
+
+def test_replica_block_width_depends_on_n_only(monkeypatch):
+    widths = []
+
+    def recorded(*args):
+        rows = args[6]
+        widths.append(rows.stop - rows.start)
+        return real(*args)
+
+    real = dynamics._euler_block
+    monkeypatch.setattr(dynamics, "_euler_block", recorded)
+    cfg = IntegratorConfig(0.01, 0.02, (0.02,))
+
+    def run(n, c, state_sigma=0.0, shared=False):
+        widths.clear()
+        drift_mat, h, sigma, x0s = replica_stack(n, c, seed=0, state_sigma=state_sigma)
+        euler_maruyama(drift_mat[0] if shared else drift_mat, h, sigma, x0s, cfg,
+                       (np.zeros((2, c, n)),))
+        return widths[:]
+
+    assert run(128, 20) == [8, 8, 4]   # 1 MB of drift is 8 replicas at N = 128
+    assert run(128, 5) == [5]
+    assert run(256, 5) == [2, 2, 1]
+    assert run(363, 3) == [1, 1, 1]
+    assert run(3, 64) == [64]
+    assert run(128, 20, shared=True) == [20]
+    assert run(128, 20, state_sigma=0.01) == [20]
+
+
+def test_blowup_step_is_the_earliest_over_replica_blocks(monkeypatch):
+    # x grows tenfold per step: 1e300 overflows at step 9, 1e305 at step 4
+    n, c = 2, 6
+    drift_mat = np.zeros((c, n, n))
+    drift_mat[0] = drift_mat[-1] = 9.0 * np.eye(n)
+    x0s = np.ones((c, n))
+    x0s[0], x0s[-1] = 1e300, 1e305
+    cfg = IntegratorConfig(1.0, 12.0, (12.0,))
+    noise = (np.zeros((12, c, n)),)
+    steps = []
+    for replicas in (c, 2, 1):  # one block first, the reference
+        replicas_per_block(monkeypatch, n, replicas)
+        with pytest.raises(SimulationBlowupError) as exc:
+            euler_maruyama(drift_mat, np.zeros(n), np.zeros((n + 1, n)), x0s, cfg, noise)
+        steps.append(exc.value.step)
+    assert steps == [4, 4, 4]
+
+
 # -------------------------------------------------------------- simulate
 
 def test_single_path_equals_batch_of_one():
     p = random_params(3, seed=9)
-    cfg = IntegratorConfig.every_step(0.01, 0.2)
+    cfg = every_step(0.01, 0.2)
     traj = simulate(p, np.ones(3), cfg, noise_stream(1))
     batch = simulate_paths(p, np.ones(3), cfg, noise_stream(1), n_paths=1)
     assert np.array_equal(traj.x, batch.x[0])
@@ -183,7 +272,7 @@ def test_noiseless_path_ignores_the_seed():
 
 def test_decomposition_identity_on_every_step_grid():
     p = random_params(4, seed=7, sigma0=0.8)
-    cfg = IntegratorConfig.every_step(0.01, 0.3)
+    cfg = every_step(0.01, 0.3)
     traj = simulate(p, np.ones(4), cfg, noise_stream(3))
     assert traj.decomposition_residual(p) <= 1e-12
 
@@ -265,7 +354,7 @@ def test_deterministic_weak_error_is_first_order():
 @settings(max_examples=20, deadline=None)
 def test_decomposition_residual_property(seed, n):
     p = random_params(n, seed=seed, sigma0=0.5)
-    cfg = IntegratorConfig.every_step(0.05, 0.25)
+    cfg = every_step(0.05, 0.25)
     traj = simulate(p, np.ones(n), cfg, noise_stream(seed))
     assert traj.decomposition_residual(p) <= 1e-12
 

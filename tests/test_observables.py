@@ -25,7 +25,7 @@ def make_traj(n=4, seed=0, sigma0=0.6, horizon=0.4, dt=0.05):
     sigma = np.zeros((n + 1, n))
     sigma[0] = sigma0
     params = SystemParams(j, lam, rng.uniform(-1, 1, size=n), sigma)
-    cfg = IntegratorConfig.every_step(dt, horizon)
+    cfg = IntegratorConfig(dt, horizon, tuple(k * dt for k in range(round(horizon / dt) + 1)))
     x0 = rng.uniform(-1, 1, size=n)
     return simulate(params, x0, cfg, RngStream(seed, 0, PURPOSE_NOISE))
 
