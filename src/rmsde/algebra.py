@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -34,9 +34,7 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "MomentOracle",
-    "MultiplicityProfile",
     "canonical_pair",
-    "multiplicity_profile",
     "expected_value",
     "difference_vanishes",
     "AlgebraError",
@@ -150,9 +148,6 @@ class Polynomial:
     def one(cls) -> "Polynomial":
         return cls([Monomial(coeff=1.0)])
 
-    def terms(self) -> tuple:
-        return self._terms
-
     def __iter__(self):
         return iter(self._terms)
 
@@ -168,15 +163,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return Polynomial(a * b for a in self._terms for b in other._terms)
-
-    def scale(self, factor: float) -> "Polynomial":
-        return Polynomial(Monomial(m.coeff * factor, *m.key) for m in self._terms)
-
-    def coeff_of(self, key: tuple) -> float:
-        for m in self._terms:
-            if m.key == key:
-                return m.coeff
-        return 0.0
 
     def evaluate(self, j: np.ndarray, x: np.ndarray) -> float:
         return sum(m.evaluate(j, x) for m in self._terms)
@@ -221,57 +207,11 @@ class MomentOracle:
                    symmetric=symmetric)
 
 
-@dataclass(frozen=True)
-class MultiplicityProfile:
-    """Distinct/singleton pair counts of a monomial's coupling factors.
-
-    ``i_alpha``: distinct pairs in the designated alpha part.
-    ``i_alpha_1``: alpha pairs of multiplicity exactly one.
-    ``i_plus``: ``i_alpha_1`` plus one when no alpha pair exceeds
-    multiplicity two.
-    ``i_star``: distinct pairs of the full multiset not present in
-    alpha.
-    """
-
-    i_alpha: int
-    i_alpha_1: int
-    i_plus: int
-    i_star: int
-
-    def __post_init__(self) -> None:
-        if self.i_plus not in (self.i_alpha_1, self.i_alpha_1 + 1):
-            raise AlgebraError("inconsistent singleton counts")
-        if min(self.i_alpha, self.i_alpha_1, self.i_star) < 0:
-            raise AlgebraError("counts must be non-negative")
-
-
 def _canonical_counts(pairs, symmetric: bool) -> Counter:
     return Counter(canonical_pair(p, symmetric) for p in pairs)
 
 
-def _check_alpha(mono: Monomial, alpha_part, symmetric: bool):
-    alpha = _canonical_counts(alpha_part, symmetric)
-    full = _canonical_counts(mono.j_pairs, symmetric)
-    for pair, mult in alpha.items():
-        if full[pair] < mult:
-            raise AlgebraError(
-                f"alpha part has {mult} copies of {pair}, monomial only {full[pair]}")
-    return alpha, full
-
-
-def multiplicity_profile(mono: Monomial, alpha_part: Iterable = (),
-                         symmetric: bool = False) -> MultiplicityProfile:
-    """Count distinct and singleton coupling pairs, alpha vs the rest."""
-    alpha, full = _check_alpha(mono, alpha_part, symmetric)
-    i_alpha = len(alpha)
-    i_alpha_1 = sum(1 for mult in alpha.values() if mult == 1)
-    i_plus = i_alpha_1 + (0 if any(mult > 2 for mult in alpha.values()) else 1)
-    i_star = len(full) - i_alpha
-    return MultiplicityProfile(i_alpha, i_alpha_1, i_plus, i_star)
-
-
-def difference_vanishes(mono: Monomial, alpha_part: Iterable = (),
-                        symmetric: bool = False) -> bool:
+def difference_vanishes(mono: Monomial, symmetric: bool = False) -> bool:
     """Whether the expectation is oracle-independent given matched variances.
 
     True when the full coupling multiset has a singleton pair (both
@@ -280,8 +220,7 @@ def difference_vanishes(mono: Monomial, alpha_part: Iterable = (),
     every pair appears at least twice and some pair at least three
     times, in which case higher moments of the entry law can show up.
     """
-    _, full = _check_alpha(mono, alpha_part, symmetric)
-    mults = list(full.values())
+    mults = list(_canonical_counts(mono.j_pairs, symmetric).values())
     return not (all(m >= 2 for m in mults) and any(m >= 3 for m in mults))
 
 

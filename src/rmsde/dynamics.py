@@ -11,8 +11,9 @@ martingale part ``M`` (``M(0) = 0``) is accumulated alongside ``X`` so
 trajectories decompose exactly into drift plus martingale.
 
 Integration is Euler-Maruyama on a fixed step, in one loop that serves
-a single shared system and a per-path stack of drift matrices alike,
-the stack in cache-sized blocks of paths.
+a single shared system and a per-path stack of couplings alike.  A
+stack runs in cache-sized blocks of paths, each block's drift formed in
+one buffer that the call reuses, so no (C, N, N) drift stack is built.
 The recorded snapshot grid is a subset of the step grid; requested times
 are rounded to step multiples at construction time and the rounding
 error is kept for inspection.  A :class:`SystemTemplate` turns a
@@ -45,9 +46,10 @@ __all__ = [
 ]
 
 _NOISE_BLOCK = 4096  # steps of Gaussian increments drawn per chunk
-# Drift bytes per replica block of euler_maruyama: a block's drift stays
-# in a core's L2 across all steps.  A function of N only, never of the
-# thread count or a detected cache size.
+# Drift bytes per replica block of euler_maruyama, and so the size of its
+# one drift buffer per call: a block's drift stays in a core's L2 across
+# all steps.  A function of N only, never of the thread count or a
+# detected cache size.
 _DRIFT_BLOCK_BYTES = 2 ** 20
 
 
@@ -134,8 +136,10 @@ class SystemParams:
     def drift_matrix(self) -> np.ndarray:
         """Combined linear drift ``(J + Lam)^T`` acting on column states.
 
-        For a stack this is the transposed view of ``J + Lam``, with
-        strides (N^2, 1, N); the golden bytes pin that layout.
+        For a stack this is the transposed view of a whole (C, N, N)
+        ``J + Lam``, with strides (N^2, 1, N).  :func:`euler_maruyama`
+        does not call it: it forms the same layout one replica block at
+        a time.
         """
         return np.swapaxes(self.coupling + self.lam, -1, -2)
 
@@ -281,41 +285,46 @@ def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
     shape = (n_paths, params.n)
     noise = (rng.standard_normal((min(_NOISE_BLOCK, config.n_steps - lo),) + shape)
              for lo in range(0, config.n_steps, _NOISE_BLOCK))
-    xs, ms = euler_maruyama(params.drift_matrix(), params.h, params.sigma,
-                            np.broadcast_to(x0, shape), config, noise)
+    xs, ms = euler_maruyama(params, np.broadcast_to(x0, shape), config, noise)
     return PathBatch(config.times, xs, ms)
 
 
-def euler_maruyama(drift_mat: np.ndarray, h: np.ndarray, sigma: np.ndarray,
-                   x0s: np.ndarray, config: IntegratorConfig, noise) -> tuple:
-    """Euler-Maruyama for C paths; snapshot arrays of shape (C, S, N).
+def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConfig,
+                   noise, contiguous: bool = False) -> tuple:
+    """Euler-Maruyama for C paths of ``params``; snapshot arrays of shape (C, S, N).
 
-    ``drift_mat`` is the combined drift ``(J + Lam)^T``, either one
-    (N, N) matrix shared by every path or a (C, N, N) stack with one
-    per path.  ``h`` and ``sigma`` (shape (N+1, N)) are shared.
+    ``params.coupling`` is one (N, N) coupling shared by every path or a
+    (C, N, N) stack with one per path; the other parts are shared.
     ``noise`` yields blocks of standard-normal increments of shape
     (steps, C, N) that together cover ``config.n_steps`` steps.
 
-    A stack with additive noise is integrated one block of replicas at
-    a time, each block running every step before the next starts.  A
-    block holds ``_DRIFT_BLOCK_BYTES`` (1 MB) of drift, a function of N
-    alone: 8 replicas at N = 128, 1 at N >= 363.  The batched product
-    then reads a block's drift from cache on every step instead of
-    streaming the whole stack from memory, and the snapshots are the
-    same bytes at any block size.  Each block reads its columns of
-    every noise block, so ``noise`` for a stack is materialized once
-    (``tuple(noise)``).  A shared (N, N) drift and a state-dependent
-    diffusion run as one block.
+    A stack is integrated one block of replicas at a time, each block
+    running every step before the next starts.  The block's drift
+    ``J[rows] + Lam`` is formed in one buffer of ``_DRIFT_BLOCK_BYTES``
+    (1 MB), a function of N alone: 8 replicas at N = 128, 1 at N >= 363.
+    The buffer is allocated per call, so each pool thread has its own,
+    and no (C, N, N) drift stack is built.  The batched product reads
+    the block's drift from cache on every step, and the snapshots are
+    the same bytes at any block size.  The drift enters as the transposed
+    view of ``J + Lam`` (strides (N^2, 1, N)), or with ``contiguous`` as
+    a C-contiguous ``(J + Lam)^T``; the two round differently, and the
+    golden bytes pin the view for the paired runs and the copy for the
+    series-vs-MC check.  Each block reads its columns of every noise
+    block, so ``noise`` for a stack is materialized once
+    (``tuple(noise)``).  A shared drift runs as one block.  The
+    state-dependent diffusion is one product per path, whose bits do not
+    depend on the block either.
 
     Raises :class:`SimulationBlowupError` with the first step at which
     any path's state stops being finite.
     """
     c, n = x0s.shape
-    sig_state = sigma[1:] if sigma[1:].any() else None
+    coupling, lam = params.coupling, params.lam
+    sig_state = None if params.constant_diffusion else params.sigma[1:]
     width = max(1, c)
-    if drift_mat.ndim == 3 and sig_state is None:
-        # not for x @ shared or x @ sigma[1:]: GEMMs whose last bits depend on their row count
+    if coupling.ndim == 3:
         width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n))
+        buf = np.empty((min(width, c), n, n))
         noise = tuple(noise)
     want = {s: i for i, s in enumerate(config.snapshot_steps)}
     xs = np.empty((c, len(want), n))
@@ -325,25 +334,30 @@ def euler_maruyama(drift_mat: np.ndarray, h: np.ndarray, sigma: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, c, width):
             rows = slice(lo, min(c, lo + width))
-            first = _euler_block(drift_mat if drift_mat.ndim == 2 else drift_mat[rows],
-                                 h, sigma, sig_state, x0s[rows], noise, rows, config.dt,
-                                 want, xs[rows], ms[rows], first)
+            if coupling.ndim == 2:
+                mat = coupling + lam  # right-multiplies the row states
+            elif contiguous:
+                mat = np.add(np.swapaxes(coupling[rows], 1, 2), lam.T, out=buf[:rows.stop - lo])
+            else:
+                mat = np.swapaxes(np.add(coupling[rows], lam, out=buf[:rows.stop - lo]), 1, 2)
+            first = _euler_block(mat, params.h, params.sigma, sig_state, x0s[rows], noise, rows,
+                                 config.dt, want, xs[rows], ms[rows], first)
     if first < math.inf:
         raise SimulationBlowupError(first)
     return xs, ms
 
 
-def _euler_block(drift_mat, h, sigma, sig_state, x0s, noise, rows, dt, want, xs, ms,
-                 first):
+def _euler_block(mat, h, sigma, sig_state, x0s, noise, rows, dt, want, xs, ms, first):
     """Integrate the paths ``rows`` into their snapshot slices ``xs``/``ms``.
 
+    ``mat`` is the block's (k, N, N) drift ``(J + Lam)^T`` acting on
+    column states, or a shared (N, N) ``J + Lam`` acting on row states.
     Non-finiteness is sticky, so the block stops before step ``first``
     (the earliest blow-up so far) and returns the smaller of its own
     first non-finite step and ``first``.
     """
     sqrt2dt = math.sqrt(2.0 * dt)
     amp = sqrt2dt * sigma[0]
-    shared = drift_mat.T if drift_mat.ndim == 2 else None  # right-multiply: x @ shared
     x = x0s.copy()
     m = np.zeros_like(x)
     lin = np.empty_like(x)
@@ -359,11 +373,11 @@ def _euler_block(drift_mat, h, sigma, sig_state, x0s, noise, rows, dt, want, xs,
             if sig_state is None:
                 dm = amp * xi
             else:
-                dm = sqrt2dt * (sigma[0] + x @ sig_state) * xi
-            if shared is None:
-                np.matmul(drift_mat, x[:, :, None], out=lin[:, :, None])
+                dm = sqrt2dt * (sigma[0] + np.matmul(x[:, None], sig_state)[:, 0]) * xi
+            if mat.ndim == 3:
+                np.matmul(mat, x[:, :, None], out=lin[:, :, None])
             else:
-                np.matmul(x, shared, out=lin)
+                np.matmul(x, mat, out=lin)
             lin += h
             lin *= dt
             x += lin

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,9 +163,22 @@ class VarianceProfile:
     def n(self) -> int:
         return self.m.shape[0]
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.m, self.m.T))
+
+    @cached_property
+    def upper_plan(self) -> tuple:
+        """Flat indices of the upper triangle (row-major, diagonal included),
+        of their mirror images, and ``sqrt(m)`` there: the symmetric draw."""
+        n = self.n
+        iu, ju = np.triu_indices(n)
+        return iu * n + ju, ju * n + iu, np.sqrt(self.m[iu, ju])
+
+    @cached_property
+    def full_scale(self) -> np.ndarray:
+        """``sqrt(m)`` flattened row-major: the scale of a full draw."""
+        return np.sqrt(self.m).ravel()
 
     @classmethod
     def offdiagonal(cls, n: int) -> "VarianceProfile":
@@ -186,19 +200,18 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
     row-major, diagonal included, mirrored for a symmetric ensemble (which
     needs a symmetric profile), else the full matrix row-major.  Entries
     with ``m_ij = 0`` come out zero (``+0.0`` in a symmetric ensemble).
+    The index plan and the scales are computed once per profile.
     """
     n = profile.n
     root = math.sqrt(n)
     if symmetric:
         if not profile.is_symmetric:
             raise EnsembleError("symmetric ensemble requires a symmetric variance profile")
-        iu, ju = np.triu_indices(n)
-        upper, lower = iu * n + ju, ju * n + iu
-        scale = np.sqrt(profile.m[iu, ju])
+        upper, lower, scale = profile.upper_plan
     else:
-        scale = np.sqrt(profile.m).ravel()
-    # allocated after the index arrays: their space, freed on return, then takes a
-    # one-matrix caller's eigh temporaries, so glibc does not trim the heap per draw
+        scale = profile.full_scale
+    # the plan is cached on the profile, so a draw allocates only this stack and one
+    # row of entries at a time: nothing per call for glibc to trim and re-fault
     out = np.empty((len(gens), n * n))
     for row, gen in zip(out, gens):
         if symmetric:
@@ -239,6 +252,12 @@ class InitialLaw:
     def n(self) -> int:
         return len(self.dists)
 
+    @cached_property
+    def groups(self) -> tuple:
+        """``(dist, coordinates)`` per entry law present, in enum order."""
+        return tuple((dist, [k for k, d in enumerate(self.dists) if d is dist])
+                     for dist in EntryDistribution if dist in self.dists)
+
     def moment(self, i: int, ell: int) -> float:
         """Exact E[X_i(0)**ell] for coordinate i (1-based)."""
         if not 1 <= i <= self.n:
@@ -249,15 +268,11 @@ class InitialLaw:
 def sample_initial(law: InitialLaw, stream: RngStream) -> np.ndarray:
     """One draw of the initial condition."""
     rng = stream.generator()
-    out = np.empty(law.n)
-    kinds = set(law.dists)
-    if len(kinds) == 1:
+    if len(law.groups) == 1:
         return sample_entries(law.dists[0], law.n, rng)
-    # mixed marginals: draw per kind in enum order so results do not
-    # depend on set iteration order
-    for dist in EntryDistribution:
-        idx = [k for k, d in enumerate(law.dists) if d is dist]
-        if idx:
-            out[idx] = sample_entries(dist, len(idx), rng)
+    # mixed marginals: one draw per kind, in enum order
+    out = np.empty(law.n)
+    for dist, idx in law.groups:
+        out[idx] = sample_entries(dist, len(idx), rng)
     return out
 

@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, SystemTemplate, Trajectory, euler_maruyama
+from .dynamics import (IntegratorConfig, ParameterError, SystemTemplate, Trajectory,
+                       euler_maruyama)
 from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                         sample_couplings, sample_entries, sample_initial)
 from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
@@ -124,6 +125,19 @@ def hopfield_suite(t: float = 1.0) -> tuple:
     return (autocorr_item(t, t), hamiltonian_item(t), gradsq_item(t), overlap_item(t))
 
 
+def _suite(kind: str, cfg: "ExperimentConfig") -> tuple:
+    """The suite a paired ``kind`` evaluates: the configured one, else the
+    kind's default at ``horizon``; for ``concentration`` the
+    autocorrelations on ``grid_points`` times snapped to step multiples."""
+    if kind == "concentration":
+        steps = sorted({int(round(t / cfg.dt))
+                        for t in np.linspace(0.0, cfg.horizon, cfg.grid_points)})
+        return tuple(autocorr_item(k * cfg.dt, k * cfg.dt) for k in steps)
+    if cfg.suite:
+        return cfg.suite
+    return (hopfield_suite if kind == "hopfield" else default_suite)(cfg.horizon)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything an experiment run depends on, seed included.
@@ -205,6 +219,10 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     A count key whose whole float64 array would exceed 256 MB is
     rejected by name: ``mc_paths`` of ``moments-check`` (``taylor-check``
     draws its paths in chunks), ``rayleigh_points`` and ``grid_points``.
+    Every time the Euler kinds record must lie on the step grid: the
+    suite of ``universality``, ``hopfield`` and ``concentration``
+    (:func:`_suite`, the defaults at ``horizon`` included) and the
+    Monte Carlo times ``time / 2`` and ``time`` of ``taylor-check``.
     """
     every_size = kind in ("universality", "hopfield", "concentration", "aging")
     if every_size and cfg.replicas < 2:
@@ -250,6 +268,13 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
         if count * 8 > _NOISE_CAP:
             raise ExperimentError(f"experiment.{key} = {count} needs more than "
                                   f"{_NOISE_CAP >> 20} MB in one array")
+    if kind in ("universality", "hopfield", "concentration", "taylor-check"):
+        times = ([cfg.time / 2, cfg.time] if kind == "taylor-check"
+                 else [t for item in _suite(kind, cfg) for t in item.times])
+        try:
+            _time_grid(cfg.dt, times)
+        except ParameterError as exc:
+            raise ExperimentError(str(exc)) from None
     if isinstance(cfg.profile, VarianceProfile):
         if cfg.symmetric and not cfg.profile.is_symmetric:
             raise ExperimentError("symmetric ensemble requires a symmetric variance profile")
@@ -301,12 +326,13 @@ def _arm_values(cfg: ExperimentConfig, dist: EntryDistribution, profile: Varianc
                 chunk: range) -> np.ndarray:
     """One arm's suite values, shape (C, len(suite)).
 
-    The arm's coupling stack, drift and snapshots die with the call, so
-    they are freed before the next arm is drawn.
+    The arm's coupling stack and snapshots die with the call, so they
+    are freed before the next arm is drawn; the integrator forms the
+    drift one cache-sized block of replicas at a time.
     """
     gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in chunk]
     params = cfg.template.build(sample_couplings(dist, profile, cfg.symmetric, gens))
-    xs, ms = euler_maruyama(params.drift_matrix(), params.h, params.sigma, x0s, icfg, (xi,))
+    xs, ms = euler_maruyama(params, x0s, icfg, (xi,))
     vals = np.empty((len(chunk), len(cfg.suite)))
     # an overflow leaves a non-finite value, which _finite_rows reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -400,8 +426,7 @@ def run_universality(cfg: ExperimentConfig) -> UniversalityReport:
     distributions the per-replica difference is exactly zero.
     """
     check_preconditions("universality", cfg)
-    if not cfg.suite:
-        cfg = replace(cfg, suite=default_suite(cfg.horizon))
+    cfg = replace(cfg, suite=_suite("universality", cfg))
     rows = []
     per_obs_delta: dict = {item.name: [] for item in cfg.suite}
     for n in cfg.sizes:
@@ -433,8 +458,7 @@ def run_hopfield(cfg: ExperimentConfig) -> UniversalityReport:
     template = cfg.template
     if not template.langevin:
         template = replace(template, langevin=True)
-    suite = cfg.suite if cfg.suite else hopfield_suite(cfg.horizon)
-    forced = replace(cfg, template=template, suite=suite)
+    forced = replace(cfg, template=template, suite=_suite("hopfield", cfg))
     return run_universality(forced)
 
 
@@ -467,12 +491,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     sup over the grid per replica.
     """
     check_preconditions("concentration", cfg)
-    # Snap the evaluation grid to step multiples so lookups are exact.
-    steps = sorted({int(round(t / cfg.dt))
-                    for t in np.linspace(0.0, cfg.horizon, cfg.grid_points)})
-    grid = tuple(k * cfg.dt for k in steps)
-    suite = tuple(autocorr_item(t, t) for t in grid)
-    sub = replace(cfg, suite=suite)
+    sub = replace(cfg, suite=_suite("concentration", cfg))
     rows = []
     for n in cfg.sizes:
         (curve,) = _paired_values(sub, n, arms=("a",))  # (replicas, grid)
@@ -720,9 +739,8 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
             sample_couplings(cfg.dist_a, profile, cfg.symmetric, [gen_j] * c))
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         xi = gen_b.standard_normal((steps, c, n))
-        # keep the C-contiguous copy: this layout is pinned by the golden bytes
-        xs, _ = euler_maruyama(params.drift_matrix().copy(), params.h, params.sigma, x0s,
-                               icfg, (xi,))
+        # the C-contiguous (J + Lam)^T: this layout is pinned by the golden bytes
+        xs, _ = euler_maruyama(params, x0s, icfg, (xi,), contiguous=True)
         # an overflow leaves a non-finite sum of squares, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             for q, (poly_list, ts) in enumerate(specs):

@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rmsde.algebra import (AlgebraError, Monomial, MomentOracle,
-                           MultiplicityProfile, Polynomial, canonical_pair,
-                           difference_vanishes, expected_value,
-                           multiplicity_profile)
+from rmsde.algebra import (AlgebraError, Monomial, MomentOracle, Polynomial,
+                           canonical_pair, difference_vanishes, expected_value)
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                              sample_couplings, sample_initial)
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
 EXPONENTIAL = EntryDistribution.EXPONENTIAL_CENTERED
+
+
+def constant(c):
+    """The constant polynomial ``c``: multiplying by it scales."""
+    return Polynomial([Monomial(coeff=c)])
 
 
 def gaussian_oracle(n, symmetric=False, profile=None):
@@ -71,30 +74,31 @@ def test_key_ignores_coefficient():
 
 def test_polynomial_collects_like_terms():
     p = Polynomial([Monomial.from_x(1), Monomial.from_x(1, coeff=2.0)])
-    assert len(p) == 1
-    assert p.terms()[0].coeff == 3.0
+    (m,) = p
+    assert m.coeff == 3.0
 
 
 def test_polynomial_drops_exact_cancellation():
     p = Polynomial([Monomial.from_x(1), Monomial.from_x(1, coeff=-1.0)])
     assert len(p) == 0
-    assert p.coeff_of(((), (1,))) == 0.0
+    assert tuple(p) == ()
 
 
 def test_polynomial_addition_and_scaling():
     p = Polynomial.from_x(1) + Polynomial.from_x(2)
     assert len(p) == 2
-    q = p.scale(4.0)
+    q = p * constant(4.0)
     assert sorted(m.coeff for m in q) == [4.0, 4.0]
-    assert len(p.scale(0.0)) == 0
+    assert len(p * constant(0.0)) == 0
 
 
 def test_polynomial_square_expands():
     p = Polynomial.from_x(1) + Polynomial.from_x(2)
     sq = p * p
-    assert len(sq) == 3
-    assert sq.coeff_of(Monomial.from_x(1, 2).key) == 2.0
-    assert sq.coeff_of(Monomial.from_x(1, 1).key) == 1.0
+    coeffs = {m.key: m.coeff for m in sq}
+    assert len(coeffs) == 3
+    assert coeffs[Monomial.from_x(1, 2).key] == 2.0
+    assert coeffs[Monomial.from_x(1, 1).key] == 1.0
 
 
 def test_polynomial_one_and_evaluate():
@@ -115,9 +119,9 @@ def test_polynomial_rejects_non_monomials():
 def test_polynomial_collection_is_idempotent(spec):
     monos = [Monomial(coeff=c, x_idx=(i, k)) for i, k, c in spec]
     p = Polynomial(monos)
-    assert Polynomial(p.terms()).terms() == p.terms()
-    doubled = Polynomial(list(p.terms()) + list(p.terms()))
-    assert doubled.terms() == p.scale(2.0).terms()
+    assert tuple(Polynomial(p)) == tuple(p)
+    doubled = Polynomial(list(p) + list(p))
+    assert tuple(doubled) == tuple(p * constant(2.0))
 
 
 # ----------------------------------------------------------- multiplicity
@@ -128,45 +132,12 @@ def test_canonical_pair():
     assert canonical_pair((1, 2), True) == (1, 2)
 
 
-def test_multiplicity_profile_counts():
-    mono = Monomial(j_pairs=((1, 2), (1, 2), (2, 3)))
-    prof = multiplicity_profile(mono, alpha_part=((1, 2),))
-    assert prof.i_alpha == 1
-    assert prof.i_alpha_1 == 1
-    assert prof.i_plus == 2
-    assert prof.i_star == 1
-
-
-def test_multiplicity_profile_heavy_alpha():
-    mono = Monomial(j_pairs=((1, 2),) * 3)
-    prof = multiplicity_profile(mono, alpha_part=((1, 2),) * 3)
-    assert prof.i_alpha == 1
-    assert prof.i_alpha_1 == 0
-    assert prof.i_plus == 0  # an alpha pair of multiplicity three blocks the bonus
-    assert prof.i_star == 0
-
-
 def test_multiplicity_profile_symmetric_merging():
+    # a symmetric ensemble counts (1, 2) and (2, 1) as one entry of multiplicity
+    # two, E[J_12^2] = 1/N; otherwise they are two singletons
     mono = Monomial(j_pairs=((1, 2), (2, 1)))
-    sym = multiplicity_profile(mono, symmetric=True)
-    asym = multiplicity_profile(mono, symmetric=False)
-    assert (sym.i_alpha, sym.i_star) == (0, 1)
-    assert (asym.i_alpha, asym.i_star) == (0, 2)
-
-
-def test_alpha_part_must_be_contained():
-    mono = Monomial(j_pairs=((1, 2),))
-    with pytest.raises(AlgebraError, match="alpha"):
-        multiplicity_profile(mono, alpha_part=((1, 2), (1, 2)))
-    with pytest.raises(AlgebraError, match="alpha"):
-        multiplicity_profile(mono, alpha_part=((3, 4),))
-
-
-def test_multiplicity_profile_validation():
-    with pytest.raises(AlgebraError):
-        MultiplicityProfile(1, 0, 2, 0)  # i_plus must be i_alpha_1 or +1
-    with pytest.raises(AlgebraError):
-        MultiplicityProfile(-1, 0, 0, 0)
+    assert expected_value(mono, gaussian_oracle(2, symmetric=True)) == 0.5
+    assert expected_value(mono, gaussian_oracle(2, symmetric=False)) == 0.0
 
 
 @pytest.mark.parametrize("pairs,symmetric,want", [

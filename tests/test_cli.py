@@ -146,6 +146,18 @@ def test_thread_count_does_not_change_rows(tmp_path):
         (four / "universality.csv").read_bytes()
 
 
+def test_thread_count_does_not_change_rows_under_small_drift_blocks(tmp_path, monkeypatch):
+    # 150 replicas make three chunks; 2-replica drift blocks split each chunk
+    text = "[experiment]\nsizes = 8\nreplicas = 150\n[integrator]\ndt = 0.05\nhorizon = 0.2\n"
+    _, whole = invoke(tmp_path / "a", "universality", text, ["--threads", "1"])
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * 8 * 8)
+    _, one = invoke(tmp_path / "b", "universality", text, ["--threads", "1"])
+    _, two = invoke(tmp_path / "c", "universality", text, ["--threads", "2"])
+    want = (whole / "universality.csv").read_bytes()
+    assert (one / "universality.csv").read_bytes() == want
+    assert (two / "universality.csv").read_bytes() == want
+
+
 def test_aging_runs_the_gradient_flow_under_either_template(tmp_path):
     # aging is the spectral flow of 2J - K I and never reads system.template
     assert "template = langevin" in FAST["aging"]

@@ -243,6 +243,30 @@ def test_profile_csv_must_be_square(tmp_path):
         experiment_config(rc)
 
 
+# observable.times is checked against the grid as it is parsed; these times
+# come from defaults
+OFF_GRID = {
+    # horizon 1.0 is not a multiple of dt = 0.3: the default suites' time is off the grid
+    "universality-default": ("universality", "[integrator]\ndt = 0.3\nhorizon = 1.0\n"),
+    "hopfield-default": ("hopfield", "[integrator]\ndt = 0.3\nhorizon = 1.0\n"),
+    # the Monte Carlo times t/2 = 0.1 and t = 0.2 are not multiples of dt
+    "taylor-check": ("taylor-check", "[experiment]\nsizes = 2\ntime = 0.2\n"
+                     "[integrator]\ndt = 0.03\nhorizon = 0.2\n"),
+}
+
+
+@pytest.mark.parametrize("kind,text", OFF_GRID.values(), ids=OFF_GRID)
+def test_off_grid_times_fail_at_resolution(kind, text):
+    rc = parse(text).replaced("run", "experiment", kind)
+    with pytest.raises(ConfigError, match="not on the step grid"):
+        experiment_config(rc)
+
+
+def test_concentration_snaps_its_grid_to_the_steps():
+    rc = parse(OFF_GRID["universality-default"][1]).replaced("run", "experiment", "concentration")
+    assert experiment_config(rc).horizon == 1.0
+
+
 # ------------------------------------------------------- observable suites
 
 def tiny_traj(n=3):

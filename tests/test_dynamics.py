@@ -6,6 +6,7 @@ the exact per-step decomposition identity of the scheme itself.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,8 +125,8 @@ def test_euler_step_diffusion_formula():
     sigma = np.array([[0.5, 0.0], [0.2, 0.0], [0.0, 0.1]])
     xi = np.array([[[0.7, -1.3]]])
     cfg = IntegratorConfig(0.01, 0.01, (0.01,))
-    _, ms = euler_maruyama(np.zeros((2, 2)), np.zeros(2), sigma, np.array([[2.0, 3.0]]), cfg,
-                           (xi,))
+    p = SystemParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), sigma)
+    _, ms = euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, (xi,))
     want = math.sqrt(2.0 * 0.01) * np.array([0.5 + 0.2 * 2.0, 0.1 * 3.0]) * xi[0, 0]
     assert np.allclose(ms[0, 0], want, atol=1e-15)
 
@@ -164,36 +165,65 @@ def test_bad_step_size():
 # ----------------------------------------------------------- replica blocks
 
 def replica_stack(n, c, seed, state_sigma=0.0):
-    """Drift stack, h, sigma and x0s of ``c`` random systems of size ``n``."""
+    """Parameters of ``c`` random systems of size ``n`` as one stack, and their x0s."""
     rng = np.random.default_rng(seed)
     j = rng.standard_normal((c, n, n)) / math.sqrt(n)
-    drift_mat = np.swapaxes(j - 1.5 * np.eye(n), -1, -2)
     sigma = np.zeros((n + 1, n))
     sigma[0] = 0.7
     sigma[1:] = state_sigma * rng.standard_normal((n, n))
-    return drift_mat, rng.uniform(-1, 1, n), sigma, rng.standard_normal((c, n))
+    params = SystemParams(j, -1.5 * np.eye(n), rng.uniform(-1, 1, n), sigma)
+    return params, rng.standard_normal((c, n))
 
 
 def replicas_per_block(monkeypatch, n, replicas):
     monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 8 * n * n * replicas)
 
 
+def full_stack_euler(drift_mat, params, x0s, cfg, xi):
+    """Additive-noise Euler on the whole (C, N, N) drift stack at once."""
+    x = x0s.copy()
+    m = np.zeros_like(x)
+    lin = np.empty_like(x)
+    amp = math.sqrt(2.0 * cfg.dt) * params.sigma[0]
+    xs, ms = [x.copy()], [m.copy()]
+    for step in range(1, cfg.n_steps + 1):
+        dm = amp * xi[step - 1]
+        np.matmul(drift_mat, x[:, :, None], out=lin[:, :, None])
+        lin += params.h
+        lin *= cfg.dt
+        x += lin
+        x += dm
+        m += dm
+        xs.append(x.copy())
+        ms.append(m.copy())
+    rows = list(cfg.snapshot_steps)
+    return np.stack(xs, 1)[:, rows], np.stack(ms, 1)[:, rows]
+
+
 @pytest.mark.parametrize("state_sigma", [0.0, 0.05])
 @pytest.mark.parametrize("n", [3, 17, 128])
 def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
-    # a state-dependent diffusion holds its bytes because it runs as one block
+    # each block's drift is formed in the buffer, in either layout; an additive
+    # noise run gives the bytes of the whole drift stack in that layout
     c, steps = 7, 40
-    drift_mat, h, sigma, x0s = replica_stack(n, c, seed=n, state_sigma=state_sigma)
+    params, x0s = replica_stack(n, c, seed=n, state_sigma=state_sigma)
     xi = np.random.default_rng(1).standard_normal((steps, c, n))
     cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
-    replicas_per_block(monkeypatch, n, c)
-    xs, ms = euler_maruyama(drift_mat, h, sigma, x0s, cfg, (xi,))
-    for replicas in (1, 3, c):
-        replicas_per_block(monkeypatch, n, replicas)
-        # an iterator of two noise blocks, which each replica block re-reads
-        got = euler_maruyama(drift_mat, h, sigma, x0s, cfg, iter((xi[:25], xi[25:])))
-        assert got[0].tobytes() == xs.tobytes()
-        assert got[1].tobytes() == ms.tobytes()
+    for contiguous in (False, True):
+        replicas_per_block(monkeypatch, n, c)
+        xs, ms = euler_maruyama(params, x0s, cfg, (xi,), contiguous=contiguous)
+        if not state_sigma:
+            stack = params.drift_matrix()
+            want = full_stack_euler(stack.copy() if contiguous else stack, params, x0s, cfg, xi)
+            assert want[0].tobytes() == xs.tobytes()
+            assert want[1].tobytes() == ms.tobytes()
+        for replicas in (1, 3, c):
+            replicas_per_block(monkeypatch, n, replicas)
+            # an iterator of two noise blocks, which each replica block re-reads
+            got = euler_maruyama(params, x0s, cfg, iter((xi[:25], xi[25:])),
+                                 contiguous=contiguous)
+            assert got[0].tobytes() == xs.tobytes()
+            assert got[1].tobytes() == ms.tobytes()
 
 
 def test_replica_block_width_depends_on_n_only(monkeypatch):
@@ -210,9 +240,10 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
 
     def run(n, c, state_sigma=0.0, shared=False):
         widths.clear()
-        drift_mat, h, sigma, x0s = replica_stack(n, c, seed=0, state_sigma=state_sigma)
-        euler_maruyama(drift_mat[0] if shared else drift_mat, h, sigma, x0s, cfg,
-                       (np.zeros((2, c, n)),))
+        params, x0s = replica_stack(n, c, seed=0, state_sigma=state_sigma)
+        if shared:
+            params = SystemParams(params.coupling[0], params.lam, params.h, params.sigma)
+        euler_maruyama(params, x0s, cfg, (np.zeros((2, c, n)),))
         return widths[:]
 
     assert run(128, 20) == [8, 8, 4]   # 1 MB of drift is 8 replicas at N = 128
@@ -221,14 +252,33 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
     assert run(363, 3) == [1, 1, 1]
     assert run(3, 64) == [64]
     assert run(128, 20, shared=True) == [20]
-    assert run(128, 20, state_sigma=0.01) == [20]
+    assert run(128, 20, state_sigma=0.01) == [8, 8, 4]
+
+
+def test_drift_buffer_is_one_block():
+    # the integrator forms each block's drift in one buffer and never builds a
+    # (C, N, N) drift stack: 1 MB of drift against 3.3 MB of couplings
+    n, c = 64, 100
+    params, x0s = replica_stack(n, c, seed=2)
+    cfg = IntegratorConfig(0.01, 0.02, (0.02,))
+    noise = (np.zeros((2, c, n)),)
+    tracemalloc.start()
+    try:
+        euler_maruyama(params, x0s, cfg, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = dynamics._DRIFT_BLOCK_BYTES
+    assert block < params.coupling.nbytes
+    assert peak < block + params.coupling.nbytes // 4
 
 
 def test_blowup_step_is_the_earliest_over_replica_blocks(monkeypatch):
     # x grows tenfold per step: 1e300 overflows at step 9, 1e305 at step 4
     n, c = 2, 6
-    drift_mat = np.zeros((c, n, n))
-    drift_mat[0] = drift_mat[-1] = 9.0 * np.eye(n)
+    coupling = np.zeros((c, n, n))
+    coupling[0] = coupling[-1] = 9.0 * np.eye(n)
+    params = SystemParams(coupling, np.zeros((n, n)), np.zeros(n), np.zeros((n + 1, n)))
     x0s = np.ones((c, n))
     x0s[0], x0s[-1] = 1e300, 1e305
     cfg = IntegratorConfig(1.0, 12.0, (12.0,))
@@ -237,7 +287,7 @@ def test_blowup_step_is_the_earliest_over_replica_blocks(monkeypatch):
     for replicas in (c, 2, 1):  # one block first, the reference
         replicas_per_block(monkeypatch, n, replicas)
         with pytest.raises(SimulationBlowupError) as exc:
-            euler_maruyama(drift_mat, np.zeros(n), np.zeros((n + 1, n)), x0s, cfg, noise)
+            euler_maruyama(params, x0s, cfg, noise)
         steps.append(exc.value.step)
     assert steps == [4, 4, 4]
 

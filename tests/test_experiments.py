@@ -22,7 +22,7 @@ from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                run_aging, run_concentration, run_hopfield,
                                run_rayleigh, run_taylor_vs_mc,
                                run_universality, _aging_ratios_one, _gauss_rule,
-                               _paired_chunk, _time_grid)
+                               _paired_chunk, _paired_values, _time_grid)
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
@@ -210,6 +210,24 @@ def test_paired_chunk_frees_each_arm_before_the_next(langevin, stacks):
     finally:
         tracemalloc.stop()
     assert peak <= noise + (stacks + 0.5) * stack
+
+
+def test_paired_values_hold_one_coupling_stack():
+    # one chunk (N = 128, 32 replicas at dt = 0.02) holds, per arm, its coupling
+    # stack, the shared noise and one 1 MB drift block: never a second
+    # (C, N, N) stack for the drift
+    n, c = 128, 32
+    cfg = small_cfg(sizes=(n,), replicas=c, dt=0.02, horizon=1.0, suite=default_suite(1.0))
+    stack = c * n * n * 8
+    noise = 50 * c * n * 8
+    _paired_values(cfg, n)  # first-call allocations are not the chunk's
+    tracemalloc.start()
+    try:
+        _paired_values(cfg, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack + noise + 2 * 2 ** 20
 
 
 def test_universality_needs_two_replicas():
