@@ -35,6 +35,7 @@ __all__ = [
     "Polynomial",
     "MomentOracle",
     "canonical_pair",
+    "state_counts",
     "expected_value",
     "difference_vanishes",
     "AlgebraError",
@@ -50,6 +51,12 @@ def canonical_pair(pair: tuple, symmetric: bool) -> tuple:
     if symmetric and pair[1] < pair[0]:
         return (pair[1], pair[0])
     return pair
+
+
+def state_counts(x_idx: tuple) -> tuple:
+    """``(i, multiplicity)`` of each genuine state factor of a sorted
+    ``x_idx``, by increasing ``i``; the placeholder 0 is left out."""
+    return tuple((i, x_idx.count(i)) for i in dict.fromkeys(x_idx) if i != 0)
 
 
 def _sorted_pairs(pairs) -> tuple:
@@ -96,15 +103,23 @@ class Monomial:
         """State degree r = |x_idx| (placeholders included)."""
         return len(self.x_idx)
 
-    def x_counts(self) -> Counter:
-        """Multiplicities of the genuine state factors (index 0 excluded)."""
-        return Counter(i for i in self.x_idx if i != 0)
+    @classmethod
+    def _trusted(cls, coeff: float, j_pairs: tuple, x_idx: tuple) -> "Monomial":
+        """A monomial from parts that are already canonical, unchecked.
+
+        ``coeff`` must be a float and both tuples sorted and in range, as
+        the generator letters and products of monomials produce them.
+        """
+        mono = object.__new__(cls)
+        mono.__dict__.update(coeff=coeff, j_pairs=j_pairs, x_idx=x_idx)
+        return mono
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial(self.coeff * other.coeff, self.j_pairs + other.j_pairs,
-                        self.x_idx + other.x_idx)
+        return Monomial._trusted(self.coeff * other.coeff,
+                                 tuple(sorted(self.j_pairs + other.j_pairs)),
+                                 tuple(sorted(self.x_idx + other.x_idx)))
 
     def evaluate(self, j: np.ndarray, x: np.ndarray) -> float:
         """Numeric value given coupling entries and a state (1-based)."""
@@ -118,6 +133,12 @@ class Monomial:
 
     def max_index(self) -> int:
         return max([0, *self.x_idx, *(i for pair in self.j_pairs for i in pair)])
+
+
+def _collected(sums: dict) -> tuple:
+    """The monomials of a key -> coefficient map, sorted by key, zeros dropped."""
+    return tuple(Monomial._trusted(coeff, *key) for key, coeff in sorted(sums.items())
+                 if coeff != 0.0)
 
 
 class Polynomial:
@@ -136,9 +157,14 @@ class Polynomial:
                 raise AlgebraError(f"not a monomial: {m!r}")
             key = m.key
             acc[key] = acc.get(key, 0.0) + m.coeff
-        object.__setattr__(self, "_terms",
-                           tuple(Monomial(coeff, *key) for key, coeff in sorted(acc.items())
-                                 if coeff != 0.0))
+        self._terms = _collected(acc)
+
+    @classmethod
+    def _from_sums(cls, sums: dict) -> "Polynomial":
+        """The polynomial of per-key coefficient sums; every key canonical."""
+        poly = object.__new__(cls)
+        poly._terms = _collected(sums)
+        return poly
 
     @classmethod
     def from_x(cls, *indices: int, coeff: float = 1.0) -> "Polynomial":
@@ -224,19 +250,46 @@ def difference_vanishes(mono: Monomial, symmetric: bool = False) -> bool:
     return not (all(m >= 2 for m in mults) and any(m >= 3 for m in mults))
 
 
-def expected_value(mono: Monomial, oracle: MomentOracle) -> float:
-    """Exact expectation over independent entries and the initial law."""
+def _expectation_factors(key: tuple, oracle: MomentOracle):
+    """What :func:`expected_value` multiplies onto a coefficient, in order.
+
+    One factor per distinct canonical pair, then one per genuine state
+    coordinate; ``None`` when some moment is zero.
+    """
+    j_pairs, x_idx = key
+    factors = []
+    for pair, mult in _canonical_counts(j_pairs, oracle.symmetric).items():
+        moment = oracle.entry_moment(pair, mult)
+        if moment == 0.0:
+            return None
+        factors.append(moment * oracle.n ** (-mult / 2.0))
+    for i, mult in state_counts(x_idx):
+        moment = oracle.init_moment(i, mult)
+        if moment == 0.0:
+            return None
+        factors.append(moment)
+    return factors
+
+
+def expected_value(mono: Monomial, oracle: MomentOracle, memo: dict | None = None) -> float:
+    """Exact expectation over independent entries and the initial law.
+
+    ``memo``, a dict shared by the calls of one expansion with this
+    oracle, keeps each key's factors, so a key seen before costs only
+    the multiplications.
+    """
     val = mono.coeff
     if val == 0.0:
         return 0.0
-    for pair, mult in _canonical_counts(mono.j_pairs, oracle.symmetric).items():
-        moment = oracle.entry_moment(pair, mult)
-        if moment == 0.0:
-            return 0.0
-        val *= moment * oracle.n ** (-mult / 2.0)
-    for i, mult in mono.x_counts().items():
-        moment = oracle.init_moment(i, mult)
-        if moment == 0.0:
-            return 0.0
-        val *= moment
+    key = mono.key
+    if memo is None:
+        factors = _expectation_factors(key, oracle)
+    elif key in memo:
+        factors = memo[key]
+    else:
+        factors = memo[key] = _expectation_factors(key, oracle)
+    if factors is None:
+        return 0.0
+    for factor in factors:
+        val *= factor
     return val

@@ -432,15 +432,22 @@ class SystemTemplate:
     def build(self, coupling) -> SystemParams:
         """Parameters for the scaled coupling ``J = A / sqrt(N)`` from
         ``sample_couplings``: one (N, N) matrix, or a (C, N, N) stack
-        with one system per path."""
+        with one system per path.
+
+        The system takes ownership of ``coupling``: the Langevin doubling
+        runs in place in a writeable float64 array, so no second stack is
+        allocated.  A caller that still needs its array passes a copy.
+        """
         if not self.beta > 0:
             raise ParameterError("beta must be positive (use math.inf for zero noise)")
         j = np.asarray(coupling, dtype=np.float64)
+        if self.langevin:
+            j = np.multiply(j, 2.0, out=j if j.flags.writeable else None)
         n = j.shape[-1]
         sigma = np.zeros((n + 1, n))
         if math.isfinite(self.beta):
             sigma[0] = 1.0 / math.sqrt(2.0 * self.beta)
         h = np.broadcast_to(np.asarray(self.thresholds, dtype=np.float64), (n,))
-        return SystemParams(coupling=2.0 * j if self.langevin else j,
+        return SystemParams(coupling=j,
                             lam=-self.confinement * np.eye(n),
                             h=np.array(h), sigma=sigma)

@@ -23,7 +23,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraError, Monomial, MomentOracle, Polynomial, expected_value
+from .algebra import (AlgebraError, Monomial, MomentOracle, Polynomial, expected_value,
+                      state_counts)
 from .dynamics import SystemParams
 
 __all__ = [
@@ -57,79 +58,86 @@ class Letter(enum.Enum):
     DIFFUSION = "delta"
 
 
-def _replace_one(x_idx: tuple, j: int, i: int) -> tuple:
-    out = list(x_idx)
-    out.remove(j)
-    out.append(i)
-    return tuple(out)
+def _letter_actions(key: tuple, letter: Letter, params: SystemParams) -> list:
+    """Raw product-rule terms of a letter on the monomial ``key``.
 
-
-def _replace_two(x_idx: tuple, j: int, i: int, i2: int) -> tuple:
-    out = list(x_idx)
-    out.remove(j)
-    out.remove(j)
-    out.extend((i, i2))
-    return tuple(out)
-
-
-def _letter_terms(mono: Monomial, letter: Letter, params: SystemParams):
-    """Raw product-rule terms, one per (coordinate, target) choice.
-
-    Zero-valued deterministic factors are skipped, so the yield count is
-    the nonzero term count that the per-letter bounds refer to.
+    One ``(multipliers, new_key)`` pair per (coordinate, target) choice:
+    the term's coefficient is the monomial's times the multipliers, left
+    to right, and ``new_key`` is canonical.  Zero-valued deterministic
+    factors are skipped, so the term count is the nonzero count that
+    the per-letter bounds refer to.
     """
-    n = params.n
-    counts = sorted(mono.x_counts().items())
-    for j, c in counts:
+    j_pairs, x_idx = key
+    out = []
+    for j, c in state_counts(x_idx):
+        rest = list(x_idx)
+        rest.remove(j)
+        # multiplying by 1 is exact, so a multiplicity of 1 is left out
+        lead = (c,) if c != 1 else ()
         if letter is Letter.CONSTANT:
-            hj = params.h[j - 1]
+            hj = float(params.h[j - 1])
             if hj != 0.0:
-                yield Monomial(mono.coeff * c * hj, mono.j_pairs,
-                               _replace_one(mono.x_idx, j, 0))
+                out.append((lead + (hj,), (j_pairs, tuple(sorted(rest + [0])))))
         elif letter is Letter.COUPLING:
-            for i in range(1, n + 1):
-                yield Monomial(mono.coeff * c, mono.j_pairs + ((i, j),),
-                               _replace_one(mono.x_idx, j, i))
+            for i in range(1, params.n + 1):
+                out.append((lead, (tuple(sorted(j_pairs + ((i, j),))),
+                                   tuple(sorted(rest + [i])))))
         elif letter is Letter.DRIFT:
-            col = params.lam[:, j - 1]
-            for i in np.nonzero(col)[0]:
-                yield Monomial(mono.coeff * c * col[i], mono.j_pairs,
-                               _replace_one(mono.x_idx, j, int(i) + 1))
+            col = params.lam[:, j - 1].tolist()
+            for i, lam in enumerate(col):
+                if lam != 0.0:
+                    out.append((lead + (lam,), (j_pairs, tuple(sorted(rest + [i + 1])))))
         elif letter is Letter.DIFFUSION:
             if c < 2:
                 continue
-            col = params.sigma[:, j - 1]
-            nz = np.nonzero(col)[0]
-            for i in nz:
-                for i2 in nz:
-                    yield Monomial(mono.coeff * c * (c - 1) * col[i] * col[i2],
-                                   mono.j_pairs, _replace_two(mono.x_idx, j, int(i), int(i2)))
+            rest.remove(j)
+            col = params.sigma[:, j - 1].tolist()
+            nz = [(i, s) for i, s in enumerate(col) if s != 0.0]
+            for i, s in nz:
+                for i2, s2 in nz:
+                    out.append(((c, c - 1, s, s2), (j_pairs, tuple(sorted(rest + [i, i2])))))
         else:
             raise AlgebraError(f"unhandled letter {letter}")
+    return out
 
 
-def _check_indices(p: Polynomial, params: SystemParams) -> None:
-    for mono in p:
+def _check_indices(monos: Iterable, params: SystemParams) -> None:
+    for mono in monos:
         if mono.max_index() > params.n:
             raise AlgebraError(
                 f"monomial touches coordinate {mono.max_index()} but the system has {params.n}")
 
 
-def _apply(p: Polynomial, letters, params: SystemParams) -> Polynomial:
-    """The letters applied to every monomial in turn, like terms collected."""
-    _check_indices(p, params)
-    return Polynomial(t for m in p for letter in letters
-                      for t in _letter_terms(m, letter, params))
+def _apply(p: Polynomial, letters, params: SystemParams, memo: dict) -> Polynomial:
+    """The letters applied to every monomial in turn, like terms collected.
+
+    ``memo`` maps a key to the actions of all ``letters`` on it; terms
+    are summed per key in the same order as the unmemoized product rule.
+    """
+    acc: dict = {}
+    for mono in p:
+        actions = memo.get(mono.key)
+        if actions is None:
+            _check_indices((mono,), params)
+            actions = memo[mono.key] = [a for letter in letters
+                                        for a in _letter_actions(mono.key, letter, params)]
+        coeff = mono.coeff
+        for multipliers, key in actions:
+            val = coeff
+            for factor in multipliers:
+                val *= factor
+            acc[key] = acc.get(key, 0.0) + val
+    return Polynomial._from_sums(acc)
 
 
 def apply_letter(p: Polynomial, letter: Letter, params: SystemParams) -> Polynomial:
     """One letter applied to every monomial, like terms collected."""
-    return _apply(p, (letter,), params)
+    return _apply(p, (letter,), params, {})
 
 
 def apply_generator(p: Polynomial, params: SystemParams) -> Polynomial:
     """Full generator: sum of the four letter applications."""
-    return _apply(p, Letter, params)
+    return _apply(p, Letter, params, {})
 
 
 class TaylorResult(NamedTuple):
@@ -201,9 +209,10 @@ def taylor_mean_numericJ(f: Polynomial, params: SystemParams, x, t: float,
     poly = Polynomial(Monomial(math.prod([m.coeff] + [j[a - 1, b - 1] for a, b in m.j_pairs]),
                                (), m.x_idx) for m in f)
     total = 0.0
+    memo: dict = {}
     for order in range(k + 1):
         if order > 0:
-            poly = _apply(poly, (Letter.DRIFT, Letter.CONSTANT, Letter.DIFFUSION), folded)
+            poly = _apply(poly, (Letter.DRIFT, Letter.CONSTANT, Letter.DIFFUSION), folded, memo)
             if not len(poly):
                 break
         total += t ** order / math.factorial(order) * poly.evaluate(None, x)
@@ -246,8 +255,11 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     levels = len(fs)
     gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
 
-    # memoized suffix expansions: poly(level, ks) = L^{ks[0]} (f_level * poly(level+1, ks[1:]))
+    # memoized suffix expansions: poly(level, ks) = L^{ks[0]} (f_level * poly(level+1, ks[1:]));
+    # the letter actions and expectation factors of each key are kept for this call only
     memo: dict = {(levels, ()): Polynomial.one()}
+    actions: dict = {}
+    factors: dict = {}
 
     def suffix(level: int, ks: tuple) -> Polynomial:
         key = (level, ks)
@@ -257,7 +269,7 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
         if ks[0] == 0:
             poly = fs[level] * suffix(level + 1, ks[1:])
         else:
-            poly = apply_generator(suffix(level, (ks[0] - 1,) + ks[1:]), params)
+            poly = _apply(suffix(level, (ks[0] - 1,) + ks[1:]), Letter, params, actions)
         memo[key] = poly
         return poly
 
@@ -268,7 +280,7 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
             weight *= gap ** order / math.factorial(order)
         if weight == 0.0:
             continue
-        term = weight * sum(expected_value(m, oracle) for m in suffix(0, ks))
+        term = weight * sum(expected_value(m, oracle, factors) for m in suffix(0, ks))
         total = sum(ks)
         # a lone split is kept as computed, so one time gives t^k/k! * s exactly
         by_order[total] = by_order[total] + term if total in by_order else term
@@ -297,12 +309,12 @@ def count_bound_check(word: Iterable, f0: Monomial, params: SystemParams,
                Letter.DRIFT: r * params.n_lam,
                Letter.DIFFUSION: r * params.n_sigma ** 2}
     bound = 1
-    leaves = [f0] if f0.coeff != 0.0 else []
+    leaves = [f0.key] if f0.coeff != 0.0 else []
     for letter in word:
         if not isinstance(letter, Letter):
             raise AlgebraError(f"not a generator letter: {letter!r}")
         bound *= factors[letter]
-        leaves = [t for m in leaves for t in _letter_terms(m, letter, params)]
+        leaves = [new for key in leaves for _, new in _letter_actions(key, letter, params)]
     actual = len(leaves)
     if actual > bound:
         raise AssertionError(

@@ -105,11 +105,11 @@ def test_params_hold_read_only_views():
 def test_stacked_build_matches_one_build_per_path():
     template = SystemTemplate(confinement=2.0, beta=3.0, thresholds=0.4, langevin=True)
     js = np.stack([random_params(4, seed=s).coupling for s in (5, 6, 7)])
-    stacked = template.build(js)
+    stacked = template.build(js.copy())
     assert stacked.coupling.shape == (3, 4, 4)
     assert stacked.drift_matrix().strides == (16 * 8, 8, 4 * 8)
     for k in range(3):
-        one = template.build(js[k])
+        one = template.build(js[k].copy())
         assert np.array_equal(stacked.drift_matrix()[k], one.drift_matrix())
         assert np.array_equal(stacked.lam, one.lam) and np.array_equal(stacked.h, one.h)
     with pytest.raises(ParameterError, match="square"):
@@ -467,7 +467,8 @@ def test_exact_mean_rejects_bad_time():
 # ---------------------------------------------------------- langevin form
 
 def langevin(j, beta, confinement):
-    return SystemTemplate(confinement=confinement, beta=beta, langevin=True).build(j)
+    # the system owns its coupling, and these tests reuse theirs
+    return SystemTemplate(confinement=confinement, beta=beta, langevin=True).build(j.copy())
 
 
 def test_langevin_params_layout():

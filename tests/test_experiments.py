@@ -55,9 +55,20 @@ def test_template_build_plain():
 
 def test_template_langevin_doubles_coupling():
     j = scaled_coupling(3)
-    p = SystemTemplate(langevin=True, beta=math.inf).build(j)
+    p = SystemTemplate(langevin=True, beta=math.inf).build(j.copy())
     assert np.array_equal(p.coupling, 2.0 * j)
     assert np.all(p.sigma == 0.0)
+
+
+def test_template_langevin_doubles_the_coupling_in_place():
+    j = scaled_coupling(3)
+    want = 2.0 * j
+    p = SystemTemplate(langevin=True).build(j)
+    assert np.shares_memory(p.coupling, j)
+    assert np.array_equal(p.coupling, want)
+    # a read-only coupling is doubled into a new array instead
+    j.flags.writeable = False
+    assert np.array_equal(SystemTemplate(langevin=True).build(j).coupling, 2.0 * want)
 
 
 def test_template_vector_thresholds():
@@ -190,7 +201,7 @@ def test_universality_integrates_the_system_build_returns():
     assert doubled.rows != run_universality(cfg).rows
 
 
-@pytest.mark.parametrize("langevin,stacks", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("langevin,stacks", [(False, 2), (True, 2)])
 def test_paired_chunk_frees_each_arm_before_the_next(langevin, stacks):
     # traced peak of one chunk: its shared noise plus at most `stacks` (C, N, N)
     # arrays; a half stack of slack covers the snapshots, indices and masks

@@ -6,7 +6,9 @@ route for the numeric-coupling path, and Monte Carlo for one annealed
 observable.
 """
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,6 +47,70 @@ def coeffs(poly):
 def gaussian_oracle(n):
     return MomentOracle.from_ensemble(GAUSSIAN, VarianceProfile.offdiagonal(n),
                                       InitialLaw.uniform(GAUSSIAN, n))
+
+
+def reference_letter_terms(mono, letter, params):
+    """The product rule term by term as validated public monomials, no memo."""
+    for j, c in sorted(Counter(i for i in mono.x_idx if i != 0).items()):
+        rest = list(mono.x_idx)
+        rest.remove(j)
+        if letter is Letter.CONSTANT:
+            hj = params.h[j - 1]
+            if hj != 0.0:
+                yield Monomial(mono.coeff * c * hj, mono.j_pairs, rest + [0])
+        elif letter is Letter.COUPLING:
+            for i in range(1, params.n + 1):
+                yield Monomial(mono.coeff * c, mono.j_pairs + ((i, j),), rest + [i])
+        elif letter is Letter.DRIFT:
+            col = params.lam[:, j - 1]
+            for i in np.nonzero(col)[0]:
+                yield Monomial(mono.coeff * c * col[i], mono.j_pairs, rest + [int(i) + 1])
+        elif c >= 2:
+            rest.remove(j)
+            col = params.sigma[:, j - 1]
+            nz = np.nonzero(col)[0]
+            for i in nz:
+                for i2 in nz:
+                    yield Monomial(mono.coeff * c * (c - 1) * col[i] * col[i2],
+                                   mono.j_pairs, rest + [int(i), int(i2)])
+
+
+def reference_apply(poly, letters, params):
+    return Polynomial(t for m in poly for letter in letters
+                      for t in reference_letter_terms(m, letter, params))
+
+
+def reference_multitime_terms(fs, ts, params, oracle, k):
+    """Per-order terms of the multi-time series from the plain reference
+    letters, validated products and ``expected_value`` without a memo."""
+    levels = len(fs)
+    gaps = [ts[0]] + [b - a for a, b in zip(ts, ts[1:])]
+    polys = {(levels, ()): Polynomial.one()}
+
+    def suffix(level, ks):
+        if (level, ks) not in polys:
+            if ks[0] == 0:
+                polys[level, ks] = Polynomial(
+                    Monomial(a.coeff * b.coeff, a.j_pairs + b.j_pairs, a.x_idx + b.x_idx)
+                    for a in fs[level] for b in suffix(level + 1, ks[1:]))
+            else:
+                polys[level, ks] = reference_apply(suffix(level, (ks[0] - 1,) + ks[1:]),
+                                                   list(Letter), params)
+        return polys[level, ks]
+
+    by_order = {}
+    for ks in itertools.product(range(k + 1), repeat=levels):
+        if sum(ks) > k:
+            continue
+        weight = 1.0
+        for gap, order in zip(gaps, ks):
+            weight *= gap ** order / math.factorial(order)
+        if weight == 0.0:
+            continue
+        term = weight * sum(expected_value(m, oracle) for m in suffix(0, ks))
+        total = sum(ks)
+        by_order[total] = by_order[total] + term if total in by_order else term
+    return tuple(by_order.get(total, 0.0) for total in range(k + 1))
 
 
 # ----------------------------------------------------------------- letters
@@ -168,6 +234,32 @@ def test_state_degree_is_invariant(seed, word):
         assert all(m.degree == 3 for m in poly)
 
 
+@given(seed=st.integers(0, 10_000),
+       word=st.lists(st.sampled_from(list(Letter)), min_size=1, max_size=4),
+       degree=st.integers(1, 3))
+@settings(max_examples=50, deadline=None)
+def test_generated_terms_are_canonical(seed, word, degree):
+    # a key that is not in canonical form would split like terms silently
+    rng = np.random.default_rng(seed)
+    n = 3
+    p = params_with(n, coupling=rng.standard_normal((n, n)),
+                    lam=rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5),
+                    h=rng.standard_normal(n) * (rng.random(n) < 0.7),
+                    sigma=rng.standard_normal((n + 1, n)) * (rng.random((n + 1, n)) < 0.5))
+    f0 = Monomial.from_x(*rng.integers(1, n + 1, size=degree))
+    poly, ref, raw = Polynomial([f0]), Polynomial([f0]), [f0]
+    for letter in word:
+        poly = apply_letter(poly, letter, p)
+        ref = reference_apply(ref, (letter,), p)
+        raw = [t for m in raw for t in reference_letter_terms(m, letter, p)]
+        for m in poly:
+            assert type(m.coeff) is float
+            assert Monomial(m.coeff, m.j_pairs, m.x_idx) == m
+        assert tuple(poly) == tuple(ref)
+    # the raw term counts are those of the plain product rule
+    assert count_bound_check(word, f0, p)[0] == len(raw)
+
+
 # ------------------------------------------------------------- term counts
 
 def test_count_bound_example():
@@ -261,6 +353,50 @@ def test_taylor_mean_is_the_one_time_multitime_series():
     multi = taylor_mean_multitime([f], [0.3], p, oracle, k=6)
     assert one.terms == multi.terms  # bit for bit
     assert one == multi
+
+
+def _series_case(n, symmetric, full, seed):
+    rng = np.random.default_rng(seed)
+    sigma = np.zeros((n + 1, n))
+    sigma[0] = rng.uniform(0.2, 0.6, size=n)
+    sigma[1:] = np.diag(rng.uniform(0.1, 0.3, size=n))  # state-dependent
+    p = params_with(n, lam=-np.eye(n) + 0.2 * rng.standard_normal((n, n)),
+                    h=rng.uniform(-0.5, 0.5, size=n), sigma=sigma)
+    profile = VarianceProfile.full(n) if full else VarianceProfile.offdiagonal(n)
+    oracle = MomentOracle.from_ensemble(EntryDistribution.EXPONENTIAL_CENTERED, profile,
+                                        InitialLaw.uniform(GAUSSIAN, n), symmetric)
+    return p, oracle
+
+
+@pytest.mark.parametrize("n,symmetric,full,fs,ts,k", [
+    (3, False, False, [Polynomial.from_x(1, 1)], [0.2], 5),
+    (3, True, True, [Polynomial.from_x(1, 2) + Polynomial.from_x(3, coeff=0.5)], [0.3], 5),
+    (2, True, False, [Polynomial.from_x(1), Polynomial.from_x(1)], [0.1, 0.25], 5),
+    (2, False, True, [Polynomial.from_x(1), Polynomial.from_x(2), Polynomial.from_x(1, 2)],
+     [0.1, 0.1, 0.3], 4),
+    (2, True, True, [Polynomial.from_x(2, 2), Polynomial.from_x(1), Polynomial.from_x(1)],
+     [0.0, 0.2, 0.2], 3),
+])
+def test_multitime_series_is_bitwise_the_plain_reference(n, symmetric, full, fs, ts, k):
+    p, oracle = _series_case(n, symmetric, full, seed=n + 2 * symmetric + 4 * full)
+    res = taylor_mean_multitime(fs, ts, p, oracle, k)
+    want = reference_multitime_terms(fs, ts, p, oracle, k)
+    assert res.terms == want  # every term bit for bit
+    assert res.value == sum(want)
+
+
+def test_back_to_back_expansions_share_nothing():
+    # same n, different parameters and oracles: a cache that outlived one
+    # call would hand the second one stale letter actions or moments
+    fs, ts, k = [Polynomial.from_x(1), Polynomial.from_x(1, 2)], [0.15, 0.3], 4
+    cases = [_series_case(2, False, False, seed=7), _series_case(2, True, True, seed=8),
+             _series_case(2, False, False, seed=7)]
+    for p, oracle in cases:
+        res = taylor_mean_multitime(fs, ts, p, oracle, k)
+        assert res.terms == reference_multitime_terms(fs, ts, p, oracle, k)
+    (p1, o1), (p2, o2) = cases[:2]
+    assert (taylor_mean_multitime(fs, ts, p1, o1, k).terms
+            != taylor_mean_multitime(fs, ts, p2, o2, k).terms)
 
 
 def test_taylor_at_time_zero():
@@ -366,14 +502,14 @@ def test_numericj_folds_coupling_factors():
 
 def test_numericj_applies_letters_through_the_symbolic_engine(monkeypatch):
     import rmsde.generator
-    real = rmsde.generator._letter_terms
+    real = rmsde.generator._letter_actions
     letters = []
 
-    def counting(mono, letter, params):
+    def counting(key, letter, params):
         letters.append(letter)
-        return real(mono, letter, params)
+        return real(key, letter, params)
 
-    monkeypatch.setattr(rmsde.generator, "_letter_terms", counting)
+    monkeypatch.setattr(rmsde.generator, "_letter_actions", counting)
     p = params_with(2, coupling=[[0.0, 0.5], [0.25, 0.0]],
                     sigma=[[0.3, 0.0], [0.0, 0.0], [0.0, 0.0]])
     taylor_mean_numericJ(Polynomial.from_x(1, 2), p, np.array([1.0, -1.0]), 0.1, k=2)
