@@ -23,6 +23,7 @@ integration reads.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -49,7 +50,8 @@ _NOISE_BLOCK = 4096  # steps of Gaussian increments drawn per chunk
 # Drift bytes per replica block of euler_maruyama, and so the size of its
 # one drift buffer per call: a block's drift stays in a core's L2 across
 # all steps.  A function of N only, never of the thread count or a
-# detected cache size.
+# detected cache size.  The paired experiments size their replica blocks
+# from it, so each of their blocks is one drift block.
 _DRIFT_BLOCK_BYTES = 2 ** 20
 
 
@@ -74,6 +76,16 @@ def _frozen(arr, shape, name) -> np.ndarray:
         raise ParameterError(f"{name} contains non-finite entries")
     out.setflags(write=False)
     return out
+
+
+def _frozen_coupling(arr) -> np.ndarray:
+    """:func:`_frozen` for a square (N, N) coupling or a (C, N, N) stack."""
+    shape = np.shape(arr)
+    if len(shape) not in (2, 3) or shape[-1] != shape[-2]:
+        raise ParameterError("coupling must be a square matrix or a stack of them")
+    if shape[-1] == 0:
+        raise ParameterError("system dimension must be positive")
+    return _frozen(arr, shape, "coupling")
 
 
 @dataclass(frozen=True)
@@ -111,13 +123,8 @@ class SystemParams:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.coupling)
-        if len(shape) not in (2, 3) or shape[-1] != shape[-2]:
-            raise ParameterError("coupling must be a square matrix or a stack of them")
-        n = shape[-1]
-        if n == 0:
-            raise ParameterError("system dimension must be positive")
-        object.__setattr__(self, "coupling", _frozen(self.coupling, shape, "coupling"))
+        object.__setattr__(self, "coupling", _frozen_coupling(self.coupling))
+        n = self.coupling.shape[-1]
         object.__setattr__(self, "lam", _frozen(self.lam, (n, n), "lam"))
         object.__setattr__(self, "h", _frozen(self.h, (n,), "h"))
         object.__setattr__(self, "sigma", _frozen(self.sigma, (n + 1, n), "sigma"))
@@ -132,6 +139,14 @@ class SystemParams:
     @property
     def n(self) -> int:
         return self.coupling.shape[-1]
+
+    def _with_coupling(self, coupling) -> "SystemParams":
+        """This system with ``coupling``, of the same N, in place of its
+        own.  Only ``coupling`` is validated: ``lam``, ``h``, ``sigma`` and
+        their counts are this system's."""
+        out = copy.copy(self)
+        object.__setattr__(out, "coupling", _frozen_coupling(coupling))
+        return out
 
     def drift_matrix(self) -> np.ndarray:
         """Combined linear drift ``(J + Lam)^T`` acting on column states.
@@ -301,7 +316,7 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     A stack is integrated one block of replicas at a time, each block
     running every step before the next starts.  The block's drift
     ``J[rows] + Lam`` is formed in one buffer of ``_DRIFT_BLOCK_BYTES``
-    (1 MB), a function of N alone: 8 replicas at N = 128, 1 at N >= 363.
+    (1 MB), a function of N alone: 8 replicas at N = 128, 1 above N = 256.
     The buffer is allocated per call, so each pool thread has its own,
     and no (C, N, N) drift stack is built.  The batched product reads
     the block's drift from cache on every step, and the snapshots are
@@ -429,6 +444,10 @@ class SystemTemplate:
     langevin: bool = False
     thresholds: object = 0.0
 
+    def __post_init__(self) -> None:
+        # the shared parts of the last size built, on a zero-stride zero coupling
+        object.__setattr__(self, "_shared", None)
+
     def build(self, coupling) -> SystemParams:
         """Parameters for the scaled coupling ``J = A / sqrt(N)`` from
         ``sample_couplings``: one (N, N) matrix, or a (C, N, N) stack
@@ -437,6 +456,10 @@ class SystemTemplate:
         The system takes ownership of ``coupling``: the Langevin doubling
         runs in place in a writeable float64 array, so no second stack is
         allocated.  A caller that still needs its array passes a copy.
+        The shared parts ``lam``, ``h`` and ``sigma`` are formed and
+        validated by the first build at a size; the builds at that size
+        that follow reuse them and validate only their coupling, so a run
+        that builds one system per replica block pays for them once.
         """
         if not self.beta > 0:
             raise ParameterError("beta must be positive (use math.inf for zero noise)")
@@ -444,10 +467,15 @@ class SystemTemplate:
         if self.langevin:
             j = np.multiply(j, 2.0, out=j if j.flags.writeable else None)
         n = j.shape[-1]
+        shared = self._shared
+        if shared is not None and shared.n == n:
+            return shared._with_coupling(j)
         sigma = np.zeros((n + 1, n))
         if math.isfinite(self.beta):
             sigma[0] = 1.0 / math.sqrt(2.0 * self.beta)
         h = np.broadcast_to(np.asarray(self.thresholds, dtype=np.float64), (n,))
-        return SystemParams(coupling=j,
-                            lam=-self.confinement * np.eye(n),
-                            h=np.array(h), sigma=sigma)
+        params = SystemParams(coupling=j,
+                              lam=-self.confinement * np.eye(n),
+                              h=np.array(h), sigma=sigma)
+        object.__setattr__(self, "_shared", params._with_coupling(np.broadcast_to(0.0, (n, n))))
+        return params

@@ -193,7 +193,7 @@ class VarianceProfile:
 
 
 def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetric: bool,
-                     gens: list) -> np.ndarray:
+                     gens: list, out: np.ndarray = None) -> np.ndarray:
     """Scaled couplings ``J = A / sqrt(N)``, one per generator, shape (C, N, N).
 
     Each generator, in list order, draws one ``A``: the upper triangle
@@ -201,6 +201,10 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
     needs a symmetric profile), else the full matrix row-major.  Entries
     with ``m_ij = 0`` come out zero (``+0.0`` in a symmetric ensemble).
     The index plan and the scales are computed once per profile.
+
+    ``out``, when given, is a C-contiguous float64 array of shape
+    (C, N, N) that receives the stack and is returned; every entry is
+    overwritten, with the same bytes as a fresh draw.
     """
     n = profile.n
     root = math.sqrt(n)
@@ -210,10 +214,14 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
         upper, lower, scale = profile.upper_plan
     else:
         scale = profile.full_scale
-    # the plan is cached on the profile, so a draw allocates only this stack and one
-    # row of entries at a time: nothing per call for glibc to trim and re-fault
-    out = np.empty((len(gens), n * n))
-    for row, gen in zip(out, gens):
+    shape = (len(gens), n, n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise EnsembleError(f"out must be a C-contiguous float64 array of shape {shape}")
+    # the plan is cached on the profile, so a draw allocates only one row of entries
+    # at a time besides the stack: nothing per call for glibc to trim and re-fault
+    for row, gen in zip(out.reshape(len(gens), n * n), gens):
         if symmetric:
             # + 0.0 turns the -0.0 of a zero variance times a negative draw into +0.0
             vals = scale * sample_entries(dist, len(scale), gen) + 0.0
@@ -222,7 +230,7 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
         else:
             np.multiply(scale, sample_entries(dist, n * n, gen), out=row)
         row /= root
-    return out.reshape(len(gens), n, n)
+    return out
 
 
 @dataclass(frozen=True)

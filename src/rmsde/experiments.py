@@ -8,11 +8,14 @@ the randomness makes this legitimate, and the pairing removes most of
 the replica variance from the arm difference, so the decay of the
 difference with dimension is visible with a few thousand replicas.
 
-Replicas are independent units of work keyed by their stream id.
-Chunks of replicas integrate in one batched matrix-vector loop; chunk
-boundaries depend only on the problem size, never on the thread count,
-and chunk results are reduced in submission order, so reports are
-deterministic functions of (config, seed).
+Replicas are independent units of work keyed by their stream id.  A
+paired run streams them in blocks whose width depends only on N and the
+step count, never on the thread count: each block integrates in one
+batched matrix-vector loop, and each worker thread runs its blocks
+through one workspace it allocates once, so memory does not grow with
+the replica count.  Every replica's values depend only on its own
+streams and land in its own row, so reports are deterministic functions
+of (config, seed).
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (IntegratorConfig, ParameterError, SystemTemplate, Trajectory,
-                       euler_maruyama)
+from . import dynamics
+from .dynamics import (IntegratorConfig, ParameterError, SimulationBlowupError, SystemTemplate,
+                       Trajectory, euler_maruyama)
 from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                         sample_couplings, sample_entries, sample_initial)
 from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
@@ -65,9 +69,9 @@ class ExperimentError(ValueError):
 
 
 # Largest Gaussian noise of one replica's whole run, steps * N * 8 bytes.
-# The paired and Monte Carlo paths hold it for every replica of a chunk
-# at once, and a chunk has at least one replica.  The same cap bounds
-# the float64 array of each count key below.
+# The paired path holds it for every replica of a block at once and the
+# Monte Carlo path for every path of a chunk, and each holds at least
+# one.  The same cap bounds the float64 array of each count key below.
 _NOISE_CAP = 2 ** 28
 
 # Count keys whose whole array an experiment allocates at once:
@@ -284,14 +288,21 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# batched integration of one chunk of replicas
+# paired replicas, streamed one block at a time
 
 
-def _chunk_size(n: int, steps: int) -> int:
-    # keep the per-chunk noise buffer around 32 MB; never a function of
-    # the thread count, so outputs cannot depend on parallelism
-    budget = 32 * 2 ** 20 // max(1, steps * n * 8)
-    return max(1, min(64, budget))
+# Noise bytes of one paired block: the block is narrowed so that its
+# (steps, width, N) noise stays under this.
+_NOISE_BLOCK_BYTES = 32 * 2 ** 20
+
+
+def _block_width(n: int, steps: int) -> int:
+    """Replicas per paired block: one drift block of the integrator (1 MB
+    of (N, N) couplings), narrowed to 32 MB of noise.  A function of N and
+    the step count only, never of the thread count: 2 at N = 256, 8 at
+    N = 128 up to 4096 steps, 1 above N = 256."""
+    return max(1, min(dynamics._DRIFT_BLOCK_BYTES // (8 * n * n),
+                      _NOISE_BLOCK_BYTES // max(1, 8 * steps * n)))
 
 
 def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
@@ -304,62 +315,81 @@ def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
 
 
 def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
-                  icfg: IntegratorConfig, chunk: range, arms: tuple = ("a", "b")) -> list:
-    """Per-replica suite values, one array of shape (C, len(suite)) per arm.
+                  icfg: IntegratorConfig, blocks: list, values: list,
+                  arms: tuple = ("a", "b")) -> float:
+    """One worker's share of the paired run: the replica ``blocks`` in turn.
 
-    Initial conditions and noise are drawn once per replica and shared
-    by every arm; only the coupling streams differ.
+    The worker allocates one workspace, sized for its widest block, and
+    reuses it for every block: the block's starts, its (steps, width, N)
+    noise and its (width, N, N) couplings; the integrator adds one drift
+    buffer of that size per call.  Per block, each replica draws its start
+    and its noise from its own streams, and both are shared by every arm;
+    then each arm in turn samples the block's couplings into the
+    workspace, builds its system, integrates and writes its suite values
+    into its rows of the matching array of ``values``.  Returns the
+    earliest blow-up step over the worker's replicas and arms, ``inf`` if
+    none.
     """
-    n = profile.n
+    n, steps = profile.n, icfg.n_steps
+    width = max(len(block) for block in blocks)
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
-    x0s = np.stack([sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-                    for r in chunk])
-    xi = np.empty((icfg.n_steps, len(chunk), n))
-    for k, r in enumerate(chunk):
-        gen = RngStream(cfg.seed, r, PURPOSE_NOISE).generator()
-        xi[:, k, :] = gen.standard_normal((icfg.n_steps, n))
-    return [_arm_values(cfg, dists[arm], profile, x0s, xi, icfg, chunk) for arm in arms]
-
-
-def _arm_values(cfg: ExperimentConfig, dist: EntryDistribution, profile: VarianceProfile,
-                x0s: np.ndarray, xi: np.ndarray, icfg: IntegratorConfig,
-                chunk: range) -> np.ndarray:
-    """One arm's suite values, shape (C, len(suite)).
-
-    The arm's coupling stack and snapshots die with the call, so they
-    are freed before the next arm is drawn; the integrator forms the
-    drift one cache-sized block of replicas at a time.
-    """
-    gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in chunk]
-    params = cfg.template.build(sample_couplings(dist, profile, cfg.symmetric, gens))
-    xs, ms = euler_maruyama(params, x0s, icfg, (xi,))
-    vals = np.empty((len(chunk), len(cfg.suite)))
-    # an overflow leaves a non-finite value, which _finite_rows reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(chunk)):
-            traj = Trajectory(params.coupling[k], xs[k], ms[k], icfg)
-            for q, item in enumerate(cfg.suite):
-                vals[k, q] = item.fn(traj)
-    return vals
-
-
-def _map_chunks(cfg: ExperimentConfig, work: Callable, chunks: list) -> list:
-    if cfg.threads == 1 or len(chunks) <= 1:
-        return [work(ch) for ch in chunks]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-        return list(ex.map(work, chunks))
+    x0s = np.empty((width, n))
+    xi = np.empty((steps, width, n))
+    couplings = np.empty((width, n, n))
+    first = math.inf
+    for block in blocks:
+        k = len(block)
+        for i, r in enumerate(block):
+            x0s[i] = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
+            xi[:, i] = RngStream(cfg.seed, r, PURPOSE_NOISE).generator().standard_normal((steps, n))
+        for arm, vals in zip(arms, values):
+            gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in block]
+            params = cfg.template.build(sample_couplings(dists[arm], profile, cfg.symmetric,
+                                                         gens, out=couplings[:k]))
+            try:
+                xs, ms = euler_maruyama(params, x0s[:k], icfg, (xi[:, :k],))
+            except SimulationBlowupError as exc:
+                first = min(first, exc.step)
+            if first < math.inf:
+                continue  # the run fails; the rest only looks for an earlier step
+            # an overflow leaves a non-finite value, which _finite_rows reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, r in enumerate(block):
+                    traj = Trajectory(params.coupling[i], xs[i], ms[i], icfg)
+                    for q, item in enumerate(cfg.suite):
+                        vals[r, q] = item.fn(traj)
+    return first
 
 
 def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> list:
-    """One array of shape (replicas, len(suite)) per arm."""
+    """One array of shape (replicas, len(suite)) per arm.
+
+    The replicas run in blocks of :func:`_block_width`, dealt round-robin
+    to ``threads`` workers (:func:`_paired_chunk`).  A replica's values
+    depend only on its own streams, so the arrays do not depend on the
+    blocks or the thread count.  A blow-up raises
+    :class:`SimulationBlowupError` with the earliest step over every
+    replica and arm of the size.
+    """
     profile = cfg.make_profile(n)
     law = InitialLaw.uniform(cfg.init_dist, n)
     icfg = _time_grid(cfg.dt, [t for item in cfg.suite for t in item.times], cfg.horizon)
-    size = _chunk_size(n, icfg.n_steps)
-    chunks = [range(lo, min(lo + size, cfg.replicas))
-              for lo in range(0, cfg.replicas, size)]
-    parts = _map_chunks(cfg, lambda ch: _paired_chunk(cfg, profile, law, icfg, ch, arms), chunks)
-    return [np.concatenate([part[k] for part in parts], axis=0) for k in range(len(arms))]
+    width = _block_width(n, icfg.n_steps)
+    blocks = [range(lo, min(lo + width, cfg.replicas)) for lo in range(0, cfg.replicas, width)]
+    values = [np.empty((cfg.replicas, len(cfg.suite))) for _ in arms]
+    workers = min(cfg.threads, len(blocks))
+
+    def work(share: list) -> float:
+        return _paired_chunk(cfg, profile, law, icfg, share, values, arms)
+
+    if workers == 1:
+        first = work(blocks)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            first = min(ex.map(work, [blocks[w::workers] for w in range(workers)]))
+    if first < math.inf:
+        raise SimulationBlowupError(first)
+    return values
 
 
 # ---------------------------------------------------------------------------

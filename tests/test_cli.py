@@ -158,6 +158,21 @@ def test_thread_count_does_not_change_rows_under_small_drift_blocks(tmp_path, mo
     assert (two / "universality.csv").read_bytes() == want
 
 
+@pytest.mark.parametrize("kind", ["universality", "hopfield", "concentration"])
+def test_thread_count_does_not_change_streamed_blocks(tmp_path, kind):
+    # at 2 steps, N = 128 runs blocks of 8 (11 replicas leave a partial block
+    # of 3) and N = 300 blocks of 1
+    assert [experiments._block_width(n, 2) for n in (128, 300)] == [8, 1]
+    text = ("[experiment]\nsizes = 128, 300\nreplicas = 11\ngrid_points = 3\n"
+            "[integrator]\ndt = 0.05\nhorizon = 0.1\n")
+    runs = [invoke(tmp_path / str(threads), kind, text, ["--threads", str(threads)])
+            for threads in (1, 2, 4)]
+    assert [status for status, _ in runs] == [0, 0, 0]
+    want = (runs[0][1] / CSV_NAMES[kind]).read_bytes()
+    for _, out in runs[1:]:
+        assert (out / CSV_NAMES[kind]).read_bytes() == want
+
+
 def test_aging_runs_the_gradient_flow_under_either_template(tmp_path):
     # aging is the spectral flow of 2J - K I and never reads system.template
     assert "template = langevin" in FAST["aging"]

@@ -118,6 +118,23 @@ def test_stacked_build_matches_one_build_per_path():
         template.build(np.where(np.eye(4) > 0, np.nan, js))
 
 
+def test_build_forms_the_shared_parts_once_per_size():
+    template = SystemTemplate(confinement=2.0, beta=3.0, thresholds=0.4, langevin=True)
+    js = np.stack([random_params(3, seed=s).coupling for s in (5, 6)])
+    first = template.build(js[0].copy())
+    stacked = template.build(js.copy())
+    assert stacked.lam is first.lam and stacked.h is first.h and stacked.sigma is first.sigma
+    assert np.array_equal(stacked.coupling, 2.0 * js)
+    fresh = SystemParams(2.0 * js, first.lam, first.h, first.sigma)
+    assert {k: v for k, v in vars(stacked).items() if not isinstance(v, np.ndarray)} == \
+        {k: v for k, v in vars(fresh).items() if not isinstance(v, np.ndarray)}
+    assert template.build(np.zeros((2, 2))).lam.shape == (2, 2)  # another size, its own parts
+    again = template.build(js[1].copy())
+    assert again.lam is not first.lam and np.array_equal(again.lam, first.lam)
+    with pytest.raises(ParameterError, match="finite"):  # the coupling is still validated
+        template.build(np.full((3, 3), np.inf))
+
+
 # ------------------------------------------------------------- integrator
 
 def test_euler_step_diffusion_formula():

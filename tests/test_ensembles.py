@@ -222,24 +222,72 @@ def test_sampler_is_byte_identical_to_reference(dist, n):
                 assert got.tobytes() == want.tobytes()
 
 
+def test_sampler_fills_a_workspace_like_fresh_draws():
+    # blocks of 4, 4 and a partial 2 drawn into one NaN-filled workspace match the
+    # fresh stack byte for byte; the banded profile has zero variances
+    n, width, replicas = 6, 4, 10
+    profile = banded(n)
+    zero = profile.m == 0.0
+
+    def gens(rows):
+        return [RngStream(5, r, PURPOSE_COUPLING).generator() for r in rows]
+
+    for dist in ALL_DISTS:
+        for symmetric in (True, False):
+            fresh = sample_couplings(dist, profile, symmetric, gens(range(replicas)))
+            work = np.empty((width, n, n))
+            for lo in range(0, replicas, width):
+                rows = range(lo, min(lo + width, replicas))
+                work.fill(np.nan)
+                got = sample_couplings(dist, profile, symmetric, gens(rows),
+                                       out=work[:len(rows)])
+                assert np.shares_memory(got, work) and got.shape == (len(rows), n, n)
+                assert got.tobytes() == fresh[lo:rows.stop].tobytes()
+                assert np.all(np.isnan(work[len(rows):]))  # the rest is left alone
+                if symmetric:  # + 0.0: no -0.0 where the variance is zero
+                    assert not np.signbit(got[:, zero]).any()
+
+
+def test_sampler_rejects_a_workspace_of_the_wrong_layout():
+    profile = VarianceProfile.full(3)
+    gens = [RngStream(0, r, PURPOSE_COUPLING).generator() for r in range(2)]
+    for out in (np.empty((3, 3, 3)), np.empty((2, 3, 3), dtype=np.float32),
+                np.empty((2, 3, 6))[:, :, ::2]):
+        with pytest.raises(EnsembleError, match="out must be"):
+            sample_couplings(EntryDistribution.GAUSSIAN, profile, False, gens, out=out)
+
+
 def counting_sampler(monkeypatch):
     """Wrap the sampler the experiments call; each call's generators are recorded."""
     calls = []
 
-    def counted(dist, profile, symmetric, gens):
+    def counted(dist, profile, symmetric, gens, out=None):
         calls.append(list(gens))
-        return sample_couplings(dist, profile, symmetric, gens)
+        return sample_couplings(dist, profile, symmetric, gens, out=out)
 
     monkeypatch.setattr(experiments, "sample_couplings", counted)
     return calls
 
 
 def test_paired_chunk_samples_once_per_arm(monkeypatch):
-    calls = counting_sampler(monkeypatch)
-    # 130 replicas at n = 4 run as chunks of 64, 64 and 2
-    experiments.run_universality(experiments.ExperimentConfig(
-        sizes=(4,), replicas=130, dt=0.05, horizon=0.1))
-    assert [len(gens) for gens in calls] == [64, 64, 64, 64, 2, 2]
+    states = []
+
+    def counted(dist, profile, symmetric, gens, out=None):
+        states.append([g.bit_generator.state for g in gens])
+        return sample_couplings(dist, profile, symmetric, gens, out=out)
+
+    monkeypatch.setattr(experiments, "sample_couplings", counted)
+    # 19 replicas at n = 128 and 2 steps run as blocks of 8, 8 and 3
+    cfg = experiments.ExperimentConfig(sizes=(128,), replicas=19, dt=0.05, horizon=0.1,
+                                       seed=4, coupling_seed=9)
+    assert experiments._block_width(128, 2) == 8
+    experiments.run_universality(cfg)
+    want = []
+    for block in (range(0, 8), range(8, 16), range(16, 19)):
+        drawn = [RngStream(9, r, PURPOSE_COUPLING).generator().bit_generator.state
+                 for r in block]
+        want += [drawn, drawn]  # arm a, then arm b, from the same fresh streams
+    assert states == want
 
 
 def test_monte_carlo_samples_once_per_chunk(monkeypatch):

@@ -4,15 +4,16 @@ Lanczos-Gauss rule checked against the eigh oracle."""
 
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rmsde import experiments
+from rmsde import dynamics, experiments
 from rmsde.config import experiment_config, parse_config
-from rmsde.dynamics import ParameterError, SystemParams
+from rmsde.dynamics import ParameterError, SimulationBlowupError, SystemParams
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile, sample_couplings,
                              sample_initial)
 from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
@@ -22,7 +23,7 @@ from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                run_aging, run_concentration, run_hopfield,
                                run_rayleigh, run_taylor_vs_mc,
                                run_universality, _aging_ratios_one, _gauss_rule,
-                               _paired_chunk, _paired_values, _time_grid)
+                               _paired_values)
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
@@ -201,44 +202,49 @@ def test_universality_integrates_the_system_build_returns():
     assert doubled.rows != run_universality(cfg).rows
 
 
-@pytest.mark.parametrize("langevin,stacks", [(False, 2), (True, 2)])
-def test_paired_chunk_frees_each_arm_before_the_next(langevin, stacks):
-    # traced peak of one chunk: its shared noise plus at most `stacks` (C, N, N)
-    # arrays; a half stack of slack covers the snapshots, indices and masks
-    n, c = 128, 32
-    cfg = small_cfg(sizes=(n,), replicas=c, dt=0.05, horizon=0.5,
-                    template=SystemTemplate(langevin=langevin), suite=default_suite(0.5))
-    args = (cfg, cfg.make_profile(n), InitialLaw.uniform(cfg.init_dist, n),
-            _time_grid(cfg.dt, [0.5], cfg.horizon), range(c))
-    _paired_chunk(*args)  # first-call allocations are not the chunk's
-    noise = args[3].n_steps * c * n * 8
-    stack = c * n * n * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        _paired_chunk(*args)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= noise + (stacks + 0.5) * stack
+@pytest.mark.parametrize("langevin", [False, True])
+def test_paired_values_peak_does_not_grow_with_replicas(langevin):
+    # N = 128 at 50 steps streams blocks of 8 replicas through one workspace
+    # (starts, noise, couplings) plus the integrator's drift buffer
+    n, steps, width = 128, 50, 8
+    assert experiments._block_width(n, steps) == width
+    workspace = 8 * (width * n + steps * width * n + 2 * width * n * n)
+    peaks = []
+    for replicas in (16, 128):
+        cfg = small_cfg(sizes=(n,), replicas=replicas, dt=0.02, horizon=1.0,
+                        template=SystemTemplate(langevin=langevin), suite=default_suite(1.0))
+        _paired_values(cfg, n)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            _paired_values(cfg, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20
+    assert max(peaks) < workspace + 2 ** 20
 
 
-def test_paired_values_hold_one_coupling_stack():
-    # one chunk (N = 128, 32 replicas at dt = 0.02) holds, per arm, its coupling
-    # stack, the shared noise and one 1 MB drift block: never a second
-    # (C, N, N) stack for the drift
-    n, c = 128, 32
-    cfg = small_cfg(sizes=(n,), replicas=c, dt=0.02, horizon=1.0, suite=default_suite(1.0))
-    stack = c * n * n * 8
-    noise = 50 * c * n * 8
-    _paired_values(cfg, n)  # first-call allocations are not the chunk's
-    tracemalloc.start()
-    try:
-        _paired_values(cfg, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < stack + noise + 2 * 2 ** 20
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blowup_step_is_the_earliest_over_every_block(monkeypatch, threads):
+    # the state grows about tenfold per step, so a start of 1e300 overflows
+    # several steps after one of 1e305; 2-replica blocks put replica 1 in the
+    # first block and replica 66 in the 34th
+    n = 4
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * n * n)
+    cfg = small_cfg(sizes=(n,), replicas=70, dt=1.0, horizon=12.0, threads=threads,
+                    template=SystemTemplate(confinement=-9.0))
+
+    def blowup_step(scales):  # the starts of the replicas in scales, scaled
+        monkeypatch.setattr(experiments, "sample_initial", lambda law, stream: sample_initial(
+            law, stream) * scales.get(stream.stream, 1.0))
+        with pytest.raises(SimulationBlowupError) as exc:
+            run_universality(cfg)
+        return exc.value.step
+
+    late = blowup_step({1: 1e300})
+    early = blowup_step({66: 1e305})
+    assert early < late
+    assert blowup_step({1: 1e300, 66: 1e305}) == early
 
 
 def test_universality_needs_two_replicas():
@@ -259,6 +265,21 @@ def test_universality_deterministic_and_thread_invariant():
     threaded = run_universality(replace(cfg, threads=3))
     assert base.rows == again.rows
     assert base.rows == threaded.rows
+
+
+def test_many_workers_on_small_blocks_write_the_same_rows(monkeypatch):
+    # 8 workers on 2 cores share the row arrays and the template's shared parts;
+    # a lost or misplaced row, or a mixed-up size, would change the report
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * 8 * 8)
+    cfg = small_cfg(sizes=(4, 8), replicas=40, template=SystemTemplate(langevin=True))
+    base = run_universality(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_universality(replace(cfg, threads=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.rows == base.rows
 
 
 def test_coupling_seed_changes_only_the_matrices():
