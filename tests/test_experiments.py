@@ -202,26 +202,39 @@ def test_universality_integrates_the_system_build_returns():
     assert doubled.rows != run_universality(cfg).rows
 
 
-@pytest.mark.parametrize("langevin", [False, True])
-def test_paired_values_peak_does_not_grow_with_replicas(langevin):
-    # N = 128 at 50 steps streams blocks of 8 replicas through one workspace
-    # (starts, noise, couplings) plus the integrator's drift buffer
+def paired_peak(langevin, replicas, n=128):
+    # traced peak of one _paired_values run at N = n, 50 steps
+    cfg = small_cfg(sizes=(n,), replicas=replicas, dt=0.02, horizon=1.0,
+                    template=SystemTemplate(langevin=langevin), suite=default_suite(1.0))
+    _paired_values(cfg, n)  # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        _paired_values(cfg, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("langevin,stacks", [(False, 2), (True, 2)])
+def test_paired_chunk_frees_each_arm_before_the_next(langevin, stacks):
+    # N = 128 at 50 steps streams blocks of 8 replicas through one workspace:
+    # starts, noise and `stacks` (width, N, N) blocks, the couplings both arms
+    # sample into and the integrator's drift buffer, with three quarters of a
+    # block of slack for the snapshots, rows and streams; an arm whose system
+    # outlived it, or a Langevin doubling into a new array, would add a block
     n, steps, width = 128, 50, 8
     assert experiments._block_width(n, steps) == width
-    workspace = 8 * (width * n + steps * width * n + 2 * width * n * n)
-    peaks = []
-    for replicas in (16, 128):
-        cfg = small_cfg(sizes=(n,), replicas=replicas, dt=0.02, horizon=1.0,
-                        template=SystemTemplate(langevin=langevin), suite=default_suite(1.0))
-        _paired_values(cfg, n)  # first-call allocations are not the run's
-        tracemalloc.start()
-        try:
-            _paired_values(cfg, n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 2 ** 20
-    assert max(peaks) < workspace + 2 ** 20
+    block = 8 * width * n * n
+    workspace = 8 * (width * n + steps * width * n) + stacks * block
+    assert paired_peak(langevin, 32) < workspace + 3 * block // 4
+
+
+def test_paired_values_hold_one_coupling_stack():
+    # one workspace however many replicas: the peak is the same within 1 MiB
+    # for 16 and 128 replicas, with either template
+    for langevin in (False, True):
+        peaks = [paired_peak(langevin, replicas) for replicas in (16, 128)]
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
 
 
 @pytest.mark.parametrize("threads", [1, 2])
