@@ -4,7 +4,7 @@ One subcommand per experiment kind.  Every run reads an optional
 configuration file, applies the command-line overrides, and writes its
 artifacts (a CSV results table, a key-value summary, and the resolved
 configuration) atomically into the output directory.  Outputs are a
-pure function of the resolved configuration: reruns, at any thread
+pure function of the resolved configuration: reruns, at any worker
 count, produce byte-identical CSVs.
 """
 
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="run configuration file")
     common.add_argument("--seed", metavar="U64", type=int, help="master seed override")
-    common.add_argument("--threads", metavar="K", type=int, help="worker thread count")
+    common.add_argument("--threads", metavar="K", type=int, help="worker process count")
     common.add_argument("--out", metavar="DIR", help="output directory")
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
     for kind in EXPERIMENT_KINDS:

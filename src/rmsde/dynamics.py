@@ -49,7 +49,7 @@ __all__ = [
 _NOISE_BLOCK = 4096  # steps of Gaussian increments drawn per chunk
 # Drift bytes per replica block of euler_maruyama, and so the size of its
 # one drift buffer per call: a block's drift stays in a core's L2 across
-# all steps.  A function of N only, never of the thread count or a
+# all steps.  A function of N only, never of the worker count or a
 # detected cache size.  The paired experiments size their replica blocks
 # from it, so each of their blocks is one drift block.
 _DRIFT_BLOCK_BYTES = 2 ** 20
@@ -65,6 +65,9 @@ class SimulationBlowupError(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite state at step {step}")
         self.step = step
+
+    def __reduce__(self):  # rebuilt from the step, as a worker process sends it
+        return type(self), (self.step,)
 
 
 def _frozen(arr, shape, name) -> np.ndarray:
@@ -193,19 +196,27 @@ class IntegratorConfig:
             rounding = max(rounding, abs(t - k * self.dt))
             steps.append(k)
         steps = sorted(set(steps))
+        times = self.dt * np.asarray(steps, dtype=np.float64)
+        times.setflags(write=False)
         object.__setattr__(self, "snapshots", requested)
         object.__setattr__(self, "n_steps", n_steps)
         object.__setattr__(self, "snapshot_steps", tuple(steps))
         object.__setattr__(self, "rounding", float(rounding))
+        # not fields, so eq, hash and repr do not see them
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_rows", {t: k for k, t in enumerate(times.tolist())})
 
     @property
     def times(self) -> np.ndarray:
-        """Rounded snapshot times actually recorded."""
-        return self.dt * np.asarray(self.snapshot_steps, dtype=np.float64)
+        """Rounded snapshot times actually recorded (read-only)."""
+        return self._times
 
     def row(self, t: float) -> int:
         """Index of time ``t`` in :attr:`times`, which it must match to 1e-9."""
-        times = self.times
+        k = self._rows.get(t)
+        if k is not None:
+            return k
+        times = self._times
         k = int(np.argmin(np.abs(times - t))) if len(times) else -1
         if k < 0 or abs(times[k] - t) > 1e-9:
             raise ParameterError(f"time {t:g} is not on the step grid of dt = {self.dt:g}")
@@ -317,8 +328,8 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     running every step before the next starts.  The block's drift
     ``J[rows] + Lam`` is formed in one buffer of ``_DRIFT_BLOCK_BYTES``
     (1 MB), a function of N alone: 8 replicas at N = 128, 1 above N = 256.
-    The buffer is allocated per call, so each pool thread has its own,
-    and no (C, N, N) drift stack is built.  The batched product reads
+    The buffer is allocated per call, so each worker has its own, and
+    no (C, N, N) drift stack is built.  The batched product reads
     the block's drift from cache on every step, and the snapshots are
     the same bytes at any block size.  The drift enters as the transposed
     view of ``J + Lam`` (strides (N^2, 1, N)), or with ``contiguous`` as

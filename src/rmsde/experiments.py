@@ -8,20 +8,23 @@ the randomness makes this legitimate, and the pairing removes most of
 the replica variance from the arm difference, so the decay of the
 difference with dimension is visible with a few thousand replicas.
 
-Replicas are independent units of work keyed by their stream id.  A
-paired run streams them in blocks whose width depends only on N and the
-step count, never on the thread count: each block integrates in one
-batched matrix-vector loop, and each worker thread runs its blocks
-through one workspace it allocates once, so memory does not grow with
-the replica count.  Every replica's values depend only on its own
-streams and land in its own row, so reports are deterministic functions
-of (config, seed).
+Replicas are independent units of work keyed by their stream id, and
+``threads`` counts the worker processes they are dealt to
+(:func:`_fan_out`).  A paired run streams them in blocks whose width
+depends only on N and the step count, never on the worker count: each
+block integrates in one batched matrix-vector loop, and each worker runs
+its blocks through one workspace it allocates once, so memory does not
+grow with the replica count.  Every replica's values depend only on its
+own streams and land in its own row, so reports are deterministic
+functions of (config, seed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -186,7 +189,7 @@ class ExperimentConfig:
         if not self.sizes:
             raise ExperimentError("need at least one system size")
         if self.threads < 1:
-            raise ExperimentError("thread count must be positive")
+            raise ExperimentError("worker count must be positive")
 
     def make_profile(self, n: int) -> VarianceProfile:
         if isinstance(self.profile, VarianceProfile):
@@ -288,6 +291,102 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+
+def _fan_out(work: Callable, shares: list) -> list:
+    """``[work(share) for share in shares]``, each share after the first
+    run by a forked worker process.
+
+    The workers start before this process runs ``shares[0]`` itself.
+    Each sends back ``work(share)``, or the exception it raised, pickled
+    through its own pipe, and ends with ``os._exit``, so it never returns
+    into the caller's frames.  This process reads every pipe to its end,
+    reaps every worker, and then re-raises the first failure in share
+    order with its type and message.  If its own share raises, it kills
+    and reaps the workers first.  With one share, or where ``os.fork`` is
+    missing, every share runs in this process.
+
+    Fork, not spawn: the package starts no threads, and a spawned worker
+    would import numpy again, which costs more than a paired share.
+    Processes run at once where threads would take turns on the
+    interpreter lock between the short numpy calls of a replica block.
+    """
+    if len(shares) < 2 or not hasattr(os, "fork"):
+        return [work(share) for share in shares]
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(work, share, write)
+            os.close(write)
+            workers.append((pid, read))
+        outcomes = [(True, work(shares[0]))]
+        for _, read in workers:
+            outcomes.append(_receive(read))
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in workers:
+            os.close(read)
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _worker(work: Callable, share, write: int) -> None:
+    """A forked worker's whole life: run ``share``, send the outcome
+    through the pipe end ``write``, and exit without returning."""
+    status = 1
+    try:
+        try:
+            outcome = (True, work(share))
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            outcome = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(_pickled(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(outcome: tuple) -> bytes:
+    """``outcome`` pickled; a failure that does not survive the round trip
+    goes as a :class:`RuntimeError` naming its type and message."""
+    ok, value = outcome
+    if ok:
+        return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+    try:
+        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.loads(data)
+        return data
+    except Exception:
+        substitute = RuntimeError(f"{type(value).__name__}: {value}")
+        return pickle.dumps((False, substitute), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _receive(read: int) -> tuple:
+    """The outcome a worker wrote to the pipe end ``read``, read to its end."""
+    chunks = []
+    while chunk := os.read(read, 1 << 20):
+        chunks.append(chunk)
+    if not chunks:
+        return False, RuntimeError("a worker process ended without sending its result")
+    return pickle.loads(b"".join(chunks))
+
+
+# ---------------------------------------------------------------------------
 # paired replicas, streamed one block at a time
 
 
@@ -299,7 +398,7 @@ _NOISE_BLOCK_BYTES = 32 * 2 ** 20
 def _block_width(n: int, steps: int) -> int:
     """Replicas per paired block: one drift block of the integrator (1 MB
     of (N, N) couplings), narrowed to 32 MB of noise.  A function of N and
-    the step count only, never of the thread count: 2 at N = 256, 8 at
+    the step count only, never of the worker count: 2 at N = 256, 8 at
     N = 128 up to 4096 steps, 1 above N = 256."""
     return max(1, min(dynamics._DRIFT_BLOCK_BYTES // (8 * n * n),
                       _NOISE_BLOCK_BYTES // max(1, 8 * steps * n)))
@@ -315,8 +414,7 @@ def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
 
 
 def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
-                  icfg: IntegratorConfig, blocks: list, values: list,
-                  arms: tuple = ("a", "b")) -> float:
+                  icfg: IntegratorConfig, blocks: list, arms: tuple = ("a", "b")) -> tuple:
     """One worker's share of the paired run: the replica ``blocks`` in turn.
 
     The worker allocates one workspace, sized for its widest block, and
@@ -326,17 +424,19 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     and its noise from its own streams, and both are shared by every arm;
     then each arm in turn samples the block's couplings into the
     workspace, builds its system, integrates and writes its suite values
-    into its rows of the matching array of ``values``.  Returns the
-    earliest blow-up step over the worker's replicas and arms, ``inf`` if
-    none.
+    into its rows.  Returns one array of rows per arm, the replicas of
+    ``blocks`` in order, and the earliest blow-up step over the worker's
+    replicas and arms, ``inf`` if none.
     """
     n, steps = profile.n, icfg.n_steps
     width = max(len(block) for block in blocks)
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
+    values = [np.empty((sum(map(len, blocks)), len(cfg.suite))) for _ in arms]
     x0s = np.empty((width, n))
     xi = np.empty((steps, width, n))
     couplings = np.empty((width, n, n))
     first = math.inf
+    row = 0
     for block in blocks:
         k = len(block)
         for i, r in enumerate(block):
@@ -354,39 +454,39 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
                 continue  # the run fails; the rest only looks for an earlier step
             # an overflow leaves a non-finite value, which _finite_rows reports
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, r in enumerate(block):
+                for i in range(k):
                     traj = Trajectory(params.coupling[i], xs[i], ms[i], icfg)
                     for q, item in enumerate(cfg.suite):
-                        vals[r, q] = item.fn(traj)
-    return first
+                        vals[row + i, q] = item.fn(traj)
+        row += k
+    return values, first
 
 
 def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> list:
     """One array of shape (replicas, len(suite)) per arm.
 
     The replicas run in blocks of :func:`_block_width`, dealt round-robin
-    to ``threads`` workers (:func:`_paired_chunk`).  A replica's values
-    depend only on its own streams, so the arrays do not depend on the
-    blocks or the thread count.  A blow-up raises
-    :class:`SimulationBlowupError` with the earliest step over every
-    replica and arm of the size.
+    to ``threads`` worker processes (:func:`_fan_out`), each of which runs
+    its share through :func:`_paired_chunk`.  A replica's values depend
+    only on its own streams, so the arrays do not depend on the blocks or
+    the worker count.  A blow-up raises :class:`SimulationBlowupError`
+    with the earliest step over every replica and arm of the size.
     """
     profile = cfg.make_profile(n)
     law = InitialLaw.uniform(cfg.init_dist, n)
     icfg = _time_grid(cfg.dt, [t for item in cfg.suite for t in item.times], cfg.horizon)
     width = _block_width(n, icfg.n_steps)
     blocks = [range(lo, min(lo + width, cfg.replicas)) for lo in range(0, cfg.replicas, width)]
-    values = [np.empty((cfg.replicas, len(cfg.suite))) for _ in arms]
     workers = min(cfg.threads, len(blocks))
-
-    def work(share: list) -> float:
-        return _paired_chunk(cfg, profile, law, icfg, share, values, arms)
-
-    if workers == 1:
-        first = work(blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            first = min(ex.map(work, [blocks[w::workers] for w in range(workers)]))
+    shares = [blocks[w::workers] for w in range(workers)]
+    done = _fan_out(lambda share: _paired_chunk(cfg, profile, law, icfg, share, arms), shares)
+    values = [np.empty((cfg.replicas, len(cfg.suite))) for _ in arms]
+    first = math.inf
+    for share, (rows, share_first) in zip(shares, done):
+        replicas = [r for block in share for r in block]
+        for vals, got in zip(values, rows):
+            vals[replicas] = got
+        first = min(first, share_first)
     if first < math.inf:
         raise SimulationBlowupError(first)
     return values
@@ -627,7 +727,7 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
 
 
 def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
-             replicas: int, scale: float):
+             replicas: int, scale: float) -> list:
     """Per arm and replica, ``(arm, r, theta, w)``: the Gauss rule of
     :func:`_gauss_rule` for ``scale * J`` seen from the replica's start
     ``x0``.  It stands in for the eigenvalues of ``scale * J`` and the
@@ -635,15 +735,26 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
     quadratic form ``x0^T f(scale * J) x0`` the flows read is a sum over
     its nodes, and its extreme nodes are the ends of the spectrum.
 
-    A generator over both arms, so peak memory stays at one replica in
-    flight: one coupling and one Lanczos basis of at most ``N`` rows.
+    The arm-replica pairs are dealt round-robin to ``threads`` worker
+    processes (:func:`_fan_out`) and come back in order, arm ``a``
+    first.  Each worker keeps one replica in flight: one coupling and
+    one Lanczos basis of at most ``N`` rows.
     """
-    for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b)):
-        for r in range(replicas):
+    jobs = [(arm, dist, r) for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b))
+            for r in range(replicas)]
+
+    def work(share: list) -> list:
+        out = []
+        for arm, dist, r in share:
             j = sample_couplings(dist, profile, cfg.symmetric,
                                  [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()])[0]
             x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-            yield (arm, r) + _gauss_rule(scale * j, x0)
+            out.append((arm, r) + _gauss_rule(scale * j, x0))
+        return out
+
+    workers = min(cfg.threads, len(jobs))
+    done = _fan_out(work, [jobs[w::workers] for w in range(workers)])
+    return [done[i % workers][i // workers] for i in range(len(jobs))]
 
 
 def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
@@ -819,8 +930,9 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
 
     rows = []
     orders = []
+    memos = ({}, {})  # every series of the run reads the same params and oracle
     for q, (name, f) in enumerate(singles):
-        res = taylor_mean(f, params, oracle, t, cfg.truncation)
+        res = taylor_mean(f, params, oracle, t, cfg.truncation, memos=memos)
         z = (res.value - mean[q]) / se[q] if se[q] > 0 else 0.0
         rows.append(TaylorRow(name, res.value, res.tail_bound, res.diverging,
                               float(mean[q]), float(se[q]), float(z)))
@@ -828,7 +940,8 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
         for k, term in enumerate(res.terms):
             partial += term
             orders.append(OrderRow(name, k, term, partial))
-    mv = taylor_mean_multitime(multi_fs, multi_ts, params, oracle, cfg.truncation)
+    mv = taylor_mean_multitime(multi_fs, multi_ts, params, oracle, cfg.truncation,
+                               memos=memos)
     q = len(singles)
     z = (mv.value - mean[q]) / se[q] if se[q] > 0 else 0.0
     rows.append(TaylorRow(multi_name, mv.value, mv.tail_bound, mv.diverging, float(mean[q]),

@@ -179,15 +179,16 @@ def _validate_caps(k: int, cap: int, params: SystemParams, symbolic: bool) -> No
 
 
 def taylor_mean(f: Polynomial, params: SystemParams, oracle: MomentOracle,
-                t: float, k: int, cap: int = DEFAULT_TRUNCATION_CAP) -> TaylorResult:
+                t: float, k: int, cap: int = DEFAULT_TRUNCATION_CAP,
+                memos: tuple | None = None) -> TaylorResult:
     """Truncated expansion of ``E[f(X_t)]`` over coupling and initial law.
 
     Computes ``sum_{k'=0..k} t^k'/k'! * E[L^k' f(X_0)]`` with the
     expectation taken through the moment oracle: the one-time case of
-    :func:`taylor_mean_multitime`.  Intended for small dimension; the
-    coupling stays symbolic.
+    :func:`taylor_mean_multitime`, which documents ``memos``.  Intended
+    for small dimension; the coupling stays symbolic.
     """
-    return taylor_mean_multitime([f], [t], params, oracle, k, cap)
+    return taylor_mean_multitime([f], [t], params, oracle, k, cap, memos)
 
 
 def taylor_mean_numericJ(f: Polynomial, params: SystemParams, x, t: float,
@@ -231,7 +232,8 @@ def _compositions(total: int, parts: int):
 
 def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
                           oracle: MomentOracle, k: int,
-                          cap: int = DEFAULT_TRUNCATION_CAP) -> TaylorResult:
+                          cap: int = DEFAULT_TRUNCATION_CAP,
+                          memos: tuple | None = None) -> TaylorResult:
     """Truncated multi-time moment ``E[f1(X_{t1}) f2(X_{t2}) ...]``.
 
     Expands each semigroup gap to a truncated series with total order at
@@ -240,6 +242,12 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     ``k'`` of the result sums the splits of total order ``k'``; a split
     with a zero weight is not expanded, so when every time is 0 the
     series is exact at order 0 and its tail is 0.
+
+    Each key's letter actions and expectation factors are memoized for
+    the call.  ``memos``, a pair of dicts ``(actions, factors)``, makes
+    the calls that pass it share those memos; they must all pass the
+    same ``params`` and ``oracle``.  The terms are the same bits either
+    way.
     """
     fs = list(fs)
     times = [float(t) for t in np.atleast_1d(np.asarray(ts, dtype=np.float64))]
@@ -255,11 +263,9 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     levels = len(fs)
     gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
 
-    # memoized suffix expansions: poly(level, ks) = L^{ks[0]} (f_level * poly(level+1, ks[1:]));
-    # the letter actions and expectation factors of each key are kept for this call only
+    # memoized suffix expansions: poly(level, ks) = L^{ks[0]} (f_level * poly(level+1, ks[1:]))
     memo: dict = {(levels, ()): Polynomial.one()}
-    actions: dict = {}
-    factors: dict = {}
+    actions, factors = ({}, {}) if memos is None else memos
 
     def suffix(level: int, ks: tuple) -> Polynomial:
         key = (level, ks)

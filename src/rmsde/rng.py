@@ -7,8 +7,8 @@ stream.  Streams are derived from a single 64-bit master seed through
 
 * the same key triple always reproduces the same draws,
 * distinct triples give statistically independent streams,
-* results are independent of thread scheduling as long as each unit of
-  work owns its stream.
+* results are independent of how work is scheduled on workers as long
+  as each unit of work owns its stream.
 
 The ``purpose`` slot keeps streams for different roles (coupling
 matrix, initial condition, driving noise) from colliding even when

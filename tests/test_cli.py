@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 
 from rmsde import dynamics, experiments
 from rmsde.cli import main, run
-from rmsde.dynamics import euler_maruyama
+from rmsde.dynamics import ParameterError, euler_maruyama
 from rmsde.config import _SCHEMA, EXPERIMENT_KINDS, config_hash, parse_config
 
 FAST = {
@@ -171,6 +171,38 @@ def test_thread_count_does_not_change_streamed_blocks(tmp_path, kind):
     want = (runs[0][1] / CSV_NAMES[kind]).read_bytes()
     for _, out in runs[1:]:
         assert (out / CSV_NAMES[kind]).read_bytes() == want
+
+
+@pytest.mark.parametrize("kind", ["aging", "rayleigh"])
+def test_worker_count_does_not_change_spectral_rows(tmp_path, kind):
+    # 3 workers split 8 aging and 4 rayleigh replica-arms unevenly
+    runs = [invoke(tmp_path / str(threads), kind, FAST[kind], ["--threads", str(threads)])
+            for threads in (1, 3)]
+    assert [status for status, _ in runs] == [0, 0]
+    assert (runs[0][1] / CSV_NAMES[kind]).read_bytes() == \
+        (runs[1][1] / CSV_NAMES[kind]).read_bytes()
+
+
+@pytest.mark.parametrize("error,status", [(ParameterError, 2), (experiments.ExperimentError, 1)])
+def test_failure_in_the_second_worker_exits_as_at_one_worker(tmp_path, monkeypatch, capsys,
+                                                             error, status):
+    # 2-replica blocks deal replicas 2 and 3 to the second of 2 workers, and
+    # only replica 3 fails
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * 8 * 8)
+    real = experiments.sample_initial
+
+    def failing(law, stream):
+        if stream.stream == 3:
+            raise error("replica 3 cannot start")
+        return real(law, stream)
+
+    monkeypatch.setattr(experiments, "sample_initial", failing)
+    text = "[experiment]\nsizes = 8\nreplicas = 6\n[integrator]\ndt = 0.02\nhorizon = 0.04\n"
+    records = []
+    for threads in (1, 2):
+        got, _ = invoke(tmp_path / str(threads), "universality", text, ["--threads", str(threads)])
+        records.append((got, capsys.readouterr().err))
+    assert records[0] == records[1] == (status, f"status = {status}\nerror = replica 3 cannot start\n")
 
 
 def test_aging_runs_the_gradient_flow_under_either_template(tmp_path):

@@ -156,6 +156,18 @@ def test_snapshot_rounding_and_dedup():
     assert np.allclose(cfg.times, [0.0, 0.3, 1.0])
 
 
+def test_recorded_times_are_kept_outside_the_fields():
+    # the times and the row lookup are formed once per config, and neither
+    # enters eq, hash or repr
+    cfg = IntegratorConfig(0.1, 1.0, (0.3, 1.0))
+    same = IntegratorConfig(0.1, 1.0, (0.3, 1.0))
+    assert cfg == same and hash(cfg) == hash(same)
+    assert repr(cfg) == "IntegratorConfig(dt=0.1, horizon=1.0, snapshots=(0.3, 1.0))"
+    assert cfg.times is cfg.times and not cfg.times.flags.writeable
+    # 3 * 0.1 is not 0.3: the exact lookup misses and the 1e-9 match finds it
+    assert cfg.times[0] != 0.3 and cfg.row(0.3) == 0 and cfg.row(cfg.times[0]) == 0
+
+
 def test_snapshot_outside_horizon_rejected():
     with pytest.raises(ParameterError, match="outside"):
         IntegratorConfig(0.1, 1.0, (1.2,))

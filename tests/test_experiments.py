@@ -3,8 +3,9 @@ thread-count invariance, and the spectral flow computations with their
 Lanczos-Gauss rule checked against the eigh oracle."""
 
 import math
+import os
 import re
-import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -281,18 +282,87 @@ def test_universality_deterministic_and_thread_invariant():
 
 
 def test_many_workers_on_small_blocks_write_the_same_rows(monkeypatch):
-    # 8 workers on 2 cores share the row arrays and the template's shared parts;
-    # a lost or misplaced row, or a mixed-up size, would change the report
+    # 8 worker processes, more than there are cores, each send back the rows
+    # of their blocks; a lost or misplaced row, or a mixed-up size, would
+    # change the report
     monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * 8 * 8)
     cfg = small_cfg(sizes=(4, 8), replicas=40, template=SystemTemplate(langevin=True))
     base = run_universality(cfg)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run_universality(replace(cfg, threads=8))
-    finally:
-        sys.setswitchinterval(interval)
+    threaded = run_universality(replace(cfg, threads=8))
     assert threaded.rows == base.rows
+
+
+# ---------------------------------------------------------------- workers
+
+class UnpicklableError(Exception):
+    def __init__(self, what, code):  # the default reduce rebuilds it from one argument
+        super().__init__(f"{what} ({code})")
+
+
+def test_fan_out_runs_later_shares_in_other_processes():
+    done = experiments._fan_out(lambda share: (share, os.getpid()), [0, 1, 2])
+    assert [share for share, _ in done] == [0, 1, 2]
+    pids = [pid for _, pid in done]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+
+
+@pytest.mark.parametrize("exc", [ExperimentError("share 1 failed"), SimulationBlowupError(7),
+                                 KeyboardInterrupt("share 1 interrupted")])
+def test_fan_out_reraises_a_failure_of_the_second_share(exc):
+    def work(share):
+        if share == 1:
+            raise exc
+        return share
+
+    with pytest.raises(type(exc)) as got:
+        experiments._fan_out(work, [0, 1, 2])
+    assert str(got.value) == str(exc)
+    assert getattr(got.value, "step", None) == getattr(exc, "step", None)
+
+
+def test_fan_out_reraises_the_first_failure_in_share_order():
+    def work(share):
+        if share == 2:
+            raise KeyError("share 2")
+        if share == 1:
+            time.sleep(0.2)  # fails last, but comes first in share order
+            raise ValueError("share 1")
+        return share
+
+    with pytest.raises(ValueError, match="share 1"):
+        experiments._fan_out(work, [0, 1, 2])
+
+
+def test_fan_out_names_a_failure_it_cannot_send():
+    def work(share):
+        if share:
+            raise UnpicklableError("no reduce", 3)
+
+    with pytest.raises(RuntimeError, match=r"^UnpicklableError: no reduce \(3\)$"):
+        experiments._fan_out(work, [0, 1])
+
+
+def test_fan_out_reports_a_worker_that_sends_nothing():
+    def work(share):
+        if share:
+            os._exit(3)
+        return share
+
+    with pytest.raises(RuntimeError, match="without sending its result"):
+        experiments._fan_out(work, [0, 1])
+
+
+def test_fan_out_kills_its_workers_when_its_own_share_fails():
+    # the worker would sleep a minute; the caller kills and reaps it instead
+    def work(share):
+        if share == 0:
+            raise ExperimentError("own share failed")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ExperimentError, match="own share failed"):
+        experiments._fan_out(work, [0, 1])
+    assert time.monotonic() - start < 30
 
 
 def test_coupling_seed_changes_only_the_matrices():
@@ -629,6 +699,30 @@ def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
                                                mc_paths=50, dt=0.05))
     assert len(calls) == 4 == len(report.rows)
     assert len(report.orders) == 3 * 3
+
+
+def test_taylor_vs_mc_series_share_one_memo(monkeypatch):
+    # at n = 3, k = 5 the four series meet 539 distinct keys and 1323 distinct
+    # factor keys; with a memo per series they computed 808 and 1755
+    import rmsde.algebra
+    import rmsde.generator
+    real_actions = rmsde.generator._letter_actions
+    real_factors = rmsde.algebra._expectation_factors
+    actions, factors = [], []
+
+    def counting_actions(key, letter, params):
+        actions.append(key)
+        return real_actions(key, letter, params)
+
+    def counting_factors(key, oracle):
+        factors.append(key)
+        return real_factors(key, oracle)
+
+    monkeypatch.setattr(rmsde.generator, "_letter_actions", counting_actions)
+    monkeypatch.setattr(rmsde.algebra, "_expectation_factors", counting_factors)
+    run_taylor_vs_mc(ExperimentConfig(sizes=(3,), truncation=5, seed=1, mc_paths=50))
+    assert len(actions) == 4 * len(set(actions)) == 4 * 539  # one call per letter
+    assert len(factors) == len(set(factors)) == 1323
 
 
 def test_taylor_vs_mc_multitime_row_reads_its_series():
