@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .config import (EXPERIMENT_KINDS, ConfigError, RunConfig, config_hash,
-                     experiment_config, integrator_config, parse_config,
-                     serialize)
+                     experiment_config, integrator_config, max_threads,
+                     parse_config, serialize)
 from .dynamics import ParameterError, SimulationBlowupError, simulate
 from .ensembles import (EnsembleError, EntryDistribution, InitialLaw,
                         entry_moment, sample_couplings, sample_entries,
@@ -239,8 +239,8 @@ def _load(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("--seed must be an unsigned 64-bit integer")
         rc = rc.replaced("run", "seed", args.seed)
     if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
+        if not 1 <= args.threads <= max_threads():
+            raise ConfigError(f"--threads must be >= 1 and <= {max_threads()}")
         rc = rc.replaced("run", "threads", args.threads)
     if args.out is not None:
         rc = rc.replaced("run", "out", args.out)

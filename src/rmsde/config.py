@@ -15,7 +15,6 @@ resolved values back in canonical order so that
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import os
@@ -27,9 +26,8 @@ import numpy as np
 from .ensembles import EnsembleError, EntryDistribution, VarianceProfile
 from .experiments import ExperimentConfig, ExperimentError, check_preconditions
 from .dynamics import IntegratorConfig, SystemTemplate
-from .observables import BuildingBlock, TensorObservable, eval_tensor
-from .experiments import (SuiteItem, autocorr_item, gradsq_item,
-                          hamiltonian_item, overlap_item)
+from .observables import BuildingBlock, SuiteItem
+from .experiments import autocorr_item, gradsq_item, hamiltonian_item, overlap_item
 
 __all__ = [
     "ConfigError",
@@ -41,6 +39,7 @@ __all__ = [
     "integrator_config",
     "system_template",
     "observable_suite",
+    "max_threads",
     "EXPERIMENT_KINDS",
 ]
 
@@ -274,6 +273,12 @@ def parse_config(text: str) -> RunConfig:
     return rc
 
 
+def max_threads() -> int:
+    """Largest worker count a run may ask for, 4 per CPU: more only adds
+    forked processes that wait for a core."""
+    return 4 * (os.cpu_count() or 1)
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -281,7 +286,8 @@ def _require(cond: bool, message: str) -> None:
 
 def _validate(rc: RunConfig) -> None:
     g = rc.get
-    _require(g("run", "threads") >= 1, "run.threads must be >= 1")
+    cap = max_threads()
+    _require(1 <= g("run", "threads") <= cap, f"run.threads must be >= 1 and <= {cap}")
     exp = g("run", "experiment")
     _require(exp == "" or exp in EXPERIMENT_KINDS,
              f"run.experiment must be one of {EXPERIMENT_KINDS}, got {exp!r}")
@@ -485,18 +491,7 @@ def observable_suite(rc: RunConfig) -> tuple:
     if m > 3:
         raise ConfigError(f"kind=tensor supports arity <= 3, got {m} block rows")
     rows = tuple(tuple(blocks[r * len(times):(r + 1) * len(times)]) for r in range(m))
-
-    # The observable is built, and its weights checked, once per size:
-    # sizes run one after another, so the last size is the one to keep.
-    @functools.lru_cache(maxsize=1)
-    def tensor_at(n: int) -> TensorObservable:
-        a = np.full(n ** m, float(a_spec)) if weights is None else weights
-        return TensorObservable(rows, tuple(times), a.reshape((n,) * m))
-
-    def evaluate(traj):
-        return eval_tensor(traj, tensor_at(traj.x.shape[1]))
-
-    return (SuiteItem(name, tuple(times), evaluate, weights, m),)
+    return (SuiteItem(name, rows, times, float(a_spec) if weights is None else weights),)
 
 
 def experiment_config(rc: RunConfig) -> ExperimentConfig:

@@ -46,7 +46,6 @@ __all__ = [
     "ParameterError",
 ]
 
-_NOISE_BLOCK = 4096  # steps of Gaussian increments drawn per chunk
 # Drift bytes per replica block of euler_maruyama, and so the size of its
 # one drift buffer per call: a block's drift stays in a core's L2 across
 # all steps.  A function of N only, never of the worker count or a
@@ -225,15 +224,18 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states and martingale part of one path on the snapshot grid.
+    """Recorded states and martingale part on the snapshot grid.
 
-    ``coupling`` is the path's coupling as its system holds it, which
-    the field observables read.
+    One path has ``x`` and ``m`` of shape (len(times), N) and its
+    (N, N) ``coupling``; a block of k paths, as the paired experiments
+    record one per replica block and arm, has a leading axis k on all
+    three.  ``coupling`` is as the system holds it, which the field
+    observables read.
     """
 
-    coupling: np.ndarray  # (N, N)
-    x: np.ndarray  # (len(times), N)
-    m: np.ndarray  # (len(times), N)
+    coupling: np.ndarray  # (N, N), or (k, N, N) for a block
+    x: np.ndarray  # (len(times), N), or (k, len(times), N)
+    m: np.ndarray
     config: IntegratorConfig
 
     @property
@@ -241,7 +243,8 @@ class Trajectory:
         return self.config.times
 
     def decomposition_residual(self, params: SystemParams) -> float:
-        """Largest relative defect of X_{t+dt} = X_t + dt*drift + dM under ``params``.
+        """Largest relative defect of X_{t+dt} = X_t + dt*drift + dM under
+        ``params``, for one path.
 
         Only adjacent recorded steps (one dt apart) are checkable; if
         the grid has none, returns 0.
@@ -300,17 +303,16 @@ def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
                    stream: RngStream, n_paths: int) -> PathBatch:
     """Integrate ``n_paths`` independent paths of the same system.
 
-    All paths share ``params`` and ``x0``; the Brownian draws come from
-    ``stream`` in a fixed order, so the result is reproducible and a
-    batch of one path is bitwise identical to :func:`simulate`.
+    All paths share ``params`` and ``x0``; the Brownian increments of
+    every step and path come from ``stream`` in one draw, so the result
+    is reproducible and a batch of one path is bitwise identical to
+    :func:`simulate`.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be at least 1")
     x0 = _check_x0(params, x0)
-    rng = stream.generator()
     shape = (n_paths, params.n)
-    noise = (rng.standard_normal((min(_NOISE_BLOCK, config.n_steps - lo),) + shape)
-             for lo in range(0, config.n_steps, _NOISE_BLOCK))
+    noise = stream.generator().standard_normal((config.n_steps,) + shape)
     xs, ms = euler_maruyama(params, np.broadcast_to(x0, shape), config, noise)
     return PathBatch(config.times, xs, ms)
 
@@ -321,8 +323,8 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
 
     ``params.coupling`` is one (N, N) coupling shared by every path or a
     (C, N, N) stack with one per path; the other parts are shared.
-    ``noise`` yields blocks of standard-normal increments of shape
-    (steps, C, N) that together cover ``config.n_steps`` steps.
+    ``noise`` holds the standard-normal increments of every step and
+    path, one (``config.n_steps``, C, N) array.
 
     A stack is integrated one block of replicas at a time, each block
     running every step before the next starts.  The block's drift
@@ -335,11 +337,9 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     view of ``J + Lam`` (strides (N^2, 1, N)), or with ``contiguous`` as
     a C-contiguous ``(J + Lam)^T``; the two round differently, and the
     golden bytes pin the view for the paired runs and the copy for the
-    series-vs-MC check.  Each block reads its columns of every noise
-    block, so ``noise`` for a stack is materialized once
-    (``tuple(noise)``).  A shared drift runs as one block.  The
-    state-dependent diffusion is one product per path, whose bits do not
-    depend on the block either.
+    series-vs-MC check.  Each block reads its columns of ``noise``.  A
+    shared drift runs as one block.  The state-dependent diffusion is
+    one product per path, whose bits do not depend on the block either.
 
     Raises :class:`SimulationBlowupError` with the first step at which
     any path's state stops being finite.
@@ -351,7 +351,6 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     if coupling.ndim == 3:
         width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n))
         buf = np.empty((min(width, c), n, n))
-        noise = tuple(noise)
     want = {s: i for i, s in enumerate(config.snapshot_steps)}
     xs = np.empty((c, len(want), n))
     ms = np.empty((c, len(want), n))
@@ -390,30 +389,27 @@ def _euler_block(mat, h, sigma, sig_state, x0s, noise, rows, dt, want, xs, ms, f
     if 0 in want:
         xs[:, want[0]] = x
         ms[:, want[0]] = m
-    step = 0
-    for block in noise:
-        for xi in block[:, rows]:
-            step += 1
-            if step >= first:
-                return first
-            if sig_state is None:
-                dm = amp * xi
-            else:
-                dm = sqrt2dt * (sigma[0] + np.matmul(x[:, None], sig_state)[:, 0]) * xi
-            if mat.ndim == 3:
-                np.matmul(mat, x[:, :, None], out=lin[:, :, None])
-            else:
-                np.matmul(x, mat, out=lin)
-            lin += h
-            lin *= dt
-            x += lin
-            x += dm
-            m += dm
-            if not np.isfinite(x).all():
-                return step
-            if step in want:
-                xs[:, want[step]] = x
-                ms[:, want[step]] = m
+    for step, xi in enumerate(noise[:, rows], 1):
+        if step >= first:
+            return first
+        if sig_state is None:
+            dm = amp * xi
+        else:
+            dm = sqrt2dt * (sigma[0] + np.matmul(x[:, None], sig_state)[:, 0]) * xi
+        if mat.ndim == 3:
+            np.matmul(mat, x[:, :, None], out=lin[:, :, None])
+        else:
+            np.matmul(x, mat, out=lin)
+        lin += h
+        lin *= dt
+        x += lin
+        x += dm
+        m += dm
+        if not np.isfinite(x).all():
+            return step
+        if step in want:
+            xs[:, want[step]] = x
+            ms[:, want[step]] = m
     return first
 
 

@@ -37,12 +37,11 @@ from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                         sample_couplings, sample_entries, sample_initial)
 from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
 from .algebra import MomentOracle, Polynomial
-from .observables import autocorrelation, grad_sq_density, hamiltonian_density
+from .observables import BuildingBlock, SuiteItem, evaluate
 from .rng import PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE, RngStream
 
 __all__ = [
     "SystemTemplate",
-    "SuiteItem",
     "ExperimentConfig",
     "UniversalityReport",
     "ConcentrationReport",
@@ -88,40 +87,24 @@ _WHOLE_COUNTS = {"moments-check": "mc_paths", "rayleigh": "rayleigh_points",
 # configuration
 
 
-@dataclass(frozen=True)
-class SuiteItem:
-    """Named scalar observable with the snapshot times it needs.
-
-    ``weights``, when set, are weights read from a file; at size N they
-    must number ``N ** arity``.
-    """
-
-    name: str
-    times: tuple
-    fn: Callable
-    weights: Optional[np.ndarray] = None
-    arity: int = 1
-
-
 def autocorr_item(s: float, t: float) -> SuiteItem:
-    return SuiteItem(f"autocorr[{s:g},{t:g}]", (float(s), float(t)),
-                     lambda traj, s=float(s), t=float(t): autocorrelation(traj, s, t))
+    """Autocorrelation ``C(s, t) = (1/N) sum_i X_i(s) X_i(t)``."""
+    return SuiteItem(f"autocorr[{s:g},{t:g}]", ((BuildingBlock.X, BuildingBlock.X),), (s, t))
 
 
 def hamiltonian_item(t: float) -> SuiteItem:
-    return SuiteItem(f"hamiltonian[{t:g}]", (float(t),),
-                     lambda traj, t=float(t): hamiltonian_density(traj, t))
+    """Energy density ``H(X_t)/N`` of ``H(x) = x . (J x)``."""
+    return SuiteItem(f"hamiltonian[{t:g}]", ((BuildingBlock.X, BuildingBlock.JX),), (t, t))
 
 
 def gradsq_item(t: float) -> SuiteItem:
-    return SuiteItem(f"gradsq[{t:g}]", (float(t),),
-                     lambda traj, t=float(t): grad_sq_density(traj, t))
+    """Squared field strength per site, ``(1/N) sum_i G_i(t)^2``."""
+    return SuiteItem(f"gradsq[{t:g}]", ((BuildingBlock.G, BuildingBlock.G),), (t, t))
 
 
 def overlap_item(t: float) -> SuiteItem:
     """Overlap with the initial state, (1/N) sum X_i(t) X_i(0)."""
-    return SuiteItem(f"overlap[{t:g}]", (0.0, float(t)),
-                     lambda traj, t=float(t): autocorrelation(traj, 0.0, t))
+    return SuiteItem(f"overlap[{t:g}]", ((BuildingBlock.X, BuildingBlock.X),), (0.0, t))
 
 
 def default_suite(t: float = 1.0) -> tuple:
@@ -235,7 +218,7 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     if every_size and cfg.replicas < 2:
         raise ExperimentError("need at least 2 replicas for a standard error")
     if kind in ("universality", "hopfield"):  # the kinds that evaluate cfg.suite
-        for item in [item for item in cfg.suite if item.weights is not None]:
+        for item in [item for item in cfg.suite if isinstance(item.weights, np.ndarray)]:
             for n in cfg.sizes:
                 if item.weights.size != n ** item.arity:
                     raise ExperimentError(f"{item.name} has {item.weights.size} weights "
@@ -423,14 +406,17 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     buffer of that size per call.  Per block, each replica draws its start
     and its noise from its own streams, and both are shared by every arm;
     then each arm in turn samples the block's couplings into the
-    workspace, builds its system, integrates and writes its suite values
-    into its rows.  Returns one array of rows per arm, the replicas of
+    workspace, builds its system and integrates, and the block's one
+    batched :class:`Trajectory` gives each suite item's values for all
+    its replicas in one :func:`evaluate` call, on rows resolved once per
+    share.  Returns one array of rows per arm, the replicas of
     ``blocks`` in order, and the earliest blow-up step over the worker's
     replicas and arms, ``inf`` if none.
     """
     n, steps = profile.n, icfg.n_steps
     width = max(len(block) for block in blocks)
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
+    rows = [item.rows(icfg) for item in cfg.suite]
     values = [np.empty((sum(map(len, blocks)), len(cfg.suite))) for _ in arms]
     x0s = np.empty((width, n))
     xi = np.empty((steps, width, n))
@@ -447,17 +433,17 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
             params = cfg.template.build(sample_couplings(dists[arm], profile, cfg.symmetric,
                                                          gens, out=couplings[:k]))
             try:
-                xs, ms = euler_maruyama(params, x0s[:k], icfg, (xi[:, :k],))
+                xs, ms = euler_maruyama(params, x0s[:k], icfg, xi[:, :k])
             except SimulationBlowupError as exc:
                 first = min(first, exc.step)
             if first < math.inf:
                 continue  # the run fails; the rest only looks for an earlier step
+            traj = Trajectory(params.coupling, xs, ms, icfg)
             # an overflow leaves a non-finite value, which _finite_rows reports
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(k):
-                    traj = Trajectory(params.coupling[i], xs[i], ms[i], icfg)
-                    for q, item in enumerate(cfg.suite):
-                        vals[row + i, q] = item.fn(traj)
+                for q, (item, item_rows) in enumerate(zip(cfg.suite, rows)):
+                    vals[row:row + k, q] = evaluate(item, item_rows, traj.x, traj.m,
+                                                    traj.coupling)
         row += k
     return values, first
 
@@ -881,7 +867,7 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         xi = gen_b.standard_normal((steps, c, n))
         # the C-contiguous (J + Lam)^T: this layout is pinned by the golden bytes
-        xs, _ = euler_maruyama(params, x0s, icfg, (xi,), contiguous=True)
+        xs, _ = euler_maruyama(params, x0s, icfg, xi, contiguous=True)
         # an overflow leaves a non-finite sum of squares, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             for q, (poly_list, ts) in enumerate(specs):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -459,6 +460,11 @@ PRECONDITIONS = {
          + "[observable]\nkind = quadratic\ntimes = 0, 0.04\nblocks = x, x\n"
          + f"a = {Path(__file__).with_name('weights_4_nonfinite.csv')}\n",
          "holds non-finite weights"),
+    # each size is one replica block, so no count of workers is ever started
+    "universality-threads":
+        ("universality", FAST["universality"]
+         + f"[run]\nthreads = {4 * (os.cpu_count() or 1) + 1}\n",
+         "run.threads must be >= 1 and <= "),
 }
 
 
@@ -545,6 +551,25 @@ def test_cli_import_does_not_load_scipy():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_benchmark_spans_find_their_targets(tmp_path):
+    # perfbench/spans.py wraps package names (experiments._paired_chunk,
+    # experiments.Trajectory, SystemTemplate.build, ...); a renamed target
+    # must fail here, not first in the benchmark's traced run
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env.update(PERFBENCH_RECORD=str(tmp_path / "record.json"), PERFBENCH_TRACE="1")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST["universality"])
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), "universality",
+                           "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = {span["name"] for span in json.loads((tmp_path / "record.json").read_text())["spans"]}
+    assert {"cli.run", "experiments.chunk", "dynamics.system_params", "dynamics.trajectory",
+            "observables.evaluate"} <= names
 
 
 def test_spectral_runs_do_not_load_scipy(tmp_path):

@@ -15,7 +15,7 @@ from rmsde.config import (EXPERIMENT_KINDS, ConfigError, config_hash,
 from rmsde.dynamics import IntegratorConfig, SystemParams, simulate
 from rmsde.ensembles import EntryDistribution, VarianceProfile
 from rmsde.experiments import ExperimentConfig
-from rmsde.observables import BuildingBlock, TensorObservable, eval_tensor
+from rmsde.observables import _constant, evaluate
 from rmsde.rng import RngStream
 
 
@@ -277,6 +277,13 @@ def tiny_traj(n=3):
     return simulate(params, rng.uniform(-1, 1, n), cfg, RngStream(1))
 
 
+def value(traj, item):
+    """``item`` on one path, evaluated as a block of one replica."""
+    (v,) = evaluate(item, item.rows(traj.config), traj.x[None], traj.m[None],
+                    traj.coupling[None])
+    return float(v)
+
+
 def test_suite_empty_without_kind():
     assert observable_suite(parse("")) == ()
 
@@ -309,10 +316,9 @@ def test_suite_quadratic_evaluates():
                "blocks = x, m\na = 2.0\n")
     (item,) = observable_suite(rc)
     traj = tiny_traj()
-    want = eval_tensor(traj, TensorObservable(
-        ((BuildingBlock.X, BuildingBlock.M),), (0.0, 0.02), np.full(3, 2.0)))
-    assert item.fn(traj) == want
-    assert (item.name, item.arity) == ("quadratic[0,0.02]", 1)
+    want = float(np.full(3, 2.0) @ (traj.x[0] * traj.m[2])) / 3
+    assert value(traj, item) == want
+    assert (item.name, item.arity, item.weights) == ("quadratic[0,0.02]", 1, 2.0)
 
 
 def test_suite_tensor_evaluates():
@@ -320,9 +326,9 @@ def test_suite_tensor_evaluates():
                "[observable]\nkind = tensor\ntimes = 0.02\nblocks = x, g\n")
     (item,) = observable_suite(rc)
     traj = tiny_traj()
-    want = eval_tensor(traj, TensorObservable(
-        ((BuildingBlock.X,), (BuildingBlock.G,)), (0.02,), np.ones((3, 3))))
-    assert item.fn(traj) == want
+    x = traj.x[2]
+    want = float(x @ np.ones((3, 3)) @ (x @ traj.coupling)) / 9
+    assert value(traj, item) == want
     assert item.name == "tensor[0.02]"
 
 
@@ -345,33 +351,25 @@ def test_suite_weights_from_file(tmp_path):
                f"blocks = x, x\na = {path}\n")
     (item,) = observable_suite(rc)
     traj = tiny_traj()
-    want = eval_tensor(traj, TensorObservable(
-        ((BuildingBlock.X, BuildingBlock.X),), (0.0, 0.0), np.array([1.0, 2.0, 3.0])))
-    assert item.fn(traj) == want
+    want = float(np.array([1.0, 2.0, 3.0]) @ (traj.x[0] * traj.x[0])) / 3
+    assert value(traj, item) == want
 
 
 @pytest.mark.parametrize("kind,obs_block", [
     ("quadratic", "times = 0, 0.04\nblocks = x, x\n"),
     ("tensor", "times = 0.04\nblocks = x, x\n"),
 ])
-def test_suite_builds_each_observable_once_per_size(monkeypatch, kind, obs_block):
-    import rmsde.config
+def test_suite_builds_each_observable_once_per_size(kind, obs_block):
     from rmsde.experiments import run_universality
-    built = []
-
-    def counting(*args):
-        built.append(args)
-        return TensorObservable(*args)
-
-    monkeypatch.setattr(rmsde.config, "TensorObservable", counting)
+    _constant.cache_clear()
     rc = parse("[run]\nexperiment = universality\nthreads = 1\n"
                "[experiment]\nsizes = 4, 8\nreplicas = 6\n"
                "[integrator]\ndt = 0.02\nhorizon = 0.04\n"
                f"[observable]\nkind = {kind}\n{obs_block}")
     report = run_universality(experiment_config(rc))
     assert len(report.rows) == 2
-    # one per size; building per replica and arm would make 2 * 2 * 6
-    assert len(built) == 2
+    # the constant weights are built once per size; per replica and arm would make 2 * 2 * 6
+    assert _constant.cache_info().misses == 2
 
 
 # --------------------------------------------------- generated round trips

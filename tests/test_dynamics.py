@@ -143,7 +143,7 @@ def test_euler_step_diffusion_formula():
     xi = np.array([[[0.7, -1.3]]])
     cfg = IntegratorConfig(0.01, 0.01, (0.01,))
     p = SystemParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), sigma)
-    _, ms = euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, (xi,))
+    _, ms = euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, xi)
     want = math.sqrt(2.0 * 0.01) * np.array([0.5 + 0.2 * 2.0, 0.1 * 3.0]) * xi[0, 0]
     assert np.allclose(ms[0, 0], want, atol=1e-15)
 
@@ -240,7 +240,7 @@ def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
     cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
     for contiguous in (False, True):
         replicas_per_block(monkeypatch, n, c)
-        xs, ms = euler_maruyama(params, x0s, cfg, (xi,), contiguous=contiguous)
+        xs, ms = euler_maruyama(params, x0s, cfg, xi, contiguous=contiguous)
         if not state_sigma:
             stack = params.drift_matrix()
             want = full_stack_euler(stack.copy() if contiguous else stack, params, x0s, cfg, xi)
@@ -248,9 +248,7 @@ def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
             assert want[1].tobytes() == ms.tobytes()
         for replicas in (1, 3, c):
             replicas_per_block(monkeypatch, n, replicas)
-            # an iterator of two noise blocks, which each replica block re-reads
-            got = euler_maruyama(params, x0s, cfg, iter((xi[:25], xi[25:])),
-                                 contiguous=contiguous)
+            got = euler_maruyama(params, x0s, cfg, xi, contiguous=contiguous)
             assert got[0].tobytes() == xs.tobytes()
             assert got[1].tobytes() == ms.tobytes()
 
@@ -272,7 +270,7 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
         params, x0s = replica_stack(n, c, seed=0, state_sigma=state_sigma)
         if shared:
             params = SystemParams(params.coupling[0], params.lam, params.h, params.sigma)
-        euler_maruyama(params, x0s, cfg, (np.zeros((2, c, n)),))
+        euler_maruyama(params, x0s, cfg, np.zeros((2, c, n)))
         return widths[:]
 
     assert run(128, 20) == [8, 8, 4]   # 1 MB of drift is 8 replicas at N = 128
@@ -290,7 +288,7 @@ def test_drift_buffer_is_one_block():
     n, c = 64, 100
     params, x0s = replica_stack(n, c, seed=2)
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
-    noise = (np.zeros((2, c, n)),)
+    noise = np.zeros((2, c, n))
     tracemalloc.start()
     try:
         euler_maruyama(params, x0s, cfg, noise)
@@ -311,7 +309,7 @@ def test_blowup_step_is_the_earliest_over_replica_blocks(monkeypatch):
     x0s = np.ones((c, n))
     x0s[0], x0s[-1] = 1e300, 1e305
     cfg = IntegratorConfig(1.0, 12.0, (12.0,))
-    noise = (np.zeros((12, c, n)),)
+    noise = np.zeros((12, c, n))
     steps = []
     for replicas in (c, 2, 1):  # one block first, the reference
         replicas_per_block(monkeypatch, n, replicas)

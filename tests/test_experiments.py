@@ -119,7 +119,7 @@ def test_make_profile_fixed_matrix():
 def test_suite_item_names_and_times():
     assert autocorr_item(0.5, 0.5).name == "autocorr[0.5,0.5]"
     assert hamiltonian_item(1.0).name == "hamiltonian[1]"
-    assert gradsq_item(0.25).times == (0.25,)
+    assert gradsq_item(0.25).times == (0.25, 0.25)
     assert overlap_item(0.7).times == (0.0, 0.7)
     assert len(default_suite()) == 2
     assert len(hopfield_suite()) == 4
