@@ -491,7 +491,7 @@ def observable_suite(rc: RunConfig) -> tuple:
     if m > 3:
         raise ConfigError(f"kind=tensor supports arity <= 3, got {m} block rows")
     rows = tuple(tuple(blocks[r * len(times):(r + 1) * len(times)]) for r in range(m))
-    return (SuiteItem(name, rows, times, float(a_spec) if weights is None else weights),)
+    return (SuiteItem(name, rows, times, float(a_spec) if weights is None else weights.ravel()),)
 
 
 def experiment_config(rc: RunConfig) -> ExperimentConfig:

@@ -61,7 +61,7 @@ class SuiteItem:
     ``weights`` is ``None`` (unit weight, arity 1 only: the dot product of
     the last factor with the product of the others, as ``x_s . x_t``), a
     number (a dense constant array, so ``1.0`` and ``None`` differ in the
-    last bits) or ``N ** m`` weights in C order, in any shape.
+    last bits), or ``N ** m`` weights in C order, flat or of arity m.
     """
 
     name: str
@@ -87,6 +87,8 @@ class SuiteItem:
             a = np.array(weights, dtype=np.float64)
             if a.size == 0 or not np.all(np.isfinite(a)):
                 raise ObservableError("weights must be non-empty and finite")
+            if a.ndim not in (0, 1, len(blocks)):
+                raise ObservableError(f"weights must have arity {len(blocks)}, got {a.ndim}")
             a.setflags(write=False)
             weights = float(a) if a.ndim == 0 else a
         elif len(blocks) != 1:
@@ -105,9 +107,9 @@ class SuiteItem:
 
 
 @functools.lru_cache(maxsize=1)
-def _constant(value: float, shape: tuple) -> np.ndarray:
-    """Constant weights (read-only), built once for all the blocks of a size."""
-    a = np.full(shape, value)
+def _constant(value: str, shape: tuple) -> np.ndarray:
+    """Read-only constant weights, keyed on ``float.hex`` as ``-0.0 == 0.0``."""
+    a = np.full(shape, float.fromhex(value))
     a.setflags(write=False)
     return a
 
@@ -130,12 +132,12 @@ def _factor(block: BuildingBlock, row: int, xs, ms, coupling) -> np.ndarray:
     return np.ones(xs[:, row].shape)
 
 
-def _product(blocks: tuple, rows: tuple, xs, ms, coupling) -> np.ndarray:
+def _product(blocks: tuple, rows: tuple, factor) -> np.ndarray:
     """``1 * block_0 * block_1 ...`` at ``rows``; the exact ``1 *`` keeps each
     factor's bits."""
-    v = np.ones(xs[:, 0].shape)
+    v = factor(BuildingBlock.ONE, 0)
     for block, row in zip(blocks, rows):
-        v = v * _factor(block, row, xs, ms, coupling)
+        v = v * factor(block, row)
     return v
 
 
@@ -150,19 +152,20 @@ def evaluate(item: SuiteItem, rows: tuple, xs: np.ndarray, ms: np.ndarray,
     product over the block; arity 3 contracts replica by replica.
     """
     k, _, n = xs.shape
+    # each (block, row) factor is formed once per call: gradsq's G is G
+    factor = functools.cache(lambda block, row: _factor(block, row, xs, ms, coupling))
     if item.weights is None:
         *head, last = item.blocks[0]
-        return _dot(_product(head, rows, xs, ms, coupling),
-                    _factor(last, rows[-1], xs, ms, coupling)) / n
+        return _dot(_product(head, rows, factor), factor(last, rows[-1])) / n
     shape = (n,) * item.arity
     if isinstance(item.weights, float):
-        a = _constant(item.weights, shape)
+        a = _constant(item.weights.hex(), shape)
     elif item.weights.size == n ** item.arity:
         a = item.weights.reshape(shape)
     else:
         raise ObservableError(f"{item.name}: weights shape {item.weights.shape} "
                               f"does not match dimension {n}")
-    vs = [_product(row, rows, xs, ms, coupling) for row in item.blocks]
+    vs = [_product(row, rows, factor) for row in item.blocks]
     if item.arity == 1:
         vals = _dot(np.broadcast_to(a, vs[0].shape), vs[0])
     elif item.arity == 2:

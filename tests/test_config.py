@@ -15,7 +15,7 @@ from rmsde.config import (EXPERIMENT_KINDS, ConfigError, config_hash,
 from rmsde.dynamics import IntegratorConfig, SystemParams, simulate
 from rmsde.ensembles import EntryDistribution, VarianceProfile
 from rmsde.experiments import ExperimentConfig
-from rmsde.observables import _constant, evaluate
+from rmsde.observables import SuiteItem, _constant, evaluate
 from rmsde.rng import RngStream
 
 
@@ -353,6 +353,18 @@ def test_suite_weights_from_file(tmp_path):
     traj = tiny_traj()
     want = float(np.array([1.0, 2.0, 3.0]) @ (traj.x[0] * traj.x[0])) / 3
     assert value(traj, item) == want
+
+
+def test_suite_tensor_weights_from_2d_file(tmp_path):
+    # a file's rows and columns are N ** m weights in C order, whatever m is
+    a = np.random.default_rng(8).uniform(-1, 1, (3, 3, 3))
+    path = tmp_path / "w.csv"
+    np.savetxt(path, a.reshape(3, 9), delimiter=",")
+    rc = parse("[integrator]\ndt = 0.01\nhorizon = 0.02\n"
+               f"[observable]\nkind = tensor\ntimes = 0.02\nblocks = x, g, x\na = {path}\n")
+    (item,) = observable_suite(rc)
+    traj = tiny_traj()
+    assert value(traj, item) == value(traj, SuiteItem("t", item.blocks, item.times, a))
 
 
 @pytest.mark.parametrize("kind,obs_block", [

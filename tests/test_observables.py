@@ -10,7 +10,8 @@ import hypothesis.strategies as st
 
 from rmsde.dynamics import IntegratorConfig, ParameterError, SystemParams, simulate
 from rmsde.experiments import autocorr_item, gradsq_item, hamiltonian_item, overlap_item
-from rmsde.observables import BuildingBlock, ObservableError, SuiteItem, _factor, evaluate
+from rmsde.observables import (BuildingBlock, ObservableError, SuiteItem, _constant, _factor,
+                               evaluate)
 from rmsde.rng import PURPOSE_NOISE, RngStream
 
 ONE, X, G, M, JX = (BuildingBlock.ONE, BuildingBlock.X, BuildingBlock.G,
@@ -226,6 +227,8 @@ def test_tensor_validation():
         SuiteItem("t", blocks=((X, X), (X,)), times=(0.0, 0.1), weights=np.zeros((2, 2)))
     with pytest.raises(ObservableError, match="building block"):
         SuiteItem("t", blocks=(("x",),), times=(0.0,), weights=np.zeros(2))
+    with pytest.raises(ObservableError, match="arity"):
+        SuiteItem("t", blocks=((X,),), times=(0.0,), weights=np.zeros((2, 2)))
     with pytest.raises(ObservableError, match="arity"):  # unit weight is arity 1 only
         SuiteItem("t", blocks=((X,), (X,)), times=(0.0,))
     with pytest.raises(ObservableError, match="arity 3"):
@@ -237,6 +240,15 @@ def test_tensor_dense_shape_checked_at_eval():
     obs = SuiteItem("t", blocks=((X,),), times=(0.0,), weights=np.ones(4))
     with pytest.raises(ObservableError, match="shape"):
         value(traj, obs)
+
+
+def test_constant_weights_keep_the_sign_of_zero():
+    # -0.0 == 0.0 and both hash alike, so the cached dense weights of one
+    # must not be handed to the other
+    traj = make_traj(n=3, seed=2)
+    for w in (0.0, -0.0, 0.0):
+        value(traj, SuiteItem("t", ((X,),), (0.0,), w))
+        assert np.signbit(_constant(w.hex(), (3,))).all() == np.signbit(w)
 
 
 @given(seed=st.integers(0, 2**32), arity=st.integers(1, 3))
