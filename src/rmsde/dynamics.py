@@ -14,11 +14,13 @@ Integration is Euler-Maruyama on a fixed step, in one loop that serves
 a single shared system and a per-path stack of couplings alike.  A
 stack runs in cache-sized blocks of paths, each block's drift formed in
 one buffer that the call reuses, so no (C, N, N) drift stack is built.
-The recorded snapshot grid is a subset of the step grid; requested times
-are rounded to step multiples at construction time and the rounding
-error is kept for inspection.  A :class:`SystemTemplate` turns a
-sampled coupling, or a stack of them, into the one parameter set every
-integration reads.
+The Brownian increments come from a source the caller passes, asked
+for 1 MB chunks of steps at a time, so the loop needs no noise array of
+the whole run.  The recorded snapshot grid is a subset of the step
+grid; requested times are rounded to step multiples at construction
+time and the rounding error is kept for inspection.  A
+:class:`SystemTemplate` turns a sampled coupling, or a stack of them,
+into the one parameter set every integration reads.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ __all__ = [
 # detected cache size.  The paired experiments size their replica blocks
 # from it, so each of their blocks is one drift block.
 _DRIFT_BLOCK_BYTES = 2 ** 20
+
+# Increment bytes euler_maruyama asks its noise source for at once: it walks
+# the steps in chunks of this much (steps, C, N) noise, so a streamed source
+# holds at most this much of it, whatever the step count.
+_NOISE_CHUNK_BYTES = 2 ** 20
 
 
 class ParameterError(ValueError):
@@ -303,43 +310,52 @@ def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
                    stream: RngStream, n_paths: int) -> PathBatch:
     """Integrate ``n_paths`` independent paths of the same system.
 
-    All paths share ``params`` and ``x0``; the Brownian increments of
-    every step and path come from ``stream`` in one draw, so the result
-    is reproducible and a batch of one path is bitwise identical to
+    All paths share ``params`` and ``x0``.  The Brownian increments of
+    every step and path come from one generator of ``stream``, drawn as
+    the integrator walks its step chunks; consecutive draws give the
+    values of one draw of the whole run, so the result does not depend
+    on the chunk size, and a batch of one path is bitwise identical to
     :func:`simulate`.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be at least 1")
     x0 = _check_x0(params, x0)
     shape = (n_paths, params.n)
-    noise = stream.generator().standard_normal((config.n_steps,) + shape)
-    xs, ms = euler_maruyama(params, np.broadcast_to(x0, shape), config, noise)
+    gen = stream.generator()
+    xs, ms = euler_maruyama(params, np.broadcast_to(x0, shape), config,
+                            lambda lo, hi: gen.standard_normal((hi - lo,) + shape))
     return PathBatch(config.times, xs, ms)
 
 
 def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConfig,
-                   noise, contiguous: bool = False) -> tuple:
+                   draw, contiguous: bool = False) -> tuple:
     """Euler-Maruyama for C paths of ``params``; snapshot arrays of shape (C, S, N).
 
     ``params.coupling`` is one (N, N) coupling shared by every path or a
     (C, N, N) stack with one per path; the other parts are shared.
-    ``noise`` holds the standard-normal increments of every step and
-    path, one (``config.n_steps``, C, N) array.
+    ``draw(lo, hi)`` returns the standard-normal increments of steps
+    ``lo + 1 .. hi`` for every path, an array of shape (hi - lo, C, N).
 
-    A stack is integrated one block of replicas at a time, each block
-    running every step before the next starts.  The block's drift
+    The steps run in chunks of ``_NOISE_CHUNK_BYTES`` (1 MB) of
+    increments, at least one step each, and ``draw`` is called exactly
+    once per chunk, in step order, so a one-pass stream can serve it.
+    No chunk is drawn after a blow-up.
+
+    A stack is integrated one block of replicas at a time within each
+    chunk, each block's state carried across chunks.  The block's drift
     ``J[rows] + Lam`` is formed in one buffer of ``_DRIFT_BLOCK_BYTES``
     (1 MB), a function of N alone: 8 replicas at N = 128, 1 above N = 256.
-    The buffer is allocated per call, so each worker has its own, and
-    no (C, N, N) drift stack is built.  The batched product reads
-    the block's drift from cache on every step, and the snapshots are
-    the same bytes at any block size.  The drift enters as the transposed
-    view of ``J + Lam`` (strides (N^2, 1, N)), or with ``contiguous`` as
-    a C-contiguous ``(J + Lam)^T``; the two round differently, and the
+    A single block, as a shared drift always is, forms it once per call;
+    a stack of several blocks forms it once per chunk and block.  The
+    buffer is allocated per call, so each worker has its own, and no
+    (C, N, N) drift stack is built.  The batched product reads the block's
+    drift from cache on every step, and the snapshots are the same bytes
+    at any block or chunk size.  The drift enters as the transposed view
+    of ``J + Lam`` (strides (N^2, 1, N)), or with ``contiguous`` as a
+    C-contiguous ``(J + Lam)^T``; the two round differently, and the
     golden bytes pin the view for the paired runs and the copy for the
-    series-vs-MC check.  Each block reads its columns of ``noise``.  A
-    shared drift runs as one block.  The state-dependent diffusion is
-    one product per path, whose bits do not depend on the block either.
+    series-vs-MC check.  The state-dependent diffusion is one product per
+    path, whose bits do not depend on the block either.
 
     Raises :class:`SimulationBlowupError` with the first step at which
     any path's state stops being finite.
@@ -351,51 +367,72 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     if coupling.ndim == 3:
         width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n))
         buf = np.empty((min(width, c), n, n))
+    blocks = [slice(lo, min(c, lo + width)) for lo in range(0, c, width)]
+
+    def block_drift(rows):
+        if coupling.ndim == 2:
+            return coupling + lam  # right-multiplies the row states
+        if contiguous:
+            return np.add(np.swapaxes(coupling[rows], 1, 2), lam.T, out=buf[:rows.stop - rows.start])
+        return np.swapaxes(np.add(coupling[rows], lam, out=buf[:rows.stop - rows.start]), 1, 2)
+
+    shared = block_drift(blocks[0]) if len(blocks) == 1 else None
+    # the step's work buffers, shared by the blocks; each block keeps its own state
+    size = (min(width, c), n)
+    work = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+    states = [(x0s[rows].copy(), np.zeros((rows.stop - rows.start, n))) for rows in blocks]
     want = {s: i for i, s in enumerate(config.snapshot_steps)}
     xs = np.empty((c, len(want), n))
     ms = np.empty((c, len(want), n))
+    if 0 in want:
+        xs[:, want[0]] = x0s
+        ms[:, want[0]] = 0.0
+    steps = config.n_steps
+    chunk = max(1, _NOISE_CHUNK_BYTES // max(1, 8 * c * n))
     first = math.inf
     # an overflow is reported as SimulationBlowupError below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, c, width):
-            rows = slice(lo, min(c, lo + width))
-            if coupling.ndim == 2:
-                mat = coupling + lam  # right-multiplies the row states
-            elif contiguous:
-                mat = np.add(np.swapaxes(coupling[rows], 1, 2), lam.T, out=buf[:rows.stop - lo])
-            else:
-                mat = np.swapaxes(np.add(coupling[rows], lam, out=buf[:rows.stop - lo]), 1, 2)
-            first = _euler_block(mat, params.h, params.sigma, sig_state, x0s[rows], noise, rows,
-                                 config.dt, want, xs[rows], ms[rows], first)
+        for lo in range(0, steps, chunk):
+            if first < math.inf:
+                break
+            xi = draw(lo, min(steps, lo + chunk))
+            for rows, (x, m) in zip(blocks, states):
+                mat = shared if shared is not None else block_drift(rows)
+                first = _euler_block(mat, params.h, params.sigma, sig_state, x, m,
+                                     [w[:len(x)] for w in work], xi[:, rows], lo, config.dt,
+                                     want, xs[rows], ms[rows], first)
     if first < math.inf:
         raise SimulationBlowupError(first)
     return xs, ms
 
 
-def _euler_block(mat, h, sigma, sig_state, x0s, noise, rows, dt, want, xs, ms, first):
-    """Integrate the paths ``rows`` into their snapshot slices ``xs``/``ms``.
+def _euler_block(mat, h, sigma, sig_state, x, m, work, xi, lo, dt, want, xs, ms, first):
+    """Advance one block's state ``x``/``m`` in place through steps
+    ``lo + 1 .. lo + len(xi)``, with ``xi`` its increments of those steps,
+    recording into its snapshot slices ``xs``/``ms``.
 
     ``mat`` is the block's (k, N, N) drift ``(J + Lam)^T`` acting on
     column states, or a shared (N, N) ``J + Lam`` acting on row states.
-    Non-finiteness is sticky, so the block stops before step ``first``
-    (the earliest blow-up so far) and returns the smaller of its own
-    first non-finite step and ``first``.
+    ``work`` holds the (k, N) buffers ``lin`` and ``dm`` and the boolean
+    finiteness mask, so a step allocates no array.  Non-finiteness is
+    sticky, so the block stops before step ``first`` (the earliest
+    blow-up so far) and returns the smaller of its own first non-finite
+    step and ``first``.
     """
     sqrt2dt = math.sqrt(2.0 * dt)
     amp = sqrt2dt * sigma[0]
-    x = x0s.copy()
-    m = np.zeros_like(x)
-    lin = np.empty_like(x)
-    if 0 in want:
-        xs[:, want[0]] = x
-        ms[:, want[0]] = m
-    for step, xi in enumerate(noise[:, rows], 1):
+    lin, dm, mask = work
+    for step, xi_step in enumerate(xi, lo + 1):
         if step >= first:
             return first
         if sig_state is None:
-            dm = amp * xi
+            np.multiply(amp, xi_step, out=dm)
         else:
-            dm = sqrt2dt * (sigma[0] + np.matmul(x[:, None], sig_state)[:, 0]) * xi
+            # sqrt(2 dt) * (sigma_0 + x sigma_state) * xi, in this order
+            np.matmul(x[:, None], sig_state, out=dm[:, None])
+            np.add(sigma[0], dm, out=dm)
+            np.multiply(sqrt2dt, dm, out=dm)
+            np.multiply(dm, xi_step, out=dm)
         if mat.ndim == 3:
             np.matmul(mat, x[:, :, None], out=lin[:, :, None])
         else:
@@ -405,7 +442,7 @@ def _euler_block(mat, h, sigma, sig_state, x0s, noise, rows, dt, want, xs, ms, f
         x += lin
         x += dm
         m += dm
-        if not np.isfinite(x).all():
+        if not np.isfinite(x, out=mask).all():
             return step
         if step in want:
             xs[:, want[step]] = x

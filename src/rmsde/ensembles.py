@@ -128,7 +128,10 @@ def sample_entries(dist: EntryDistribution, size, rng: np.random.Generator) -> n
     if dist is EntryDistribution.GAUSSIAN:
         return rng.standard_normal(size)
     if dist is EntryDistribution.RADEMACHER:
-        return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+        signs = rng.integers(0, 2, size=size).astype(np.float64)
+        signs *= 2.0
+        signs -= 1.0
+        return signs
     if dist is EntryDistribution.UNIFORM_CENTERED:
         s = math.sqrt(3.0)
         return rng.uniform(-s, s, size=size)
@@ -224,7 +227,9 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
     for row, gen in zip(out.reshape(len(gens), n * n), gens):
         if symmetric:
             # + 0.0 turns the -0.0 of a zero variance times a negative draw into +0.0
-            vals = scale * sample_entries(dist, len(scale), gen) + 0.0
+            vals = sample_entries(dist, len(scale), gen)
+            vals *= scale
+            vals += 0.0
             row[upper] = vals
             row[lower] = vals
         else:

@@ -71,9 +71,11 @@ class ExperimentError(ValueError):
 
 
 # Largest Gaussian noise of one replica's whole run, steps * N * 8 bytes.
-# The paired path holds it for every replica of a block at once and the
-# Monte Carlo path for every path of a chunk, and each holds at least
-# one.  The same cap bounds the float64 array of each count key below.
+# Only the paired path still holds it, in its block workspace, for every
+# replica of a block at once and for at least one; the Monte Carlo and
+# simulate paths stream theirs through euler_maruyama in 1 MB chunks of
+# steps, so for them the cap bounds the step count.  The same cap bounds
+# the float64 array of each count key below.
 _NOISE_CAP = 2 ** 28
 
 # Count keys whose whole array an experiment allocates at once:
@@ -402,8 +404,9 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
 
     The worker allocates one workspace, sized for its widest block, and
     reuses it for every block: the block's starts, its (steps, width, N)
-    noise and its (width, N, N) couplings; the integrator adds one drift
-    buffer of that size per call.  Per block, each replica draws its start
+    noise, which the integrator reads as views of its step chunks, and its
+    (width, N, N) couplings; the integrator adds one drift buffer of that
+    size per call.  Per block, each replica draws its start
     and its noise from its own streams, and both are shared by every arm;
     then each arm in turn samples the block's couplings into the
     workspace, builds its system and integrates, and the block's one
@@ -433,7 +436,7 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
             params = cfg.template.build(sample_couplings(dists[arm], profile, cfg.symmetric,
                                                          gens, out=couplings[:k]))
             try:
-                xs, ms = euler_maruyama(params, x0s[:k], icfg, xi[:, :k])
+                xs, ms = euler_maruyama(params, x0s[:k], icfg, lambda lo, hi: xi[lo:hi, :k])
             except SimulationBlowupError as exc:
                 first = min(first, exc.step)
             if first < math.inf:
@@ -735,7 +738,9 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
             j = sample_couplings(dist, profile, cfg.symmetric,
                                  [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()])[0]
             x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-            out.append((arm, r) + _gauss_rule(scale * j, x0))
+            if scale != 1.0:
+                j *= scale  # the draw is this worker's own
+            out.append((arm, r) + _gauss_rule(j, x0))
         return out
 
     workers = min(cfg.threads, len(jobs))
@@ -847,7 +852,10 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
 
     Each spec is (list of x-polynomials, matching times).  Chunks are
     keyed by their index, so the estimate is deterministic in the seed
-    and independent of the chunk width heuristic staying fixed.
+    and independent of the chunk width heuristic staying fixed.  A
+    chunk's noise generator is drawn by :func:`euler_maruyama` as it
+    walks its step chunks, which gives the values of one draw of the
+    whole (steps, c, N) array, so at most 1 MB of it is held at once.
     """
     profile = cfg.make_profile(n)
     icfg = _time_grid(cfg.dt, [t for _, ts in specs for t in ts])
@@ -865,9 +873,10 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
         params = cfg.template.build(
             sample_couplings(cfg.dist_a, profile, cfg.symmetric, [gen_j] * c))
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
-        xi = gen_b.standard_normal((steps, c, n))
         # the C-contiguous (J + Lam)^T: this layout is pinned by the golden bytes
-        xs, _ = euler_maruyama(params, x0s, icfg, xi, contiguous=True)
+        xs, _ = euler_maruyama(params, x0s, icfg,
+                               lambda lo, hi: gen_b.standard_normal((hi - lo, c, n)),
+                               contiguous=True)
         # an overflow leaves a non-finite sum of squares, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             for q, (poly_list, ts) in enumerate(specs):

@@ -27,6 +27,11 @@ def noise_stream(seed=0, stream=0):
     return RngStream(seed, stream, PURPOSE_NOISE)
 
 
+def source(xi):
+    """Noise source serving the increments of the (steps, C, N) array ``xi``."""
+    return lambda lo, hi: xi[lo:hi]
+
+
 def every_step(dt, horizon):
     """Grid recording every step of [0, horizon]."""
     return IntegratorConfig(dt, horizon, tuple(k * dt for k in range(round(horizon / dt) + 1)))
@@ -143,7 +148,7 @@ def test_euler_step_diffusion_formula():
     xi = np.array([[[0.7, -1.3]]])
     cfg = IntegratorConfig(0.01, 0.01, (0.01,))
     p = SystemParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), sigma)
-    _, ms = euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, xi)
+    _, ms = euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, source(xi))
     want = math.sqrt(2.0 * 0.01) * np.array([0.5 + 0.2 * 2.0, 0.1 * 3.0]) * xi[0, 0]
     assert np.allclose(ms[0, 0], want, atol=1e-15)
 
@@ -240,7 +245,7 @@ def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
     cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
     for contiguous in (False, True):
         replicas_per_block(monkeypatch, n, c)
-        xs, ms = euler_maruyama(params, x0s, cfg, xi, contiguous=contiguous)
+        xs, ms = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous)
         if not state_sigma:
             stack = params.drift_matrix()
             want = full_stack_euler(stack.copy() if contiguous else stack, params, x0s, cfg, xi)
@@ -248,7 +253,7 @@ def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
             assert want[1].tobytes() == ms.tobytes()
         for replicas in (1, 3, c):
             replicas_per_block(monkeypatch, n, replicas)
-            got = euler_maruyama(params, x0s, cfg, xi, contiguous=contiguous)
+            got = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous)
             assert got[0].tobytes() == xs.tobytes()
             assert got[1].tobytes() == ms.tobytes()
 
@@ -257,8 +262,8 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
     widths = []
 
     def recorded(*args):
-        rows = args[6]
-        widths.append(rows.stop - rows.start)
+        x = args[4]
+        widths.append(len(x))
         return real(*args)
 
     real = dynamics._euler_block
@@ -270,7 +275,7 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
         params, x0s = replica_stack(n, c, seed=0, state_sigma=state_sigma)
         if shared:
             params = SystemParams(params.coupling[0], params.lam, params.h, params.sigma)
-        euler_maruyama(params, x0s, cfg, np.zeros((2, c, n)))
+        euler_maruyama(params, x0s, cfg, source(np.zeros((2, c, n))))
         return widths[:]
 
     assert run(128, 20) == [8, 8, 4]   # 1 MB of drift is 8 replicas at N = 128
@@ -291,7 +296,7 @@ def test_drift_buffer_is_one_block():
     noise = np.zeros((2, c, n))
     tracemalloc.start()
     try:
-        euler_maruyama(params, x0s, cfg, noise)
+        euler_maruyama(params, x0s, cfg, source(noise))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -314,9 +319,100 @@ def test_blowup_step_is_the_earliest_over_replica_blocks(monkeypatch):
     for replicas in (c, 2, 1):  # one block first, the reference
         replicas_per_block(monkeypatch, n, replicas)
         with pytest.raises(SimulationBlowupError) as exc:
-            euler_maruyama(params, x0s, cfg, noise)
+            euler_maruyama(params, x0s, cfg, source(noise))
         steps.append(exc.value.step)
     assert steps == [4, 4, 4]
+
+
+def one_pass(xi, calls):
+    """Noise source that serves ``xi`` only in step order, each step once,
+    recording the (lo, hi) of every call."""
+    def draw(lo, hi):
+        assert lo == (calls[-1][1] if calls else 0)
+        calls.append((lo, hi))
+        return xi[lo:hi]
+    return draw
+
+
+def steps_per_chunk(monkeypatch, c, n, steps):
+    monkeypatch.setattr(dynamics, "_NOISE_CHUNK_BYTES", 8 * c * n * steps)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_noise_chunks_give_the_same_bytes(monkeypatch, chunk):
+    # the golden simulate shape, one path at N = 5 over 4500 steps, is one
+    # chunk by default; 1000-step chunks end on a short one of 500 steps
+    n = 5
+    p = random_params(n, seed=5)
+    sigma = p.sigma.copy()
+    sigma[1:] = 0.05 * np.random.default_rng(5).standard_normal((n, n))
+    p = SystemParams(p.coupling, p.lam, p.h, sigma)
+    cfg = IntegratorConfig(1e-4, 0.45, tuple(k * 1e-4 for k in range(0, 4501, 9)))
+    assert cfg.n_steps == 4500
+    assert dynamics._NOISE_CHUNK_BYTES // (8 * n) >= cfg.n_steps
+    want = simulate(p, np.ones(n), cfg, noise_stream(3))
+    steps_per_chunk(monkeypatch, 1, n, chunk)
+    got = simulate(p, np.ones(n), cfg, noise_stream(3))
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.m.tobytes() == want.m.tobytes()
+
+
+@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
+def test_one_pass_source_serves_a_stack_of_blocks(monkeypatch, state_sigma):
+    # 7 replicas in blocks of 2, 40 steps in chunks of 6: the source is asked
+    # for each chunk exactly once, in order, the last one short
+    n, c, steps = 17, 7, 40
+    params, x0s = replica_stack(n, c, seed=4, state_sigma=state_sigma)
+    xi = np.random.default_rng(2).standard_normal((steps, c, n))
+    cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
+    want = euler_maruyama(params, x0s, cfg, source(xi))
+    replicas_per_block(monkeypatch, n, 2)
+    steps_per_chunk(monkeypatch, c, n, 6)
+    calls = []
+    got = euler_maruyama(params, x0s, cfg, one_pass(xi, calls))
+    assert calls == [(lo, min(lo + 6, steps)) for lo in range(0, steps, 6)]
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_blowup_step_across_a_noise_chunk_boundary(monkeypatch):
+    # the 1e305 start overflows at step 4, the first step of the second
+    # 3-step chunk, in the last of three blocks; no chunk after it is drawn
+    n, c = 2, 6
+    coupling = np.zeros((c, n, n))
+    coupling[-1] = 9.0 * np.eye(n)
+    params = SystemParams(coupling, np.zeros((n, n)), np.zeros(n), np.zeros((n + 1, n)))
+    x0s = np.ones((c, n))
+    x0s[-1] = 1e305
+    cfg = IntegratorConfig(1.0, 12.0, (12.0,))
+    noise = np.zeros((12, c, n))
+    replicas_per_block(monkeypatch, n, 2)
+    steps_per_chunk(monkeypatch, c, n, 3)
+    calls = []
+    with pytest.raises(SimulationBlowupError) as exc:
+        euler_maruyama(params, x0s, cfg, one_pass(noise, calls))
+    assert exc.value.step == 4
+    assert calls == [(0, 3), (3, 6)]
+
+
+def test_noise_memory_does_not_grow_with_the_step_count():
+    # the increments are drawn 1 MB of steps at a time, so four times the
+    # steps add nothing beyond the chunk: a draw of the whole run's noise
+    # would be 6.4 MB at 1000 steps and 25.6 MB at 4000
+    n, paths = 4, 200
+    p = random_params(n, seed=6)
+
+    def peak(steps):
+        cfg = IntegratorConfig(1e-3, steps * 1e-3, (steps * 1e-3,))
+        tracemalloc.start()
+        try:
+            simulate_paths(p, np.ones(n), cfg, noise_stream(1), n_paths=paths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(1000), peak(4000)
+    assert long < short + 2 ** 20
 
 
 # -------------------------------------------------------------- simulate

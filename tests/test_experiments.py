@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rmsde import dynamics, experiments
+from rmsde.algebra import Polynomial
 from rmsde.config import experiment_config, parse_config
 from rmsde.dynamics import ParameterError, SimulationBlowupError, SystemParams
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile, sample_couplings,
@@ -661,7 +662,76 @@ def test_fixed_aging_drops_what_the_eigh_oracle_drops(monkeypatch):
         np.testing.assert_allclose([g.mean_a, g.mean_b], [w.mean_a, w.mean_b], rtol=1e-12)
 
 
+def recorded_chunks(monkeypatch):
+    """Step counts of the noise chunks the experiments' integrator draws, in order."""
+    sizes = []
+    real = experiments.euler_maruyama
+
+    def integrate(params, x0s, icfg, draw, **kwargs):
+        def recorded(lo, hi):
+            sizes.append(hi - lo)
+            return draw(lo, hi)
+        return real(params, x0s, icfg, recorded, **kwargs)
+
+    monkeypatch.setattr(experiments, "euler_maruyama", integrate)
+    return sizes
+
+
+def test_paired_noise_chunks_give_the_same_bytes(monkeypatch):
+    # 5 replicas at N = 8 are one block over 100 steps, one noise chunk by
+    # default; 7-step chunks end on a short one of 2 steps in both arms
+    n = 8
+    cfg = small_cfg(sizes=(n,), replicas=5, dt=0.01, horizon=1.0, suite=default_suite(1.0))
+    chunks = recorded_chunks(monkeypatch)
+    want = _paired_values(cfg, n)
+    assert chunks == [100, 100]
+    monkeypatch.setattr(dynamics, "_NOISE_CHUNK_BYTES", 8 * 5 * n * 7)
+    chunks.clear()
+    got = _paired_values(cfg, n)
+    assert chunks == 2 * ([7] * 14 + [2])
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 # ----------------------------------------------------------- series vs MC
+
+X1, X2 = Polynomial.from_x(1), Polynomial.from_x(2)
+
+
+def test_mc_noise_chunks_give_the_same_bytes(monkeypatch):
+    # 300 paths at n = 3 over 100 steps are one noise chunk by default;
+    # 7-step chunks end on a short one of 2 steps
+    n = 3
+    cfg = ExperimentConfig(sizes=(n,), dt=2e-3, mc_paths=300, seed=3)
+    specs = [([X1], (0.1,)), ([X1, X2], (0.06, 0.2))]
+    chunks = recorded_chunks(monkeypatch)
+    want = experiments._mc_moments(cfg, n, specs)
+    assert chunks == [100]
+    monkeypatch.setattr(dynamics, "_NOISE_CHUNK_BYTES", 8 * 300 * n * 7)
+    chunks.clear()
+    got = experiments._mc_moments(cfg, n, specs)
+    assert chunks == [7] * 14 + [2]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_mc_noise_memory_does_not_grow_with_the_step_count():
+    # 2000 paths at n = 3 are one path chunk at 200 and at 800 steps (its
+    # width is 3491 paths at 800), with the same snapshots; the noise streams
+    # in 1 MB step chunks, where one draw of it would be 9.6 and 38.4 MB
+    n = 3
+    cfg = ExperimentConfig(sizes=(n,), dt=1e-3, mc_paths=2000)
+
+    def peak(t):
+        tracemalloc.start()
+        try:
+            experiments._mc_moments(cfg, n, [([X1], (t,))])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.2)  # first-call allocations are not the run's
+    assert peak(0.8) < peak(0.2) + 2 ** 20
+
+
 
 def test_taylor_vs_mc_small_system():
     cfg = ExperimentConfig(sizes=(2,), seed=11, truncation=6, time=0.2,

@@ -75,3 +75,13 @@ def test_reproducible_for_any_key(seed, stream, purpose):
     a = RngStream(seed, stream, purpose).generator().integers(0, 1 << 31, size=4)
     b = RngStream(seed, stream, purpose).generator().integers(0, 1 << 31, size=4)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("s1,s2", [(1, 1), (3, 5), (7, 0), (40, 13)])
+@pytest.mark.parametrize("c,n", [(1, 1), (3, 5), (8, 128)])
+def test_consecutive_normal_draws_equal_one_draw(s1, s2, c, n):
+    # the integrator draws a run's noise in step chunks; its bytes rest on this
+    one = RngStream(5, 2, PURPOSE_NOISE).generator().standard_normal((s1 + s2, c, n))
+    gen = RngStream(5, 2, PURPOSE_NOISE).generator()
+    two = np.concatenate([gen.standard_normal((s1, c, n)), gen.standard_normal((s2, c, n))])
+    assert one.tobytes() == two.tobytes()
