@@ -15,8 +15,9 @@ a single shared system and a per-path stack of couplings alike.  A
 stack runs in cache-sized blocks of paths, each block's drift formed in
 one buffer that the call reuses, so no (C, N, N) drift stack is built.
 The Brownian increments come from a source the caller passes, asked
-for 1 MB chunks of steps at a time, so the loop needs no noise array of
-the whole run.  The recorded snapshot grid is a subset of the step
+for 1 MB chunks of steps at a time, and read only until the next chunk,
+so a source holds one reused chunk buffer and no noise array of the
+whole run.  The recorded snapshot grid is a subset of the step
 grid; requested times are rounded to step multiples at construction
 time and the rounding error is kept for inspection.  A
 :class:`SystemTemplate` turns a sampled coupling, or a stack of them,
@@ -52,7 +53,8 @@ __all__ = [
 # one drift buffer per call: a block's drift stays in a core's L2 across
 # all steps.  A function of N only, never of the worker count or a
 # detected cache size.  The paired experiments size their replica blocks
-# from it, so each of their blocks is one drift block.
+# from it, so each of their blocks, every arm's couplings stacked, is one
+# drift block.
 _DRIFT_BLOCK_BYTES = 2 ** 20
 
 # Increment bytes euler_maruyama asks its noise source for at once: it walks
@@ -321,10 +323,27 @@ def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
         raise ParameterError("n_paths must be at least 1")
     x0 = _check_x0(params, x0)
     shape = (n_paths, params.n)
-    gen = stream.generator()
     xs, ms = euler_maruyama(params, np.broadcast_to(x0, shape), config,
-                            lambda lo, hi: gen.standard_normal((hi - lo,) + shape))
+                            _generator_source(stream.generator(), shape))
     return PathBatch(config.times, xs, ms)
+
+
+def _generator_source(gen: np.random.Generator, shape: tuple):
+    """Noise source of :func:`euler_maruyama` that draws the increments of
+    steps ``lo + 1 .. hi`` from ``gen`` as an array of shape
+    ``(hi - lo,) + shape``, into one buffer that every call reuses.
+
+    The buffer is sized by the first chunk, which is the largest.
+    Consecutive draws give the values of one draw of the whole run.
+    """
+    buf = np.empty((0,) + shape)
+
+    def draw(lo, hi):
+        nonlocal buf
+        if len(buf) < hi - lo:
+            buf = np.empty((hi - lo,) + shape)
+        return gen.standard_normal(out=buf[:hi - lo])
+    return draw
 
 
 def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConfig,
@@ -335,6 +354,8 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     (C, N, N) stack with one per path; the other parts are shared.
     ``draw(lo, hi)`` returns the standard-normal increments of steps
     ``lo + 1 .. hi`` for every path, an array of shape (hi - lo, C, N).
+    The integrator reads that array only until its next call to ``draw``,
+    so a source may draw every chunk into one buffer.
 
     The steps run in chunks of ``_NOISE_CHUNK_BYTES`` (1 MB) of
     increments, at least one step each, and ``draw`` is called exactly

@@ -11,10 +11,11 @@ difference with dimension is visible with a few thousand replicas.
 Replicas are independent units of work keyed by their stream id, and
 ``threads`` counts the worker processes they are dealt to
 (:func:`_fan_out`).  A paired run streams them in blocks whose width
-depends only on N and the step count, never on the worker count: each
-block integrates in one batched matrix-vector loop, and each worker runs
-its blocks through one workspace it allocates once, so memory does not
-grow with the replica count.  Every replica's values depend only on its
+depends only on N and the arm count, never on the step or worker count:
+each block integrates every arm in one batched matrix-vector loop, and
+each worker runs its blocks through one workspace it allocates once,
+noise included, so memory grows neither with the replica count nor with
+the step count.  Every replica's values depend only on its
 own streams and land in its own row, so reports are deterministic
 functions of (config, seed).
 """
@@ -70,12 +71,11 @@ class ExperimentError(ValueError):
     """Invalid experiment configuration."""
 
 
-# Largest Gaussian noise of one replica's whole run, steps * N * 8 bytes.
-# Only the paired path still holds it, in its block workspace, for every
-# replica of a block at once and for at least one; the Monte Carlo and
-# simulate paths stream theirs through euler_maruyama in 1 MB chunks of
-# steps, so for them the cap bounds the step count.  The same cap bounds
-# the float64 array of each count key below.
+# Cap on 8 * steps * N of one Euler run at its largest size, so 2^25
+# steps times N.  Every Euler path streams its noise in 1 MB chunks of
+# steps, so no array of this size is allocated; the cap bounds the work
+# of one run.  The same cap bounds the float64 array of each count key
+# below.
 _NOISE_CAP = 2 ** 28
 
 # Count keys whose whole array an experiment allocates at once:
@@ -208,9 +208,11 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
     ``aging`` and ``rayleigh`` flows need a symmetric ``J`` and no
     thresholds; they always run the gradient flow ``2J - K I``, whatever
     ``system.template`` says, so the template is not checked for them.
-    A count key whose whole float64 array would exceed 256 MB is
-    rejected by name: ``mc_paths`` of ``moments-check`` (``taylor-check``
-    draws its paths in chunks), ``rayleigh_points`` and ``grid_points``.
+    A run of more than 2^25 Euler steps times N at its largest size is
+    rejected, and so, by name, is a count key whose whole float64 array
+    would exceed 256 MB: ``mc_paths`` of ``moments-check``
+    (``taylor-check`` draws its paths in chunks), ``rayleigh_points``
+    and ``grid_points``.
     Every time the Euler kinds record must lie on the step grid: the
     suite of ``universality``, ``hopfield`` and ``concentration``
     (:func:`_suite`, the defaults at ``horizon`` included) and the
@@ -252,8 +254,8 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
             [cfg.horizon] + [t for item in cfg.suite for t in item.times])
         steps = span / cfg.dt if cfg.dt > 0 else math.inf
         if steps * n * 8 > _NOISE_CAP:
-            raise ExperimentError(f"{steps:.6g} Euler steps at size {n} need more than "
-                                  f"{_NOISE_CAP >> 20} MB of noise per replica")
+            raise ExperimentError(f"{steps:.6g} Euler steps at size {n} exceed the cap of "
+                                  f"{_NOISE_CAP >> 3} steps times N of one run")
     if kind in _WHOLE_COUNTS:
         key = _WHOLE_COUNTS[kind]
         count = getattr(cfg, key)
@@ -375,18 +377,12 @@ def _receive(read: int) -> tuple:
 # paired replicas, streamed one block at a time
 
 
-# Noise bytes of one paired block: the block is narrowed so that its
-# (steps, width, N) noise stays under this.
-_NOISE_BLOCK_BYTES = 32 * 2 ** 20
-
-
-def _block_width(n: int, steps: int) -> int:
-    """Replicas per paired block: one drift block of the integrator (1 MB
-    of (N, N) couplings), narrowed to 32 MB of noise.  A function of N and
-    the step count only, never of the worker count: 2 at N = 256, 8 at
-    N = 128 up to 4096 steps, 1 above N = 256."""
-    return max(1, min(dynamics._DRIFT_BLOCK_BYTES // (8 * n * n),
-                      _NOISE_BLOCK_BYTES // max(1, 8 * steps * n)))
+def _block_width(n: int, arms: int) -> int:
+    """Replicas per paired block: the block's (arms * width, N, N) coupling
+    stack is one drift block of the integrator (1 MB).  A function of N
+    and the arm count only, never of the step or worker count: with two
+    arms, 4 at N = 128 and 1 from N = 256 up."""
+    return max(1, dynamics._DRIFT_BLOCK_BYTES // (8 * n * n) // arms)
 
 
 def _time_grid(dt: float, times, horizon: float = 0.0) -> IntegratorConfig:
@@ -402,46 +398,68 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
                   icfg: IntegratorConfig, blocks: list, arms: tuple = ("a", "b")) -> tuple:
     """One worker's share of the paired run: the replica ``blocks`` in turn.
 
-    The worker allocates one workspace, sized for its widest block, and
-    reuses it for every block: the block's starts, its (steps, width, N)
-    noise, which the integrator reads as views of its step chunks, and its
-    (width, N, N) couplings; the integrator adds one drift buffer of that
-    size per call.  Per block, each replica draws its start
-    and its noise from its own streams, and both are shared by every arm;
-    then each arm in turn samples the block's couplings into the
-    workspace, builds its system and integrates, and the block's one
-    batched :class:`Trajectory` gives each suite item's values for all
-    its replicas in one :func:`evaluate` call, on rows resolved once per
-    share.  Returns one array of rows per arm, the replicas of
+    A block of k replicas integrates every arm in one
+    :func:`euler_maruyama` call on an (arms * k, N, N) coupling stack,
+    arm a's rows first, then arm b's.  The worker reuses one workspace
+    for every block: the stack's starts and couplings, sized for its
+    widest block, and one noise buffer, sized to the largest chunk the
+    integrator asks for.  Per block, each replica's start is drawn into
+    every arm's rows, each arm samples its couplings into its rows, and
+    one ``SystemTemplate.build`` makes the stack's system.  The noise
+    source keeps each replica's generator for the whole block; each call
+    draws the chunk's steps of every replica and copies them into the
+    other arms' rows, and consecutive draws give the values of one draw
+    of the whole run.  Each arm's rows of the run form one batched
+    :class:`Trajectory`, on the coupling the build returned, and each
+    suite item is one :func:`evaluate` call on it, on rows resolved once
+    per share.  Returns one array of rows per arm, the replicas of
     ``blocks`` in order, and the earliest blow-up step over the worker's
     replicas and arms, ``inf`` if none.
     """
-    n, steps = profile.n, icfg.n_steps
+    n, copies = profile.n, len(arms)
     width = max(len(block) for block in blocks)
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
     rows = [item.rows(icfg) for item in cfg.suite]
     values = [np.empty((sum(map(len, blocks)), len(cfg.suite))) for _ in arms]
-    x0s = np.empty((width, n))
-    xi = np.empty((steps, width, n))
-    couplings = np.empty((width, n, n))
+    x0s = np.empty((copies * width, n))
+    couplings = np.empty((copies * width, n, n))
+    noise = np.empty(0)
+    gens = []  # the noise generators of the block in flight
+
+    def draw(lo, hi):
+        nonlocal noise
+        size = copies * len(gens) * (hi - lo) * n
+        if noise.size < size:
+            noise = np.empty(size)
+        xi = noise[:size].reshape(copies, len(gens), hi - lo, n)
+        for gen, out in zip(gens, xi[0]):
+            gen.standard_normal(out=out)
+        xi[1:] = xi[0]
+        return xi.reshape(copies * len(gens), hi - lo, n).swapaxes(0, 1)
+
     first = math.inf
     row = 0
     for block in blocks:
         k = len(block)
+        starts = x0s[:copies * k].reshape(copies, k, n)
         for i, r in enumerate(block):
-            x0s[i] = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-            xi[:, i] = RngStream(cfg.seed, r, PURPOSE_NOISE).generator().standard_normal((steps, n))
-        for arm, vals in zip(arms, values):
-            gens = [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in block]
-            params = cfg.template.build(sample_couplings(dists[arm], profile, cfg.symmetric,
-                                                         gens, out=couplings[:k]))
-            try:
-                xs, ms = euler_maruyama(params, x0s[:k], icfg, lambda lo, hi: xi[lo:hi, :k])
-            except SimulationBlowupError as exc:
-                first = min(first, exc.step)
-            if first < math.inf:
-                continue  # the run fails; the rest only looks for an earlier step
-            traj = Trajectory(params.coupling, xs, ms, icfg)
+            starts[0, i] = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
+        starts[1:] = starts[0]
+        for a, arm in enumerate(arms):
+            sample_couplings(dists[arm], profile, cfg.symmetric,
+                             [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator() for r in block],
+                             out=couplings[a * k:(a + 1) * k])
+        params = cfg.template.build(couplings[:copies * k])
+        gens[:] = [RngStream(cfg.seed, r, PURPOSE_NOISE).generator() for r in block]
+        try:
+            xs, ms = euler_maruyama(params, x0s[:copies * k], icfg, draw)
+        except SimulationBlowupError as exc:
+            first = min(first, exc.step)
+        if first < math.inf:
+            continue  # the run fails; the rest only looks for an earlier step
+        for a, vals in enumerate(values):
+            arm_rows = slice(a * k, (a + 1) * k)
+            traj = Trajectory(params.coupling[arm_rows], xs[arm_rows], ms[arm_rows], icfg)
             # an overflow leaves a non-finite value, which _finite_rows reports
             with np.errstate(over="ignore", invalid="ignore"):
                 for q, (item, item_rows) in enumerate(zip(cfg.suite, rows)):
@@ -454,9 +472,10 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
 def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> list:
     """One array of shape (replicas, len(suite)) per arm.
 
-    The replicas run in blocks of :func:`_block_width`, dealt round-robin
-    to ``threads`` worker processes (:func:`_fan_out`), each of which runs
-    its share through :func:`_paired_chunk`.  A replica's values depend
+    The replicas run in blocks of :func:`_block_width`, every arm of a
+    block in one integration, dealt round-robin to ``threads`` worker
+    processes (:func:`_fan_out`), each of which runs its share through
+    :func:`_paired_chunk`.  A replica's values depend
     only on its own streams, so the arrays do not depend on the blocks or
     the worker count.  A blow-up raises :class:`SimulationBlowupError`
     with the earliest step over every replica and arm of the size.
@@ -464,7 +483,7 @@ def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> l
     profile = cfg.make_profile(n)
     law = InitialLaw.uniform(cfg.init_dist, n)
     icfg = _time_grid(cfg.dt, [t for item in cfg.suite for t in item.times], cfg.horizon)
-    width = _block_width(n, icfg.n_steps)
+    width = _block_width(n, len(arms))
     blocks = [range(lo, min(lo + width, cfg.replicas)) for lo in range(0, cfg.replicas, width)]
     workers = min(cfg.threads, len(blocks))
     shares = [blocks[w::workers] for w in range(workers)]
@@ -854,8 +873,9 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
     keyed by their index, so the estimate is deterministic in the seed
     and independent of the chunk width heuristic staying fixed.  A
     chunk's noise generator is drawn by :func:`euler_maruyama` as it
-    walks its step chunks, which gives the values of one draw of the
-    whole (steps, c, N) array, so at most 1 MB of it is held at once.
+    walks its step chunks, into one reused buffer, which gives the values
+    of one draw of the whole (steps, c, N) array, so at most 1 MB of it
+    is held at once.
     """
     profile = cfg.make_profile(n)
     icfg = _time_grid(cfg.dt, [t for _, ts in specs for t in ts])
@@ -874,8 +894,7 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
             sample_couplings(cfg.dist_a, profile, cfg.symmetric, [gen_j] * c))
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         # the C-contiguous (J + Lam)^T: this layout is pinned by the golden bytes
-        xs, _ = euler_maruyama(params, x0s, icfg,
-                               lambda lo, hi: gen_b.standard_normal((hi - lo, c, n)),
+        xs, _ = euler_maruyama(params, x0s, icfg, dynamics._generator_source(gen_b, (c, n)),
                                contiguous=True)
         # an overflow leaves a non-finite sum of squares, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):

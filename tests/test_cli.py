@@ -148,7 +148,8 @@ def test_thread_count_does_not_change_rows(tmp_path):
 
 
 def test_thread_count_does_not_change_rows_under_small_drift_blocks(tmp_path, monkeypatch):
-    # 150 replicas make three chunks; 2-replica drift blocks split each chunk
+    # 150 replicas at N = 8 are one block; 2-replica drift blocks make them
+    # 150 blocks of one replica per arm, each one drift block
     text = "[experiment]\nsizes = 8\nreplicas = 150\n[integrator]\ndt = 0.05\nhorizon = 0.2\n"
     _, whole = invoke(tmp_path / "a", "universality", text, ["--threads", "1"])
     monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * 8 * 8)
@@ -161,9 +162,11 @@ def test_thread_count_does_not_change_rows_under_small_drift_blocks(tmp_path, mo
 
 @pytest.mark.parametrize("kind", ["universality", "hopfield", "concentration"])
 def test_thread_count_does_not_change_streamed_blocks(tmp_path, kind):
-    # at 2 steps, N = 128 runs blocks of 8 (11 replicas leave a partial block
-    # of 3) and N = 300 blocks of 1
-    assert [experiments._block_width(n, 2) for n in (128, 300)] == [8, 1]
+    # with two arms, N = 128 runs blocks of 4 (11 replicas leave a partial
+    # block of 3) and N = 300 blocks of 1; concentration's one arm runs
+    # blocks of 8 and 3 at N = 128
+    assert [experiments._block_width(n, 2) for n in (128, 300)] == [4, 1]
+    assert [experiments._block_width(n, 1) for n in (128, 300)] == [8, 1]
     text = ("[experiment]\nsizes = 128, 300\nreplicas = 11\ngrid_points = 3\n"
             "[integrator]\ndt = 0.05\nhorizon = 0.1\n")
     runs = [invoke(tmp_path / str(threads), kind, text, ["--threads", str(threads)])
@@ -187,8 +190,8 @@ def test_worker_count_does_not_change_spectral_rows(tmp_path, kind):
 @pytest.mark.parametrize("error,status", [(ParameterError, 2), (experiments.ExperimentError, 1)])
 def test_failure_in_the_second_worker_exits_as_at_one_worker(tmp_path, monkeypatch, capsys,
                                                              error, status):
-    # 2-replica blocks deal replicas 2 and 3 to the second of 2 workers, and
-    # only replica 3 fails
+    # blocks of one replica per arm deal replicas 1, 3 and 5 to the second
+    # of 2 workers, and only replica 3 fails
     monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * 8 * 8)
     real = experiments.sample_initial
 
@@ -434,7 +437,7 @@ PRECONDITIONS = {
         ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 4")
          + "[observable]\nkind = tensor\ntimes = 0.04\nblocks = x, x, x, x\n",
          "arity <= 3, got 4"),
-    # the whole noise of one replica would be allocated at once
+    # more steps times N than one run may take
     "universality-step-count":
         ("universality", FAST["universality"].replace("sizes = 4, 8", "sizes = 1")
          .replace("dt = 0.02", "dt = 1e-300"), "4e+298 Euler steps at size 1"),

@@ -6,11 +6,11 @@ the exact per-step decomposition identity of the scheme itself.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
+from conftest import traced_peak
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -294,12 +294,7 @@ def test_drift_buffer_is_one_block():
     params, x0s = replica_stack(n, c, seed=2)
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
     noise = np.zeros((2, c, n))
-    tracemalloc.start()
-    try:
-        euler_maruyama(params, x0s, cfg, source(noise))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(noise)))
     block = dynamics._DRIFT_BLOCK_BYTES
     assert block < params.coupling.nbytes
     assert peak < block + params.coupling.nbytes // 4
@@ -404,12 +399,8 @@ def test_noise_memory_does_not_grow_with_the_step_count():
 
     def peak(steps):
         cfg = IntegratorConfig(1e-3, steps * 1e-3, (steps * 1e-3,))
-        tracemalloc.start()
-        try:
-            simulate_paths(p, np.ones(n), cfg, noise_stream(1), n_paths=paths)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(
+            lambda: simulate_paths(p, np.ones(n), cfg, noise_stream(1), n_paths=paths))
 
     short, long = peak(1000), peak(4000)
     assert long < short + 2 ** 20

@@ -277,13 +277,13 @@ def test_paired_chunk_samples_once_per_arm(monkeypatch):
         return sample_couplings(dist, profile, symmetric, gens, out=out)
 
     monkeypatch.setattr(experiments, "sample_couplings", counted)
-    # 19 replicas at n = 128 and 2 steps run as blocks of 8, 8 and 3
+    # 19 replicas at n = 128 run as blocks of 4, 4, 4, 4 and 3 per arm
     cfg = experiments.ExperimentConfig(sizes=(128,), replicas=19, dt=0.05, horizon=0.1,
                                        seed=4, coupling_seed=9)
-    assert experiments._block_width(128, 2) == 8
+    assert experiments._block_width(128, 2) == 4
     experiments.run_universality(cfg)
     want = []
-    for block in (range(0, 8), range(8, 16), range(16, 19)):
+    for block in (range(0, 4), range(4, 8), range(8, 12), range(12, 16), range(16, 19)):
         drawn = [RngStream(9, r, PURPOSE_COUPLING).generator().bit_generator.state
                  for r in block]
         want += [drawn, drawn]  # arm a, then arm b, from the same fresh streams

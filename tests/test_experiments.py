@@ -6,11 +6,11 @@ import math
 import os
 import re
 import time
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from rmsde import dynamics, experiments
 from rmsde.algebra import Polynomial
@@ -187,7 +187,8 @@ def test_universality_builds_one_system_per_arm_and_chunk(monkeypatch):
 
     monkeypatch.setattr(SystemTemplate, "build", counted)
     run_universality(small_cfg(sizes=(4, 8, 16), replicas=5))
-    assert calls == [(5, 4, 4)] * 2 + [(5, 8, 8)] * 2 + [(5, 16, 16)] * 2
+    # each size is one block of 5 replicas, both arms in one stack
+    assert calls == [(10, 4, 4), (10, 8, 8), (10, 16, 16)]
 
 
 class DoubledCoupling(SystemTemplate):
@@ -204,31 +205,39 @@ def test_universality_integrates_the_system_build_returns():
     assert doubled.rows != run_universality(cfg).rows
 
 
-def paired_peak(langevin, replicas, n=128):
-    # traced peak of one _paired_values run at N = n, 50 steps
-    cfg = small_cfg(sizes=(n,), replicas=replicas, dt=0.02, horizon=1.0,
-                    template=SystemTemplate(langevin=langevin), suite=default_suite(1.0))
-    _paired_values(cfg, n)  # first-call allocations are not the run's
-    tracemalloc.start()
-    try:
-        _paired_values(cfg, n)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def paired_peak(langevin, replicas, n=128, steps=50):
+    # traced peak of one _paired_values run at N = n
+    cfg = small_cfg(sizes=(n,), replicas=replicas, dt=0.02, horizon=0.02 * steps,
+                    template=SystemTemplate(langevin=langevin),
+                    suite=default_suite(0.02 * steps))
+    return traced_peak(lambda: _paired_values(cfg, n))
 
 
 @pytest.mark.parametrize("langevin,stacks", [(False, 2), (True, 2)])
 def test_paired_chunk_frees_each_arm_before_the_next(langevin, stacks):
-    # N = 128 at 50 steps streams blocks of 8 replicas through one workspace:
-    # starts, noise and `stacks` (width, N, N) blocks, the couplings both arms
-    # sample into and the integrator's drift buffer, with three quarters of a
-    # block of slack for the snapshots, rows and streams; an arm whose system
-    # outlived it, or a Langevin doubling into a new array, would add a block
-    n, steps, width = 128, 50, 8
-    assert experiments._block_width(n, steps) == width
-    block = 8 * width * n * n
-    workspace = 8 * (width * n + steps * width * n) + stacks * block
-    assert paired_peak(langevin, 32) < workspace + 3 * block // 4
+    # N = 128 at 200 steps streams blocks of 4 replicas per arm through one
+    # workspace: the stack's starts, one noise chunk of 128 of its steps, and
+    # `stacks` (2 * width, N, N) blocks, the couplings both arms sample into
+    # and the integrator's drift buffer, with three quarters of a block of
+    # slack for the snapshots, rows and streams; a block's system that
+    # outlived it, a Langevin doubling into a new array, or the noise of
+    # all 200 steps would add most of a block
+    n, steps, width = 128, 200, 4
+    assert experiments._block_width(n, 2) == width
+    c = 2 * width
+    chunk = min(steps, dynamics._NOISE_CHUNK_BYTES // (8 * c * n))
+    assert chunk == 128
+    block = 8 * c * n * n
+    workspace = 8 * (c * n + chunk * c * n) + stacks * block
+    assert paired_peak(langevin, 32, steps=steps) < workspace + 3 * block // 4
+
+
+def test_paired_noise_memory_does_not_grow_with_the_step_count():
+    # the noise streams through one chunk buffer, so 5000 steps hold no more
+    # than 50: the noise of the whole run would be 5000 * 8 * 128 * 8 bytes,
+    # 39 MiB, for each block of 4 replicas per arm
+    short, long = (paired_peak(False, 8, steps=steps) for steps in (50, 5000))
+    assert abs(long - short) < 2 ** 20
 
 
 def test_paired_values_hold_one_coupling_stack():
@@ -242,8 +251,8 @@ def test_paired_values_hold_one_coupling_stack():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_blowup_step_is_the_earliest_over_every_block(monkeypatch, threads):
     # the state grows about tenfold per step, so a start of 1e300 overflows
-    # several steps after one of 1e305; 2-replica blocks put replica 1 in the
-    # first block and replica 66 in the 34th
+    # several steps after one of 1e305; blocks of one replica per arm put
+    # replicas 1 and 66 in blocks that 2 workers deal to different workers
     n = 4
     monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * 8 * n * n)
     cfg = small_cfg(sizes=(n,), replicas=70, dt=1.0, horizon=12.0, threads=threads,
@@ -678,18 +687,39 @@ def recorded_chunks(monkeypatch):
 
 
 def test_paired_noise_chunks_give_the_same_bytes(monkeypatch):
-    # 5 replicas at N = 8 are one block over 100 steps, one noise chunk by
-    # default; 7-step chunks end on a short one of 2 steps in both arms
+    # 5 replicas at N = 8 are one block over 100 steps, both arms in one
+    # stack of 10, one noise chunk by default; 7-step chunks end on a short
+    # one of 2 steps
     n = 8
     cfg = small_cfg(sizes=(n,), replicas=5, dt=0.01, horizon=1.0, suite=default_suite(1.0))
     chunks = recorded_chunks(monkeypatch)
     want = _paired_values(cfg, n)
-    assert chunks == [100, 100]
-    monkeypatch.setattr(dynamics, "_NOISE_CHUNK_BYTES", 8 * 5 * n * 7)
+    assert chunks == [100]
+    monkeypatch.setattr(dynamics, "_NOISE_CHUNK_BYTES", 8 * 10 * n * 7)
     chunks.clear()
     got = _paired_values(cfg, n)
-    assert chunks == 2 * ([7] * 14 + [2])
+    assert chunks == [7] * 14 + [2]
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_paired_values_do_not_depend_on_the_block_width(monkeypatch):
+    # 9 replicas at N = 128 over 600 steps, in blocks of 1, 2 and 4 replicas
+    # per arm, each block one drift block; a full block's noise comes in
+    # 512, 256 and 128-step chunks, and no block's in one chunk
+    n = 128
+    cfg = small_cfg(sizes=(n,), replicas=9, dt=0.002, horizon=1.2,
+                    suite=hopfield_suite(1.2) + (autocorr_item(0.5, 1.2),))
+    chunks = recorded_chunks(monkeypatch)
+    want = None
+    for width in (1, 2, 4):
+        monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_BYTES", 2 * width * 8 * n * n)
+        assert experiments._block_width(n, 2) == width
+        for threads in (1, 2):
+            chunks.clear()
+            got = [v.tobytes() for v in _paired_values(replace(cfg, threads=threads), n)]
+            want = want or got
+            assert got == want
+        assert chunks[0] == 512 // width and max(chunks) < 600
 
 
 # ----------------------------------------------------------- series vs MC
@@ -721,14 +751,8 @@ def test_mc_noise_memory_does_not_grow_with_the_step_count():
     cfg = ExperimentConfig(sizes=(n,), dt=1e-3, mc_paths=2000)
 
     def peak(t):
-        tracemalloc.start()
-        try:
-            experiments._mc_moments(cfg, n, [([X1], (t,))])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: experiments._mc_moments(cfg, n, [([X1], (t,))]))
 
-    peak(0.2)  # first-call allocations are not the run's
     assert peak(0.8) < peak(0.2) + 2 ** 20
 
 
