@@ -17,7 +17,11 @@ kind                        moments of order ell
 
 The exact moment table is what the expansion engine consumes; every
 simulation draws its couplings, scaled to ``J = A / sqrt(N)``, through
-:func:`sample_couplings`.
+:func:`sample_couplings`.  Its draw order is part of the reproducibility
+contract: the generators run in list order, each drawing the upper
+triangle row-major (the full matrix for an asymmetric ensemble).  The
+draw streams into the output tile by tile, so a call needs the output
+and a few tiles of rows, whatever N is; nothing is cached per profile.
 """
 
 from __future__ import annotations
@@ -170,19 +174,6 @@ class VarianceProfile:
     def is_symmetric(self) -> bool:
         return bool(np.array_equal(self.m, self.m.T))
 
-    @cached_property
-    def upper_plan(self) -> tuple:
-        """Flat indices of the upper triangle (row-major, diagonal included),
-        of their mirror images, and ``sqrt(m)`` there: the symmetric draw."""
-        n = self.n
-        iu, ju = np.triu_indices(n)
-        return iu * n + ju, ju * n + iu, np.sqrt(self.m[iu, ju])
-
-    @cached_property
-    def full_scale(self) -> np.ndarray:
-        """``sqrt(m)`` flattened row-major: the scale of a full draw."""
-        return np.sqrt(self.m).ravel()
-
     @classmethod
     def offdiagonal(cls, n: int) -> "VarianceProfile":
         """Unit variances off the diagonal, zero on it (the default)."""
@@ -195,6 +186,11 @@ class VarianceProfile:
         return cls(np.ones((n, n)))
 
 
+# rows per tile of a coupling draw: a tile's entries, mask and scales are all
+# the memory a draw takes besides its output
+_TILE = 64
+
+
 def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetric: bool,
                      gens: list, out: np.ndarray = None) -> np.ndarray:
     """Scaled couplings ``J = A / sqrt(N)``, one per generator, shape (C, N, N).
@@ -203,38 +199,68 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
     row-major, diagonal included, mirrored for a symmetric ensemble (which
     needs a symmetric profile), else the full matrix row-major.  Entries
     with ``m_ij = 0`` come out zero (``+0.0`` in a symmetric ensemble).
-    The index plan and the scales are computed once per profile.
+
+    The draw streams into the output in tiles of ``_TILE`` rows: each
+    generator draws its tiles' entries straight into its matrix (the
+    tile's upper staircase through a boolean mask, or its full rows), and
+    consecutive draws give the values of one draw.  The stack is then
+    finished in place, tile by tile: the diagonal block mirrored and the
+    part left of it copied from the finished rows above, a slab of
+    matrices at a time, then the upper part times ``sqrt(m)`` of the
+    tile's rows, ``+ 0.0`` and ``/ sqrt(N)``.  Besides the output a call
+    holds one tile's entries, mask and scales, a few ``_TILE * N``
+    arrays, and a mirror copy of about ``_TILE**2`` entries.
 
     ``out``, when given, is a C-contiguous float64 array of shape
     (C, N, N) that receives the stack and is returned; every entry is
     overwritten, with the same bytes as a fresh draw.
     """
     n = profile.n
-    root = math.sqrt(n)
-    if symmetric:
-        if not profile.is_symmetric:
-            raise EnsembleError("symmetric ensemble requires a symmetric variance profile")
-        upper, lower, scale = profile.upper_plan
-    else:
-        scale = profile.full_scale
+    if symmetric and not profile.is_symmetric:
+        raise EnsembleError("symmetric ensemble requires a symmetric variance profile")
     shape = (len(gens), n, n)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise EnsembleError(f"out must be a C-contiguous float64 array of shape {shape}")
-    # the plan is cached on the profile, so a draw allocates only one row of entries
-    # at a time besides the stack: nothing per call for glibc to trim and re-fault
-    for row, gen in zip(out.reshape(len(gens), n * n), gens):
+    tiles = [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
+    # a tile's upper staircase, from column lo on: its row i keeps columns i..
+    upper = np.arange(n) >= np.arange(min(_TILE, n))[:, None]
+    if symmetric:
+        draws = []
+        for lo, hi in tiles:
+            mask = upper[:hi - lo, :n - lo]
+            draws.append((lo, hi, mask, np.count_nonzero(mask)))
+        for a, gen in zip(out, gens):
+            for lo, hi, mask, count in draws:
+                a[lo:hi, lo:][mask] = sample_entries(dist, count, gen)
+    else:
+        for a, gen in zip(out, gens):
+            for lo, hi in tiles:
+                a[lo:hi] = sample_entries(dist, (hi - lo, n), gen)
+    root = math.sqrt(n)
+    for lo, hi in tiles:
         if symmetric:
+            # the tile's lower part: its diagonal block mirrored, and left of it the
+            # finished rows above.  numpy copies a transposed source that overlaps its
+            # target whole, so a slab of matrices at a time keeps that copy to about
+            # _TILE**2 entries
+            lower = ~upper[:hi - lo, :hi - lo]
+            step = max(1, _TILE * _TILE // ((hi - lo) * hi))
+            for c in range(0, len(out), step):
+                slab = out[c:c + step]
+                block = slab[:, lo:hi, lo:hi]
+                np.copyto(block, block.transpose(0, 2, 1), where=lower)
+                slab[:, lo:hi, :lo] = slab[:, :lo, lo:hi].transpose(0, 2, 1)
+            right = out[:, lo:hi, lo:]
+            right *= np.sqrt(profile.m[lo:hi, lo:])
             # + 0.0 turns the -0.0 of a zero variance times a negative draw into +0.0
-            vals = sample_entries(dist, len(scale), gen)
-            vals *= scale
-            vals += 0.0
-            row[upper] = vals
-            row[lower] = vals
+            right += 0.0
+            right /= root
         else:
-            np.multiply(scale, sample_entries(dist, n * n, gen), out=row)
-        row /= root
+            rows = out[:, lo:hi]
+            rows *= np.sqrt(profile.m[lo:hi])
+            rows /= root
     return out
 
 

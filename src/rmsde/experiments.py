@@ -673,7 +673,14 @@ _LANCZOS_CHECK = 16
 
 
 def _tridiagonal(alpha: list, beta: list) -> np.ndarray:
-    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    """The Lanczos matrix: ``alpha`` on the diagonal, ``beta`` on both sides."""
+    m = len(alpha)
+    t = np.zeros((m, m))
+    flat = t.reshape(-1)
+    np.add(alpha, 0.0, out=flat[::m + 1])  # a -0.0 reads +0.0, as in a sum of diagonals
+    flat[1::m + 1] = beta
+    flat[m::m + 1] = beta
+    return t
 
 
 def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
@@ -745,20 +752,25 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
 
     The arm-replica pairs are dealt round-robin to ``threads`` worker
     processes (:func:`_fan_out`) and come back in order, arm ``a``
-    first.  Each worker keeps one replica in flight: one coupling and
-    one Lanczos basis of at most ``N`` rows.
+    first.  Each worker keeps one replica in flight: it draws every
+    replica-arm into one reused (1, N, N) coupling through
+    ``sample_couplings(..., out=)``, which streams the draw in tiles of
+    rows, and runs one Lanczos basis of at most ``N`` rows on it.  So a
+    replica-arm holds one coupling, its basis and a few tiles of rows.
     """
     jobs = [(arm, dist, r) for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b))
             for r in range(replicas)]
 
     def work(share: list) -> list:
         out = []
+        coupling = np.empty((1, profile.n, profile.n))
         for arm, dist, r in share:
             j = sample_couplings(dist, profile, cfg.symmetric,
-                                 [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()])[0]
+                                 [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()],
+                                 out=coupling)[0]
             x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
             if scale != 1.0:
-                j *= scale  # the draw is this worker's own
+                j *= scale  # the coupling is this worker's own
             out.append((arm, r) + _gauss_rule(j, x0))
         return out
 

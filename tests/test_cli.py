@@ -556,23 +556,35 @@ def test_cli_import_does_not_load_scipy():
     assert done.stdout.strip() == "False"
 
 
-def test_benchmark_spans_find_their_targets(tmp_path):
-    # perfbench/spans.py wraps package names (experiments._paired_chunk,
-    # experiments.Trajectory, SystemTemplate.build, ...); a renamed target
-    # must fail here, not first in the benchmark's traced run
+def traced_span_names(tmp_path, kind):
+    """Names of the layer spans that perfbench/child.py records in a FAST run."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     env.update(PERFBENCH_RECORD=str(tmp_path / "record.json"), PERFBENCH_TRACE="1")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(FAST["universality"])
-    done = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), "universality",
+    cfg.write_text(FAST[kind])
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), kind,
                            "--config", str(cfg), "--out", str(tmp_path / "out")],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    names = {span["name"] for span in json.loads((tmp_path / "record.json").read_text())["spans"]}
-    assert {"cli.run", "experiments.chunk", "dynamics.system_params", "dynamics.trajectory",
-            "observables.evaluate"} <= names
+    return {span["name"] for span in json.loads((tmp_path / "record.json").read_text())["spans"]}
+
+
+def test_benchmark_spans_find_their_targets(tmp_path):
+    # perfbench/spans.py wraps package names (experiments._paired_chunk,
+    # experiments.Trajectory, SystemTemplate.build, the sampler the
+    # experiments import, ...); a renamed target must fail here, not first
+    # in the benchmark's traced run, where its layer would just read zero
+    assert {"cli.run", "experiments.chunk", "ensembles.sample_couplings",
+            "dynamics.system_params", "dynamics.trajectory",
+            "observables.evaluate"} <= traced_span_names(tmp_path, "universality")
+
+
+def test_benchmark_spans_find_the_spectral_targets(tmp_path):
+    # the sampler and eigh are the ensembles and eigh layers of aging-n512
+    assert {"cli.run", "ensembles.sample_couplings",
+            "numpy.eigh"} <= traced_span_names(tmp_path, "aging")
 
 
 def test_spectral_runs_do_not_load_scipy(tmp_path):

@@ -14,6 +14,7 @@ import sympy as sp
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import traced_peak
 from rmsde import experiments
 from rmsde.algebra import Polynomial
 from rmsde.ensembles import (EnsembleError, EntryDistribution, InitialLaw,
@@ -125,6 +126,23 @@ def test_exponential_samples_bounded_below():
     assert x.min() > -1.0
 
 
+@pytest.mark.parametrize("first,second", [(1, 1), (1, 2), (3, 5), (7, 64), (0, 9)])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.value)
+def test_consecutive_entry_draws_equal_one_draw(dist, first, second):
+    # the coupling sampler draws each matrix tile by tile; its bytes rest on this,
+    # also where an odd count leaves half of a 64-bit word to the next draw
+    def one(size):
+        return sample_entries(dist, size, RngStream(5, 2, PURPOSE_COUPLING).generator())
+
+    def two(size1, size2):
+        gen = RngStream(5, 2, PURPOSE_COUPLING).generator()
+        return np.concatenate([sample_entries(dist, size1, gen), sample_entries(dist, size2, gen)])
+
+    assert one(first + second).tobytes() == two(first, second).tobytes()
+    for n in (1, 3, 65):  # (rows, N) tiles of full rows
+        assert one((first + second, n)).tobytes() == two((first, n), (second, n)).tobytes()
+
+
 @pytest.mark.parametrize("name,want", [
     ("gaussian", EntryDistribution.GAUSSIAN),
     ("normal", EntryDistribution.GAUSSIAN),
@@ -202,7 +220,7 @@ def banded(n):
     return VarianceProfile(np.eye(n) + 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 63, 64, 65, 129, 256])
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.value)
 def test_sampler_is_byte_identical_to_reference(dist, n):
     # one stream per replica, and one stream shared by every path (the Monte Carlo form)
@@ -257,12 +275,26 @@ def test_sampler_rejects_a_workspace_of_the_wrong_layout():
             sample_couplings(EntryDistribution.GAUSSIAN, profile, False, gens, out=out)
 
 
+@pytest.mark.parametrize("n,paths", [(3, 8192), (64, 64), (130, 16)])
+def test_symmetric_draw_holds_no_second_stack(n, paths):
+    # numpy copies a transposed source that overlaps its target whole, so a
+    # mirror of the whole stack at once would hold a second stack: the Monte
+    # Carlo form, thousands of small matrices, reads 1.0 stacks that way
+    out = np.empty((paths, n, n))
+    profile = VarianceProfile.offdiagonal(n)
+    gens = [RngStream(0, 0, PURPOSE_COUPLING).generator()] * paths
+    peak = traced_peak(lambda: sample_couplings(EntryDistribution.GAUSSIAN, profile, True,
+                                                gens, out=out))
+    assert peak <= 0.2 * out.nbytes
+
+
 def counting_sampler(monkeypatch):
-    """Wrap the sampler the experiments call; each call's generators are recorded."""
+    """Wrap the sampler the experiments call; each call's generators and
+    ``out`` are recorded."""
     calls = []
 
     def counted(dist, profile, symmetric, gens, out=None):
-        calls.append(list(gens))
+        calls.append((list(gens), out))
         return sample_couplings(dist, profile, symmetric, gens, out=out)
 
     monkeypatch.setattr(experiments, "sample_couplings", counted)
@@ -295,8 +327,28 @@ def test_monte_carlo_samples_once_per_chunk(monkeypatch):
     # 8200 paths at n = 2 run as chunks of 8192 and 8, each on one shared stream
     cfg = experiments.ExperimentConfig(sizes=(2,), dt=0.05, mc_paths=8200)
     experiments._mc_moments(cfg, 2, [([Polynomial.from_x(1)], (0.1,))])
-    assert [len(gens) for gens in calls] == [8192, 8]
-    assert all(len({id(g) for g in gens}) == 1 for gens in calls)
+    assert [len(gens) for gens, _ in calls] == [8192, 8]
+    assert all(len({id(g) for g in gens}) == 1 for gens, _ in calls)
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0], ids=["aging", "rayleigh"])
+def test_spectra_draw_every_replica_arm_into_one_coupling(monkeypatch, scale):
+    # one worker's 2 * 3 replica-arms at n = 9 reuse one (1, N, N) coupling, and
+    # their rules have the bytes of fresh draws (aging scales the coupling in place)
+    n, replicas = 9, 3
+    cfg = experiments.ExperimentConfig(sizes=(n,), replicas=replicas)
+    args = (cfg, cfg.make_profile(n), InitialLaw.uniform(cfg.init_dist, n), replicas, scale)
+    calls = counting_sampler(monkeypatch)
+    got = experiments._spectra(*args)
+    outs = [out for _, out in calls]
+    assert len(outs) == 2 * replicas and outs[0].shape == (1, n, n)
+    assert all(out is outs[0] for out in outs)
+    monkeypatch.setattr(experiments, "sample_couplings",
+                        lambda dist, profile, symmetric, gens, out=None:
+                        sample_couplings(dist, profile, symmetric, gens))
+    want = experiments._spectra(*args)
+    assert [(arm, r, theta.tobytes(), w.tobytes()) for arm, r, theta, w in got] == \
+        [(arm, r, theta.tobytes(), w.tobytes()) for arm, r, theta, w in want]
 
 
 def test_sampling_is_reproducible():

@@ -623,6 +623,34 @@ def test_gauss_rule_matches_eigh(n, dist, scale):
     assert abs(theta[-1] - w[-1]) <= 1e-13 * radius
 
 
+def test_one_replica_arm_holds_its_coupling_and_half_a_coupling_more():
+    # one N = 2048 aging replica-arm: the draw into a reused coupling, then the
+    # Gauss rule.  Each call gets a fresh profile, built outside the trace as
+    # a run builds it, so whatever a draw derives from the profile counts
+    n = 2048
+    coupling = np.empty((1, n, n))
+    profiles = [VarianceProfile.offdiagonal(n) for _ in range(2)]
+    x0 = sample_initial(InitialLaw.uniform(GAUSSIAN, n), RngStream(3, 0, PURPOSE_INITIAL))
+
+    def replica_arm():
+        j = sample_couplings(GAUSSIAN, profiles.pop(), True,
+                             [RngStream(3, 0, PURPOSE_COUPLING).generator()], out=coupling)[0]
+        j *= 2.0
+        return _gauss_rule(j, x0)
+
+    assert traced_peak(replica_arm) + coupling.nbytes <= 1.5 * coupling.nbytes
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 128])
+def test_tridiagonal_is_the_sum_of_its_diagonals(m):
+    rng = np.random.default_rng(m)
+    alpha = list(rng.standard_normal(m))
+    alpha[0] = -0.0  # the sum reads +0.0 there
+    beta = list(np.abs(rng.standard_normal(m - 1)))
+    want = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    assert experiments._tridiagonal(alpha, beta).tobytes() == want.tobytes()
+
+
 def block_diagonal_case(n=64, k=20):
     j = scaled_coupling(n)
     j[:k, k:] = 0.0
