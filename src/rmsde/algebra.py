@@ -224,7 +224,7 @@ class MomentOracle:
             raise AlgebraError("symmetric mode needs a symmetric variance profile")
 
         def em(pair, ell):
-            m = profile.m[pair[0] - 1, pair[1] - 1]
+            m = profile.variance(pair[0] - 1, pair[1] - 1)
             if m == 0.0 and ell > 0:
                 return 0.0
             return m ** (ell / 2.0) * entry_moment(dist, ell)

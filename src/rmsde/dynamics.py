@@ -346,6 +346,20 @@ def _generator_source(gen: np.random.Generator, shape: tuple):
     return draw
 
 
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array whose data starts on a 64-byte boundary.
+
+    glibc serves a large request from a fresh mapping 16 bytes past a page
+    boundary, and a smaller one wherever the heap happens to leave it; the
+    batched product of the Euler loop runs 15-35 % slower on a drift that
+    does not start on a cache line, and the bytes are the same.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    lo = (-raw.ctypes.data % 64) // 8
+    return raw[lo:lo + size].reshape(shape)
+
+
 def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConfig,
                    draw, contiguous: bool = False) -> tuple:
     """Euler-Maruyama for C paths of ``params``; snapshot arrays of shape (C, S, N).
@@ -368,7 +382,9 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     (1 MB), a function of N alone: 8 replicas at N = 128, 1 above N = 256.
     A single block, as a shared drift always is, forms it once per call;
     a stack of several blocks forms it once per chunk and block.  The
-    buffer is allocated per call, so each worker has its own, and no
+    buffer starts on a 64-byte boundary (:func:`_aligned_empty`), so the
+    loop's speed does not depend on where the heap puts it.  It is
+    allocated per call, so each worker has its own, and no
     (C, N, N) drift stack is built.  The batched product reads the block's
     drift from cache on every step, and the snapshots are the same bytes
     at any block or chunk size.  The drift enters as the transposed view
@@ -387,7 +403,7 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     width = max(1, c)
     if coupling.ndim == 3:
         width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n))
-        buf = np.empty((min(width, c), n, n))
+        buf = _aligned_empty((min(width, c), n, n))
     blocks = [slice(lo, min(c, lo + width)) for lo in range(0, c, width)]
 
     def block_drift(rows):

@@ -22,6 +22,12 @@ contract: the generators run in list order, each drawing the upper
 triangle row-major (the full matrix for an asymmetric ensemble).  The
 draw streams into the output tile by tile, so a call needs the output
 and a few tiles of rows, whatever N is; nothing is cached per profile.
+
+A variance profile read from a file stays a dense (N, N) matrix.  The
+presets, ``offdiagonal`` and ``full``, hold no N x N array: they are a
+size and a diagonal variance, and the sampler only divides their tiles
+by ``sqrt(N)``.  So a spectral replica-arm, drawn into a reused
+coupling, holds one coupling plus a few tiles of 64 rows.
 """
 
 from __future__ import annotations
@@ -148,15 +154,35 @@ def sample_entries(dist: EntryDistribution, size, rng: np.random.Generator) -> n
 class VarianceProfile:
     """Entrywise variances ``m_ij = E[A_ij**2]``.
 
+    A profile read from a file is dense: ``VarianceProfile(m)`` holds its
+    (N, N) matrix ``m``.  A preset, :meth:`offdiagonal` or :meth:`full`,
+    holds no N x N array: ``m`` is None, and the profile is its size
+    ``n``, unit variance off the diagonal and ``diagonal`` (0 or 1) on
+    it.  Read the variances through :meth:`variance`.
+
     Parameters
     ----------
-    m : ndarray, shape (N, N)
-        Non-negative variance matrix.
+    m : ndarray, shape (N, N), or None
+        Non-negative variance matrix; None for a preset.
+    n : int
+        Size of a preset; a dense profile takes it from ``m``.
+    diagonal : float
+        Diagonal variance of a preset, 0.0 or 1.0.
     """
 
     m: np.ndarray
+    n: int = None
+    diagonal: float = None
 
     def __post_init__(self) -> None:
+        if self.m is None:
+            if (not isinstance(self.n, (int, np.integer)) or self.n < 0
+                    or self.diagonal not in (0.0, 1.0)):
+                raise EnsembleError("a preset profile needs a size n >= 0 and a diagonal "
+                                    f"variance of 0 or 1, got {self.n!r}, {self.diagonal!r}")
+            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "diagonal", float(self.diagonal))
+            return
         m = np.asarray(self.m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise EnsembleError(f"variance profile must be square, got shape {m.shape}")
@@ -165,25 +191,27 @@ class VarianceProfile:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-
-    @property
-    def n(self) -> int:
-        return self.m.shape[0]
+        object.__setattr__(self, "n", m.shape[0])
+        object.__setattr__(self, "diagonal", None)
 
     @cached_property
     def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.m, self.m.T))
+        return self.m is None or bool(np.array_equal(self.m, self.m.T))
+
+    def variance(self, i: int, j: int) -> float:
+        """``m_ij`` at 0-based indices ``i`` and ``j``."""
+        if self.m is not None:
+            return self.m[i, j]
+        return self.diagonal if i == j else 1.0
 
     @classmethod
     def offdiagonal(cls, n: int) -> "VarianceProfile":
         """Unit variances off the diagonal, zero on it (the default)."""
-        m = np.ones((n, n))
-        np.fill_diagonal(m, 0.0)
-        return cls(m)
+        return cls(None, n, 0.0)
 
     @classmethod
     def full(cls, n: int) -> "VarianceProfile":
-        return cls(np.ones((n, n)))
+        return cls(None, n, 1.0)
 
 
 # rows per tile of a coupling draw: a tile's entries, mask and scales are all
@@ -207,9 +235,14 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
     finished in place, tile by tile: the diagonal block mirrored and the
     part left of it copied from the finished rows above, a slab of
     matrices at a time, then the upper part times ``sqrt(m)`` of the
-    tile's rows, ``+ 0.0`` and ``/ sqrt(N)``.  Besides the output a call
-    holds one tile's entries, mask and scales, a few ``_TILE * N``
-    arrays, and a mirror copy of about ``_TILE**2`` entries.
+    tile's rows, ``+ 0.0`` and ``/ sqrt(N)``.  A preset's unit variances
+    change no bits, so its tiles are only divided by ``sqrt(N)``, and a
+    zero diagonal is then written.  That gives the same bytes, unless a
+    Gaussian draw is exactly -0.0 (a 2**-53 event per entry): a
+    symmetric preset keeps it, where ``+ 0.0`` makes it +0.0.  Besides
+    the output a call holds one tile's entries, mask and scales, a few
+    ``_TILE * N`` arrays, and a mirror copy of about ``_TILE**2``
+    entries.
 
     ``out``, when given, is a C-contiguous float64 array of shape
     (C, N, N) that receives the stack and is returned; every entry is
@@ -252,15 +285,23 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
                 block = slab[:, lo:hi, lo:hi]
                 np.copyto(block, block.transpose(0, 2, 1), where=lower)
                 slab[:, lo:hi, :lo] = slab[:, :lo, lo:hi].transpose(0, 2, 1)
-            right = out[:, lo:hi, lo:]
-            right *= np.sqrt(profile.m[lo:hi, lo:])
-            # + 0.0 turns the -0.0 of a zero variance times a negative draw into +0.0
-            right += 0.0
-            right /= root
+            part = out[:, lo:hi, lo:]
         else:
-            rows = out[:, lo:hi]
-            rows *= np.sqrt(profile.m[lo:hi])
-            rows /= root
+            part = out[:, lo:hi]
+        if profile.m is not None:
+            part *= np.sqrt(profile.m[lo:hi, lo:] if symmetric else profile.m[lo:hi])
+            if symmetric:
+                # + 0.0 turns the -0.0 of a zero variance times a negative draw into +0.0
+                part += 0.0
+        part /= root
+    if profile.m is None and profile.diagonal == 0.0:
+        # x * 0.0 / root is +0.0 after the + 0.0 of a symmetric ensemble, else the
+        # draw's signed zero x / root * 0.0
+        diagonal = out.reshape(len(out), n * n)[:, ::n + 1]
+        if symmetric:
+            diagonal[...] = 0.0
+        else:
+            diagonal *= 0.0
     return out
 
 

@@ -32,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics
+# Trajectory is unused here, but perfbench/spans.py wraps experiments.Trajectory
 from .dynamics import (IntegratorConfig, ParameterError, SimulationBlowupError, SystemTemplate,
                        Trajectory, euler_maruyama)
 from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
@@ -409,18 +410,19 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     source keeps each replica's generator for the whole block; each call
     draws the chunk's steps of every replica and copies them into the
     other arms' rows, and consecutive draws give the values of one draw
-    of the whole run.  Each arm's rows of the run form one batched
-    :class:`Trajectory`, on the coupling the build returned, and each
-    suite item is one :func:`evaluate` call on it, on rows resolved once
-    per share.  Returns one array of rows per arm, the replicas of
-    ``blocks`` in order, and the earliest blow-up step over the worker's
-    replicas and arms, ``inf`` if none.
+    of the whole run.  Each suite item is one :func:`evaluate` call on
+    the whole stack, its states and the coupling the build returned, on
+    rows resolved once per share, and its values are split by arm rows;
+    the stacked products keep each replica's bits.  Returns an array of
+    shape (arms, replicas of ``blocks`` in order, len(suite)), and the
+    earliest blow-up step over the worker's replicas and arms, ``inf``
+    if none.
     """
     n, copies = profile.n, len(arms)
     width = max(len(block) for block in blocks)
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
     rows = [item.rows(icfg) for item in cfg.suite]
-    values = [np.empty((sum(map(len, blocks)), len(cfg.suite))) for _ in arms]
+    values = np.empty((copies, sum(map(len, blocks)), len(cfg.suite)))
     x0s = np.empty((copies * width, n))
     couplings = np.empty((copies * width, n, n))
     noise = np.empty(0)
@@ -457,14 +459,11 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
             first = min(first, exc.step)
         if first < math.inf:
             continue  # the run fails; the rest only looks for an earlier step
-        for a, vals in enumerate(values):
-            arm_rows = slice(a * k, (a + 1) * k)
-            traj = Trajectory(params.coupling[arm_rows], xs[arm_rows], ms[arm_rows], icfg)
-            # an overflow leaves a non-finite value, which _finite_rows reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                for q, (item, item_rows) in enumerate(zip(cfg.suite, rows)):
-                    vals[row:row + k, q] = evaluate(item, item_rows, traj.x, traj.m,
-                                                    traj.coupling)
+        # an overflow leaves a non-finite value, which _finite_rows reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q, (item, item_rows) in enumerate(zip(cfg.suite, rows)):
+                values[:, row:row + k, q] = evaluate(item, item_rows, xs, ms,
+                                                     params.coupling).reshape(copies, k)
         row += k
     return values, first
 

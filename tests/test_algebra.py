@@ -173,6 +173,22 @@ def test_symmetric_oracle_needs_symmetric_profile():
                                    InitialLaw.uniform(GAUSSIAN, 2), symmetric=True)
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_preset_oracle_matches_its_profile_file(n, symmetric):
+    # a preset and a profile file holding the same variances give the same moments
+    law = InitialLaw.uniform(GAUSSIAN, n)
+    for preset in (VarianceProfile.offdiagonal(n), VarianceProfile.full(n)):
+        file = VarianceProfile([[preset.variance(i, j) for j in range(n)] for i in range(n)])
+        for dist in EntryDistribution:
+            got, want = (MomentOracle.from_ensemble(dist, p, law, symmetric)
+                         for p in (preset, file))
+            for pair in np.ndindex(n, n):
+                pair = (pair[0] + 1, pair[1] + 1)
+                for ell in range(7):
+                    assert got.entry_moment(pair, ell) == want.entry_moment(pair, ell)
+
+
 def test_expected_value_doubled_pair():
     # E[J_12^2] = m_12 / N for any unit-variance entry law
     oracle = gaussian_oracle(2)

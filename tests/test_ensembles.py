@@ -7,6 +7,7 @@ one-matrix-at-a-time algorithm it replaced, which pins the draw order.
 """
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -163,18 +164,49 @@ def test_distribution_from_name_rejects_unknown():
 
 # ---------------------------------------------------------------- profiles
 
+def variances(profile):
+    """The profile's (N, N) variances, built densely."""
+    n = profile.n
+    return np.array([[profile.variance(i, j) for j in range(n)] for i in range(n)])
+
+
 def test_offdiagonal_profile():
     p = VarianceProfile.offdiagonal(4)
-    assert p.n == 4
-    assert np.all(np.diag(p.m) == 0.0)
-    assert p.m[0, 1] == 1.0
+    assert p.n == 4 and p.m is None  # a preset holds no matrix
+    m = variances(p)
+    assert np.all(np.diag(m) == 0.0)
+    assert np.all(m[~np.eye(4, dtype=bool)] == 1.0)
+    assert p.variance(0, 1) == 1.0 and p.variance(2, 2) == 0.0
     assert p.is_symmetric
 
 
 def test_full_profile_is_all_ones():
     p = VarianceProfile.full(3)
-    assert np.all(p.m == 1.0)
+    assert p.m is None
+    assert np.all(variances(p) == 1.0)
     assert p.is_symmetric
+
+
+def test_dense_profile_variances_are_its_matrix():
+    m = np.array([[0.0, 2.0], [0.5, 1.0]])
+    p = VarianceProfile(m)
+    assert p.n == 2 and p.diagonal is None
+    assert variances(p).tobytes() == m.tobytes()
+    assert not p.is_symmetric
+
+
+@pytest.mark.parametrize("preset", [VarianceProfile.offdiagonal, VarianceProfile.full])
+def test_preset_profile_holds_no_matrix(preset):
+    # at N = 2048 a coupling is 32 MiB; a preset is its size and its diagonal,
+    # and it knows it is symmetric without an N x N compare
+    n = 2048
+    assert traced_peak(lambda: preset(n).is_symmetric) < 0.01 * 8 * n * n
+
+
+@pytest.mark.parametrize("n,diagonal", [(-1, 0.0), (3, 0.5), (3, None), (2.0, 1.0)])
+def test_preset_profile_rejects_a_bad_size_or_diagonal(n, diagonal):
+    with pytest.raises(EnsembleError, match="preset"):
+        VarianceProfile(None, n, diagonal)
 
 
 def test_profile_rejects_nonsquare():
@@ -188,9 +220,11 @@ def test_profile_rejects_negative_entries():
 
 
 def test_profile_is_frozen():
-    p = VarianceProfile.full(2)
+    p = VarianceProfile(np.ones((2, 2)))
     with pytest.raises(ValueError):
         p.m[0, 0] = 9.0
+    with pytest.raises(FrozenInstanceError):
+        VarianceProfile.full(2).diagonal = 0.0
 
 
 # ------------------------------------------------------- coupling matrices
@@ -202,7 +236,8 @@ def draw(dist, profile, symmetric, seed=0, replica=0):
 
 
 def reference_coupling(dist, profile, symmetric, gen):
-    """One ``J``, drawn one matrix at a time: the algorithm the sampler replaced."""
+    """One ``J``, drawn one matrix at a time: the algorithm the sampler replaced.
+    ``profile`` is dense."""
     n = profile.n
     scale = np.sqrt(profile.m)
     if symmetric:
@@ -231,13 +266,16 @@ def test_sampler_is_byte_identical_to_reference(dist, n):
         return [RngStream(5, 0, PURPOSE_COUPLING).generator()] * 3
 
     for profile in (VarianceProfile.offdiagonal(n), VarianceProfile.full(n), banded(n)):
+        # a profile file that holds the same variances: for a preset, the general path
+        file = VarianceProfile(variances(profile))
         for symmetric in (True, False):
             for gens in (per_replica, shared):
                 got = sample_couplings(dist, profile, symmetric, gens())
-                want = np.stack([reference_coupling(dist, profile, symmetric, g)
+                want = np.stack([reference_coupling(dist, file, symmetric, g)
                                  for g in gens()])
                 assert got.shape == (3, n, n)
                 assert got.tobytes() == want.tobytes()
+                assert sample_couplings(dist, file, symmetric, gens()).tobytes() == got.tobytes()
 
 
 def test_sampler_fills_a_workspace_like_fresh_draws():
@@ -388,7 +426,7 @@ def test_j_is_a_over_sqrt_n():
     # the draw is scaled, so J = A / sqrt(N) has entries of size 1/sqrt(N)
     p = VarianceProfile.offdiagonal(5)
     j = draw(EntryDistribution.RADEMACHER, p, False)
-    assert set(np.unique(np.abs(j[p.m > 0]))) == {1.0 / math.sqrt(5)}
+    assert set(np.unique(np.abs(j[variances(p) > 0]))) == {1.0 / math.sqrt(5)}
 
 
 def test_symmetric_needs_symmetric_profile():
@@ -404,7 +442,7 @@ def test_symmetric_needs_symmetric_profile():
 def test_sampled_matrix_respects_profile_support(n, dist, seed, symmetric):
     p = VarianceProfile.offdiagonal(n)
     a = draw(dist, p, symmetric, seed)
-    assert np.all(a[p.m == 0.0] == 0.0)
+    assert np.all(a[variances(p) == 0.0] == 0.0)
     if symmetric:
         assert np.array_equal(a, a.T)
     assert a.shape == (n, n)
@@ -415,7 +453,7 @@ def test_offdiagonal_second_moment_statistics():
     p = VarianceProfile.offdiagonal(10)
     js = sample_couplings(EntryDistribution.UNIFORM_CENTERED, p, False,
                           [RngStream(3, r, PURPOSE_COUPLING).generator() for r in range(200)])
-    sq = 10 * js[:, p.m > 0].ravel() ** 2  # A^2 = N J^2
+    sq = 10 * js[:, variances(p) > 0].ravel() ** 2  # A^2 = N J^2
     se = sq.std(ddof=1) / math.sqrt(len(sq))
     assert abs(sq.mean() - 1.0) <= 5 * se
 

@@ -101,10 +101,10 @@ def test_coupling_seed_defaults_to_seed():
 
 
 def test_make_profile_presets():
-    cfg = ExperimentConfig(profile="full")
-    assert np.all(cfg.make_profile(3).m == 1.0)
+    full = ExperimentConfig(profile="full").make_profile(3)
+    assert all(full.variance(i, j) == 1.0 for i in range(3) for j in range(3))
     off = ExperimentConfig().make_profile(3)
-    assert np.all(np.diag(off.m) == 0.0)
+    assert all(off.variance(i, i) == 0.0 for i in range(3))
     with pytest.raises(ExperimentError, match="preset"):
         ExperimentConfig(profile="banded").make_profile(3)
 
@@ -624,16 +624,14 @@ def test_gauss_rule_matches_eigh(n, dist, scale):
 
 
 def test_one_replica_arm_holds_its_coupling_and_half_a_coupling_more():
-    # one N = 2048 aging replica-arm: the draw into a reused coupling, then the
-    # Gauss rule.  Each call gets a fresh profile, built outside the trace as
-    # a run builds it, so whatever a draw derives from the profile counts
+    # one N = 2048 aging replica-arm: the profile, built as a run builds it per
+    # size, the draw into a reused coupling, then the Gauss rule
     n = 2048
     coupling = np.empty((1, n, n))
-    profiles = [VarianceProfile.offdiagonal(n) for _ in range(2)]
     x0 = sample_initial(InitialLaw.uniform(GAUSSIAN, n), RngStream(3, 0, PURPOSE_INITIAL))
 
     def replica_arm():
-        j = sample_couplings(GAUSSIAN, profiles.pop(), True,
+        j = sample_couplings(GAUSSIAN, ExperimentConfig().make_profile(n), True,
                              [RngStream(3, 0, PURPOSE_COUPLING).generator()], out=coupling)[0]
         j *= 2.0
         return _gauss_rule(j, x0)
