@@ -12,12 +12,13 @@ trajectories decompose exactly into drift plus martingale.
 
 Integration is Euler-Maruyama on a fixed step, in one loop that serves
 a single shared system and a per-path stack of couplings alike.  A
-stack runs in cache-sized blocks of paths, each block's drift formed in
-one buffer that the call reuses, so no (C, N, N) drift stack is built.
-The Brownian increments come from a source the caller passes, asked
-for 1 MB chunks of steps at a time, and read only until the next chunk,
-so a source holds one reused chunk buffer and no noise array of the
-whole run.  The recorded snapshot grid is a subset of the step
+stack runs in cache-sized blocks of paths and is its own drift: the
+diagonal ``Lam`` is added into it for the call and taken out after, so
+no drift array is built.  The Brownian increments come from a source
+the caller passes, asked for 1 MB chunks of steps at a time, and read
+only until the next chunk, so a source holds one reused chunk buffer
+and no noise array of the whole run; copies of the same paths may
+share its rows.  The recorded snapshot grid is a subset of the step
 grid; requested times are rounded to step multiples at construction
 time and the rounding error is kept for inspection.  A
 :class:`SystemTemplate` turns a sampled coupling, or a stack of them,
@@ -49,12 +50,11 @@ __all__ = [
     "ParameterError",
 ]
 
-# Drift bytes per replica block of euler_maruyama, and so the size of its
-# one drift buffer per call: a block's drift stays in a core's L2 across
-# all steps.  A function of N only, never of the worker count or a
-# detected cache size.  The paired experiments size their replica blocks
-# from it, so each of their blocks, every arm's couplings stacked, is one
-# drift block.
+# Coupling bytes per replica block of euler_maruyama: a block's drift stays
+# in a core's L2 across all steps.  A function of N only, never of the
+# worker count or a detected cache size.  The paired experiments size their
+# replica blocks from it, so each of their blocks, every arm's couplings
+# stacked, is one drift block.
 _DRIFT_BLOCK_BYTES = 2 ** 20
 
 # Increment bytes euler_maruyama asks its noise source for at once: it walks
@@ -164,8 +164,8 @@ class SystemParams:
 
         For a stack this is the transposed view of a whole (C, N, N)
         ``J + Lam``, with strides (N^2, 1, N).  :func:`euler_maruyama`
-        does not call it: it forms the same layout one replica block at
-        a time.
+        does not call it: it reads the same layout from the stack itself,
+        with ``Lam``'s diagonal added in place.
         """
         return np.swapaxes(self.coupling + self.lam, -1, -2)
 
@@ -367,32 +367,47 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     ``params.coupling`` is one (N, N) coupling shared by every path or a
     (C, N, N) stack with one per path; the other parts are shared.
     ``draw(lo, hi)`` returns the standard-normal increments of steps
-    ``lo + 1 .. hi`` for every path, an array of shape (hi - lo, C, N).
-    The integrator reads that array only until its next call to ``draw``,
-    so a source may draw every chunk into one buffer.
+    ``lo + 1 .. hi`` as an array of shape (hi - lo, K, N), K dividing C,
+    whose row ``r % K`` drives path r: K = C for independent paths, and
+    the paired experiments pass the k rows of the replicas that their
+    C / k arm copies share.  Each step's rows are broadcast over the
+    copies as they are scaled into ``dM``, the same product per element,
+    so the bits do not depend on K.  The integrator reads that array
+    only until its next call to ``draw``, so a source may draw every
+    chunk into one buffer.
 
-    The steps run in chunks of ``_NOISE_CHUNK_BYTES`` (1 MB) of
-    increments, at least one step each, and ``draw`` is called exactly
-    once per chunk, in step order, so a one-pass stream can serve it.
-    No chunk is drawn after a blow-up.
+    The steps run in chunks of ``_NOISE_CHUNK_BYTES`` (1 MB) of (steps,
+    C, N) increments, at least one step each, and ``draw`` is called
+    exactly once per chunk, in step order, so a one-pass stream can
+    serve it.  No chunk is drawn after a blow-up.
 
-    A stack is integrated one block of replicas at a time within each
-    chunk, each block's state carried across chunks.  The block's drift
-    ``J[rows] + Lam`` is formed in one buffer of ``_DRIFT_BLOCK_BYTES``
-    (1 MB), a function of N alone: 8 replicas at N = 128, 1 above N = 256.
-    A single block, as a shared drift always is, forms it once per call;
-    a stack of several blocks forms it once per chunk and block.  The
-    buffer starts on a 64-byte boundary (:func:`_aligned_empty`), so the
-    loop's speed does not depend on where the heap puts it.  It is
-    allocated per call, so each worker has its own, and no
-    (C, N, N) drift stack is built.  The batched product reads the block's
-    drift from cache on every step, and the snapshots are the same bytes
-    at any block or chunk size.  The drift enters as the transposed view
-    of ``J + Lam`` (strides (N^2, 1, N)), or with ``contiguous`` as a
-    C-contiguous ``(J + Lam)^T``; the two round differently, and the
-    golden bytes pin the view for the paired runs and the copy for the
-    series-vs-MC check.  The state-dependent diffusion is one product per
-    path, whose bits do not depend on the block either.
+    A stack is integrated one block of paths at a time within each
+    chunk, each block's state carried across chunks.  A block holds at
+    most ``_DRIFT_BLOCK_BYTES`` (1 MB) of couplings, a function of N
+    alone (8 paths at N = 128, 1 above N = 256), and holds whole copies
+    of the K noise rows or lies within one copy.  The batched product
+    reads the block's drift from cache on every step, and the snapshots
+    are the same bytes at any block or chunk size.
+
+    A stack is its own drift.  ``Lam`` must be diagonal: its diagonal is
+    added into the array that ``params.coupling`` views, the loop reads
+    the transposed view of that array (strides (N^2, 1, N)), and J's
+    diagonal is written back before the call returns or raises.  So no
+    drift array is built, and one system must not be integrated from two
+    threads at once.  Every :class:`SystemTemplate` builds ``-K I`` with
+    ``K >= 0``, whose ``-0.0`` zeros leave every J entry's bits as they
+    are, so this reads the bits of a formed ``J + Lam``; a ``+0.0`` zero
+    would turn an entry ``-0.0`` into ``+0.0``, which can change only the
+    sign of a zero.  A stack in read-only or non-contiguous memory is
+    copied first.  The loop is slower on a drift that does not start on
+    64 bytes, so a caller that reuses a stack allocates it with
+    :func:`_aligned_empty`.  With ``contiguous`` the drift is instead a
+    C-contiguous ``(J + Lam)^T``, formed per block in one aligned 1 MB
+    buffer; the two layouts round differently, and the golden bytes pin
+    the view for the paired runs and the copy for the series-vs-MC
+    check.  A shared coupling forms ``J + Lam`` once.  The
+    state-dependent diffusion is one product per path, whose bits do not
+    depend on the block either.
 
     Raises :class:`SimulationBlowupError` with the first step at which
     any path's state stops being finite.
@@ -400,24 +415,26 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     c, n = x0s.shape
     coupling, lam = params.coupling, params.lam
     sig_state = None if params.constant_diffusion else params.sigma[1:]
-    width = max(1, c)
-    if coupling.ndim == 3:
-        width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n))
+    stacked = coupling.ndim == 3
+    width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n)) if stacked else max(1, c)
+    if not stacked:
+        shared = coupling + lam  # right-multiplies the row states
+    elif contiguous:
         buf = _aligned_empty((min(width, c), n, n))
-    blocks = [slice(lo, min(c, lo + width)) for lo in range(0, c, width)]
+    else:
+        j, diag, saved = _fold_diagonal(coupling, lam)
 
     def block_drift(rows):
-        if coupling.ndim == 2:
-            return coupling + lam  # right-multiplies the row states
+        if not stacked:
+            return shared
         if contiguous:
             return np.add(np.swapaxes(coupling[rows], 1, 2), lam.T, out=buf[:rows.stop - rows.start])
-        return np.swapaxes(np.add(coupling[rows], lam, out=buf[:rows.stop - rows.start]), 1, 2)
+        return np.swapaxes(j[rows], 1, 2)
 
-    shared = block_drift(blocks[0]) if len(blocks) == 1 else None
-    # the step's work buffers, shared by the blocks; each block keeps its own state
+    # the step's work buffers, shared by the blocks
     size = (min(width, c), n)
     work = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
-    states = [(x0s[rows].copy(), np.zeros((rows.stop - rows.start, n))) for rows in blocks]
+    x, m = x0s.copy(), np.zeros((c, n))  # each block advances its rows in place
     want = {s: i for i, s in enumerate(config.snapshot_steps)}
     xs = np.empty((c, len(want), n))
     ms = np.empty((c, len(want), n))
@@ -427,20 +444,66 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     steps = config.n_steps
     chunk = max(1, _NOISE_CHUNK_BYTES // max(1, 8 * c * n))
     first = math.inf
-    # an overflow is reported as SimulationBlowupError below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, steps, chunk):
-            if first < math.inf:
-                break
-            xi = draw(lo, min(steps, lo + chunk))
-            for rows, (x, m) in zip(blocks, states):
-                mat = shared if shared is not None else block_drift(rows)
-                first = _euler_block(mat, params.h, params.sigma, sig_state, x, m,
-                                     [w[:len(x)] for w in work], xi[:, rows], lo, config.dt,
-                                     want, xs[rows], ms[rows], first)
+    blocks = None
+    try:
+        # an overflow is reported as SimulationBlowupError below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, steps, chunk):
+                if first < math.inf:
+                    break
+                xi = draw(lo, min(steps, lo + chunk))
+                if blocks is None:
+                    k = xi.shape[1]
+                    if not 0 < k <= c or c % k:
+                        raise ParameterError(f"{k} noise rows cannot serve {c} paths: "
+                                             f"need K dividing {c}")
+                    blocks = _blocks(c, width, k)
+                    fixed = block_drift(blocks[0]) if len(blocks) == 1 else None
+                for rows in blocks:
+                    b, r = rows.stop - rows.start, rows.start % k
+                    mat = fixed if fixed is not None else block_drift(rows)
+                    first = _euler_block(mat, params.h, params.sigma, sig_state, x[rows], m[rows],
+                                         [w[:b] for w in work], xi[:, r:r + min(k, b)], lo,
+                                         config.dt, want, xs[rows], ms[rows], first)
+    finally:
+        if stacked and not contiguous:
+            diag[...] = saved
     if first < math.inf:
         raise SimulationBlowupError(first)
     return xs, ms
+
+
+def _fold_diagonal(coupling: np.ndarray, lam: np.ndarray) -> tuple:
+    """``(j, diag, saved)``: the stack ``coupling`` as a writeable array
+    ``j`` with ``lam``'s diagonal added into its diagonal ``diag``, and
+    the (C, N) diagonal it held, for the caller to write back."""
+    lam_diag = np.diagonal(lam)
+    if np.count_nonzero(lam) != np.count_nonzero(lam_diag):
+        raise ParameterError("a coupling stack needs a diagonal lam: "
+                             "the integrator adds it into the stack in place")
+    j = coupling.view()
+    try:
+        if not j.flags.c_contiguous:  # a broadcast or strided stack may alias itself
+            raise ValueError
+        j.flags.writeable = True
+    except ValueError:
+        j = _aligned_empty(coupling.shape)
+        j[...] = coupling
+    diag = np.einsum("kii->ki", j)
+    saved = diag.copy()
+    diag += lam_diag
+    return j, diag, saved
+
+
+def _blocks(c: int, width: int, k: int) -> list:
+    """Row slices of the C paths in blocks of at most ``width`` rows, each
+    holding whole copies of the ``k`` noise rows or lying within one copy."""
+    if width >= k:
+        width, span = width - width % k, c
+    else:
+        span = k
+    return [slice(lo, min(lo + width, base + span))
+            for base in range(0, c, span) for lo in range(base, base + span, width)]
 
 
 def _euler_block(mat, h, sigma, sig_state, x, m, work, xi, lo, dt, want, xs, ms, first):
@@ -448,28 +511,30 @@ def _euler_block(mat, h, sigma, sig_state, x, m, work, xi, lo, dt, want, xs, ms,
     ``lo + 1 .. lo + len(xi)``, with ``xi`` its increments of those steps,
     recording into its snapshot slices ``xs``/``ms``.
 
-    ``mat`` is the block's (k, N, N) drift ``(J + Lam)^T`` acting on
+    ``mat`` is the block's (b, N, N) drift ``(J + Lam)^T`` acting on
     column states, or a shared (N, N) ``J + Lam`` acting on row states.
-    ``work`` holds the (k, N) buffers ``lin`` and ``dm`` and the boolean
-    finiteness mask, so a step allocates no array.  Non-finiteness is
-    sticky, so the block stops before step ``first`` (the earliest
-    blow-up so far) and returns the smaller of its own first non-finite
-    step and ``first``.
+    ``xi`` has shape (steps, K, N) with K dividing b, and its rows repeat
+    over the block's b / K copies.  ``work`` holds the (b, N) buffers
+    ``lin`` and ``dm`` and the boolean finiteness mask, so a step
+    allocates no array.  Non-finiteness is sticky, so the block stops
+    before step ``first`` (the earliest blow-up so far) and returns the
+    smaller of its own first non-finite step and ``first``.
     """
     sqrt2dt = math.sqrt(2.0 * dt)
     amp = sqrt2dt * sigma[0]
     lin, dm, mask = work
+    copies = dm.reshape(-1, xi.shape[1], x.shape[1])  # dm, one row of xi per row
     for step, xi_step in enumerate(xi, lo + 1):
         if step >= first:
             return first
         if sig_state is None:
-            np.multiply(amp, xi_step, out=dm)
+            np.multiply(amp, xi_step, out=copies)
         else:
             # sqrt(2 dt) * (sigma_0 + x sigma_state) * xi, in this order
             np.matmul(x[:, None], sig_state, out=dm[:, None])
             np.add(sigma[0], dm, out=dm)
             np.multiply(sqrt2dt, dm, out=dm)
-            np.multiply(dm, xi_step, out=dm)
+            np.multiply(copies, xi_step, out=copies)
         if mat.ndim == 3:
             np.matmul(mat, x[:, :, None], out=lin[:, :, None])
         else:

@@ -218,6 +218,9 @@ class VarianceProfile:
 # the memory a draw takes besides its output
 _TILE = 64
 
+# entries of one draw of a repeated generator's matrices: a tile at N = 128
+_GROUP_ENTRIES = _TILE * 128
+
 
 def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetric: bool,
                      gens: list, out: np.ndarray = None) -> np.ndarray:
@@ -231,7 +234,11 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
     The draw streams into the output in tiles of ``_TILE`` rows: each
     generator draws its tiles' entries straight into its matrix (the
     tile's upper staircase through a boolean mask, or its full rows), and
-    consecutive draws give the values of one draw.  The stack is then
+    consecutive draws give the values of one draw.  A list of one
+    generator repeated, as the series-vs-MC check passes, draws a group
+    of its matrices at a time, ``_GROUP_ENTRIES`` entries at most, and
+    scatters the group tile by tile: the same values from one call per
+    group, where the tiles take one per tile and matrix.  The stack is then
     finished in place, tile by tile: the diagonal block mirrored and the
     part left of it copied from the finished rows above, a slab of
     matrices at a time, then the upper part times ``sqrt(m)`` of the
@@ -259,13 +266,25 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
     tiles = [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
     # a tile's upper staircase, from column lo on: its row i keeps columns i..
     upper = np.arange(n) >= np.arange(min(_TILE, n))[:, None]
-    if symmetric:
-        draws = []
-        for lo, hi in tiles:
-            mask = upper[:hi - lo, :n - lo]
-            draws.append((lo, hi, mask, np.count_nonzero(mask)))
+    masks = [upper[:hi - lo, :n - lo] for lo, hi in tiles]
+    counts = [np.count_nonzero(mask) if symmetric else (hi - lo) * n
+              for (lo, hi), mask in zip(tiles, masks)]
+    group = _GROUP_ENTRIES // max(1, sum(counts))
+    if group > 1 and len(gens) > 1 and all(gen is gens[0] for gen in gens):
+        # one generator repeated: a group of its matrices is one draw, scattered by tile
+        offsets = np.cumsum([0] + counts)
+        for c in range(0, len(gens), group):
+            slab = out[c:c + group]
+            entries = sample_entries(dist, (len(slab), offsets[-1]), gens[0])
+            for (lo, hi), mask, start, stop in zip(tiles, masks, offsets, offsets[1:]):
+                if symmetric:
+                    slab[:, lo:hi, lo:][:, mask] = entries[:, start:stop]
+                else:
+                    slab[:, lo:hi] = entries[:, start:stop].reshape(len(slab), hi - lo, n)
+            del entries  # before the next group's draw
+    elif symmetric:
         for a, gen in zip(out, gens):
-            for lo, hi, mask, count in draws:
+            for (lo, hi), mask, count in zip(tiles, masks, counts):
                 a[lo:hi, lo:][mask] = sample_entries(dist, count, gen)
     else:
         for a, gen in zip(out, gens):

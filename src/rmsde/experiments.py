@@ -22,6 +22,7 @@ functions of (config, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -37,8 +38,6 @@ from .dynamics import (IntegratorConfig, ParameterError, SimulationBlowupError, 
                        Trajectory, euler_maruyama)
 from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                         sample_couplings, sample_entries, sample_initial)
-from .generator import DEFAULT_TRUNCATION_CAP, taylor_mean, taylor_mean_multitime
-from .algebra import MomentOracle, Polynomial
 from .observables import BuildingBlock, SuiteItem, evaluate
 from .rng import PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE, RngStream
 
@@ -78,6 +77,10 @@ class ExperimentError(ValueError):
 # of one run.  The same cap bounds the float64 array of each count key
 # below.
 _NOISE_CAP = 2 ** 28
+
+# Highest truncation order a series-vs-MC run may ask for; the symbolic
+# engine's series take it as their default cap.
+DEFAULT_TRUNCATION_CAP = 16
 
 # Count keys whose whole array an experiment allocates at once:
 # moments-check draws every sample in one call, and rayleigh and
@@ -299,9 +302,18 @@ def _fan_out(work: Callable, shares: list) -> list:
     would import numpy again, which costs more than a paired share.
     Processes run at once where threads would take turns on the
     interpreter lock between the short numpy calls of a replica block.
+    While the shares run, numpy's bundled OpenBLAS is held at one thread
+    (:func:`_blas_threads`), which the workers inherit, so the workers
+    are the run's parallelism and do not oversubscribe the cores; the
+    caller's thread count is restored afterwards, also when a share
+    fails.  Where that library is missing the count is left alone.
     """
     if len(shares) < 2 or not hasattr(os, "fork"):
         return [work(share) for share in shares]
+    blas = _blas_threads()
+    if blas is not None:
+        blas_threads = blas[0]()
+        blas[1](1)
     workers = []  # (pid, read end of its pipe)
     try:
         for share in shares[1:]:
@@ -327,10 +339,31 @@ def _fan_out(work: Callable, shares: list) -> list:
         for pid, read in workers:
             os.close(read)
             os.waitpid(pid, 0)
+        if blas is not None:
+            blas[1](blas_threads)
     for ok, value in outcomes:
         if not ok:
             raise value
     return [value for _, value in outcomes]
+
+
+@functools.cache
+def _blas_threads() -> Optional[tuple]:
+    """``(get, set)`` of the thread count of the OpenBLAS bundled with
+    numpy's wheels, through ``ctypes``; None where that library or its
+    ``scipy_openblas_*_num_threads64_`` symbols are missing."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def _worker(work: Callable, share, write: int) -> None:
@@ -403,20 +436,21 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     :func:`euler_maruyama` call on an (arms * k, N, N) coupling stack,
     arm a's rows first, then arm b's.  The worker reuses one workspace
     for every block: the stack's starts and couplings, sized for its
-    widest block, and one noise buffer, sized to the largest chunk the
-    integrator asks for.  Per block, each replica's start is drawn into
-    every arm's rows, each arm samples its couplings into its rows, and
-    one ``SystemTemplate.build`` makes the stack's system.  The noise
-    source keeps each replica's generator for the whole block; each call
-    draws the chunk's steps of every replica and copies them into the
-    other arms' rows, and consecutive draws give the values of one draw
-    of the whole run.  Each suite item is one :func:`evaluate` call on
-    the whole stack, its states and the coupling the build returned, on
-    rows resolved once per share, and its values are split by arm rows;
-    the stacked products keep each replica's bits.  Returns an array of
-    shape (arms, replicas of ``blocks`` in order, len(suite)), and the
-    earliest blow-up step over the worker's replicas and arms, ``inf``
-    if none.
+    widest block, the couplings on a 64-byte boundary because the
+    integrator reads them as the drift, and one noise buffer of k rows,
+    sized to the largest chunk the integrator asks for.  Per block, each
+    replica's start is drawn into every arm's rows, each arm samples its
+    couplings into its rows, and one ``SystemTemplate.build`` makes the
+    stack's system.  The noise source keeps each replica's generator for
+    the whole block; each call draws the chunk's steps of the k replicas
+    only, which the integrator broadcasts over the arms, and consecutive
+    draws give the values of one draw of the whole run.  Each suite item
+    is one :func:`evaluate` call on the whole stack, its states and the
+    coupling the build returned, on rows resolved once per share, and its
+    values are split by arm rows; the stacked products keep each
+    replica's bits.  Returns an array of shape (arms, replicas of
+    ``blocks`` in order, len(suite)), and the earliest blow-up step over
+    the worker's replicas and arms, ``inf`` if none.
     """
     n, copies = profile.n, len(arms)
     width = max(len(block) for block in blocks)
@@ -424,20 +458,19 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     rows = [item.rows(icfg) for item in cfg.suite]
     values = np.empty((copies, sum(map(len, blocks)), len(cfg.suite)))
     x0s = np.empty((copies * width, n))
-    couplings = np.empty((copies * width, n, n))
+    couplings = dynamics._aligned_empty((copies * width, n, n))
     noise = np.empty(0)
     gens = []  # the noise generators of the block in flight
 
     def draw(lo, hi):
         nonlocal noise
-        size = copies * len(gens) * (hi - lo) * n
+        size = len(gens) * (hi - lo) * n
         if noise.size < size:
             noise = np.empty(size)
-        xi = noise[:size].reshape(copies, len(gens), hi - lo, n)
-        for gen, out in zip(gens, xi[0]):
+        xi = noise[:size].reshape(len(gens), hi - lo, n)
+        for gen, out in zip(gens, xi):
             gen.standard_normal(out=out)
-        xi[1:] = xi[0]
-        return xi.reshape(copies * len(gens), hi - lo, n).swapaxes(0, 1)
+        return xi.swapaxes(0, 1)
 
     first = math.inf
     row = 0
@@ -936,6 +969,10 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     multi-time one included.
     """
     check_preconditions("taylor-check", cfg)
+    # the symbolic engine loads only for the kind that expands a series
+    from .algebra import MomentOracle, Polynomial
+    from .generator import taylor_mean, taylor_mean_multitime
+
     n = cfg.sizes[0]
     t = cfg.time
     profile = cfg.make_profile(n)

@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import (AlgebraError, Monomial, MomentOracle, Polynomial, expected_value,
                       state_counts)
 from .dynamics import SystemParams
+from .experiments import DEFAULT_TRUNCATION_CAP  # with the precondition that reads it
 
 __all__ = [
     "Letter",
@@ -41,7 +42,6 @@ __all__ = [
     "TruncationError",
 ]
 
-DEFAULT_TRUNCATION_CAP = 16
 SYMBOLIC_DIMENSION_CAP = 8
 
 

@@ -556,6 +556,26 @@ def test_cli_import_does_not_load_scipy():
     assert done.stdout.strip() == "False"
 
 
+def test_paired_runs_do_not_load_the_symbolic_engine(tmp_path):
+    # generator and algebra serve the series of taylor-check; a universality
+    # run, and the CLI import before it, leave both unloaded
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = []
+    for kind in ("universality", "taylor-check"):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(FAST[kind])
+        argv.append([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
+    code = ("import sys\nfrom rmsde.cli import main\n"
+            "loaded = lambda: [m in sys.modules for m in ('rmsde.generator', 'rmsde.algebra')]\n"
+            f"print(main({argv[0]!r}), loaded(), main({argv[1]!r}), loaded())")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 [False, False] 0 [True, True]"
+
+
 def traced_span_names(tmp_path, kind):
     """Names of the layer spans that perfbench/child.py records in a FAST run."""
     root = Path(__file__).resolve().parent.parent

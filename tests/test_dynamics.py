@@ -237,8 +237,9 @@ def full_stack_euler(drift_mat, params, x0s, cfg, xi):
 @pytest.mark.parametrize("state_sigma", [0.0, 0.05])
 @pytest.mark.parametrize("n", [3, 17, 128])
 def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
-    # each block's drift is formed in the buffer, in either layout; an additive
-    # noise run gives the bytes of the whole drift stack in that layout
+    # each block's drift is the stack itself, or with contiguous its copy in
+    # the buffer; an additive noise run gives the bytes of the whole drift
+    # stack in that layout
     c, steps = 7, 40
     params, x0s = replica_stack(n, c, seed=n, state_sigma=state_sigma)
     xi = np.random.default_rng(1).standard_normal((steps, c, n))
@@ -289,12 +290,15 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
 
 @pytest.mark.parametrize("contiguous", [False, True])
 def test_drift_buffer_starts_on_a_cache_line(monkeypatch, contiguous):
-    # 1 MB buffers come from fresh mappings, smaller ones from the heap; the
-    # batched product is slower on a drift that does not start on 64 bytes
+    # the contiguous copy is formed in a buffer on a cache line, since 1 MB
+    # buffers come from fresh mappings and smaller ones from the heap, and the
+    # batched product is slower on a drift that does not start on 64 bytes;
+    # the in-place drift is the caller's stack, which a caller that reuses it
+    # aligns, read through its transposed view
     starts = []
 
     def recorded(*args):
-        starts.append(args[0].ctypes.data % 64)
+        starts.append(args[0])
         return real(*args)
 
     real = dynamics._euler_block
@@ -302,22 +306,126 @@ def test_drift_buffer_starts_on_a_cache_line(monkeypatch, contiguous):
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
     for n, c in ((128, 20), (256, 1), (17, 5), (3, 64)):
         params, x0s = replica_stack(n, c, seed=0)
+        starts.clear()
         euler_maruyama(params, x0s, cfg, source(np.zeros((2, c, n))), contiguous=contiguous)
-    assert len(starts) == 3 + 1 + 1 + 1
-    assert set(starts) == {0}
+        assert len(starts) == -(-c // (2 ** 20 // (8 * n * n)))
+        for mat in starts:
+            if contiguous:
+                assert mat.flags.c_contiguous and mat.ctypes.data % 64 == 0
+            else:
+                assert np.shares_memory(mat, params.coupling)
+                assert mat.strides == (8 * n * n, 8, 8 * n)
+        if not contiguous:
+            assert starts[0].ctypes.data == params.coupling.ctypes.data
 
 
 def test_drift_buffer_is_one_block():
-    # the integrator forms each block's drift in one buffer and never builds a
-    # (C, N, N) drift stack: 1 MB of drift against 3.3 MB of couplings
+    # the in-place drift allocates no (N, N) array at all: the call holds its
+    # state, work buffers, snapshots and the saved diagonal, seven (C, N)
+    # arrays; the contiguous layout adds one 1 MB block buffer, never a
+    # (C, N, N) drift stack of 3.3 MB
     n, c = 64, 100
     params, x0s = replica_stack(n, c, seed=2)
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
     noise = np.zeros((2, c, n))
-    peak = traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(noise)))
+    rows = 8 * c * n
     block = dynamics._DRIFT_BLOCK_BYTES
     assert block < params.coupling.nbytes
-    assert peak < block + params.coupling.nbytes // 4
+    for contiguous, bound in ((False, 7 * rows), (True, block + 8 * rows)):
+        peak = traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(noise),
+                                                  contiguous=contiguous))
+        assert peak < bound
+
+
+@pytest.mark.parametrize("n,replicas", [(4, 2), (17, 1), (64, 3)])
+def test_stack_bytes_are_restored_after_a_call(monkeypatch, n, replicas):
+    # the drift is folded into the stack's diagonal for the call only
+    c = 6
+    params, x0s = replica_stack(n, c, seed=n)
+    before = params.coupling.tobytes()
+    replicas_per_block(monkeypatch, n, replicas)
+    cfg = IntegratorConfig(0.01, 0.05, (0.05,))
+    euler_maruyama(params, x0s, cfg, source(np.zeros((5, c, n))))
+    assert params.coupling.tobytes() == before
+    assert not params.coupling.flags.writeable
+
+
+def test_stack_bytes_are_restored_after_a_blowup_or_a_failing_source():
+    n, c = 2, 4
+    coupling = 9.0 * np.stack([np.eye(n)] * c) + 0.25
+    params = SystemParams(coupling, -0.5 * np.eye(n), np.zeros(n), np.zeros((n + 1, n)))
+    before = coupling.tobytes()
+    x0s = np.full((c, n), 1e300)
+    cfg = IntegratorConfig(1.0, 12.0, (12.0,))
+    with pytest.raises(SimulationBlowupError):
+        euler_maruyama(params, x0s, cfg, source(np.zeros((12, c, n))))
+    assert coupling.tobytes() == before
+
+    def failing(lo, hi):
+        raise KeyError("no noise")
+
+    with pytest.raises(KeyError):
+        euler_maruyama(params, np.ones((c, n)), cfg, failing)
+    assert coupling.tobytes() == before
+
+
+def test_stack_needs_a_diagonal_lam():
+    params, x0s = replica_stack(3, 2, seed=0)
+    lam = params.lam.copy()
+    lam[0, 1] = 0.5
+    bent = SystemParams(params.coupling, lam, params.h, params.sigma)
+    cfg = IntegratorConfig(0.01, 0.02, (0.02,))
+    with pytest.raises(ParameterError, match="diagonal lam"):
+        euler_maruyama(bent, x0s, cfg, source(np.zeros((2, 2, 3))))
+    # the contiguous copy forms J + Lam for any lam
+    xs, _ = euler_maruyama(bent, x0s, cfg, source(np.zeros((2, 2, 3))), contiguous=True)
+    assert np.all(np.isfinite(xs))
+
+
+def test_stack_in_read_only_memory_is_copied_not_written():
+    n, c = 5, 3
+    params, x0s = replica_stack(n, c, seed=4)
+    frozen = params.coupling.copy()
+    frozen.setflags(write=False)
+    shared = np.broadcast_to(params.coupling[0], (c, n, n))  # one matrix, three views
+    cfg = IntegratorConfig(0.01, 0.05, (0.05,))
+    xi = np.random.default_rng(3).standard_normal((5, c, n))
+    want = euler_maruyama(params, x0s, cfg, source(xi))
+    got = euler_maruyama(SystemParams(frozen, params.lam, params.h, params.sigma),
+                         x0s, cfg, source(xi))
+    assert got[0].tobytes() == want[0].tobytes()
+    first = params.coupling[0].tobytes()
+    one = euler_maruyama(SystemParams(shared, params.lam, params.h, params.sigma),
+                         x0s, cfg, source(xi))
+    assert params.coupling[0].tobytes() == first
+    assert np.all(np.isfinite(one[0]))
+
+
+@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
+@pytest.mark.parametrize("n,replicas", [(3, 8), (3, 4), (3, 3), (17, 2), (17, 1)])
+def test_noise_rows_repeat_over_the_copies(monkeypatch, n, replicas, state_sigma):
+    # k noise rows serve 2k or 3k stack rows, path r reading row r % k, with
+    # the bytes of k rows drawn out in full for every copy: blocks of whole
+    # copies (8, 4), within one copy (3 of 4 rows, 2, 1), at either diffusion
+    k = 4
+    for copies in (2, 3):
+        params, x0s = replica_stack(n, copies * k, seed=copies, state_sigma=state_sigma)
+        xi = np.random.default_rng(5).standard_normal((9, k, n))
+        cfg = IntegratorConfig(0.01, 0.09, (0.03, 0.09))
+        replicas_per_block(monkeypatch, n, 64)
+        want = euler_maruyama(params, x0s, cfg, source(np.concatenate([xi] * copies, axis=1)))
+        replicas_per_block(monkeypatch, n, replicas)
+        got = euler_maruyama(params, x0s, cfg, source(xi))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_noise_rows_must_divide_the_paths():
+    params, x0s = replica_stack(3, 6, seed=0)
+    cfg = IntegratorConfig(0.01, 0.02, (0.02,))
+    for rows in (4, 7):
+        with pytest.raises(ParameterError, match="K dividing 6"):
+            euler_maruyama(params, x0s, cfg, source(np.zeros((2, rows, 3))))
 
 
 def test_blowup_step_is_the_earliest_over_replica_blocks(monkeypatch):

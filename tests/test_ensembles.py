@@ -278,6 +278,23 @@ def test_sampler_is_byte_identical_to_reference(dist, n):
                 assert sample_couplings(dist, file, symmetric, gens()).tobytes() == got.tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 4, 70])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.value)
+def test_repeated_generator_draws_like_one_matrix_at_a_time(dist, n):
+    # a list of one generator repeated is one draw of all its matrices; one
+    # call per matrix on the same generator walks the per-generator tile path
+    c = 5
+    for profile in (VarianceProfile.offdiagonal(n), banded(n)):
+        for symmetric in (True, False):
+            gen = RngStream(9, 1, PURPOSE_COUPLING).generator()
+            want = np.empty((c, n, n))
+            for k in range(c):
+                sample_couplings(dist, profile, symmetric, [gen], out=want[k:k + 1])
+            got = sample_couplings(dist, profile, symmetric,
+                                   [RngStream(9, 1, PURPOSE_COUPLING).generator()] * c)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_sampler_fills_a_workspace_like_fresh_draws():
     # blocks of 4, 4 and a partial 2 drawn into one NaN-filled workspace match the
     # fresh stack byte for byte; the banded profile has zero variances

@@ -213,23 +213,67 @@ def paired_peak(langevin, replicas, n=128, steps=50):
     return traced_peak(lambda: _paired_values(cfg, n))
 
 
-@pytest.mark.parametrize("langevin,stacks", [(False, 2), (True, 2)])
-def test_paired_chunk_frees_each_arm_before_the_next(langevin, stacks):
+@pytest.mark.parametrize("langevin,arms", [(False, 2), (True, 2)])
+def test_paired_chunk_frees_each_arm_before_the_next(langevin, arms):
     # N = 128 at 200 steps streams blocks of 4 replicas per arm through one
-    # workspace: the stack's starts, one noise chunk of 128 of its steps, and
-    # `stacks` (2 * width, N, N) blocks, the couplings both arms sample into
-    # and the integrator's drift buffer, with three quarters of a block of
-    # slack for the snapshots, rows and streams; a block's system that
-    # outlived it, a Langevin doubling into a new array, or the noise of
-    # all 200 steps would add most of a block
+    # workspace: the stack's starts, one (2 * width, N, N) coupling block that
+    # both arms sample into and the integrator reads as its drift, and one
+    # noise chunk of 128 of its steps for the 4 replicas only, with a quarter
+    # of a block of slack for the snapshots, rows and streams; a drift
+    # buffer, a block's system that outlived it or a Langevin doubling into a
+    # new array would add a block, the noise of both arms half a block, and
+    # the noise of all 200 steps 0.28 of a block
     n, steps, width = 128, 200, 4
-    assert experiments._block_width(n, 2) == width
-    c = 2 * width
+    assert experiments._block_width(n, arms) == width
+    c = arms * width
     chunk = min(steps, dynamics._NOISE_CHUNK_BYTES // (8 * c * n))
     assert chunk == 128
     block = 8 * c * n * n
-    workspace = 8 * (c * n + chunk * c * n) + stacks * block
-    assert paired_peak(langevin, 32, steps=steps) < workspace + 3 * block // 4
+    workspace = 8 * (c * n + chunk * width * n) + block
+    assert paired_peak(langevin, 32, steps=steps) < workspace + block // 4
+
+
+@pytest.mark.parametrize("n", [8, 300])
+def test_paired_source_draws_the_replicas_rows_once(monkeypatch, n):
+    # the arms share one noise chunk of k rows, which the integrator reads for
+    # both arms' 2k rows; at N = 300 a block is one replica, whose two rows
+    # fall in different drift blocks and read the same noise row
+    shapes = []
+    real = experiments.euler_maruyama
+
+    def recorded(params, x0s, icfg, draw, **kwargs):
+        def traced(lo, hi):
+            xi = draw(lo, hi)
+            shapes.append((len(x0s), xi.shape))
+            return xi
+        return real(params, x0s, icfg, traced, **kwargs)
+
+    monkeypatch.setattr(experiments, "euler_maruyama", recorded)
+    width = experiments._block_width(n, 2)
+    cfg = small_cfg(sizes=(n,), replicas=3, dt=0.05, horizon=0.1,
+                    suite=default_suite(0.1))
+    _paired_values(cfg, n)
+    k = [min(width, 3 - lo) for lo in range(0, 3, width)]
+    assert shapes == [(2 * rows, (2, rows, n)) for rows in k]
+
+
+def test_paired_drift_starts_on_a_cache_line(monkeypatch):
+    # the coupling workspace is the drift of every block, so it is aligned,
+    # and the build returns the same memory unless a template copies it
+    starts = []
+    real = dynamics._euler_block
+
+    def recorded(*args):
+        starts.append(args[0].ctypes.data % 64)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_euler_block", recorded)
+    for n, replicas, langevin in ((128, 6, False), (17, 5, True), (300, 2, False)):
+        cfg = small_cfg(sizes=(n,), replicas=replicas, dt=0.05, horizon=0.1,
+                        template=SystemTemplate(langevin=langevin), suite=default_suite(0.1))
+        _paired_values(cfg, n)
+    assert len(starts) == 2 + 1 + 4
+    assert set(starts) == {0}
 
 
 def test_paired_noise_memory_does_not_grow_with_the_step_count():
@@ -314,6 +358,35 @@ def test_fan_out_runs_later_shares_in_other_processes():
     assert [share for share, _ in done] == [0, 1, 2]
     pids = [pid for _, pid in done]
     assert pids[0] == os.getpid() and len(set(pids)) == 3
+
+
+def test_fan_out_holds_blas_at_one_thread_and_restores_the_count():
+    # every share runs at one BLAS thread, which the forked workers inherit;
+    # the caller's count comes back after the run, also when a share fails
+    get, set_threads = experiments._blas_threads()  # numpy's wheels bundle OpenBLAS
+    saved = get()
+    set_threads(2)
+    try:
+        assert experiments._fan_out(lambda share: get(), [0, 1, 2]) == [1, 1, 1]
+        assert get() == 2
+        for bad in (0, 1):
+            def work(share):
+                if share == bad:
+                    raise KeyError(share)
+                return get()
+
+            with pytest.raises(KeyError):
+                experiments._fan_out(work, [0, 1, 2])
+            assert get() == 2
+        assert experiments._fan_out(lambda share: get(), [0]) == [2]  # one share: untouched
+    finally:
+        set_threads(saved)
+
+
+def test_fan_out_runs_without_the_blas_library(monkeypatch):
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)
+    done = experiments._fan_out(lambda share: (share, os.getpid()), [0, 1])
+    assert [share for share, _ in done] == [0, 1]
 
 
 @pytest.mark.parametrize("exc", [ExperimentError("share 1 failed"), SimulationBlowupError(7),
@@ -802,7 +875,6 @@ def test_taylor_vs_mc_small_system():
 
 
 def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
-    import rmsde.experiments
     import rmsde.generator
     real = rmsde.generator.taylor_mean_multitime
     calls = []
@@ -811,10 +883,9 @@ def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
         calls.append(fs)
         return real(fs, *args, **kwargs)
 
-    # taylor_mean reaches the series driver through the generator module;
-    # the multi-time row calls the name imported into experiments
+    # taylor_mean reaches taylor_mean_multitime through the generator module,
+    # and the multi-time row imports it from there when the run starts
     monkeypatch.setattr(rmsde.generator, "taylor_mean_multitime", counting)
-    monkeypatch.setattr(rmsde.experiments, "taylor_mean_multitime", counting)
     report = run_taylor_vs_mc(ExperimentConfig(sizes=(3,), truncation=2, time=0.2,
                                                mc_paths=50, dt=0.05))
     assert len(calls) == 4 == len(report.rows)
