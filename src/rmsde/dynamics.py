@@ -7,8 +7,9 @@ The state ``X in R^N`` follows
 
 driven by independent Brownian motions ``B_j``.  The convention
 ``X_0 == 1`` folds constant diffusion into row 0 of ``sigma``.  The
-martingale part ``M`` (``M(0) = 0``) is accumulated alongside ``X`` so
-trajectories decompose exactly into drift plus martingale.
+martingale part ``M`` (``M(0) = 0``) is accumulated alongside ``X``,
+when the caller reads it, so trajectories decompose exactly into drift
+plus martingale.
 
 Integration is Euler-Maruyama on a fixed step, in one loop that serves
 a single shared system and a per-path stack of couplings alike.  A
@@ -126,6 +127,9 @@ class SystemParams:
         the expansion engine.
     constant_diffusion : bool
         True when every state-dependent diffusion coefficient is zero.
+    diagonal_lam : bool
+        True when ``lam`` has no nonzero entry off its diagonal, which
+        the integrator needs to fold it into a coupling stack.
     """
 
     coupling: np.ndarray
@@ -146,6 +150,8 @@ class SystemParams:
         object.__setattr__(self, "n_lam", n_lam)
         object.__setattr__(self, "n_sigma", n_sigma)
         object.__setattr__(self, "constant_diffusion", not sigma[1:].any())
+        object.__setattr__(self, "diagonal_lam",
+                           np.count_nonzero(lam) == np.count_nonzero(np.diagonal(lam)))
 
     @property
     def n(self) -> int:
@@ -361,7 +367,7 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
 
 
 def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConfig,
-                   draw, contiguous: bool = False) -> tuple:
+                   draw, contiguous: bool = False, martingale: bool = True) -> tuple:
     """Euler-Maruyama for C paths of ``params``; snapshot arrays of shape (C, S, N).
 
     ``params.coupling`` is one (N, N) coupling shared by every path or a
@@ -375,6 +381,10 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     so the bits do not depend on K.  The integrator reads that array
     only until its next call to ``draw``, so a source may draw every
     chunk into one buffer.
+
+    Returns the states ``xs`` and the martingale parts ``ms``.  With
+    ``martingale`` false the martingale part is neither summed nor
+    recorded, ``ms`` is None, and ``xs`` has the same bytes.
 
     The steps run in chunks of ``_NOISE_CHUNK_BYTES`` (1 MB) of (steps,
     C, N) increments, at least one step each, and ``draw`` is called
@@ -409,44 +419,55 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     state-dependent diffusion is one product per path, whose bits do not
     depend on the block either.
 
-    Raises :class:`SimulationBlowupError` with the first step at which
-    any path's state stops being finite.
+    A non-finite state stays non-finite at every later step, so each
+    block runs a chunk's steps unchecked and its state is tested once at
+    the chunk's end.  If it is not finite, the block's state is restored
+    from its copy at the chunk's start and the chunk replayed with a
+    test after every step, which finds the first non-finite step; the
+    blocks left in that chunk are replayed the same way, up to the
+    earliest step so far.  Raises :class:`SimulationBlowupError` with the
+    first step at which any path's state stops being finite.
     """
     c, n = x0s.shape
-    coupling, lam = params.coupling, params.lam
+    coupling = params.coupling
     sig_state = None if params.constant_diffusion else params.sigma[1:]
     stacked = coupling.ndim == 3
     width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n)) if stacked else max(1, c)
     if not stacked:
-        shared = coupling + lam  # right-multiplies the row states
+        shared = coupling + params.lam  # right-multiplies the row states
     elif contiguous:
         buf = _aligned_empty((min(width, c), n, n))
     else:
-        j, diag, saved = _fold_diagonal(coupling, lam)
+        j, diag, saved = _fold_diagonal(params)
 
     def block_drift(rows):
         if not stacked:
             return shared
         if contiguous:
-            return np.add(np.swapaxes(coupling[rows], 1, 2), lam.T, out=buf[:rows.stop - rows.start])
+            return np.add(np.swapaxes(coupling[rows], 1, 2), params.lam.T,
+                          out=buf[:rows.stop - rows.start])
         return np.swapaxes(j[rows], 1, 2)
 
-    # the step's work buffers, shared by the blocks
+    # shared by the blocks: the step's work buffers, the constant drift in
+    # rows, and a block's state at the start of its chunk
     size = (min(width, c), n)
-    work = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
-    x, m = x0s.copy(), np.zeros((c, n))  # each block advances its rows in place
+    lin, dm, h, start = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
+    h[...] = params.h
+    x = x0s.copy()  # each block advances its rows in place
+    m = np.zeros((c, n)) if martingale else None
     want = {s: i for i, s in enumerate(config.snapshot_steps)}
     xs = np.empty((c, len(want), n))
-    ms = np.empty((c, len(want), n))
+    ms = np.empty((c, len(want), n)) if martingale else None
     if 0 in want:
         xs[:, want[0]] = x0s
-        ms[:, want[0]] = 0.0
+        if martingale:
+            ms[:, want[0]] = 0.0
     steps = config.n_steps
     chunk = max(1, _NOISE_CHUNK_BYTES // max(1, 8 * c * n))
     first = math.inf
     blocks = None
     try:
-        # an overflow is reported as SimulationBlowupError below, not as a numpy warning
+        # a blow-up is reported as SimulationBlowupError below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, steps, chunk):
                 if first < math.inf:
@@ -462,9 +483,16 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
                 for rows in blocks:
                     b, r = rows.stop - rows.start, rows.start % k
                     mat = fixed if fixed is not None else block_drift(rows)
-                    first = _euler_block(mat, params.h, params.sigma, sig_state, x[rows], m[rows],
-                                         [w[:b] for w in work], xi[:, r:r + min(k, b)], lo,
-                                         config.dt, want, xs[rows], ms[rows], first)
+                    args = (mat, h[:b], params.sigma, sig_state, x[rows], lin[:b], dm[:b],
+                            xi[:, r:r + min(k, b)], lo, config.dt)
+                    if first == math.inf:
+                        start[:b] = x[rows]
+                        _euler_block(*args, m=None if m is None else m[rows], want=want,
+                                     xs=xs[rows], ms=None if ms is None else ms[rows])
+                        if np.isfinite(x[rows]).all():
+                            continue
+                        x[rows] = start[:b]
+                    first = _euler_block(*args, first=first)
     finally:
         if stacked and not contiguous:
             diag[...] = saved
@@ -473,14 +501,14 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     return xs, ms
 
 
-def _fold_diagonal(coupling: np.ndarray, lam: np.ndarray) -> tuple:
-    """``(j, diag, saved)``: the stack ``coupling`` as a writeable array
-    ``j`` with ``lam``'s diagonal added into its diagonal ``diag``, and
-    the (C, N) diagonal it held, for the caller to write back."""
-    lam_diag = np.diagonal(lam)
-    if np.count_nonzero(lam) != np.count_nonzero(lam_diag):
+def _fold_diagonal(params: SystemParams) -> tuple:
+    """``(j, diag, saved)``: the stack ``params.coupling`` as a writeable
+    array ``j`` with ``lam``'s diagonal added into its diagonal ``diag``,
+    and the (C, N) diagonal it held, for the caller to write back."""
+    if not params.diagonal_lam:
         raise ParameterError("a coupling stack needs a diagonal lam: "
                              "the integrator adds it into the stack in place")
+    coupling = params.coupling
     j = coupling.view()
     try:
         if not j.flags.c_contiguous:  # a broadcast or strided stack may alias itself
@@ -489,9 +517,10 @@ def _fold_diagonal(coupling: np.ndarray, lam: np.ndarray) -> tuple:
     except ValueError:
         j = _aligned_empty(coupling.shape)
         j[...] = coupling
-    diag = np.einsum("kii->ki", j)
+    c, n = j.shape[:2]
+    diag = j.reshape(c, n * n)[:, ::n + 1]
     saved = diag.copy()
-    diag += lam_diag
+    diag += np.diagonal(params.lam)
     return j, diag, saved
 
 
@@ -506,26 +535,31 @@ def _blocks(c: int, width: int, k: int) -> list:
             for base in range(0, c, span) for lo in range(base, base + span, width)]
 
 
-def _euler_block(mat, h, sigma, sig_state, x, m, work, xi, lo, dt, want, xs, ms, first):
-    """Advance one block's state ``x``/``m`` in place through steps
-    ``lo + 1 .. lo + len(xi)``, with ``xi`` its increments of those steps,
-    recording into its snapshot slices ``xs``/``ms``.
+def _euler_block(mat, h, sigma, sig_state, x, lin, dm, xi, lo, dt,
+                 m=None, want=None, xs=None, ms=None, first=None):
+    """Advance one block's state ``x`` in place through steps
+    ``lo + 1 .. lo + len(xi)``, with ``xi`` its increments of those steps.
 
     ``mat`` is the block's (b, N, N) drift ``(J + Lam)^T`` acting on
-    column states, or a shared (N, N) ``J + Lam`` acting on row states.
-    ``xi`` has shape (steps, K, N) with K dividing b, and its rows repeat
-    over the block's b / K copies.  ``work`` holds the (b, N) buffers
-    ``lin`` and ``dm`` and the boolean finiteness mask, so a step
-    allocates no array.  Non-finiteness is sticky, so the block stops
-    before step ``first`` (the earliest blow-up so far) and returns the
-    smaller of its own first non-finite step and ``first``.
+    column states, or a shared (N, N) ``J + Lam`` acting on row states,
+    and ``h`` the constant drift in b rows.  ``xi`` has shape (steps, K,
+    N) with K dividing b, and its rows repeat over the block's b / K
+    copies.  ``lin`` and ``dm`` are (b, N) work buffers, so an unchecked
+    step allocates no array.
+
+    Without ``first`` the steps run unchecked: each step's ``dM`` is added
+    into ``m`` unless it is None, and the snapshot steps in ``want`` are
+    recorded into the block's slices ``xs`` and ``ms``.  With ``first``
+    (the earliest blow-up so far, or ``inf``) the steps are a replay that
+    checks ``x`` after each one, records nothing and stops before step
+    ``first``; it returns the smaller of its own first non-finite step
+    and ``first``.
     """
     sqrt2dt = math.sqrt(2.0 * dt)
     amp = sqrt2dt * sigma[0]
-    lin, dm, mask = work
     copies = dm.reshape(-1, xi.shape[1], x.shape[1])  # dm, one row of xi per row
     for step, xi_step in enumerate(xi, lo + 1):
-        if step >= first:
+        if first is not None and step >= first:
             return first
         if sig_state is None:
             np.multiply(amp, xi_step, out=copies)
@@ -543,12 +577,16 @@ def _euler_block(mat, h, sigma, sig_state, x, m, work, xi, lo, dt, want, xs, ms,
         lin *= dt
         x += lin
         x += dm
-        m += dm
-        if not np.isfinite(x, out=mask).all():
-            return step
+        if first is not None:
+            if not np.isfinite(x).all():
+                return step
+            continue
+        if m is not None:
+            m += dm
         if step in want:
             xs[:, want[step]] = x
-            ms[:, want[step]] = m
+            if ms is not None:
+                ms[:, want[step]] = m
     return first
 
 

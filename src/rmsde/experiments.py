@@ -444,8 +444,9 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     stack's system.  The noise source keeps each replica's generator for
     the whole block; each call draws the chunk's steps of the k replicas
     only, which the integrator broadcasts over the arms, and consecutive
-    draws give the values of one draw of the whole run.  Each suite item
-    is one :func:`evaluate` call on the whole stack, its states and the
+    draws give the values of one draw of the whole run.  The martingale
+    part is summed only when a suite item reads block ``m``.  Each suite
+    item is one :func:`evaluate` call on the whole stack, its states and the
     coupling the build returned, on rows resolved once per share, and its
     values are split by arm rows; the stacked products keep each
     replica's bits.  Returns an array of shape (arms, replicas of
@@ -456,6 +457,7 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     width = max(len(block) for block in blocks)
     dists = {"a": cfg.dist_a, "b": cfg.dist_b}
     rows = [item.rows(icfg) for item in cfg.suite]
+    martingale = any(BuildingBlock.M in row for item in cfg.suite for row in item.blocks)
     values = np.empty((copies, sum(map(len, blocks)), len(cfg.suite)))
     x0s = np.empty((copies * width, n))
     couplings = dynamics._aligned_empty((copies * width, n, n))
@@ -487,7 +489,7 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
         params = cfg.template.build(couplings[:copies * k])
         gens[:] = [RngStream(cfg.seed, r, PURPOSE_NOISE).generator() for r in block]
         try:
-            xs, ms = euler_maruyama(params, x0s[:copies * k], icfg, draw)
+            xs, ms = euler_maruyama(params, x0s[:copies * k], icfg, draw, martingale=martingale)
         except SimulationBlowupError as exc:
             first = min(first, exc.step)
         if first < math.inf:
@@ -939,7 +941,7 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         # the C-contiguous (J + Lam)^T: this layout is pinned by the golden bytes
         xs, _ = euler_maruyama(params, x0s, icfg, dynamics._generator_source(gen_b, (c, n)),
-                               contiguous=True)
+                               contiguous=True, martingale=False)
         # an overflow leaves a non-finite sum of squares, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             for q, (poly_list, ts) in enumerate(specs):

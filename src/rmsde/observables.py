@@ -147,7 +147,8 @@ def evaluate(item: SuiteItem, rows: tuple, xs: np.ndarray, ms: np.ndarray,
 
     ``rows`` are the snapshot rows of ``item.times``
     (:meth:`SuiteItem.rows`); ``xs`` and ``ms`` are the block's (k, S, N)
-    states and martingale parts, and ``coupling`` its (k, N, N)
+    states and martingale parts (``ms`` may be None if ``item`` reads no
+    ``m``), and ``coupling`` its (k, N, N)
     couplings as the systems hold them.  Arity 1 and 2 are one stacked
     product over the block; arity 3 contracts replica by replica.
     """

@@ -83,6 +83,8 @@ def test_support_counts():
     assert p.n_lam == 2
     assert p.n_sigma == 1
     assert p.constant_diffusion
+    assert not p.diagonal_lam
+    assert plain_params(3, lam=np.diag([1.0, 0.0, -2.0])).diagonal_lam
 
 
 def test_state_dependent_diffusion_flag():
@@ -262,10 +264,10 @@ def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
 def test_replica_block_width_depends_on_n_only(monkeypatch):
     widths = []
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         x = args[4]
         widths.append(len(x))
-        return real(*args)
+        return real(*args, **kwargs)
 
     real = dynamics._euler_block
     monkeypatch.setattr(dynamics, "_euler_block", recorded)
@@ -297,9 +299,9 @@ def test_drift_buffer_starts_on_a_cache_line(monkeypatch, contiguous):
     # aligns, read through its transposed view
     starts = []
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         starts.append(args[0])
-        return real(*args)
+        return real(*args, **kwargs)
 
     real = dynamics._euler_block
     monkeypatch.setattr(dynamics, "_euler_block", recorded)
@@ -321,9 +323,10 @@ def test_drift_buffer_starts_on_a_cache_line(monkeypatch, contiguous):
 
 def test_drift_buffer_is_one_block():
     # the in-place drift allocates no (N, N) array at all: the call holds its
-    # state, work buffers, snapshots and the saved diagonal, seven (C, N)
-    # arrays; the contiguous layout adds one 1 MB block buffer, never a
-    # (C, N, N) drift stack of 3.3 MB
+    # state, snapshots and the saved diagonal, and four block-sized buffers
+    # (work, constant drift, chunk start), under seven (C, N) arrays; the
+    # contiguous layout adds one 1 MB block buffer, never a (C, N, N) drift
+    # stack of 3.3 MB
     n, c = 64, 100
     params, x0s = replica_stack(n, c, seed=2)
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
@@ -516,6 +519,64 @@ def test_blowup_step_across_a_noise_chunk_boundary(monkeypatch):
         euler_maruyama(params, x0s, cfg, one_pass(noise, calls))
     assert exc.value.step == 4
     assert calls == [(0, 3), (3, 6)]
+
+
+@pytest.mark.parametrize("contiguous", [False, True])
+@pytest.mark.parametrize("state_sigma", [0.0, 0.01])
+def test_blowup_step_inside_a_noise_chunk(monkeypatch, state_sigma, contiguous):
+    # x grows about tenfold per step: 1e301 overflows at step 8, 1e302 at
+    # step 7, both inside the chunk of steps 6..10, which runs unchecked and
+    # is replayed step by step; whichever of the first and the last block
+    # blows up first, the call reports step 7, and the chunk of steps 11..12
+    # is never drawn
+    n, c = 2, 6
+    coupling = np.zeros((c, n, n))
+    coupling[0] = coupling[-1] = 9.0 * np.eye(n)
+    sigma = np.zeros((n + 1, n))
+    sigma[0] = 0.5
+    sigma[1:] = state_sigma * np.eye(n)
+    params = SystemParams(coupling, np.zeros((n, n)), np.zeros(n), sigma)
+    x0s = np.ones((c, n))
+    cfg = IntegratorConfig(1.0, 12.0, (3.0, 12.0))
+    noise = np.full((12, c, n), 0.5)
+    replicas_per_block(monkeypatch, n, 2)
+    for starts in ((1e301, 1e302), (1e302, 1e301)):
+        x0s[0], x0s[-1] = starts
+        for chunk, drawn in ((5, [(0, 5), (5, 10)]), (1, [(lo, lo + 1) for lo in range(7)])):
+            steps_per_chunk(monkeypatch, c, n, chunk)
+            calls = []
+            with pytest.raises(SimulationBlowupError) as exc:
+                euler_maruyama(params, x0s, cfg, one_pass(noise, calls), contiguous=contiguous)
+            assert exc.value.step == 7
+            assert calls == drawn
+    # alone, the first block's replay finds its own step 8
+    x0s[0], x0s[-1] = 1e301, 1.0
+    steps_per_chunk(monkeypatch, c, n, 5)
+    with pytest.raises(SimulationBlowupError) as exc:
+        euler_maruyama(params, x0s, cfg, source(noise), contiguous=contiguous)
+    assert exc.value.step == 8
+
+
+@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
+def test_martingale_off_keeps_the_state_bytes(monkeypatch, state_sigma):
+    # the martingale part is neither summed nor recorded, so no (C, S, N)
+    # array of it is allocated, and the states are the same bytes
+    n, c, steps = 16, 64, 200
+    params, x0s = replica_stack(n, c, seed=3, state_sigma=state_sigma)
+    xi = np.random.default_rng(4).standard_normal((steps, c, n))
+    cfg = every_step(0.005, steps * 0.005)
+    steps_per_chunk(monkeypatch, c, n, 30)
+    for contiguous in (False, True):
+        xs, ms = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous)
+        got, none = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous,
+                                   martingale=False)
+        assert none is None
+        assert got.tobytes() == xs.tobytes()
+        on, off = (traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(xi),
+                                                      contiguous=contiguous, martingale=m))
+                   for m in (True, False))
+        assert on > xs.nbytes + ms.nbytes
+        assert off < xs.nbytes + ms.nbytes // 4
 
 
 def test_noise_memory_does_not_grow_with_the_step_count():

@@ -26,6 +26,7 @@ from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                run_rayleigh, run_taylor_vs_mc,
                                run_universality, _aging_ratios_one, _gauss_rule,
                                _paired_values)
+from rmsde.observables import BuildingBlock, SuiteItem
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
@@ -263,9 +264,9 @@ def test_paired_drift_starts_on_a_cache_line(monkeypatch):
     starts = []
     real = dynamics._euler_block
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         starts.append(args[0].ctypes.data % 64)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_euler_block", recorded)
     for n, replicas, langevin in ((128, 6, False), (17, 5, True), (300, 2, False)):
@@ -840,6 +841,35 @@ def test_mc_noise_chunks_give_the_same_bytes(monkeypatch):
     got = experiments._mc_moments(cfg, n, specs)
     assert chunks == [7] * 14 + [2]
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_martingale_is_summed_only_when_a_suite_item_reads_it(monkeypatch):
+    # the integrator sums M only for a paired suite with an m block, and the
+    # states, so every item that reads none, are the same bytes either way;
+    # the series-vs-MC Monte Carlo never reads it
+    asked = []
+    real = experiments.euler_maruyama
+
+    def integrate(*args, **kwargs):
+        asked.append(kwargs.get("martingale", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "euler_maruyama", integrate)
+    n = 8
+    plain = default_suite(0.1)
+    mart = SuiteItem("mx", ((BuildingBlock.M, BuildingBlock.X),), (0.1, 0.1))
+    cfg = small_cfg(sizes=(n,), replicas=5, suite=plain)
+    want = _paired_values(cfg, n)
+    assert asked and not any(asked)
+    asked.clear()
+    got = _paired_values(replace(cfg, suite=plain + (mart,)), n)
+    assert asked and all(asked)
+    for g, w in zip(got, want):
+        assert g[:, :len(plain)].tobytes() == w.tobytes()
+        assert np.all(g[:, -1] != 0.0)
+    asked.clear()
+    experiments._mc_moments(ExperimentConfig(sizes=(3,), mc_paths=50), 3, [([X1], (0.1,))])
+    assert asked == [False]
 
 
 def test_mc_noise_memory_does_not_grow_with_the_step_count():
