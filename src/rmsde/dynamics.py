@@ -242,14 +242,11 @@ class Trajectory:
     """Recorded states and martingale part on the snapshot grid.
 
     One path has ``x`` and ``m`` of shape (len(times), N) and its
-    (N, N) ``coupling``; a block of k paths, as the paired experiments
-    record one per replica block and arm, has a leading axis k on all
-    three.  ``coupling`` is as the system holds it, which the field
-    observables read.
+    (N, N) ``coupling``, as the system holds it.
     """
 
-    coupling: np.ndarray  # (N, N), or (k, N, N) for a block
-    x: np.ndarray  # (len(times), N), or (k, len(times), N)
+    coupling: np.ndarray  # (N, N)
+    x: np.ndarray  # (len(times), N)
     m: np.ndarray
     config: IntegratorConfig
 
@@ -330,25 +327,35 @@ def simulate_paths(params: SystemParams, x0, config: IntegratorConfig,
     x0 = _check_x0(params, x0)
     shape = (n_paths, params.n)
     xs, ms = euler_maruyama(params, np.broadcast_to(x0, shape), config,
-                            _generator_source(stream.generator(), shape))
+                            _noise_source([stream.generator()], n_paths, params.n))
     return PathBatch(config.times, xs, ms)
 
 
-def _generator_source(gen: np.random.Generator, shape: tuple):
+def _noise_source(gens: list, rows: int, n: int):
     """Noise source of :func:`euler_maruyama` that draws the increments of
-    steps ``lo + 1 .. hi`` from ``gen`` as an array of shape
-    ``(hi - lo,) + shape``, into one buffer that every call reuses.
+    steps ``lo + 1 .. hi`` of ``rows`` paths from each generator of
+    ``gens``, in list order, and returns them as an array of shape
+    ``(hi - lo, len(gens) * rows, n)``.
 
-    The buffer is sized by the first chunk, which is the largest.
-    Consecutive draws give the values of one draw of the whole run.
+    Every call draws into one buffer, grown only when a chunk needs more,
+    and reads the list as it is then, so a caller may swap the list's
+    generators between runs and keep the buffer.  Each generator draws its
+    paths' chunk in one call, so consecutive draws give the values of one
+    draw of the whole run.  The result is a view of the buffer when one
+    generator or one row per generator is asked for, as every caller does.
     """
-    buf = np.empty((0,) + shape)
+    buf = np.empty(0)
 
     def draw(lo, hi):
         nonlocal buf
-        if len(buf) < hi - lo:
-            buf = np.empty((hi - lo,) + shape)
-        return gen.standard_normal(out=buf[:hi - lo])
+        shape = (len(gens), hi - lo, rows, n)
+        size = math.prod(shape)
+        if buf.size < size:
+            buf = np.empty(size)
+        xi = buf[:size].reshape(shape)
+        for gen, out in zip(gens, xi):
+            gen.standard_normal(out=out)
+        return np.swapaxes(xi, 0, 1).reshape(hi - lo, -1, n)
     return draw
 
 
@@ -367,7 +374,7 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
 
 
 def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConfig,
-                   draw, contiguous: bool = False, martingale: bool = True) -> tuple:
+                   draw, martingale: bool = True) -> tuple:
     """Euler-Maruyama for C paths of ``params``; snapshot arrays of shape (C, S, N).
 
     ``params.coupling`` is one (N, N) coupling shared by every path or a
@@ -399,25 +406,12 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     reads the block's drift from cache on every step, and the snapshots
     are the same bytes at any block or chunk size.
 
-    A stack is its own drift.  ``Lam`` must be diagonal: its diagonal is
-    added into the array that ``params.coupling`` views, the loop reads
-    the transposed view of that array (strides (N^2, 1, N)), and J's
-    diagonal is written back before the call returns or raises.  So no
-    drift array is built, and one system must not be integrated from two
-    threads at once.  Every :class:`SystemTemplate` builds ``-K I`` with
-    ``K >= 0``, whose ``-0.0`` zeros leave every J entry's bits as they
-    are, so this reads the bits of a formed ``J + Lam``; a ``+0.0`` zero
-    would turn an entry ``-0.0`` into ``+0.0``, which can change only the
-    sign of a zero.  A stack in read-only or non-contiguous memory is
-    copied first.  The loop is slower on a drift that does not start on
-    64 bytes, so a caller that reuses a stack allocates it with
-    :func:`_aligned_empty`.  With ``contiguous`` the drift is instead a
-    C-contiguous ``(J + Lam)^T``, formed per block in one aligned 1 MB
-    buffer; the two layouts round differently, and the golden bytes pin
-    the view for the paired runs and the copy for the series-vs-MC
-    check.  A shared coupling forms ``J + Lam`` once.  The
-    state-dependent diffusion is one product per path, whose bits do not
-    depend on the block either.
+    A stack is its own drift: :func:`_fold_diagonal` adds the diagonal
+    ``Lam`` into it for the call, and the loop reads its transposed view
+    (strides (N^2, 1, N)).  So no drift array is built, and one system
+    must not be integrated from two threads at once.  A shared coupling
+    forms ``J + Lam`` once.  The state-dependent diffusion is one product
+    per path, whose bits do not depend on the block either.
 
     A non-finite state stays non-finite at every later step, so each
     block runs a chunk's steps unchecked and its state is tested once at
@@ -433,21 +427,10 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     sig_state = None if params.constant_diffusion else params.sigma[1:]
     stacked = coupling.ndim == 3
     width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n)) if stacked else max(1, c)
-    if not stacked:
-        shared = coupling + params.lam  # right-multiplies the row states
-    elif contiguous:
-        buf = _aligned_empty((min(width, c), n, n))
-    else:
+    if stacked:
         j, diag, saved = _fold_diagonal(params)
-
-    def block_drift(rows):
-        if not stacked:
-            return shared
-        if contiguous:
-            return np.add(np.swapaxes(coupling[rows], 1, 2), params.lam.T,
-                          out=buf[:rows.stop - rows.start])
-        return np.swapaxes(j[rows], 1, 2)
-
+    else:
+        shared = coupling + params.lam  # right-multiplies the row states
     # shared by the blocks: the step's work buffers, the constant drift in
     # rows, and a block's state at the start of its chunk
     size = (min(width, c), n)
@@ -479,10 +462,9 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
                         raise ParameterError(f"{k} noise rows cannot serve {c} paths: "
                                              f"need K dividing {c}")
                     blocks = _blocks(c, width, k)
-                    fixed = block_drift(blocks[0]) if len(blocks) == 1 else None
                 for rows in blocks:
                     b, r = rows.stop - rows.start, rows.start % k
-                    mat = fixed if fixed is not None else block_drift(rows)
+                    mat = np.swapaxes(j[rows], 1, 2) if stacked else shared
                     args = (mat, h[:b], params.sigma, sig_state, x[rows], lin[:b], dm[:b],
                             xi[:, r:r + min(k, b)], lo, config.dt)
                     if first == math.inf:
@@ -494,7 +476,7 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
                         x[rows] = start[:b]
                     first = _euler_block(*args, first=first)
     finally:
-        if stacked and not contiguous:
+        if stacked:
             diag[...] = saved
     if first < math.inf:
         raise SimulationBlowupError(first)
@@ -504,7 +486,18 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
 def _fold_diagonal(params: SystemParams) -> tuple:
     """``(j, diag, saved)``: the stack ``params.coupling`` as a writeable
     array ``j`` with ``lam``'s diagonal added into its diagonal ``diag``,
-    and the (C, N) diagonal it held, for the caller to write back."""
+    and the (C, N) diagonal it held, for the caller to write back before
+    it returns or raises.
+
+    ``lam`` must be diagonal.  Every :class:`SystemTemplate` builds
+    ``-K I`` with ``K >= 0``, whose ``-0.0`` zeros leave every J entry's
+    bits as they are, so ``j`` holds the bits of a formed ``J + Lam``; a
+    ``+0.0`` zero would turn an entry ``-0.0`` into ``+0.0``, which can
+    change only the sign of a zero.  A stack in read-only or
+    non-contiguous memory is copied first.  The Euler loop is slower on a
+    drift that does not start on 64 bytes, so a caller that reuses a
+    stack allocates it with :func:`_aligned_empty`.
+    """
     if not params.diagonal_lam:
         raise ParameterError("a coupling stack needs a diagonal lam: "
                              "the integrator adds it into the stack in place")

@@ -437,15 +437,14 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     arm a's rows first, then arm b's.  The worker reuses one workspace
     for every block: the stack's starts and couplings, sized for its
     widest block, the couplings on a 64-byte boundary because the
-    integrator reads them as the drift, and one noise buffer of k rows,
-    sized to the largest chunk the integrator asks for.  Per block, each
-    replica's start is drawn into every arm's rows, each arm samples its
-    couplings into its rows, and one ``SystemTemplate.build`` makes the
-    stack's system.  The noise source keeps each replica's generator for
-    the whole block; each call draws the chunk's steps of the k replicas
-    only, which the integrator broadcasts over the arms, and consecutive
-    draws give the values of one draw of the whole run.  The martingale
-    part is summed only when a suite item reads block ``m``.  Each suite
+    integrator reads them as the drift, and one noise source
+    (:func:`dynamics._noise_source`) whose generator list is set to the
+    block's k replicas.  Per block, each replica's start is drawn into
+    every arm's rows, each arm samples its couplings into its rows, and
+    one ``SystemTemplate.build`` makes the stack's system.  Each chunk
+    draws the k replicas' noise rows only, which the integrator
+    broadcasts over the arms.  The martingale part is summed only when a
+    suite item reads block ``m``.  Each suite
     item is one :func:`evaluate` call on the whole stack, its states and the
     coupling the build returned, on rows resolved once per share, and its
     values are split by arm rows; the stacked products keep each
@@ -461,19 +460,8 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     values = np.empty((copies, sum(map(len, blocks)), len(cfg.suite)))
     x0s = np.empty((copies * width, n))
     couplings = dynamics._aligned_empty((copies * width, n, n))
-    noise = np.empty(0)
     gens = []  # the noise generators of the block in flight
-
-    def draw(lo, hi):
-        nonlocal noise
-        size = len(gens) * (hi - lo) * n
-        if noise.size < size:
-            noise = np.empty(size)
-        xi = noise[:size].reshape(len(gens), hi - lo, n)
-        for gen, out in zip(gens, xi):
-            gen.standard_normal(out=out)
-        return xi.swapaxes(0, 1)
-
+    draw = dynamics._noise_source(gens, 1, n)
     first = math.inf
     row = 0
     for block in blocks:
@@ -919,9 +907,9 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
     keyed by their index, so the estimate is deterministic in the seed
     and independent of the chunk width heuristic staying fixed.  A
     chunk's noise generator is drawn by :func:`euler_maruyama` as it
-    walks its step chunks, into one reused buffer, which gives the values
-    of one draw of the whole (steps, c, N) array, so at most 1 MB of it
-    is held at once.
+    walks its step chunks, through one :func:`dynamics._noise_source`,
+    which gives the values of one draw of the whole (steps, c, N) array,
+    so at most 1 MB of it is held at once.
     """
     profile = cfg.make_profile(n)
     icfg = _time_grid(cfg.dt, [t for _, ts in specs for t in ts])
@@ -939,9 +927,8 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
         params = cfg.template.build(
             sample_couplings(cfg.dist_a, profile, cfg.symmetric, [gen_j] * c))
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
-        # the C-contiguous (J + Lam)^T: this layout is pinned by the golden bytes
-        xs, _ = euler_maruyama(params, x0s, icfg, dynamics._generator_source(gen_b, (c, n)),
-                               contiguous=True, martingale=False)
+        xs, _ = euler_maruyama(params, x0s, icfg, dynamics._noise_source([gen_b], c, n),
+                               martingale=False)
         # an overflow leaves a non-finite sum of squares, which is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             for q, (poly_list, ts) in enumerate(specs):

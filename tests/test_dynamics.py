@@ -239,26 +239,23 @@ def full_stack_euler(drift_mat, params, x0s, cfg, xi):
 @pytest.mark.parametrize("state_sigma", [0.0, 0.05])
 @pytest.mark.parametrize("n", [3, 17, 128])
 def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
-    # each block's drift is the stack itself, or with contiguous its copy in
-    # the buffer; an additive noise run gives the bytes of the whole drift
-    # stack in that layout
+    # each block's drift is the stack itself; an additive noise run gives the
+    # bytes of the whole drift stack's transposed view
     c, steps = 7, 40
     params, x0s = replica_stack(n, c, seed=n, state_sigma=state_sigma)
     xi = np.random.default_rng(1).standard_normal((steps, c, n))
     cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
-    for contiguous in (False, True):
-        replicas_per_block(monkeypatch, n, c)
-        xs, ms = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous)
-        if not state_sigma:
-            stack = params.drift_matrix()
-            want = full_stack_euler(stack.copy() if contiguous else stack, params, x0s, cfg, xi)
-            assert want[0].tobytes() == xs.tobytes()
-            assert want[1].tobytes() == ms.tobytes()
-        for replicas in (1, 3, c):
-            replicas_per_block(monkeypatch, n, replicas)
-            got = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous)
-            assert got[0].tobytes() == xs.tobytes()
-            assert got[1].tobytes() == ms.tobytes()
+    replicas_per_block(monkeypatch, n, c)
+    xs, ms = euler_maruyama(params, x0s, cfg, source(xi))
+    if not state_sigma:
+        want = full_stack_euler(params.drift_matrix(), params, x0s, cfg, xi)
+        assert want[0].tobytes() == xs.tobytes()
+        assert want[1].tobytes() == ms.tobytes()
+    for replicas in (1, 3, c):
+        replicas_per_block(monkeypatch, n, replicas)
+        got = euler_maruyama(params, x0s, cfg, source(xi))
+        assert got[0].tobytes() == xs.tobytes()
+        assert got[1].tobytes() == ms.tobytes()
 
 
 def test_replica_block_width_depends_on_n_only(monkeypatch):
@@ -290,13 +287,13 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
     assert run(128, 20, state_sigma=0.01) == [8, 8, 4]
 
 
-@pytest.mark.parametrize("contiguous", [False, True])
-def test_drift_buffer_starts_on_a_cache_line(monkeypatch, contiguous):
-    # the contiguous copy is formed in a buffer on a cache line, since 1 MB
-    # buffers come from fresh mappings and smaller ones from the heap, and the
-    # batched product is slower on a drift that does not start on 64 bytes;
-    # the in-place drift is the caller's stack, which a caller that reuses it
-    # aligns, read through its transposed view
+@pytest.mark.parametrize("read_only", [False, True])
+def test_drift_buffer_starts_on_a_cache_line(monkeypatch, read_only):
+    # the drift is the caller's stack, which a caller that reuses it aligns,
+    # read through its transposed view; a read-only stack is copied into a
+    # buffer on a cache line, since 1 MB buffers come from fresh mappings and
+    # smaller ones from the heap, and the batched product is slower on a
+    # drift that does not start on 64 bytes
     starts = []
 
     def recorded(*args, **kwargs):
@@ -308,36 +305,34 @@ def test_drift_buffer_starts_on_a_cache_line(monkeypatch, contiguous):
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
     for n, c in ((128, 20), (256, 1), (17, 5), (3, 64)):
         params, x0s = replica_stack(n, c, seed=0)
+        if read_only:
+            frozen = params.coupling.copy()
+            frozen.setflags(write=False)
+            params = SystemParams(frozen, params.lam, params.h, params.sigma)
         starts.clear()
-        euler_maruyama(params, x0s, cfg, source(np.zeros((2, c, n))), contiguous=contiguous)
+        euler_maruyama(params, x0s, cfg, source(np.zeros((2, c, n))))
         assert len(starts) == -(-c // (2 ** 20 // (8 * n * n)))
         for mat in starts:
-            if contiguous:
-                assert mat.flags.c_contiguous and mat.ctypes.data % 64 == 0
-            else:
-                assert np.shares_memory(mat, params.coupling)
-                assert mat.strides == (8 * n * n, 8, 8 * n)
-        if not contiguous:
+            assert np.shares_memory(mat, params.coupling) != read_only
+            assert mat.strides == (8 * n * n, 8, 8 * n)
+        if read_only:
+            assert starts[0].ctypes.data % 64 == 0
+        else:
             assert starts[0].ctypes.data == params.coupling.ctypes.data
 
 
 def test_drift_buffer_is_one_block():
     # the in-place drift allocates no (N, N) array at all: the call holds its
     # state, snapshots and the saved diagonal, and four block-sized buffers
-    # (work, constant drift, chunk start), under seven (C, N) arrays; the
-    # contiguous layout adds one 1 MB block buffer, never a (C, N, N) drift
-    # stack of 3.3 MB
+    # (work, constant drift, chunk start), under seven (C, N) arrays, never a
+    # (C, N, N) drift stack of 3.3 MB
     n, c = 64, 100
     params, x0s = replica_stack(n, c, seed=2)
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
     noise = np.zeros((2, c, n))
-    rows = 8 * c * n
-    block = dynamics._DRIFT_BLOCK_BYTES
-    assert block < params.coupling.nbytes
-    for contiguous, bound in ((False, 7 * rows), (True, block + 8 * rows)):
-        peak = traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(noise),
-                                                  contiguous=contiguous))
-        assert peak < bound
+    assert dynamics._DRIFT_BLOCK_BYTES < params.coupling.nbytes
+    peak = traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(noise)))
+    assert peak < 7 * 8 * c * n
 
 
 @pytest.mark.parametrize("n,replicas", [(4, 2), (17, 1), (64, 3)])
@@ -380,9 +375,6 @@ def test_stack_needs_a_diagonal_lam():
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
     with pytest.raises(ParameterError, match="diagonal lam"):
         euler_maruyama(bent, x0s, cfg, source(np.zeros((2, 2, 3))))
-    # the contiguous copy forms J + Lam for any lam
-    xs, _ = euler_maruyama(bent, x0s, cfg, source(np.zeros((2, 2, 3))), contiguous=True)
-    assert np.all(np.isfinite(xs))
 
 
 def test_stack_in_read_only_memory_is_copied_not_written():
@@ -483,6 +475,44 @@ def test_noise_chunks_give_the_same_bytes(monkeypatch, chunk):
     assert got.m.tobytes() == want.m.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_noise_source_draws_each_generator_in_one_stream(chunk):
+    # the source the Monte Carlo and paired runs share: one generator for C
+    # rows gives one draw of the whole run, a generator per replica gives
+    # each row its own stream, at any chunk split
+    steps, c, n = 40, 5, 3
+
+    def gen(r):
+        return RngStream(7, r, PURPOSE_NOISE).generator()
+
+    def run(gens, rows):
+        draw = dynamics._noise_source(gens, rows, n)
+        return np.concatenate([draw(lo, min(lo + chunk, steps)).copy()
+                               for lo in range(0, steps, chunk)])
+
+    assert run([gen(0)], c).tobytes() == gen(0).standard_normal((steps, c, n)).tobytes()
+    got = run([gen(r) for r in range(c)], 1)
+    assert got.shape == (steps, c, n)
+    for r in range(c):
+        assert got[:, r].tobytes() == gen(r).standard_normal((steps, n)).tobytes()
+
+
+def test_noise_source_keeps_its_buffer_when_the_generators_change():
+    # the paired worker swaps the list's generators per block and keeps one
+    # source for its whole share, so every block draws into the same buffer
+    n = 3
+    gens = [RngStream(7, r, PURPOSE_NOISE).generator() for r in (0, 1)]
+    draw = dynamics._noise_source(gens, 1, n)
+    first = draw(0, 4)
+    pointer = first.ctypes.data
+    gens[:] = [RngStream(7, r, PURPOSE_NOISE).generator() for r in (2, 3)]
+    second = draw(0, 4)
+    assert second.ctypes.data == pointer
+    assert second[:, 1].tobytes() == \
+        RngStream(7, 3, PURPOSE_NOISE).generator().standard_normal((4, n)).tobytes()
+    assert draw(4, 6).ctypes.data == pointer  # a shorter chunk, the same buffer
+
+
 @pytest.mark.parametrize("state_sigma", [0.0, 0.05])
 def test_one_pass_source_serves_a_stack_of_blocks(monkeypatch, state_sigma):
     # 7 replicas in blocks of 2, 40 steps in chunks of 6: the source is asked
@@ -521,14 +551,14 @@ def test_blowup_step_across_a_noise_chunk_boundary(monkeypatch):
     assert calls == [(0, 3), (3, 6)]
 
 
-@pytest.mark.parametrize("contiguous", [False, True])
+@pytest.mark.parametrize("martingale", [False, True])
 @pytest.mark.parametrize("state_sigma", [0.0, 0.01])
-def test_blowup_step_inside_a_noise_chunk(monkeypatch, state_sigma, contiguous):
+def test_blowup_step_inside_a_noise_chunk(monkeypatch, state_sigma, martingale):
     # x grows about tenfold per step: 1e301 overflows at step 8, 1e302 at
     # step 7, both inside the chunk of steps 6..10, which runs unchecked and
     # is replayed step by step; whichever of the first and the last block
     # blows up first, the call reports step 7, and the chunk of steps 11..12
-    # is never drawn
+    # is never drawn, whether or not the martingale part is summed
     n, c = 2, 6
     coupling = np.zeros((c, n, n))
     coupling[0] = coupling[-1] = 9.0 * np.eye(n)
@@ -546,15 +576,23 @@ def test_blowup_step_inside_a_noise_chunk(monkeypatch, state_sigma, contiguous):
             steps_per_chunk(monkeypatch, c, n, chunk)
             calls = []
             with pytest.raises(SimulationBlowupError) as exc:
-                euler_maruyama(params, x0s, cfg, one_pass(noise, calls), contiguous=contiguous)
+                euler_maruyama(params, x0s, cfg, one_pass(noise, calls), martingale=martingale)
             assert exc.value.step == 7
             assert calls == drawn
     # alone, the first block's replay finds its own step 8
     x0s[0], x0s[-1] = 1e301, 1.0
     steps_per_chunk(monkeypatch, c, n, 5)
     with pytest.raises(SimulationBlowupError) as exc:
-        euler_maruyama(params, x0s, cfg, source(noise), contiguous=contiguous)
+        euler_maruyama(params, x0s, cfg, source(noise), martingale=martingale)
     assert exc.value.step == 8
+
+
+def test_numpy_overflow_is_an_error_in_every_test():
+    # pyproject.toml turns numpy's RuntimeWarning into an error for the whole
+    # suite, so an overflow that leaks out of the Euler loop's unchecked pass
+    # fails the blow-up tests above instead of passing with a warning
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.array([1e300]) * 1e300
 
 
 @pytest.mark.parametrize("state_sigma", [0.0, 0.05])
@@ -566,17 +604,14 @@ def test_martingale_off_keeps_the_state_bytes(monkeypatch, state_sigma):
     xi = np.random.default_rng(4).standard_normal((steps, c, n))
     cfg = every_step(0.005, steps * 0.005)
     steps_per_chunk(monkeypatch, c, n, 30)
-    for contiguous in (False, True):
-        xs, ms = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous)
-        got, none = euler_maruyama(params, x0s, cfg, source(xi), contiguous=contiguous,
-                                   martingale=False)
-        assert none is None
-        assert got.tobytes() == xs.tobytes()
-        on, off = (traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(xi),
-                                                      contiguous=contiguous, martingale=m))
-                   for m in (True, False))
-        assert on > xs.nbytes + ms.nbytes
-        assert off < xs.nbytes + ms.nbytes // 4
+    xs, ms = euler_maruyama(params, x0s, cfg, source(xi))
+    got, none = euler_maruyama(params, x0s, cfg, source(xi), martingale=False)
+    assert none is None
+    assert got.tobytes() == xs.tobytes()
+    on, off = (traced_peak(lambda: euler_maruyama(params, x0s, cfg, source(xi), martingale=m))
+               for m in (True, False))
+    assert on > xs.nbytes + ms.nbytes
+    assert off < xs.nbytes + ms.nbytes // 4
 
 
 def test_noise_memory_does_not_grow_with_the_step_count():

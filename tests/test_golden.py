@@ -164,7 +164,7 @@ mc_paths = 3000
 dt = 0.01
 horizon = 0.2
 """,
-        "04d1074c683ebe0e56a70525d5a7ed821de9cc6d867363f5ddd6c391b83e3070"),
+        "5d952a918216c44ec99f54efead707316f0b193a659a7bb54e5a4d31e5c2f6a3"),
     "taylor-check-asymmetric": ("taylor-check", "taylor.csv", """
 [ensemble]
 dist = exponential
@@ -179,7 +179,7 @@ mc_paths = 1500
 dt = 0.01
 horizon = 0.1
 """,
-        "360bcad58ee58c2d22bb7ed855941adbba6da5f97133e6941b259573d078105b"),
+        "06a07745c221c9c0508ef29c817a78402944a51f55b8d7c078ef62076123d169"),
     "aging": ("aging", "aging.csv", """
 [system]
 beta = inf
