@@ -135,15 +135,16 @@ def moment_growth_constant(dist: EntryDistribution) -> float:
     return 1.0
 
 
+# a Rademacher draw's bit 0 or 1 indexes its sign, the value of 2 * bit - 1
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def sample_entries(dist: EntryDistribution, size, rng: np.random.Generator) -> np.ndarray:
     """Draw iid samples of the unit-variance law."""
     if dist is EntryDistribution.GAUSSIAN:
         return rng.standard_normal(size)
     if dist is EntryDistribution.RADEMACHER:
-        signs = rng.integers(0, 2, size=size).astype(np.float64)
-        signs *= 2.0
-        signs -= 1.0
-        return signs
+        return _SIGNS[rng.integers(0, 2, size=size)]
     if dist is EntryDistribution.UNIFORM_CENTERED:
         s = math.sqrt(3.0)
         return rng.uniform(-s, s, size=size)

@@ -348,18 +348,31 @@ def _fan_out(work: Callable, shares: list) -> list:
 
 
 @functools.cache
-def _blas_threads() -> Optional[tuple]:
-    """``(get, set)`` of the thread count of the OpenBLAS bundled with
-    numpy's wheels, through ``ctypes``; None where that library or its
-    ``scipy_openblas_*_num_threads64_`` symbols are missing."""
+def _openblas():
+    """The OpenBLAS bundled with numpy's wheels, opened through ``ctypes``;
+    None where that library is missing.  It serves :func:`_blas_threads`
+    and :func:`_tridiagonal_solvers`; ``ctypes`` loads on the first call."""
     import ctypes
     import glob
 
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
-        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))[0])
+        return ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))[0])
+    except (IndexError, OSError):
+        return None
+
+
+@functools.cache
+def _blas_threads() -> Optional[tuple]:
+    """``(get, set)`` of the thread count of :func:`_openblas`; None where
+    that library or its ``scipy_openblas_*_num_threads64_`` symbols are
+    missing."""
+    import ctypes
+
+    lib = _openblas()
+    try:
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    except AttributeError:  # no library (None), or no such symbol
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
@@ -705,6 +718,72 @@ def _tridiagonal(alpha: list, beta: list) -> np.ndarray:
     return t
 
 
+@functools.cache
+def _tridiagonal_solvers() -> tuple:
+    """``(eigvalsh, eigh)`` of the Lanczos matrix given as ``(alpha, beta)``,
+    with the results of ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` of
+    ``_tridiagonal(alpha, beta)``.
+
+    numpy's dense drivers first reduce their input to tridiagonal form,
+    which on a tridiagonal input changes nothing (every Householder
+    ``tau`` is 0), and then call LAPACK's ``dsterf`` (eigenvalues) or
+    ``dstedc('I')`` (eigenvectors too).  Here those two run directly on
+    ``(alpha, beta)`` from :func:`_openblas` (ILP64), which gives the
+    same bytes without the O(m^3) reduction.  Where that library or the
+    symbols are missing, the dense solves on ``_tridiagonal`` serve.
+    """
+    import ctypes
+
+    lib = _openblas()
+    try:
+        dsterf, dstedc = lib.scipy_dsterf_64_, lib.scipy_dstedc_64_
+    except AttributeError:  # no library (None), or no such symbol
+        return (lambda alpha, beta: np.linalg.eigvalsh(_tridiagonal(alpha, beta)),
+                lambda alpha, beta: np.linalg.eigh(_tridiagonal(alpha, beta)))
+    ptr = ctypes.c_void_p
+    dsterf.argtypes, dsterf.restype = [ptr] * 4, None
+    # the CHARACTER argument's hidden length comes last, by value
+    dstedc.argtypes, dstedc.restype = [ctypes.c_char_p] + [ptr] * 10 + [ctypes.c_size_t], None
+
+    def ref(value: int):
+        return ctypes.byref(ctypes.c_int64(value))
+
+    def diagonals(alpha: list, beta: list) -> tuple:
+        # fresh float64 arrays, as the drivers overwrite them; + 0.0 as in
+        # _tridiagonal: a -0.0 on the diagonal reads +0.0
+        d, e = np.add(alpha, 0.0, dtype=np.float64), np.array(beta, dtype=np.float64)
+        if e.shape != (max(0, len(d) - 1),):  # the drivers read m - 1 of them
+            raise ValueError(f"{len(d)} diagonal entries need {len(d) - 1} off the "
+                             f"diagonal, got {e.shape}")
+        return d, e
+
+    def checked(info) -> None:
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def eigvalsh(alpha: list, beta: list) -> np.ndarray:
+        d, e = diagonals(alpha, beta)
+        info = ctypes.c_int64()
+        dsterf(ref(len(d)), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+        checked(info)
+        return d
+
+    def eigh(alpha: list, beta: list) -> tuple:
+        d, e = diagonals(alpha, beta)
+        m = len(d)
+        z = np.empty((m, m))  # column-major: row k is the k-th eigenvector
+        work = np.empty(1 + 4 * m + m * m)
+        iwork = np.empty(3 + 5 * m, dtype=np.int64)
+        info = ctypes.c_int64()
+        dstedc(b"I", ref(m), d.ctypes.data, e.ctypes.data, z.ctypes.data, ref(max(1, m)),
+               work.ctypes.data, ref(len(work)), iwork.ctypes.data, ref(len(iwork)),
+               ctypes.byref(info), 1)
+        checked(info)
+        return d, z.T
+
+    return eigvalsh, eigh
+
+
 def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
     """Gauss rule ``(theta, weights)`` of the spectral measure of the
     symmetric ``a`` seen from ``x0``: ``sum(weights * f(theta))`` equals
@@ -719,7 +798,14 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
     with the last check's.  The run stops when both moved by at most
     ``1e-14 * max|theta|``, when the Krylov space closes (the next
     ``beta`` is at rounding level), or at ``m = N``.  The stop depends
-    only on ``(a, x0)``.
+    only on ``(a, x0)``.  The checks and the final rule solve ``T``
+    from its diagonals with LAPACK's ``dsterf`` and ``dstedc``, with
+    the bytes of numpy's dense solves (:func:`_tridiagonal_solvers`).
+
+    Scaling by a power of two commutes with the roundings of Lanczos and
+    of those solves, so the rule of ``2 * a`` is the rule of ``a`` with
+    doubled nodes and the same weights, bit for bit: a caller doubles
+    the nodes, not the matrix.
 
     Ritz values lie inside the spectrum.  When the space closes before
     ``N`` steps the rule is exact, but its extremes need not be the
@@ -731,6 +817,7 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
     n = len(x0)
     mass = float(x0 @ x0)
     tol = n * np.finfo(np.float64).eps * float(np.linalg.norm(a))
+    eigvalsh, eigh = _tridiagonal_solvers()
     basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))
     alpha, beta = [], []
     r, b, ends = x0, math.sqrt(mass), None
@@ -740,7 +827,7 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
             basis = np.concatenate([basis, np.empty((min(n, 2 * m) - m, n))])
         if m:
             beta.append(b)
-        basis[m] = r / b
+        np.divide(r, b, out=basis[m])
         q = basis[:m + 1]
         r = a @ basis[m]
         h = q @ r
@@ -750,11 +837,11 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
         alpha.append(h[m] + h2[m])
         b = math.sqrt(r @ r)
         if len(alpha) % _LANCZOS_CHECK == 0 and b > tol:
-            now = np.linalg.eigvalsh(_tridiagonal(alpha, beta))[[0, -1]]
+            now = eigvalsh(alpha, beta)[[0, -1]]
             if ends is not None and np.all(np.abs(now - ends) <= 1e-14 * np.abs(now).max()):
                 break
             ends = now
-    theta, s = np.linalg.eigh(_tridiagonal(alpha, beta))
+    theta, s = eigh(alpha, beta)
     weights = mass * s[0] ** 2
     if len(alpha) < n and b <= tol:
         lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
@@ -764,13 +851,15 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
 
 
 def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
-             replicas: int, scale: float) -> list:
+             replicas: int) -> list:
     """Per arm and replica, ``(arm, r, theta, w)``: the Gauss rule of
-    :func:`_gauss_rule` for ``scale * J`` seen from the replica's start
-    ``x0``.  It stands in for the eigenvalues of ``scale * J`` and the
+    :func:`_gauss_rule` for the sampled ``J`` seen from the replica's
+    start ``x0``.  It stands in for the eigenvalues of ``J`` and the
     squared eigenbasis coefficients ``(v^T x0)^2`` of ``x0``: every
-    quadratic form ``x0^T f(scale * J) x0`` the flows read is a sum over
-    its nodes, and its extreme nodes are the ends of the spectrum.
+    quadratic form ``x0^T f(J) x0`` the flows read is a sum over its
+    nodes, and its extreme nodes are the ends of the spectrum.  A flow
+    of ``2J`` doubles the nodes, which gives the rule of ``2J`` bit for
+    bit.
 
     The arm-replica pairs are dealt round-robin to ``threads`` worker
     processes (:func:`_fan_out`) and come back in order, arm ``a``
@@ -791,8 +880,6 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
                                  [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()],
                                  out=coupling)[0]
             x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-            if scale != 1.0:
-                j *= scale  # the coupling is this worker's own
             out.append((arm, r) + _gauss_rule(j, x0))
         return out
 
@@ -847,7 +934,8 @@ def run_aging(cfg: ExperimentConfig) -> AgingReport:
         profile = cfg.make_profile(n)
         law = InitialLaw.uniform(cfg.init_dist, n)
         per_arm = {"a": [], "b": []}
-        for arm, _, w, c2 in _spectra(cfg, profile, law, cfg.replicas, 2.0):
+        for arm, _, theta, c2 in _spectra(cfg, profile, law, cfg.replicas):
+            w = 2.0 * theta  # the rule of 2J
             if not (fixed and cfg.template.confinement <= max(-w[0], w[-1])):
                 per_arm[arm].append(_aging_ratios_one(w, c2, pairs))
         for arm, vals in per_arm.items():
@@ -1060,7 +1148,7 @@ def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
     times = np.linspace(0.0, cfg.rayleigh_horizon, cfg.rayleigh_points)
     rows = []
     finals = {"a": [], "b": []}
-    for arm, r, lam, c2 in _spectra(cfg, profile, law, cfg.rayleigh_replicas, 1.0):
+    for arm, r, lam, c2 in _spectra(cfg, profile, law, cfg.rayleigh_replicas):
         curve = rayleigh_quotient_curve(lam, c2, times)
         # the exact quotient is nondecreasing; allow ulp-level rounding
         # wiggle once the curve has plateaued at the top

@@ -29,3 +29,22 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def openblas(monkeypatch):
+    """``openblas(lib)`` makes ``experiments._openblas()`` return ``lib``
+    (None: no library) for the rest of the test.  The helpers that cache
+    what they found in it are cleared around the test."""
+    from rmsde import experiments
+
+    helpers = (experiments._blas_threads, experiments._tridiagonal_solvers)
+
+    def use(lib):
+        monkeypatch.setattr(experiments, "_openblas", lambda: lib)
+        for helper in helpers:
+            helper.cache_clear()
+
+    yield use
+    for helper in helpers:  # before monkeypatch restores _openblas
+        helper.cache_clear()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import traced_peak
-from rmsde import experiments
+from rmsde import ensembles, experiments
 from rmsde.algebra import Polynomial
 from rmsde.ensembles import (EnsembleError, EntryDistribution, InitialLaw,
                              VarianceProfile, entry_moment, moment_growth_constant,
@@ -113,6 +113,46 @@ def test_rademacher_samples_are_signs():
     rng = RngStream(7).generator()
     x = sample_entries(EntryDistribution.RADEMACHER, 1000, rng)
     assert set(np.unique(x)) == {-1.0, 1.0}
+
+
+def two_bits_minus_one(size, rng):
+    """The Rademacher formula the sign lookup replaced: ``2 * bit - 1``."""
+    signs = rng.integers(0, 2, size=size).astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
+
+
+@pytest.mark.parametrize("size", [1, 7, 63, 1025, (3, 5), (4, 129)])
+def test_rademacher_signs_have_the_bytes_of_two_bits_minus_one(size):
+    # three consecutive calls on one generator, as the tiles of one draw make
+    got_rng, want_rng = RngStream(7).generator(), RngStream(7).generator()
+    for _ in range(3):
+        got = sample_entries(EntryDistribution.RADEMACHER, size, got_rng)
+        want = two_bits_minus_one(size, want_rng)
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == \
+            (want.dtype, want.shape, True)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "full"])
+@pytest.mark.parametrize("n, repeated", [(100, False), (20, True)],
+                         ids=["tiles", "repeated-generator"])
+def test_rademacher_couplings_keep_the_bytes_of_two_bits_minus_one(
+        monkeypatch, symmetric, n, repeated):
+    # at n = 100 each matrix draws two tiles of rows from its own generator;
+    # at n = 20 one repeated generator draws groups of matrices at a time
+    def stack():
+        gens = [RngStream(4, r, PURPOSE_COUPLING).generator() for r in range(5)]
+        if repeated:
+            gens = [gens[0]] * 50
+        return sample_couplings(EntryDistribution.RADEMACHER, VarianceProfile.offdiagonal(n),
+                                symmetric, gens)
+
+    got = stack()
+    monkeypatch.setattr(ensembles, "sample_entries",
+                        lambda dist, size, rng: two_bits_minus_one(size, rng))
+    assert got.tobytes() == stack().tobytes()
 
 
 def test_uniform_samples_stay_in_range():
@@ -389,10 +429,11 @@ def test_monte_carlo_samples_once_per_chunk(monkeypatch):
 @pytest.mark.parametrize("scale", [2.0, 1.0], ids=["aging", "rayleigh"])
 def test_spectra_draw_every_replica_arm_into_one_coupling(monkeypatch, scale):
     # one worker's 2 * 3 replica-arms at n = 9 reuse one (1, N, N) coupling, and
-    # their rules have the bytes of fresh draws (aging scales the coupling in place)
+    # their rules, with aging's doubled nodes, have the bytes of the rules of
+    # fresh draws of scale * J
     n, replicas = 9, 3
     cfg = experiments.ExperimentConfig(sizes=(n,), replicas=replicas)
-    args = (cfg, cfg.make_profile(n), InitialLaw.uniform(cfg.init_dist, n), replicas, scale)
+    args = (cfg, cfg.make_profile(n), InitialLaw.uniform(cfg.init_dist, n), replicas)
     calls = counting_sampler(monkeypatch)
     got = experiments._spectra(*args)
     outs = [out for _, out in calls]
@@ -400,9 +441,9 @@ def test_spectra_draw_every_replica_arm_into_one_coupling(monkeypatch, scale):
     assert all(out is outs[0] for out in outs)
     monkeypatch.setattr(experiments, "sample_couplings",
                         lambda dist, profile, symmetric, gens, out=None:
-                        sample_couplings(dist, profile, symmetric, gens))
+                        scale * sample_couplings(dist, profile, symmetric, gens))
     want = experiments._spectra(*args)
-    assert [(arm, r, theta.tobytes(), w.tobytes()) for arm, r, theta, w in got] == \
+    assert [(arm, r, (scale * theta).tobytes(), w.tobytes()) for arm, r, theta, w in got] == \
         [(arm, r, theta.tobytes(), w.tobytes()) for arm, r, theta, w in want]
 
 

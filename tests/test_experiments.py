@@ -723,6 +723,82 @@ def test_tridiagonal_is_the_sum_of_its_diagonals(m):
     assert experiments._tridiagonal(alpha, beta).tobytes() == want.tobytes()
 
 
+def dense_solvers():
+    """numpy's dense drivers on the Lanczos matrix: the solvers' oracle."""
+    return (lambda alpha, beta: np.linalg.eigvalsh(experiments._tridiagonal(alpha, beta)),
+            lambda alpha, beta: np.linalg.eigh(experiments._tridiagonal(alpha, beta)))
+
+
+def assert_solvers_give_dense_bytes(alpha, beta):
+    eigvalsh, eigh = experiments._tridiagonal_solvers()
+    want_eigvalsh, want_eigh = dense_solvers()
+    assert eigvalsh(alpha, beta).tobytes() == want_eigvalsh(alpha, beta).tobytes()
+    theta, s = eigh(alpha, beta)
+    want_theta, want_s = want_eigh(alpha, beta)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert s.shape == want_s.shape and s.tobytes() == want_s.tobytes()
+
+
+# 25 and 26 sit either side of dstedc's switch to divide and conquer
+@pytest.mark.parametrize("m", [1, 2, 25, 26, 96])
+def test_tridiagonal_solvers_give_the_bytes_of_the_dense_drivers(m):
+    rng = np.random.default_rng(m)
+    alpha = list(rng.standard_normal(m))
+    alpha[0] = -0.0  # reads +0.0, as on _tridiagonal's diagonal
+    beta = [float(b) for b in np.abs(rng.standard_normal(m - 1))]
+    assert_solvers_give_dense_bytes(alpha, beta)
+
+
+def test_tridiagonal_solvers_give_the_dense_bytes_on_an_aging_run(monkeypatch):
+    # the Lanczos matrices of a size-40 aging run: two convergence checks
+    # (m = 16, 32) and the final rule (m = 40) per replica-arm
+    seen = []
+    eigvalsh, eigh = experiments._tridiagonal_solvers()
+
+    def recorded(solve):
+        def run(alpha, beta):
+            seen.append((list(alpha), list(beta)))
+            return solve(alpha, beta)
+        return run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_tridiagonal_solvers",
+                      lambda: (recorded(eigvalsh), recorded(eigh)))
+        run_aging(experiment_config(parse_config(
+            "[system]\nbeta = inf\n[experiment]\nsizes = 40\nreplicas = 2\n")))
+    assert sorted({len(alpha) for alpha, _ in seen}) == [16, 32, 40]
+    for alpha, beta in seen:
+        assert_solvers_give_dense_bytes(alpha, beta)
+
+
+def test_tridiagonal_solvers_skip_the_dense_drivers(monkeypatch):
+    def dense(*args):
+        raise AssertionError("a dense driver ran")
+
+    alpha, beta = [1.0, 2.0, 3.0], [0.5, 0.25]
+    eigvalsh, eigh = experiments._tridiagonal_solvers()
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    assert len(eigvalsh(alpha, beta)) == 3 and len(eigh(alpha, beta)[0]) == 3
+
+
+@pytest.mark.parametrize("lib", [None, object()], ids=["no-library", "no-symbols"])
+def test_tridiagonal_solvers_fall_back_to_the_dense_drivers(monkeypatch, openblas, lib):
+    openblas(lib)
+    assert experiments._blas_threads() is None
+    alpha, beta = [1.0, -0.0, 3.0], [0.5, 0.25]
+    want = [solve(alpha, beta) for solve in dense_solvers()]
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda t, real=real, name=name: calls.append(name) or real(t))
+    eigvalsh, eigh = experiments._tridiagonal_solvers()
+    assert eigvalsh(alpha, beta).tobytes() == want[0].tobytes()
+    assert [x.tobytes() for x in eigh(alpha, beta)] == [x.tobytes() for x in want[1]]
+    assert calls == ["eigvalsh", "eigh"]
+
+
 def block_diagonal_case(n=64, k=20):
     j = scaled_coupling(n)
     j[:k, k:] = 0.0
@@ -757,6 +833,29 @@ def test_gauss_rule_closes_early_with_exact_ends(case):
     assert (theta[0], theta[-1]) == tuple(np.linalg.eigvalsh(a)[[0, -1]])
     assert abs(theta[-1] - w[-1]) <= 1e-13 * np.abs(w).max()
     assert np.max(moment_errors(theta, weights, a, x0, 2 * len(x0))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["gaussian-16", "gaussian-512", "rademacher-64",
+                                  "block-diagonal", "eigenvector"])
+def test_gauss_rule_of_2j_is_the_rule_of_j_with_doubled_nodes(case):
+    # aging doubles the nodes of J's rule instead of running Lanczos on 2J:
+    # a run to m = N, one stopped by the convergence check, and two whose
+    # Krylov space closes early, where the dense eigvalsh ends join the rule
+    if case in ("block-diagonal", "eigenvector"):
+        j, x0 = {"block-diagonal": block_diagonal_case, "eigenvector": eigenvector_case}[case]()
+    else:
+        name, n = case.split("-")
+        j = sample_couplings(EntryDistribution[name.upper()], VarianceProfile.offdiagonal(int(n)),
+                             True, [RngStream(5, 0, PURPOSE_COUPLING).generator()])[0]
+        x0 = sample_initial(InitialLaw.uniform(GAUSSIAN, int(n)), RngStream(5, 0, PURPOSE_INITIAL))
+    theta, weights = _gauss_rule(j, x0)
+    theta2, weights2 = _gauss_rule(2.0 * j, x0)
+    assert (theta2.tobytes(), weights2.tobytes()) == ((2.0 * theta).tobytes(), weights.tobytes())
+    # each case takes the branch it names: the closed ones end on zero-weight
+    # nodes, and only gaussian-512 stops on the check, after 96 steps
+    closed = case in ("block-diagonal", "eigenvector")
+    assert (weights[0] == 0.0) == closed
+    assert (len(theta) < len(x0)) == (closed or case == "gaussian-512")
 
 
 def test_fixed_aging_drops_what_the_eigh_oracle_drops(monkeypatch):

@@ -9,10 +9,12 @@ numbers.  The cases cover both symmetric and non-symmetric ensembles,
 the gradient-flow template, thresholds, two threads, a simulate run
 long enough to span two noise blocks, a banded profile file with zero
 variances off the diagonal, and aging with a fixed confinement that
-drops replicas in both arms.  Two universality cases run the weighted
-observables of the ``[observable]`` block: a quadratic read from a weight
-file and an arity-2 tensor over two times.  Runs start in this directory, so a
-profile file is named relative to it and the pinned config hash does
+drops replicas in both arms.  The spectral cases also run without
+numpy's bundled OpenBLAS, whose LAPACK solves the Lanczos tridiagonal:
+numpy's dense drivers must then give the same bytes.  Two universality
+cases run the weighted observables of the ``[observable]`` block: a
+quadratic read from a weight file and an arity-2 tensor over two times.
+Runs start in this directory, so a profile file is named relative to it and the pinned config hash does
 not depend on where the checkout lives.  Float formatting and BLAS
 rounding are part of what is pinned, so the hashes are specific to the
 numpy/BLAS build they were recorded with (numpy 2.4, OpenBLAS, x86-64).
@@ -21,6 +23,7 @@ numpy/BLAS build they were recorded with (numpy 2.4, OpenBLAS, x86-64).
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rmsde.cli import main
@@ -222,6 +225,22 @@ def test_csv_matches_golden_hash(tmp_path, monkeypatch, case):
     monkeypatch.chdir(Path(__file__).parent)
     kind, csv_name, text, expected = CASES[case]
     assert csv_digest(tmp_path, kind, csv_name, text) == expected
+
+
+@pytest.mark.parametrize("case", ["aging", "aging-fixed", "rayleigh"])
+def test_spectral_hashes_hold_without_the_blas_library(tmp_path, monkeypatch, openblas, case):
+    # without numpy's bundled OpenBLAS the Lanczos tridiagonal goes to numpy's
+    # dense drivers, which give the bytes of LAPACK's tridiagonal ones
+    openblas(None)
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, real=real, name=name: solves.append(name) or real(a))
+    monkeypatch.chdir(Path(__file__).parent)
+    kind, csv_name, text, expected = CASES[case]
+    assert csv_digest(tmp_path, kind, csv_name, text) == expected
+    assert "eigh" in solves
 
 
 def test_fixed_aging_case_drops_in_both_arms(tmp_path):
