@@ -48,7 +48,7 @@ def main() -> None:
                       np.array([[s], [0.0]]))
     oracle = MomentOracle.from_ensemble(
         EntryDistribution.GAUSSIAN, VarianceProfile.offdiagonal(1),
-        InitialLaw.uniform(EntryDistribution.RADEMACHER, 1))
+        InitialLaw(EntryDistribution.RADEMACHER, 1))
     res = taylor_mean(Polynomial.from_x(1, 1), ou, oracle, t, k=14)
     want = math.exp(-2 * t) + s * s * (1 - math.exp(-2 * t))
     print(f"\nOU second moment at t={t}: series {res.value:.10f}  "

@@ -155,8 +155,7 @@ def _run_simulate(rc: RunConfig):
     j = sample_couplings(cfg.dist_a, cfg.make_profile(n), cfg.symmetric,
                          [RngStream(cfg.jseed, 0, PURPOSE_COUPLING).generator()])[0]
     params = cfg.template.build(j)
-    x0 = sample_initial(InitialLaw.uniform(cfg.init_dist, n),
-                        RngStream(cfg.seed, 0, PURPOSE_INITIAL))
+    x0 = sample_initial(InitialLaw(cfg.init_dist, n), RngStream(cfg.seed, 0, PURPOSE_INITIAL))
     traj = simulate(params, x0, icfg, RngStream(cfg.seed, 0, PURPOSE_NOISE))
     header = ("time", "coordinate", "x", "m")
     rows = []

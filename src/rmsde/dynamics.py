@@ -1,15 +1,17 @@
-"""Linear-drift diffusions with multiplicative noise.
+"""Linear-drift diffusions driven by a random coupling.
 
-The state ``X in R^N`` follows
+The paper's state ``X in R^N`` follows
 
     dX_j = (J^T X)_j dt + (Lam^T X)_j dt + h_j dt
            + sqrt(2) * (sigma_0j + sum_i sigma_ij X_i) dB_j
 
 driven by independent Brownian motions ``B_j``.  The convention
 ``X_0 == 1`` folds constant diffusion into row 0 of ``sigma``.  The
-martingale part ``M`` (``M(0) = 0``) is accumulated alongside ``X``,
-when the caller reads it, so trajectories decompose exactly into drift
-plus martingale.
+expansion engine reads all of ``sigma``; the integrator runs the
+additive noise ``sigma[1:] == 0`` that every :class:`SystemTemplate`
+builds.  The martingale part ``M`` (``M(0) = 0``) is accumulated
+alongside ``X``, when the caller reads it, so trajectories decompose
+exactly into drift plus martingale.
 
 Integration is Euler-Maruyama on a fixed step, in one loop that serves
 a single shared system and a per-path stack of couplings alike.  A
@@ -126,7 +128,7 @@ class SystemParams:
         included), floored at 1.  These drive the term-count bounds of
         the expansion engine.
     constant_diffusion : bool
-        True when every state-dependent diffusion coefficient is zero.
+        True when ``sigma[1:]`` is zero, as :func:`euler_maruyama` requires.
     diagonal_lam : bool
         True when ``lam`` has no nonzero entry off its diagonal, which
         the integrator needs to fold it into a coupling stack.
@@ -410,8 +412,8 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     ``Lam`` into it for the call, and the loop reads its transposed view
     (strides (N^2, 1, N)).  So no drift array is built, and one system
     must not be integrated from two threads at once.  A shared coupling
-    forms ``J + Lam`` once.  The state-dependent diffusion is one product
-    per path, whose bits do not depend on the block either.
+    forms ``J + Lam`` once.  The diffusion must be constant, else
+    :class:`ParameterError` is raised before any work or draw.
 
     A non-finite state stays non-finite at every later step, so each
     block runs a chunk's steps unchecked and its state is tested once at
@@ -422,9 +424,10 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
     earliest step so far.  Raises :class:`SimulationBlowupError` with the
     first step at which any path's state stops being finite.
     """
+    if not params.constant_diffusion:
+        raise ParameterError("the integrator needs constant diffusion: sigma[1:] must be zero")
     c, n = x0s.shape
     coupling = params.coupling
-    sig_state = None if params.constant_diffusion else params.sigma[1:]
     stacked = coupling.ndim == 3
     width = max(1, _DRIFT_BLOCK_BYTES // (8 * n * n)) if stacked else max(1, c)
     if stacked:
@@ -465,7 +468,7 @@ def euler_maruyama(params: SystemParams, x0s: np.ndarray, config: IntegratorConf
                 for rows in blocks:
                     b, r = rows.stop - rows.start, rows.start % k
                     mat = np.swapaxes(j[rows], 1, 2) if stacked else shared
-                    args = (mat, h[:b], params.sigma, sig_state, x[rows], lin[:b], dm[:b],
+                    args = (mat, h[:b], params.sigma[0], x[rows], lin[:b], dm[:b],
                             xi[:, r:r + min(k, b)], lo, config.dt)
                     if first == math.inf:
                         start[:b] = x[rows]
@@ -528,7 +531,7 @@ def _blocks(c: int, width: int, k: int) -> list:
             for base in range(0, c, span) for lo in range(base, base + span, width)]
 
 
-def _euler_block(mat, h, sigma, sig_state, x, lin, dm, xi, lo, dt,
+def _euler_block(mat, h, sigma0, x, lin, dm, xi, lo, dt,
                  m=None, want=None, xs=None, ms=None, first=None):
     """Advance one block's state ``x`` in place through steps
     ``lo + 1 .. lo + len(xi)``, with ``xi`` its increments of those steps.
@@ -537,8 +540,8 @@ def _euler_block(mat, h, sigma, sig_state, x, lin, dm, xi, lo, dt,
     column states, or a shared (N, N) ``J + Lam`` acting on row states,
     and ``h`` the constant drift in b rows.  ``xi`` has shape (steps, K,
     N) with K dividing b, and its rows repeat over the block's b / K
-    copies.  ``lin`` and ``dm`` are (b, N) work buffers, so an unchecked
-    step allocates no array.
+    copies, scaled by ``sqrt(2 dt) * sigma0``.  ``lin`` and ``dm`` are
+    (b, N) work buffers, so an unchecked step allocates no array.
 
     Without ``first`` the steps run unchecked: each step's ``dM`` is added
     into ``m`` unless it is None, and the snapshot steps in ``want`` are
@@ -548,20 +551,12 @@ def _euler_block(mat, h, sigma, sig_state, x, lin, dm, xi, lo, dt,
     ``first``; it returns the smaller of its own first non-finite step
     and ``first``.
     """
-    sqrt2dt = math.sqrt(2.0 * dt)
-    amp = sqrt2dt * sigma[0]
+    amp = math.sqrt(2.0 * dt) * sigma0
     copies = dm.reshape(-1, xi.shape[1], x.shape[1])  # dm, one row of xi per row
     for step, xi_step in enumerate(xi, lo + 1):
         if first is not None and step >= first:
             return first
-        if sig_state is None:
-            np.multiply(amp, xi_step, out=copies)
-        else:
-            # sqrt(2 dt) * (sigma_0 + x sigma_state) * xi, in this order
-            np.matmul(x[:, None], sig_state, out=dm[:, None])
-            np.add(sigma[0], dm, out=dm)
-            np.multiply(sqrt2dt, dm, out=dm)
-            np.multiply(copies, xi_step, out=copies)
+        np.multiply(amp, xi_step, out=copies)
         if mat.ndim == 3:
             np.matmul(mat, x[:, :, None], out=lin[:, :, None])
         else:

@@ -341,52 +341,28 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Product law of the initial condition: coordinate i ~ dists[i].
+    """Product law of the initial condition: ``n`` iid coordinates of ``dist``.
 
-    All supported marginals are the centered unit-variance entry laws,
-    so the exact moments are available through :func:`entry_moment`.
+    Its exact moments are those of the entry law, :func:`entry_moment`.
     """
 
-    dists: tuple
+    dist: EntryDistribution
+    n: int
 
     def __post_init__(self) -> None:
-        dists = tuple(self.dists)
-        if not dists:
+        if not isinstance(self.dist, EntryDistribution):
+            raise EnsembleError(f"not an entry distribution: {self.dist!r}")
+        if self.n < 1:
             raise EnsembleError("initial law needs at least one coordinate")
-        for d in dists:
-            if not isinstance(d, EntryDistribution):
-                raise EnsembleError(f"not an entry distribution: {d!r}")
-        object.__setattr__(self, "dists", dists)
-
-    @classmethod
-    def uniform(cls, dist: EntryDistribution, n: int) -> "InitialLaw":
-        return cls((dist,) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.dists)
-
-    @cached_property
-    def groups(self) -> tuple:
-        """``(dist, coordinates)`` per entry law present, in enum order."""
-        return tuple((dist, [k for k, d in enumerate(self.dists) if d is dist])
-                     for dist in EntryDistribution if dist in self.dists)
 
     def moment(self, i: int, ell: int) -> float:
         """Exact E[X_i(0)**ell] for coordinate i (1-based)."""
         if not 1 <= i <= self.n:
             raise IndexError(f"coordinate {i} out of range 1..{self.n}")
-        return entry_moment(self.dists[i - 1], ell)
+        return entry_moment(self.dist, ell)
 
 
 def sample_initial(law: InitialLaw, stream: RngStream) -> np.ndarray:
     """One draw of the initial condition."""
-    rng = stream.generator()
-    if len(law.groups) == 1:
-        return sample_entries(law.dists[0], law.n, rng)
-    # mixed marginals: one draw per kind, in enum order
-    out = np.empty(law.n)
-    for dist, idx in law.groups:
-        out[idx] = sample_entries(dist, len(idx), rng)
-    return out
+    return sample_entries(law.dist, law.n, stream.generator())
 

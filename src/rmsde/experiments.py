@@ -240,10 +240,6 @@ def check_preconditions(kind: str, cfg: ExperimentConfig) -> None:
         if np.any(cfg.template.thresholds):
             raise ExperimentError(f"{kind} runs need thresholds = 0: "
                                   "the spectral flow has no constant drift")
-    if kind == "concentration":
-        n0 = cfg.sizes[0]
-        if not cfg.template.build(np.zeros((n0, n0))).constant_diffusion:
-            raise ExperimentError("concentration runs need constant diffusion")
     if kind == "taylor-check":
         if cfg.sizes[0] > 4:
             raise ExperimentError("series-vs-MC runs are limited to dimension <= 4")
@@ -516,7 +512,7 @@ def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> l
     with the earliest step over every replica and arm of the size.
     """
     profile = cfg.make_profile(n)
-    law = InitialLaw.uniform(cfg.init_dist, n)
+    law = InitialLaw(cfg.init_dist, n)
     icfg = _time_grid(cfg.dt, [t for item in cfg.suite for t in item.times], cfg.horizon)
     width = _block_width(n, len(arms))
     blocks = [range(lo, min(lo + width, cfg.replicas)) for lo in range(0, cfg.replicas, width)]
@@ -658,10 +654,9 @@ class ConcentrationReport:
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     """Replica spread of sup-over-grid observables, single arm.
 
-    Requires an additive-noise template (state-dependent diffusion is
-    outside the concentration statement this checks).  The deviation
-    statistics center each grid point at its replica mean and take the
-    sup over the grid per replica.
+    Every template's noise is additive, which the concentration statement
+    this checks assumes.  The deviation statistics center each grid point
+    at its replica mean and take the sup over the grid per replica.
     """
     check_preconditions("concentration", cfg)
     sub = replace(cfg, suite=_suite("concentration", cfg))
@@ -932,7 +927,7 @@ def run_aging(cfg: ExperimentConfig) -> AgingReport:
     dropped = {"a": 0, "b": 0}
     for n in cfg.sizes:
         profile = cfg.make_profile(n)
-        law = InitialLaw.uniform(cfg.init_dist, n)
+        law = InitialLaw(cfg.init_dist, n)
         per_arm = {"a": [], "b": []}
         for arm, _, theta, c2 in _spectra(cfg, profile, law, cfg.replicas):
             w = 2.0 * theta  # the rule of 2J
@@ -1053,7 +1048,7 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     n = cfg.sizes[0]
     t = cfg.time
     profile = cfg.make_profile(n)
-    law = InitialLaw.uniform(cfg.init_dist, n)
+    law = InitialLaw(cfg.init_dist, n)
     oracle = MomentOracle.from_ensemble(cfg.dist_a, profile, law, cfg.symmetric)
     # the symbolic engine reads only the deterministic parts of the template
     params = cfg.template.build(np.zeros((n, n)))
@@ -1144,7 +1139,7 @@ def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
     check_preconditions("rayleigh", cfg)
     n = cfg.sizes[0]
     profile = cfg.make_profile(n)
-    law = InitialLaw.uniform(cfg.init_dist, n)
+    law = InitialLaw(cfg.init_dist, n)
     times = np.linspace(0.0, cfg.rayleigh_horizon, cfg.rayleigh_points)
     rows = []
     finals = {"a": [], "b": []}

@@ -112,7 +112,7 @@ def test_03_moment_evaluator_vs_sampling():
         monomials.append(Monomial(coeff=float(rng.choice((1.0, -1.0, 2.5))),
                                   j_pairs=pairs, x_idx=x_idx))
     profile = VarianceProfile.full(n)
-    init = InitialLaw.uniform(EntryDistribution.GAUSSIAN, n)
+    init = InitialLaw(EntryDistribution.GAUSSIAN, n)
     mc = np.random.default_rng(SEED + 3)
     x0 = mc.standard_normal((samples, n))
     worst_z = 0.0
@@ -139,7 +139,7 @@ def test_04_vanishing_criterion_is_exact():
     n = 3
     params = _full_params(n, np.random.default_rng(SEED + 4))
     profile = VarianceProfile.full(n)
-    init = InitialLaw.uniform(EntryDistribution.GAUSSIAN, n)
+    init = InitialLaw(EntryDistribution.GAUSSIAN, n)
     oracles = {
         sym: tuple(MomentOracle.from_ensemble(d, profile, init, symmetric=sym)
                    for d in (EntryDistribution.GAUSSIAN,

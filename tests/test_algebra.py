@@ -26,7 +26,7 @@ def constant(c):
 def gaussian_oracle(n, symmetric=False, profile=None):
     profile = profile or VarianceProfile.offdiagonal(n)
     return MomentOracle.from_ensemble(GAUSSIAN, profile,
-                                      InitialLaw.uniform(GAUSSIAN, n),
+                                      InitialLaw(GAUSSIAN, n),
                                       symmetric=symmetric)
 
 
@@ -160,7 +160,7 @@ def test_difference_vanishes_cases(pairs, symmetric, want):
 def test_oracle_requires_matching_dimensions():
     with pytest.raises(AlgebraError):
         MomentOracle.from_ensemble(GAUSSIAN, VarianceProfile.offdiagonal(2),
-                                   InitialLaw.uniform(GAUSSIAN, 3))
+                                   InitialLaw(GAUSSIAN, 3))
     with pytest.raises(AlgebraError):
         MomentOracle(0, lambda p, l: 0.0, lambda i, l: 0.0)
 
@@ -170,14 +170,14 @@ def test_symmetric_oracle_needs_symmetric_profile():
     m[0, 1] = 1.0
     with pytest.raises(AlgebraError, match="symmetric"):
         MomentOracle.from_ensemble(GAUSSIAN, VarianceProfile(m),
-                                   InitialLaw.uniform(GAUSSIAN, 2), symmetric=True)
+                                   InitialLaw(GAUSSIAN, 2), symmetric=True)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_preset_oracle_matches_its_profile_file(n, symmetric):
     # a preset and a profile file holding the same variances give the same moments
-    law = InitialLaw.uniform(GAUSSIAN, n)
+    law = InitialLaw(GAUSSIAN, n)
     for preset in (VarianceProfile.offdiagonal(n), VarianceProfile.full(n)):
         file = VarianceProfile([[preset.variance(i, j) for j in range(n)] for i in range(n)])
         for dist in EntryDistribution:
@@ -217,7 +217,7 @@ def test_expected_value_gaussian_fourth_power():
 def test_expected_value_exponential_third_moment():
     profile = VarianceProfile.offdiagonal(2)
     oracle = MomentOracle.from_ensemble(EXPONENTIAL, profile,
-                                        InitialLaw.uniform(GAUSSIAN, 2))
+                                        InitialLaw(GAUSSIAN, 2))
     mono = Monomial(j_pairs=((1, 2),) * 3)
     assert expected_value(mono, oracle) == pytest.approx(2.0 * 2 ** -1.5)
 
@@ -253,7 +253,7 @@ def test_expected_value_product_formula():
 def test_expected_value_against_monte_carlo(dist, pairs, x_idx):
     n = 3
     profile = VarianceProfile.offdiagonal(n)
-    law = InitialLaw.uniform(GAUSSIAN, n)
+    law = InitialLaw(GAUSSIAN, n)
     oracle = MomentOracle.from_ensemble(dist, profile, law)
     mono = Monomial(j_pairs=pairs, x_idx=x_idx)
     vals = []

@@ -145,14 +145,48 @@ def test_build_forms_the_shared_parts_once_per_size():
 # ------------------------------------------------------------- integrator
 
 def test_euler_step_diffusion_formula():
-    # one step from x: dM_j = sqrt(2 dt) * (sigma_0j + sum_i sigma_ij x_i) * xi_j
-    sigma = np.array([[0.5, 0.0], [0.2, 0.0], [0.0, 0.1]])
+    # one step from x: dM_j = sqrt(2 dt) * sigma_0j * xi_j, whatever x is
+    sigma = np.array([[0.5, 0.1], [0.0, 0.0], [0.0, 0.0]])
     xi = np.array([[[0.7, -1.3]]])
     cfg = IntegratorConfig(0.01, 0.01, (0.01,))
     p = SystemParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), sigma)
-    _, ms = euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, source(xi))
-    want = math.sqrt(2.0 * 0.01) * np.array([0.5 + 0.2 * 2.0, 0.1 * 3.0]) * xi[0, 0]
-    assert np.allclose(ms[0, 0], want, atol=1e-15)
+    xs, ms = euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, source(xi))
+    want = math.sqrt(2.0 * 0.01) * np.array([0.5, 0.1]) * xi[0, 0]
+    assert ms[0, 0].tobytes() == want.tobytes()
+    assert xs[0, 0].tobytes() == (np.array([2.0, 3.0]) + want).tobytes()
+    # a state-dependent coefficient has no Euler route
+    sigma[1, 0] = 0.2
+    p = SystemParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), sigma)
+    with pytest.raises(ParameterError, match="sigma"):
+        euler_maruyama(p, np.array([[2.0, 3.0]]), cfg, source(xi))
+
+
+def test_state_dependent_diffusion_is_rejected_before_any_draw(monkeypatch):
+    # no template builds a nonzero sigma[1:]; a system built by hand with one
+    # is refused before Lam is folded into a stack or any noise is drawn
+    n, c = 3, 4
+    params, x0s = replica_stack(n, c, seed=2)
+    sigma = params.sigma.copy()
+    sigma[2, 1] = 0.1
+    stack = SystemParams(params.coupling, params.lam, params.h, sigma)
+    before = stack.coupling.tobytes()
+    calls = []
+
+    def draw(lo, hi):
+        calls.append((lo, hi))
+        return np.zeros((hi - lo, c, n))
+
+    cfg = IntegratorConfig(0.01, 0.05, (0.05,))
+    with pytest.raises(ParameterError, match="sigma"):
+        euler_maruyama(stack, x0s, cfg, draw)
+    assert stack.coupling.tobytes() == before
+    monkeypatch.setattr(dynamics, "_noise_source", lambda gens, rows, n: draw)
+    shared = SystemParams(params.coupling[0], params.lam, params.h, sigma)
+    with pytest.raises(ParameterError, match="sigma"):
+        simulate(shared, x0s[0], cfg, noise_stream())
+    with pytest.raises(ParameterError, match="sigma"):
+        simulate_paths(shared, x0s[0], cfg, noise_stream(), n_paths=c)
+    assert calls == []
 
 
 def test_snapshot_rounding_and_dedup():
@@ -200,13 +234,12 @@ def test_bad_step_size():
 
 # ----------------------------------------------------------- replica blocks
 
-def replica_stack(n, c, seed, state_sigma=0.0):
+def replica_stack(n, c, seed):
     """Parameters of ``c`` random systems of size ``n`` as one stack, and their x0s."""
     rng = np.random.default_rng(seed)
     j = rng.standard_normal((c, n, n)) / math.sqrt(n)
     sigma = np.zeros((n + 1, n))
     sigma[0] = 0.7
-    sigma[1:] = state_sigma * rng.standard_normal((n, n))
     params = SystemParams(j, -1.5 * np.eye(n), rng.uniform(-1, 1, n), sigma)
     return params, rng.standard_normal((c, n))
 
@@ -236,21 +269,19 @@ def full_stack_euler(drift_mat, params, x0s, cfg, xi):
     return np.stack(xs, 1)[:, rows], np.stack(ms, 1)[:, rows]
 
 
-@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
 @pytest.mark.parametrize("n", [3, 17, 128])
-def test_replica_blocks_give_the_same_bytes(monkeypatch, n, state_sigma):
-    # each block's drift is the stack itself; an additive noise run gives the
-    # bytes of the whole drift stack's transposed view
+def test_replica_blocks_give_the_same_bytes(monkeypatch, n):
+    # each block's drift is the stack itself; a run gives the bytes of the
+    # whole drift stack's transposed view
     c, steps = 7, 40
-    params, x0s = replica_stack(n, c, seed=n, state_sigma=state_sigma)
+    params, x0s = replica_stack(n, c, seed=n)
     xi = np.random.default_rng(1).standard_normal((steps, c, n))
     cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
     replicas_per_block(monkeypatch, n, c)
     xs, ms = euler_maruyama(params, x0s, cfg, source(xi))
-    if not state_sigma:
-        want = full_stack_euler(params.drift_matrix(), params, x0s, cfg, xi)
-        assert want[0].tobytes() == xs.tobytes()
-        assert want[1].tobytes() == ms.tobytes()
+    want = full_stack_euler(params.drift_matrix(), params, x0s, cfg, xi)
+    assert want[0].tobytes() == xs.tobytes()
+    assert want[1].tobytes() == ms.tobytes()
     for replicas in (1, 3, c):
         replicas_per_block(monkeypatch, n, replicas)
         got = euler_maruyama(params, x0s, cfg, source(xi))
@@ -262,7 +293,7 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
     widths = []
 
     def recorded(*args, **kwargs):
-        x = args[4]
+        x = args[3]
         widths.append(len(x))
         return real(*args, **kwargs)
 
@@ -270,9 +301,9 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
     monkeypatch.setattr(dynamics, "_euler_block", recorded)
     cfg = IntegratorConfig(0.01, 0.02, (0.02,))
 
-    def run(n, c, state_sigma=0.0, shared=False):
+    def run(n, c, shared=False):
         widths.clear()
-        params, x0s = replica_stack(n, c, seed=0, state_sigma=state_sigma)
+        params, x0s = replica_stack(n, c, seed=0)
         if shared:
             params = SystemParams(params.coupling[0], params.lam, params.h, params.sigma)
         euler_maruyama(params, x0s, cfg, source(np.zeros((2, c, n))))
@@ -284,7 +315,6 @@ def test_replica_block_width_depends_on_n_only(monkeypatch):
     assert run(363, 3) == [1, 1, 1]
     assert run(3, 64) == [64]
     assert run(128, 20, shared=True) == [20]
-    assert run(128, 20, state_sigma=0.01) == [8, 8, 4]
 
 
 @pytest.mark.parametrize("read_only", [False, True])
@@ -396,15 +426,14 @@ def test_stack_in_read_only_memory_is_copied_not_written():
     assert np.all(np.isfinite(one[0]))
 
 
-@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
 @pytest.mark.parametrize("n,replicas", [(3, 8), (3, 4), (3, 3), (17, 2), (17, 1)])
-def test_noise_rows_repeat_over_the_copies(monkeypatch, n, replicas, state_sigma):
+def test_noise_rows_repeat_over_the_copies(monkeypatch, n, replicas):
     # k noise rows serve 2k or 3k stack rows, path r reading row r % k, with
     # the bytes of k rows drawn out in full for every copy: blocks of whole
-    # copies (8, 4), within one copy (3 of 4 rows, 2, 1), at either diffusion
+    # copies (8, 4) and within one copy (3 of 4 rows, 2, 1)
     k = 4
     for copies in (2, 3):
-        params, x0s = replica_stack(n, copies * k, seed=copies, state_sigma=state_sigma)
+        params, x0s = replica_stack(n, copies * k, seed=copies)
         xi = np.random.default_rng(5).standard_normal((9, k, n))
         cfg = IntegratorConfig(0.01, 0.09, (0.03, 0.09))
         replicas_per_block(monkeypatch, n, 64)
@@ -462,9 +491,6 @@ def test_noise_chunks_give_the_same_bytes(monkeypatch, chunk):
     # chunk by default; 1000-step chunks end on a short one of 500 steps
     n = 5
     p = random_params(n, seed=5)
-    sigma = p.sigma.copy()
-    sigma[1:] = 0.05 * np.random.default_rng(5).standard_normal((n, n))
-    p = SystemParams(p.coupling, p.lam, p.h, sigma)
     cfg = IntegratorConfig(1e-4, 0.45, tuple(k * 1e-4 for k in range(0, 4501, 9)))
     assert cfg.n_steps == 4500
     assert dynamics._NOISE_CHUNK_BYTES // (8 * n) >= cfg.n_steps
@@ -513,12 +539,11 @@ def test_noise_source_keeps_its_buffer_when_the_generators_change():
     assert draw(4, 6).ctypes.data == pointer  # a shorter chunk, the same buffer
 
 
-@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
-def test_one_pass_source_serves_a_stack_of_blocks(monkeypatch, state_sigma):
+def test_one_pass_source_serves_a_stack_of_blocks(monkeypatch):
     # 7 replicas in blocks of 2, 40 steps in chunks of 6: the source is asked
     # for each chunk exactly once, in order, the last one short
     n, c, steps = 17, 7, 40
-    params, x0s = replica_stack(n, c, seed=4, state_sigma=state_sigma)
+    params, x0s = replica_stack(n, c, seed=4)
     xi = np.random.default_rng(2).standard_normal((steps, c, n))
     cfg = IntegratorConfig(0.01, 0.4, (0.0, 0.05, 0.23, 0.4))
     want = euler_maruyama(params, x0s, cfg, source(xi))
@@ -552,8 +577,7 @@ def test_blowup_step_across_a_noise_chunk_boundary(monkeypatch):
 
 
 @pytest.mark.parametrize("martingale", [False, True])
-@pytest.mark.parametrize("state_sigma", [0.0, 0.01])
-def test_blowup_step_inside_a_noise_chunk(monkeypatch, state_sigma, martingale):
+def test_blowup_step_inside_a_noise_chunk(monkeypatch, martingale):
     # x grows about tenfold per step: 1e301 overflows at step 8, 1e302 at
     # step 7, both inside the chunk of steps 6..10, which runs unchecked and
     # is replayed step by step; whichever of the first and the last block
@@ -564,7 +588,6 @@ def test_blowup_step_inside_a_noise_chunk(monkeypatch, state_sigma, martingale):
     coupling[0] = coupling[-1] = 9.0 * np.eye(n)
     sigma = np.zeros((n + 1, n))
     sigma[0] = 0.5
-    sigma[1:] = state_sigma * np.eye(n)
     params = SystemParams(coupling, np.zeros((n, n)), np.zeros(n), sigma)
     x0s = np.ones((c, n))
     cfg = IntegratorConfig(1.0, 12.0, (3.0, 12.0))
@@ -595,12 +618,11 @@ def test_numpy_overflow_is_an_error_in_every_test():
         np.array([1e300]) * 1e300
 
 
-@pytest.mark.parametrize("state_sigma", [0.0, 0.05])
-def test_martingale_off_keeps_the_state_bytes(monkeypatch, state_sigma):
+def test_martingale_off_keeps_the_state_bytes(monkeypatch):
     # the martingale part is neither summed nor recorded, so no (C, S, N)
     # array of it is allocated, and the states are the same bytes
     n, c, steps = 16, 64, 200
-    params, x0s = replica_stack(n, c, seed=3, state_sigma=state_sigma)
+    params, x0s = replica_stack(n, c, seed=3)
     xi = np.random.default_rng(4).standard_normal((steps, c, n))
     cfg = every_step(0.005, steps * 0.005)
     steps_per_chunk(monkeypatch, c, n, 30)

@@ -433,7 +433,7 @@ def test_spectra_draw_every_replica_arm_into_one_coupling(monkeypatch, scale):
     # fresh draws of scale * J
     n, replicas = 9, 3
     cfg = experiments.ExperimentConfig(sizes=(n,), replicas=replicas)
-    args = (cfg, cfg.make_profile(n), InitialLaw.uniform(cfg.init_dist, n), replicas)
+    args = (cfg, cfg.make_profile(n), InitialLaw(cfg.init_dist, n), replicas)
     calls = counting_sampler(monkeypatch)
     got = experiments._spectra(*args)
     outs = [out for _, out in calls]
@@ -519,16 +519,16 @@ def test_offdiagonal_second_moment_statistics():
 # ----------------------------------------------------------- initial laws
 
 def test_uniform_initial_law():
-    law = InitialLaw.uniform(EntryDistribution.GAUSSIAN, 4)
+    law = InitialLaw(EntryDistribution.GAUSSIAN, 4)
     assert law.n == 4
     assert law.moment(1, 2) == 1.0
     assert law.moment(4, 4) == 3.0
 
 
 def test_initial_law_moment_is_one_based():
-    law = InitialLaw((EntryDistribution.GAUSSIAN, EntryDistribution.RADEMACHER))
-    assert law.moment(2, 4) == 1.0  # rademacher coordinate
-    assert law.moment(1, 4) == 3.0
+    law = InitialLaw(EntryDistribution.RADEMACHER, 2)
+    assert law.moment(1, 4) == 1.0
+    assert law.moment(2, 4) == 1.0
     with pytest.raises(IndexError):
         law.moment(0, 2)
     with pytest.raises(IndexError):
@@ -536,29 +536,27 @@ def test_initial_law_moment_is_one_based():
 
 
 def test_initial_law_rejects_empty_and_junk():
+    for n in (0, -1):
+        with pytest.raises(EnsembleError):
+            InitialLaw(EntryDistribution.GAUSSIAN, n)
     with pytest.raises(EnsembleError):
-        InitialLaw(())
-    with pytest.raises(EnsembleError):
-        InitialLaw(("gaussian",))  # names must be resolved first
+        InitialLaw("gaussian", 3)  # names must be resolved first
 
 
 def test_sample_initial_shapes_and_determinism():
-    law = InitialLaw.uniform(EntryDistribution.UNIFORM_CENTERED, 7)
+    law = InitialLaw(EntryDistribution.UNIFORM_CENTERED, 7)
     s = RngStream(11, 0, PURPOSE_INITIAL)
     x = sample_initial(law, s)
     assert x.shape == (7,)
     assert np.array_equal(x, sample_initial(law, s))
 
 
-def test_sample_initial_mixed_marginals():
-    law = InitialLaw((EntryDistribution.GAUSSIAN, EntryDistribution.RADEMACHER,
-                      EntryDistribution.GAUSSIAN, EntryDistribution.RADEMACHER))
-    hits = []
-    for r in range(500):
-        x = sample_initial(law, RngStream(1, r, PURPOSE_INITIAL))
-        assert x[1] in (-1.0, 1.0)
-        assert x[3] in (-1.0, 1.0)
-        hits.append(x[0])
-    # the gaussian coordinate is almost surely never a unit sign
-    assert not any(v in (-1.0, 1.0) for v in hits)
+@pytest.mark.parametrize("dist", list(EntryDistribution))
+def test_sample_initial_is_one_draw_of_the_entry_law(dist):
+    # the initial condition is n iid entries, drawn from the stream's
+    # generator in one call
+    for n in (1, 5):
+        s = RngStream(4, 2, PURPOSE_INITIAL)
+        got = sample_initial(InitialLaw(dist, n), s)
+        assert got.tobytes() == sample_entries(dist, n, s.generator()).tobytes()
 

@@ -521,8 +521,9 @@ def test_concentration_rejects_state_dependent_noise():
             sigma[1, 0] = 0.1
             return SystemParams(p.coupling, p.lam, p.h, sigma)
 
+    # no precondition reads the template's noise: the integrator refuses it
     cfg = small_cfg(template=Multiplicative())
-    with pytest.raises(ExperimentError, match="constant diffusion"):
+    with pytest.raises(ParameterError, match="sigma"):
         run_concentration(cfg)
 
 
@@ -678,7 +679,7 @@ def moment_errors(theta, weights, a, x0, top):
 def test_gauss_rule_matches_eigh(n, dist, scale):
     j = sample_couplings(dist, VarianceProfile.offdiagonal(n), True,
                          [RngStream(11, 0, PURPOSE_COUPLING).generator()])[0]
-    x0 = sample_initial(InitialLaw.uniform(GAUSSIAN, n), RngStream(11, 0, PURPOSE_INITIAL))
+    x0 = sample_initial(InitialLaw(GAUSSIAN, n), RngStream(11, 0, PURPOSE_INITIAL))
     a = scale * j
     theta, weights = _gauss_rule(a, x0)
     w, c2 = eigh_rule(a, x0)
@@ -702,7 +703,7 @@ def test_one_replica_arm_holds_its_coupling_and_half_a_coupling_more():
     # size, the draw into a reused coupling, then the Gauss rule
     n = 2048
     coupling = np.empty((1, n, n))
-    x0 = sample_initial(InitialLaw.uniform(GAUSSIAN, n), RngStream(3, 0, PURPOSE_INITIAL))
+    x0 = sample_initial(InitialLaw(GAUSSIAN, n), RngStream(3, 0, PURPOSE_INITIAL))
 
     def replica_arm():
         j = sample_couplings(GAUSSIAN, ExperimentConfig().make_profile(n), True,
@@ -847,7 +848,7 @@ def test_gauss_rule_of_2j_is_the_rule_of_j_with_doubled_nodes(case):
         name, n = case.split("-")
         j = sample_couplings(EntryDistribution[name.upper()], VarianceProfile.offdiagonal(int(n)),
                              True, [RngStream(5, 0, PURPOSE_COUPLING).generator()])[0]
-        x0 = sample_initial(InitialLaw.uniform(GAUSSIAN, int(n)), RngStream(5, 0, PURPOSE_INITIAL))
+        x0 = sample_initial(InitialLaw(GAUSSIAN, int(n)), RngStream(5, 0, PURPOSE_INITIAL))
     theta, weights = _gauss_rule(j, x0)
     theta2, weights2 = _gauss_rule(2.0 * j, x0)
     assert (theta2.tobytes(), weights2.tobytes()) == ((2.0 * theta).tobytes(), weights.tobytes())

@@ -46,7 +46,7 @@ def coeffs(poly):
 
 def gaussian_oracle(n):
     return MomentOracle.from_ensemble(GAUSSIAN, VarianceProfile.offdiagonal(n),
-                                      InitialLaw.uniform(GAUSSIAN, n))
+                                      InitialLaw(GAUSSIAN, n))
 
 
 def reference_letter_terms(mono, letter, params):
@@ -364,7 +364,7 @@ def _series_case(n, symmetric, full, seed):
                     h=rng.uniform(-0.5, 0.5, size=n), sigma=sigma)
     profile = VarianceProfile.full(n) if full else VarianceProfile.offdiagonal(n)
     oracle = MomentOracle.from_ensemble(EntryDistribution.EXPONENTIAL_CENTERED, profile,
-                                        InitialLaw.uniform(GAUSSIAN, n), symmetric)
+                                        InitialLaw(GAUSSIAN, n), symmetric)
     return p, oracle
 
 
@@ -410,7 +410,7 @@ def test_taylor_annealed_coupling_variance():
     # cross-check against Monte Carlo over couplings, noise, and x_0
     n = 2
     profile = VarianceProfile.offdiagonal(n)
-    law = InitialLaw.uniform(GAUSSIAN, n)
+    law = InitialLaw(GAUSSIAN, n)
     oracle = MomentOracle.from_ensemble(GAUSSIAN, profile, law)
     sigma = np.zeros((n + 1, n))
     sigma[0] = 0.3

@@ -2,10 +2,10 @@
 
 The hashes pin every byte of the results tables of the experiments that
 run the Euler-Maruyama loop (universality, hopfield, concentration,
-simulate, taylor-check) and of the spectral ones (aging, rayleigh), so
-refactors of the integrator, the coupling sampler, the template builder
-or the per-replica Lanczos-Gauss rule cannot silently change the
-numbers.  The cases cover both symmetric and non-symmetric ensembles,
+simulate, taylor-check), of the spectral ones (aging, rayleigh) and of
+the entry-moment check (moments-check), so refactors of the integrator,
+the coupling sampler, the template builder or the per-replica
+Lanczos-Gauss rule cannot silently change the numbers.  The cases cover both symmetric and non-symmetric ensembles,
 the gradient-flow template, thresholds, two threads, a simulate run
 long enough to span two noise blocks, a banded profile file with zero
 variances off the diagonal, and aging with a fixed confinement that
@@ -183,6 +183,15 @@ dt = 0.01
 horizon = 0.1
 """,
         "06a07745c221c9c0508ef29c817a78402944a51f55b8d7c078ef62076123d169"),
+    # every entry law's sampled moments against the exact table, from the
+    # ensemble seed
+    "moments-check": ("moments-check", "moments.csv", """
+[ensemble]
+seed = 11
+[experiment]
+mc_paths = 5000
+""",
+        "168144d733addd9668d3468bb4b76a0047e27e0337e1f29d25a18f3aefb44aa4"),
     "aging": ("aging", "aging.csv", """
 [system]
 beta = inf
