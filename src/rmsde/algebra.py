@@ -7,9 +7,11 @@ constant drifts, diffusion coefficients) are folded into the
 coefficient when a generator letter is applied, so a monomial's
 identity is its coupling multiset and its state monomial, the two
 parts an expectation reads, and like terms are collected on exactly
-that key.  Keeping placeholder ``x_0`` factors makes the state degree
-``r = |x_idx|`` invariant under the generator letters, which is what
-the term-count bookkeeping relies on.
+that key.  A polynomial holds plain ``(key, coeff)`` pairs, on which
+the letters, products and expectation sums run.  Keeping placeholder
+``x_0`` factors makes the state degree ``r = |x_idx|`` invariant under
+the generator letters, which is what the term-count bookkeeping relies
+on.
 
 Expectations factorize over independent entries: each distinct coupling
 pair contributes its raw moment scaled by ``N**(-mult/2)``, each state
@@ -135,36 +137,39 @@ class Monomial:
         return max([0, *self.x_idx, *(i for pair in self.j_pairs for i in pair)])
 
 
-def _collected(sums: dict) -> tuple:
-    """The monomials of a key -> coefficient map, sorted by key, zeros dropped."""
-    return tuple(Monomial._trusted(coeff, *key) for key, coeff in sorted(sums.items())
-                 if coeff != 0.0)
-
-
 class Polynomial:
     """Immutable sum of monomials with like terms collected.
 
-    Terms with exactly zero coefficient are dropped; no epsilon
-    thresholding happens anywhere, so cancellation is only ever exact.
+    The terms are one tuple of ``(Monomial.key, coeff)`` pairs sorted by
+    key; iterating builds their monomials.  Terms with exactly zero
+    coefficient are dropped; no epsilon thresholding happens anywhere,
+    so cancellation is only ever exact.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, monomials: Iterable[Monomial] = ()):
-        acc: dict = {}
-        for m in monomials:
-            if not isinstance(m, Monomial):
-                raise AlgebraError(f"not a monomial: {m!r}")
-            key = m.key
-            acc[key] = acc.get(key, 0.0) + m.coeff
-        self._terms = _collected(acc)
+        def pairs():
+            for m in monomials:
+                if not isinstance(m, Monomial):
+                    raise AlgebraError(f"not a monomial: {m!r}")
+                yield m.key, m.coeff
+        self._terms = Polynomial._summed(pairs())._terms
 
     @classmethod
     def _from_sums(cls, sums: dict) -> "Polynomial":
         """The polynomial of per-key coefficient sums; every key canonical."""
         poly = object.__new__(cls)
-        poly._terms = _collected(sums)
+        poly._terms = tuple(term for term in sorted(sums.items()) if term[1] != 0.0)
         return poly
+
+    @classmethod
+    def _summed(cls, pairs) -> "Polynomial":
+        """The polynomial of ``(key, coeff)`` pairs, like keys summed in order."""
+        acc: dict = {}
+        for key, coeff in pairs:
+            acc[key] = acc.get(key, 0.0) + coeff
+        return cls._from_sums(acc)
 
     @classmethod
     def from_x(cls, *indices: int, coeff: float = 1.0) -> "Polynomial":
@@ -175,7 +180,7 @@ class Polynomial:
         return cls([Monomial(coeff=1.0)])
 
     def __iter__(self):
-        return iter(self._terms)
+        return (Monomial._trusted(coeff, *key) for key, coeff in self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -183,15 +188,17 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial(self._terms + other._terms)
+        return Polynomial._summed(self._terms + other._terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial(a * b for a in self._terms for b in other._terms)
+        return Polynomial._summed(
+            ((tuple(sorted(ja + jb)), tuple(sorted(xa + xb))), ca * cb)
+            for (ja, xa), ca in self._terms for (jb, xb), cb in other._terms)
 
     def evaluate(self, j: np.ndarray, x: np.ndarray) -> float:
-        return sum(m.evaluate(j, x) for m in self._terms)
+        return sum(m.evaluate(j, x) for m in self)
 
     def __repr__(self) -> str:
         return f"Polynomial({len(self._terms)} terms)"
@@ -271,6 +278,16 @@ def _expectation_factors(key: tuple, oracle: MomentOracle):
     return factors
 
 
+def _expectations(terms, oracle: MomentOracle, memo: dict):
+    """:func:`expected_value` of each nonzero ``(key, coeff)`` term, in order."""
+    for key, coeff in terms:
+        if key not in memo:
+            memo[key] = _expectation_factors(key, oracle)
+        factors = memo[key]
+        # prod multiplies from ``start`` left to right, one rounding per factor
+        yield 0.0 if factors is None else math.prod(factors, start=coeff)
+
+
 def expected_value(mono: Monomial, oracle: MomentOracle, memo: dict | None = None) -> float:
     """Exact expectation over independent entries and the initial law.
 
@@ -278,18 +295,7 @@ def expected_value(mono: Monomial, oracle: MomentOracle, memo: dict | None = Non
     oracle, keeps each key's factors, so a key seen before costs only
     the multiplications.
     """
-    val = mono.coeff
-    if val == 0.0:
+    if mono.coeff == 0.0:
         return 0.0
-    key = mono.key
-    if memo is None:
-        factors = _expectation_factors(key, oracle)
-    elif key in memo:
-        factors = memo[key]
-    else:
-        factors = memo[key] = _expectation_factors(key, oracle)
-    if factors is None:
-        return 0.0
-    for factor in factors:
-        val *= factor
-    return val
+    return next(_expectations(((mono.key, mono.coeff),), oracle,
+                              {} if memo is None else memo))

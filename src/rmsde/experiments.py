@@ -1064,7 +1064,7 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
 
     rows = []
     orders = []
-    memos = ({}, {})  # every series of the run reads the same params and oracle
+    memos = ({}, {}, {})  # every series of the run reads the same params and oracle
     for q, (name, f) in enumerate(singles):
         res = taylor_mean(f, params, oracle, t, cfg.truncation, memos=memos)
         z = (res.value - mean[q]) / se[q] if se[q] > 0 else 0.0

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import (AlgebraError, Monomial, MomentOracle, Polynomial, expected_value,
+from .algebra import (AlgebraError, Monomial, MomentOracle, Polynomial, _expectations,
                       state_counts)
 from .dynamics import SystemParams
 from .experiments import DEFAULT_TRUNCATION_CAP  # with the precondition that reads it
@@ -109,19 +109,18 @@ def _check_indices(monos: Iterable, params: SystemParams) -> None:
 
 
 def _apply(p: Polynomial, letters, params: SystemParams, memo: dict) -> Polynomial:
-    """The letters applied to every monomial in turn, like terms collected.
+    """The letters applied to every term in turn, like terms collected.
 
     ``memo`` maps a key to the actions of all ``letters`` on it; terms
     are summed per key in the same order as the unmemoized product rule.
     """
     acc: dict = {}
-    for mono in p:
-        actions = memo.get(mono.key)
+    for mono_key, coeff in p._terms:
+        actions = memo.get(mono_key)
         if actions is None:
-            _check_indices((mono,), params)
-            actions = memo[mono.key] = [a for letter in letters
-                                        for a in _letter_actions(mono.key, letter, params)]
-        coeff = mono.coeff
+            _check_indices((Monomial._trusted(coeff, *mono_key),), params)
+            actions = memo[mono_key] = [a for letter in letters
+                                        for a in _letter_actions(mono_key, letter, params)]
         for multipliers, key in actions:
             val = coeff
             for factor in multipliers:
@@ -243,11 +242,11 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     with a zero weight is not expanded, so when every time is 0 the
     series is exact at order 0 and its tail is 0.
 
-    Each key's letter actions and expectation factors are memoized for
-    the call.  ``memos``, a pair of dicts ``(actions, factors)``, makes
-    the calls that pass it share those memos; they must all pass the
-    same ``params`` and ``oracle``.  The terms are the same bits either
-    way.
+    Each key's letter actions and expectation factors, and ``L p`` of each
+    expanded ``p`` (keyed by its terms), are memoized for the call.
+    ``memos``, a triple of dicts ``(actions, factors, expansions)``, makes
+    the calls that pass it share them; they must all pass the same
+    ``params`` and ``oracle``.  The terms are the same bits either way.
     """
     fs = list(fs)
     times = [float(t) for t in np.atleast_1d(np.asarray(ts, dtype=np.float64))]
@@ -260,12 +259,13 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     _validate_caps(k, cap, params, symbolic=True)
     if oracle.n != params.n:
         raise AlgebraError("oracle and system dimensions differ")
+    _check_indices((m for f in fs for m in f), params)
     levels = len(fs)
     gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
 
     # memoized suffix expansions: poly(level, ks) = L^{ks[0]} (f_level * poly(level+1, ks[1:]))
     memo: dict = {(levels, ()): Polynomial.one()}
-    actions, factors = ({}, {}) if memos is None else memos
+    actions, factors, expansions = ({}, {}, {}) if memos is None else memos
 
     def suffix(level: int, ks: tuple) -> Polynomial:
         key = (level, ks)
@@ -275,7 +275,10 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
         if ks[0] == 0:
             poly = fs[level] * suffix(level + 1, ks[1:])
         else:
-            poly = _apply(suffix(level, (ks[0] - 1,) + ks[1:]), Letter, params, actions)
+            inner = suffix(level, (ks[0] - 1,) + ks[1:])
+            poly = expansions.get(inner._terms)
+            if poly is None:
+                poly = expansions[inner._terms] = _apply(inner, Letter, params, actions)
         memo[key] = poly
         return poly
 
@@ -286,7 +289,7 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
             weight *= gap ** order / math.factorial(order)
         if weight == 0.0:
             continue
-        term = weight * sum(expected_value(m, oracle, factors) for m in suffix(0, ks))
+        term = weight * sum(_expectations(suffix(0, ks)._terms, oracle, factors))
         total = sum(ks)
         # a lone split is kept as computed, so one time gives t^k/k! * s exactly
         by_order[total] = by_order[total] + term if total in by_order else term

@@ -123,7 +123,7 @@ def two_bits_minus_one(size, rng):
     return signs
 
 
-@pytest.mark.parametrize("size", [1, 7, 63, 1025, (3, 5), (4, 129)])
+@pytest.mark.parametrize("size", [1, 7, 63, 1025, (3, 5), (4, 129), 0, 32896, (2, 3, 7)])
 def test_rademacher_signs_have_the_bytes_of_two_bits_minus_one(size):
     # three consecutive calls on one generator, as the tiles of one draw make
     got_rng, want_rng = RngStream(7).generator(), RngStream(7).generator()

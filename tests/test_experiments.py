@@ -1046,6 +1046,45 @@ def test_taylor_vs_mc_series_share_one_memo(monkeypatch):
     assert len(factors) == len(set(factors)) == 1323
 
 
+def test_taylor_vs_mc_series_share_one_expansion_cache(monkeypatch):
+    # the multi-time series reuses the L^k x1 and L^k x1^2 that the single-time
+    # ones expanded; with no expansion cache the four series make 35 _apply calls
+    import rmsde.generator
+    from rmsde.algebra import MomentOracle
+    from rmsde.generator import taylor_mean, taylor_mean_multitime
+    real_apply = rmsde.generator._apply
+    real_series = rmsde.generator.taylor_mean_multitime
+    applied, results = [], []
+
+    def counting_apply(*args):
+        applied.append(args[0])
+        return real_apply(*args)
+
+    def recording_series(*args, **kwargs):
+        results.append(real_series(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(rmsde.generator, "_apply", counting_apply)
+    monkeypatch.setattr(rmsde.generator, "taylor_mean_multitime", recording_series)
+    cfg = ExperimentConfig(sizes=(3,), truncation=5, seed=1, mc_paths=50)
+    run_taylor_vs_mc(cfg)
+    assert len(applied) == 25
+    assert len({p._terms for p in applied}) == 25  # no polynomial expanded twice
+    monkeypatch.undo()
+
+    # the same four series, each with memos of its own
+    t, k = cfg.time, cfg.truncation
+    oracle = MomentOracle.from_ensemble(cfg.dist_a, cfg.make_profile(3),
+                                        InitialLaw(cfg.init_dist, 3), cfg.symmetric)
+    params = cfg.template.build(np.zeros((3, 3)))
+    x1 = Polynomial.from_x(1)
+    alone = [taylor_mean(f, params, oracle, t, k)
+             for f in (x1, Polynomial.from_x(1, 1), Polynomial.from_x(1, 2))]
+    alone.append(taylor_mean_multitime([x1, x1], (t / 2, t), params, oracle, k))
+    assert [r.terms for r in results] == [r.terms for r in alone]  # bit for bit
+    assert results == alone
+
+
 def test_taylor_vs_mc_multitime_row_reads_its_series():
     report = run_taylor_vs_mc(ExperimentConfig(sizes=(2,), truncation=4, time=0.2,
                                                mc_paths=50, dt=0.05))

@@ -586,6 +586,15 @@ def test_multitime_validation():
         taylor_mean_multitime([f], [-0.1], p, oracle, k=2)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_multitime_checks_indices(k):
+    # at k = 0 no letter is applied, so only the check of the inputs sees x_3
+    p, oracle = params_with(2), gaussian_oracle(2)
+    fs = [Polynomial.from_x(1), Polynomial.from_x(1, 3)]
+    with pytest.raises(AlgebraError, match="coordinate 3"):
+        taylor_mean_multitime(fs, [0.1, 0.2], p, oracle, k)
+
+
 def test_multitime_martingale_orthogonality():
     # centered initial law, pure noise: E[x(0) x(t)] = E[x0^2] = 1 for all t
     p = params_with(1, sigma=[[0.9], [0.0]])
