@@ -779,7 +779,7 @@ def _tridiagonal_solvers() -> tuple:
     return eigvalsh, eigh
 
 
-def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
+def _gauss_rule(a: np.ndarray, x0: np.ndarray, watch: Callable | None = None) -> tuple:
     """Gauss rule ``(theta, weights)`` of the spectral measure of the
     symmetric ``a`` seen from ``x0``: ``sum(weights * f(theta))`` equals
     ``x0^T f(a) x0`` for every polynomial ``f`` of degree below ``2m``,
@@ -789,13 +789,15 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
     Gram-Schmidt, twice) and builds the tridiagonal ``T``.  The nodes are
     its eigenvalues, the Ritz values, ascending; the weights are
     ``|x0|^2`` times the squared first components of its eigenvectors.
-    Every ``_LANCZOS_CHECK`` steps the extreme Ritz values are compared
-    with the last check's.  The run stops when both moved by at most
-    ``1e-14 * max|theta|``, when the Krylov space closes (the next
-    ``beta`` is at rounding level), or at ``m = N``.  The stop depends
-    only on ``(a, x0)``.  The checks and the final rule solve ``T``
-    from its diagonals with LAPACK's ``dsterf`` and ``dstedc``, with
-    the bytes of numpy's dense solves (:func:`_tridiagonal_solvers`).
+    Every ``_LANCZOS_CHECK`` steps the numbers ``watch(theta, weights)``
+    of the rule so far are compared with the last check's; the run stops
+    when each moved by at most ``1e-14`` times their largest magnitude,
+    when the Krylov space closes (the next ``beta`` is at rounding
+    level), or at ``m = N``.  With no ``watch`` they are the extreme Ritz
+    values, from ``dsterf``; with one, each check solves the rule with
+    ``dstedc`` and the stopping check's solve is the final rule.  ``T``
+    is solved from its diagonals with the bytes of numpy's dense solves
+    (:func:`_tridiagonal_solvers`).
 
     Scaling by a power of two commutes with the roundings of Lanczos and
     of those solves, so the rule of ``2 * a`` is the rule of ``a`` with
@@ -807,7 +809,8 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
     spectrum's ends: those ends, from ``eigvalsh``, then join the rule as
     two zero-weight nodes.  So ``theta[0]`` and ``theta[-1]`` are the
     spectrum's ends either way, to the stopping tolerance when the run
-    stopped on convergence.
+    stopped on convergence, unless a watch stopped it: then they are
+    Ritz values.
     """
     n = len(x0)
     mass = float(x0 @ x0)
@@ -815,7 +818,7 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
     eigvalsh, eigh = _tridiagonal_solvers()
     basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))
     alpha, beta = [], []
-    r, b, ends = x0, math.sqrt(mass), None
+    r, b, last, rule = x0, math.sqrt(mass), None, None
     while len(alpha) < n and b > tol:
         m = len(alpha)
         if m == len(basis):
@@ -832,11 +835,17 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
         alpha.append(h[m] + h2[m])
         b = math.sqrt(r @ r)
         if len(alpha) % _LANCZOS_CHECK == 0 and b > tol:
-            now = eigvalsh(alpha, beta)[[0, -1]]
-            if ends is not None and np.all(np.abs(now - ends) <= 1e-14 * np.abs(now).max()):
+            if watch is None:
+                now = eigvalsh(alpha, beta)[[0, -1]]
+            else:
+                rule = eigh(alpha, beta)
+                now = np.asarray(watch(rule[0], mass * rule[1][0] ** 2))
+            if last is not None and np.all(np.abs(now - last) <= 1e-14 * np.abs(now).max()):
                 break
-            ends = now
-    theta, s = eigh(alpha, beta)
+            last = now
+    if rule is None or len(rule[0]) < len(alpha):
+        rule = eigh(alpha, beta)
+    theta, s = rule
     weights = mass * s[0] ** 2
     if len(alpha) < n and b <= tol:
         lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
@@ -846,15 +855,15 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray) -> tuple:
 
 
 def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
-             replicas: int) -> list:
+             replicas: int, watch: Callable | None = None) -> list:
     """Per arm and replica, ``(arm, r, theta, w)``: the Gauss rule of
     :func:`_gauss_rule` for the sampled ``J`` seen from the replica's
     start ``x0``.  It stands in for the eigenvalues of ``J`` and the
     squared eigenbasis coefficients ``(v^T x0)^2`` of ``x0``: every
     quadratic form ``x0^T f(J) x0`` the flows read is a sum over its
-    nodes, and its extreme nodes are the ends of the spectrum.  A flow
-    of ``2J`` doubles the nodes, which gives the rule of ``2J`` bit for
-    bit.
+    nodes, and its extreme nodes are the ends of the spectrum (Ritz
+    values if ``watch`` stopped it).  A flow of ``2J`` doubles the
+    nodes, which gives the rule of ``2J`` bit for bit.
 
     The arm-replica pairs are dealt round-robin to ``threads`` worker
     processes (:func:`_fan_out`) and come back in order, arm ``a``
@@ -875,7 +884,7 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
                                  [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()],
                                  out=coupling)[0]
             x0 = sample_initial(law, RngStream(cfg.seed, r, PURPOSE_INITIAL))
-            out.append((arm, r) + _gauss_rule(j, x0))
+            out.append((arm, r) + _gauss_rule(j, x0, watch))
         return out
 
     workers = min(cfg.threads, len(jobs))
@@ -916,20 +925,24 @@ def run_aging(cfg: ExperimentConfig) -> AgingReport:
     ``hopfield``; ``system.template`` is not read.  Requires
     ``beta = inf``.  With ``confinement_mode = "auto"`` each
     replica uses a confinement just above its own spectral radius (the
-    normalized ratio does not depend on the choice); with a fixed
+    normalized ratio does not depend on the choice), and each rule stops
+    when the replica-arm's ratios converge, so its ``theta[0]`` and
+    ``theta[-1]`` are Ritz values and a row can differ in its last bits
+    between configs with different ``(s, lambda)`` sets; with a fixed
     confinement, replicas whose sampled operator norm reaches it are
     dropped and counted.
     """
     check_preconditions("aging", cfg)
     pairs = [(float(s), float(lam)) for s in cfg.s_values for lam in cfg.lambdas]
     fixed = cfg.confinement_mode != "auto"
+    watch = None if fixed else lambda theta, c2: _aging_ratios_one(2.0 * theta, c2, pairs)
     rows = []
     dropped = {"a": 0, "b": 0}
     for n in cfg.sizes:
         profile = cfg.make_profile(n)
         law = InitialLaw(cfg.init_dist, n)
         per_arm = {"a": [], "b": []}
-        for arm, _, theta, c2 in _spectra(cfg, profile, law, cfg.replicas):
+        for arm, _, theta, c2 in _spectra(cfg, profile, law, cfg.replicas, watch):
             w = 2.0 * theta  # the rule of 2J
             if not (fixed and cfg.template.confinement <= max(-w[0], w[-1])):
                 per_arm[arm].append(_aging_ratios_one(w, c2, pairs))

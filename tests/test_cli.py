@@ -18,6 +18,7 @@ from rmsde import dynamics, experiments
 from rmsde.cli import main, run
 from rmsde.dynamics import ParameterError, euler_maruyama
 from rmsde.config import _SCHEMA, EXPERIMENT_KINDS, config_hash, parse_config
+from test_golden import AGING_N128
 
 FAST = {
     "simulate": """
@@ -177,10 +178,14 @@ def test_thread_count_does_not_change_streamed_blocks(tmp_path, kind):
         assert (out / CSV_NAMES[kind]).read_bytes() == want
 
 
-@pytest.mark.parametrize("kind", ["aging", "rayleigh"])
-def test_worker_count_does_not_change_spectral_rows(tmp_path, kind):
-    # 3 workers split 8 aging and 4 rayleigh replica-arms unevenly
-    runs = [invoke(tmp_path / str(threads), kind, FAST[kind], ["--threads", str(threads)])
+@pytest.mark.parametrize("kind,text", [
+    pytest.param("aging", FAST["aging"], id="aging"),
+    pytest.param("rayleigh", FAST["rayleigh"], id="rayleigh"),
+    pytest.param("aging", AGING_N128, id="aging-n128")])
+def test_worker_count_does_not_change_spectral_rows(tmp_path, kind, text):
+    # 3 workers split 8 aging and 4 rayleigh replica-arms unevenly; at N = 128
+    # the aging rules stop when their ratios converge, short of N
+    runs = [invoke(tmp_path / str(threads), kind, text, ["--threads", str(threads)])
             for threads in (1, 3)]
     assert [status for status, _ in runs] == [0, 0]
     assert (runs[0][1] / CSV_NAMES[kind]).read_bytes() == \

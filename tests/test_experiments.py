@@ -654,10 +654,21 @@ def test_rayleigh_needs_noise_free_flow():
 
 # ------------------------------------------- Lanczos-Gauss rule vs eigh oracle
 
-def eigh_rule(a, x0):
-    """The oracle: all eigenvalues and the squared eigenbasis coefficients."""
+def eigh_rule(a, x0, watch=None):
+    """The oracle: all eigenvalues and the squared eigenbasis coefficients.
+    It takes :func:`_gauss_rule`'s ``watch`` and ignores it."""
     w, v = np.linalg.eigh(a)
     return w, (v.T @ x0) ** 2
+
+
+# the (s, lambda) pairs of the default aging config
+AGING_PAIRS = [(s, lam) for s in ExperimentConfig.s_values for lam in ExperimentConfig.lambdas]
+
+
+def aging_watch(theta, weights):
+    """The watch a default auto-confinement aging run gives
+    :func:`_gauss_rule`: the ratios of the rule of ``2J``."""
+    return _aging_ratios_one(2.0 * theta, weights, AGING_PAIRS)
 
 
 def moment_errors(theta, weights, a, x0, top):
@@ -675,18 +686,28 @@ def moment_errors(theta, weights, a, x0, top):
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER, EntryDistribution.UNIFORM_CENTERED])
-@pytest.mark.parametrize("n", [4, 16, 64, 512])
-def test_gauss_rule_matches_eigh(n, dist, scale):
+@pytest.mark.parametrize("n,watched", [
+    *((n, False) for n in (4, 16, 64, 512)), *((n, True) for n in (16, 64, 512))],
+    ids=["4", "16", "64", "512", "16-aging", "64-aging", "512-aging"])
+def test_gauss_rule_matches_eigh(n, watched, dist, scale):
+    # unwatched, the rule stops when the spectrum's ends converge; watched
+    # by an aging run, when the aging ratios do, which ends it earlier
     j = sample_couplings(dist, VarianceProfile.offdiagonal(n), True,
                          [RngStream(11, 0, PURPOSE_COUPLING).generator()])[0]
     x0 = sample_initial(InitialLaw(GAUSSIAN, n), RngStream(11, 0, PURPOSE_INITIAL))
     a = scale * j
-    theta, weights = _gauss_rule(a, x0)
+    theta, weights = _gauss_rule(a, x0, aging_watch if watched else None)
     w, c2 = eigh_rule(a, x0)
     m = len(theta)
     assert m <= n and (m == n or m % 16 == 0)
     assert np.all(np.diff(theta) >= 0) and np.all(weights >= 0)
     assert np.max(moment_errors(theta, weights, a, x0, 2 * m)) <= 1e-12
+    if watched:
+        np.testing.assert_allclose(aging_watch(theta, weights), aging_watch(w, c2),
+                                   rtol=1e-12, atol=0)
+        if n == 512:
+            assert m + 16 <= len(_gauss_rule(a, x0)[0])
+        return
     pairs = [(s, lam) for s in (1.0, 2.0, 4.0, 8.0) for lam in (1.0, 2.0, 3.0)]
     np.testing.assert_allclose(_aging_ratios_one(theta, weights, pairs),
                                _aging_ratios_one(w, c2, pairs), rtol=1e-12, atol=0)
@@ -767,7 +788,13 @@ def test_tridiagonal_solvers_give_the_dense_bytes_on_an_aging_run(monkeypatch):
                       lambda: (recorded(eigvalsh), recorded(eigh)))
         run_aging(experiment_config(parse_config(
             "[system]\nbeta = inf\n[experiment]\nsizes = 40\nreplicas = 2\n")))
-    assert sorted({len(alpha) for alpha, _ in seen}) == [16, 32, 40]
+        assert sorted({len(alpha) for alpha, _ in seen}) == [16, 32, 40]
+        # an N = 128 run stops on its aging ratios, after 64 steps: every check's
+        # eigh is a candidate for the final rule
+        short = len(seen)
+        from test_golden import AGING_N128
+        run_aging(experiment_config(parse_config(AGING_N128)))
+    assert sorted({len(alpha) for alpha, _ in seen[short:]}) == [16, 32, 48, 64]
     for alpha, beta in seen:
         assert_solvers_give_dense_bytes(alpha, beta)
 
@@ -869,6 +896,45 @@ def test_fixed_aging_drops_what_the_eigh_oracle_drops(monkeypatch):
     assert got.dropped_a >= 1 and got.dropped_b >= 1
     for g, w in zip(got.rows, want.rows):
         np.testing.assert_allclose([g.mean_a, g.mean_b], [w.mean_a, w.mean_b], rtol=1e-12)
+
+
+def test_auto_aging_matches_the_eigh_oracle(monkeypatch):
+    # each replica-arm's rule stops on its aging ratios, short of N
+    cfg = experiment_config(parse_config(
+        "[system]\nbeta = inf\n[experiment]\nsizes = 512\nreplicas = 3\n"))
+    got = run_aging(cfg)
+    monkeypatch.setattr(experiments, "_gauss_rule", eigh_rule)
+    want = run_aging(cfg)
+    assert len(got.rows) == len(want.rows) == len(AGING_PAIRS)
+    for g, w in zip(got.rows, want.rows):
+        assert (g.n, g.s, g.lam) == (w.n, w.s, w.lam)
+        np.testing.assert_allclose([g.mean_a, g.mean_b], [w.mean_a, w.mean_b],
+                                   rtol=1e-12, atol=0)
+
+
+def test_aging_rows_agree_across_pair_sets(monkeypatch):
+    # the watched stop reads every (s, lambda) of the config, so a row can
+    # differ in its last bits between configs with different pair sets
+    steps = []
+    real = experiments._gauss_rule
+
+    def counted(a, x0, watch=None):
+        rule = real(a, x0, watch)
+        steps.append(len(rule[0]))
+        return rule
+
+    monkeypatch.setattr(experiments, "_gauss_rule", counted)
+    text = "[system]\nbeta = inf\n[experiment]\nsizes = 512\nreplicas = 2\n"
+    wide = run_aging(experiment_config(parse_config(text)))
+    narrow = run_aging(experiment_config(parse_config(
+        text + "s_values = 2\nlambdas = 1, 2\n")))
+    assert steps[:4] == [64] * 4 and steps[4:] == [48] * 4
+    rows = {(r.s, r.lam): r for r in wide.rows}
+    assert len(narrow.rows) == 2
+    for row in narrow.rows:
+        other = rows[(row.s, row.lam)]
+        np.testing.assert_allclose([row.mean_a, row.mean_b], [other.mean_a, other.mean_b],
+                                   rtol=1e-13, atol=0)
 
 
 def recorded_chunks(monkeypatch):

@@ -8,8 +8,9 @@ the coupling sampler, the template builder or the per-replica
 Lanczos-Gauss rule cannot silently change the numbers.  The cases cover both symmetric and non-symmetric ensembles,
 the gradient-flow template, thresholds, two threads, a simulate run
 long enough to span two noise blocks, a banded profile file with zero
-variances off the diagonal, and aging with a fixed confinement that
-drops replicas in both arms.  The spectral cases also run without
+variances off the diagonal, aging with a fixed confinement that
+drops replicas in both arms, and aging at N = 128 whose Lanczos rules
+stop when their aging ratios converge.  The spectral cases also run without
 numpy's bundled OpenBLAS, whose LAPACK solves the Lanczos tridiagonal:
 numpy's dense drivers must then give the same bytes.  Two universality
 cases run the weighted observables of the ``[observable]`` block: a
@@ -41,6 +42,16 @@ replicas = 8
 s_values = 1, 3
 lambdas = 1, 2.5
 confinement_mode = fixed
+"""
+
+# auto confinement at N = 128: each replica-arm's Gauss rule stops when its
+# aging ratios converge, after 64 of 128 Lanczos steps
+AGING_N128 = """
+[system]
+beta = inf
+[experiment]
+sizes = 128
+replicas = 3
 """
 
 CASES = {
@@ -204,6 +215,8 @@ s_values = 1, 4
 lambdas = 1, 3
 """,
         "93c393f385b63c3c205b40621bd3d9328146cbddfe4e7e64a5acbb332fdaa324"),
+    "aging-n128": ("aging", "aging.csv", AGING_N128,
+        "4f8cbb90ef25e14fd13c16ebc6cc6ce8f5a2f1b7493724f5c24f30deedf410f2"),
     "aging-fixed": ("aging", "aging.csv", FIXED_AGING,
         "0029e06cab3c5c1f3dcffaeca1b6e17eaa246ba5795260dbd69b37e88283c3ad"),
     "rayleigh": ("rayleigh", "rayleigh.csv", """
@@ -236,7 +249,7 @@ def test_csv_matches_golden_hash(tmp_path, monkeypatch, case):
     assert csv_digest(tmp_path, kind, csv_name, text) == expected
 
 
-@pytest.mark.parametrize("case", ["aging", "aging-fixed", "rayleigh"])
+@pytest.mark.parametrize("case", ["aging", "aging-fixed", "rayleigh", "aging-n128"])
 def test_spectral_hashes_hold_without_the_blas_library(tmp_path, monkeypatch, openblas, case):
     # without numpy's bundled OpenBLAS the Lanczos tridiagonal goes to numpy's
     # dense drivers, which give the bytes of LAPACK's tridiagonal ones
