@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -193,7 +194,8 @@ def run(rc: RunConfig) -> int:
     Returns the process exit status: 0 on success, 2 for an unknown
     experiment kind or configuration problem, 1 for runtime failures.
     Every failure path emits a machine-readable ``key = value`` error
-    record on stderr (and best-effort as ``error.txt``).
+    record on stderr (and best-effort as ``error.txt``); a success
+    removes the ``error.txt`` an earlier failed run left in ``out``.
     """
     out = rc.get("run", "out")
     kind = rc.get("run", "experiment")
@@ -215,6 +217,7 @@ def run(rc: RunConfig) -> int:
     write_summary(f"{base}/summary.txt",
                   [("experiment", kind), ("config-hash", digest)] + list(summary))
     atomic_write_text(f"{base}/config.txt", serialize(rc))
+    Path(f"{base}/error.txt").unlink(missing_ok=True)  # an earlier failed run's record
     return 0
 
 

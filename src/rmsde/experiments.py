@@ -22,7 +22,6 @@ functions of (config, seed).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import pickle
@@ -40,6 +39,7 @@ from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                         sample_couplings, sample_entries, sample_initial)
 from .observables import BuildingBlock, SuiteItem, evaluate
 from .rng import PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE, RngStream
+from .spectral import _aging_ratios_one, _blas_threads, _gauss_rule
 
 __all__ = [
     "SystemTemplate",
@@ -341,38 +341,6 @@ def _fan_out(work: Callable, shares: list) -> list:
         if not ok:
             raise value
     return [value for _, value in outcomes]
-
-
-@functools.cache
-def _openblas():
-    """The OpenBLAS bundled with numpy's wheels, opened through ``ctypes``;
-    None where that library is missing.  It serves :func:`_blas_threads`
-    and :func:`_tridiagonal_solvers`; ``ctypes`` loads on the first call."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    try:
-        return ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))[0])
-    except (IndexError, OSError):
-        return None
-
-
-@functools.cache
-def _blas_threads() -> Optional[tuple]:
-    """``(get, set)`` of the thread count of :func:`_openblas`; None where
-    that library or its ``scipy_openblas_*_num_threads64_`` symbols are
-    missing."""
-    import ctypes
-
-    lib = _openblas()
-    try:
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # no library (None), or no such symbol
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
 
 
 def _worker(work: Callable, share, write: int) -> None:
@@ -698,162 +666,6 @@ class AgingReport:
     dropped_b: int
 
 
-# Lanczos steps between two convergence checks of the Gauss rule.
-_LANCZOS_CHECK = 16
-
-
-def _tridiagonal(alpha: list, beta: list) -> np.ndarray:
-    """The Lanczos matrix: ``alpha`` on the diagonal, ``beta`` on both sides."""
-    m = len(alpha)
-    t = np.zeros((m, m))
-    flat = t.reshape(-1)
-    np.add(alpha, 0.0, out=flat[::m + 1])  # a -0.0 reads +0.0, as in a sum of diagonals
-    flat[1::m + 1] = beta
-    flat[m::m + 1] = beta
-    return t
-
-
-@functools.cache
-def _tridiagonal_solvers() -> tuple:
-    """``(eigvalsh, eigh)`` of the Lanczos matrix given as ``(alpha, beta)``,
-    with the results of ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` of
-    ``_tridiagonal(alpha, beta)``.
-
-    numpy's dense drivers first reduce their input to tridiagonal form,
-    which on a tridiagonal input changes nothing (every Householder
-    ``tau`` is 0), and then call LAPACK's ``dsterf`` (eigenvalues) or
-    ``dstedc('I')`` (eigenvectors too).  Here those two run directly on
-    ``(alpha, beta)`` from :func:`_openblas` (ILP64), which gives the
-    same bytes without the O(m^3) reduction.  Where that library or the
-    symbols are missing, the dense solves on ``_tridiagonal`` serve.
-    """
-    import ctypes
-
-    lib = _openblas()
-    try:
-        dsterf, dstedc = lib.scipy_dsterf_64_, lib.scipy_dstedc_64_
-    except AttributeError:  # no library (None), or no such symbol
-        return (lambda alpha, beta: np.linalg.eigvalsh(_tridiagonal(alpha, beta)),
-                lambda alpha, beta: np.linalg.eigh(_tridiagonal(alpha, beta)))
-    ptr = ctypes.c_void_p
-    dsterf.argtypes, dsterf.restype = [ptr] * 4, None
-    # the CHARACTER argument's hidden length comes last, by value
-    dstedc.argtypes, dstedc.restype = [ctypes.c_char_p] + [ptr] * 10 + [ctypes.c_size_t], None
-
-    def ref(value: int):
-        return ctypes.byref(ctypes.c_int64(value))
-
-    def diagonals(alpha: list, beta: list) -> tuple:
-        # fresh float64 arrays, as the drivers overwrite them; + 0.0 as in
-        # _tridiagonal: a -0.0 on the diagonal reads +0.0
-        d, e = np.add(alpha, 0.0, dtype=np.float64), np.array(beta, dtype=np.float64)
-        if e.shape != (max(0, len(d) - 1),):  # the drivers read m - 1 of them
-            raise ValueError(f"{len(d)} diagonal entries need {len(d) - 1} off the "
-                             f"diagonal, got {e.shape}")
-        return d, e
-
-    def checked(info) -> None:
-        if info.value:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    def eigvalsh(alpha: list, beta: list) -> np.ndarray:
-        d, e = diagonals(alpha, beta)
-        info = ctypes.c_int64()
-        dsterf(ref(len(d)), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
-        checked(info)
-        return d
-
-    def eigh(alpha: list, beta: list) -> tuple:
-        d, e = diagonals(alpha, beta)
-        m = len(d)
-        z = np.empty((m, m))  # column-major: row k is the k-th eigenvector
-        work = np.empty(1 + 4 * m + m * m)
-        iwork = np.empty(3 + 5 * m, dtype=np.int64)
-        info = ctypes.c_int64()
-        dstedc(b"I", ref(m), d.ctypes.data, e.ctypes.data, z.ctypes.data, ref(max(1, m)),
-               work.ctypes.data, ref(len(work)), iwork.ctypes.data, ref(len(iwork)),
-               ctypes.byref(info), 1)
-        checked(info)
-        return d, z.T
-
-    return eigvalsh, eigh
-
-
-def _gauss_rule(a: np.ndarray, x0: np.ndarray, watch: Callable | None = None) -> tuple:
-    """Gauss rule ``(theta, weights)`` of the spectral measure of the
-    symmetric ``a`` seen from ``x0``: ``sum(weights * f(theta))`` equals
-    ``x0^T f(a) x0`` for every polynomial ``f`` of degree below ``2m``,
-    with ``m`` Lanczos steps (Golub & Welsch 1969; Golub & Meurant 2010).
-
-    Lanczos from ``x0`` runs with full reorthogonalization (classical
-    Gram-Schmidt, twice) and builds the tridiagonal ``T``.  The nodes are
-    its eigenvalues, the Ritz values, ascending; the weights are
-    ``|x0|^2`` times the squared first components of its eigenvectors.
-    Every ``_LANCZOS_CHECK`` steps the numbers ``watch(theta, weights)``
-    of the rule so far are compared with the last check's; the run stops
-    when each moved by at most ``1e-14`` times their largest magnitude,
-    when the Krylov space closes (the next ``beta`` is at rounding
-    level), or at ``m = N``.  With no ``watch`` they are the extreme Ritz
-    values, from ``dsterf``; with one, each check solves the rule with
-    ``dstedc`` and the stopping check's solve is the final rule.  ``T``
-    is solved from its diagonals with the bytes of numpy's dense solves
-    (:func:`_tridiagonal_solvers`).
-
-    Scaling by a power of two commutes with the roundings of Lanczos and
-    of those solves, so the rule of ``2 * a`` is the rule of ``a`` with
-    doubled nodes and the same weights, bit for bit: a caller doubles
-    the nodes, not the matrix.
-
-    Ritz values lie inside the spectrum.  When the space closes before
-    ``N`` steps the rule is exact, but its extremes need not be the
-    spectrum's ends: those ends, from ``eigvalsh``, then join the rule as
-    two zero-weight nodes.  So ``theta[0]`` and ``theta[-1]`` are the
-    spectrum's ends either way, to the stopping tolerance when the run
-    stopped on convergence, unless a watch stopped it: then they are
-    Ritz values.
-    """
-    n = len(x0)
-    mass = float(x0 @ x0)
-    tol = n * np.finfo(np.float64).eps * float(np.linalg.norm(a))
-    eigvalsh, eigh = _tridiagonal_solvers()
-    basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))
-    alpha, beta = [], []
-    r, b, last, rule = x0, math.sqrt(mass), None, None
-    while len(alpha) < n and b > tol:
-        m = len(alpha)
-        if m == len(basis):
-            basis = np.concatenate([basis, np.empty((min(n, 2 * m) - m, n))])
-        if m:
-            beta.append(b)
-        np.divide(r, b, out=basis[m])
-        q = basis[:m + 1]
-        r = a @ basis[m]
-        h = q @ r
-        r -= h @ q
-        h2 = q @ r
-        r -= h2 @ q
-        alpha.append(h[m] + h2[m])
-        b = math.sqrt(r @ r)
-        if len(alpha) % _LANCZOS_CHECK == 0 and b > tol:
-            if watch is None:
-                now = eigvalsh(alpha, beta)[[0, -1]]
-            else:
-                rule = eigh(alpha, beta)
-                now = np.asarray(watch(rule[0], mass * rule[1][0] ** 2))
-            if last is not None and np.all(np.abs(now - last) <= 1e-14 * np.abs(now).max()):
-                break
-            last = now
-    if rule is None or len(rule[0]) < len(alpha):
-        rule = eigh(alpha, beta)
-    theta, s = rule
-    weights = mass * s[0] ** 2
-    if len(alpha) < n and b <= tol:
-        lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
-        theta = np.concatenate([[lo], theta, [hi]])
-        weights = np.concatenate([[0.0], weights, [0.0]])
-    return theta, weights
-
-
 def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
              replicas: int, watch: Callable | None = None) -> list:
     """Per arm and replica, ``(arm, r, theta, w)``: the Gauss rule of
@@ -890,32 +702,6 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
     workers = min(cfg.threads, len(jobs))
     done = _fan_out(work, [jobs[w::workers] for w in range(workers)])
     return [done[i % workers][i // workers] for i in range(len(jobs))]
-
-
-def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
-    """Normalized autocorrelation ratios of the noise-free flow.
-
-    The flow ``x_t = exp((2J - K I) t) x0`` gives
-    ``C(s, t) = (1/N) sum_i c_i^2 exp((mu_i - K)(s + t))`` over the
-    nodes ``w = mu`` (ascending) and weights ``c2`` of the spectral
-    measure of ``2J`` seen from ``x0``: its eigenvalues and squared
-    eigenbasis coefficients, or a Gauss rule.  The confinement cancels
-    from the normalized ratio exactly, so the computation shifts all
-    exponents by the spectral top and never forms the (possibly huge or
-    tiny) bare correlations.
-    """
-    shifted = w - w[-1]
-
-    def corr(sum_t: float) -> float:
-        return float(c2 @ np.exp(shifted * sum_t))
-
-    out = []
-    for s, lam in pairs:
-        t = lam * s
-        num = corr(s + t)
-        den = math.sqrt(corr(2 * s) * corr(2 * t))
-        out.append(num / den)
-    return out
 
 
 def run_aging(cfg: ExperimentConfig) -> AgingReport:

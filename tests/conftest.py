@@ -33,15 +33,15 @@ def traced_peak(fn) -> int:
 
 @pytest.fixture
 def openblas(monkeypatch):
-    """``openblas(lib)`` makes ``experiments._openblas()`` return ``lib``
+    """``openblas(lib)`` makes ``spectral._openblas()`` return ``lib``
     (None: no library) for the rest of the test.  The helpers that cache
     what they found in it are cleared around the test."""
-    from rmsde import experiments
+    from rmsde import spectral
 
-    helpers = (experiments._blas_threads, experiments._tridiagonal_solvers)
+    helpers = (spectral._blas_threads, spectral._tridiagonal_solvers)
 
     def use(lib):
-        monkeypatch.setattr(experiments, "_openblas", lambda: lib)
+        monkeypatch.setattr(spectral, "_openblas", lambda: lib)
         for helper in helpers:
             helper.cache_clear()
 

@@ -312,6 +312,16 @@ def test_handler_experiment_error_is_status_1(tmp_path, capsys):
     assert (out / "error.txt").read_text().startswith("status = 1\n")
 
 
+def test_a_successful_run_removes_an_earlier_failure_record(tmp_path):
+    # a failed run's record beside a later run's fresh summary would contradict it
+    failing = FAST["aging"].replace("beta = inf", "beta = inf\nconfinement = 0.1") + \
+        "confinement_mode = fixed\n"
+    status, out = invoke(tmp_path, "aging", failing)
+    assert status == 1 and (out / "error.txt").exists()
+    assert invoke(tmp_path, "aging", FAST["aging"]) == (0, out)
+    assert (out / "summary.txt").exists() and not (out / "error.txt").exists()
+
+
 OFF_GRID = {
     # the default suite time 0.1 is not a multiple of dt = 0.03
     "universality": """
@@ -608,10 +618,12 @@ def test_benchmark_spans_find_their_targets(tmp_path):
 
 
 def test_benchmark_spans_find_the_spectral_targets(tmp_path):
-    # the samplers are the ensembles layer of aging-n512; its tridiagonal
-    # solves go to LAPACK's tridiagonal drivers, not through numpy's eigh
+    # the samplers are the ensembles layer of aging-n512 and the Gauss rule its
+    # spectral layer; its tridiagonal solves go to LAPACK's tridiagonal
+    # drivers, not through numpy's eigh
     names = traced_span_names(tmp_path, "aging")
-    assert {"cli.run", "ensembles.sample_couplings", "ensembles.sample_initial"} <= names
+    assert {"cli.run", "ensembles.sample_couplings", "ensembles.sample_initial",
+            "spectral._gauss_rule"} <= names
     assert "numpy.eigh" not in names
 
 
@@ -634,6 +646,19 @@ def test_spectral_runs_do_not_load_scipy(tmp_path):
     assert done.stdout.strip() == "[0, 0] False"
     assert (tmp_path / "aging" / "aging.csv").exists()
     assert (tmp_path / "rayleigh" / "rayleigh.csv").exists()
+
+
+def test_spectral_module_imports_no_other_package_module():
+    # the Euler kinds may call the Gauss rule without an import cycle
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, rmsde.spectral\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('rmsde', 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['rmsde', 'rmsde.spectral']"
 
 
 # ---------------------------------------------------------------- config fuzzing

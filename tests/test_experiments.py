@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from rmsde import dynamics, experiments
+from rmsde import dynamics, experiments, spectral
 from rmsde.algebra import Polynomial
 from rmsde.config import experiment_config, parse_config
 from rmsde.dynamics import ParameterError, SimulationBlowupError, SystemParams
@@ -24,10 +24,10 @@ from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
                                overlap_item, rayleigh_quotient_curve,
                                run_aging, run_concentration, run_hopfield,
                                run_rayleigh, run_taylor_vs_mc,
-                               run_universality, _aging_ratios_one, _gauss_rule,
-                               _paired_values)
+                               run_universality, _paired_values)
 from rmsde.observables import BuildingBlock, SuiteItem
 from rmsde.rng import PURPOSE_COUPLING, PURPOSE_INITIAL, RngStream
+from rmsde.spectral import _aging_ratios_one, _gauss_rule
 
 GAUSSIAN = EntryDistribution.GAUSSIAN
 RADEMACHER = EntryDistribution.RADEMACHER
@@ -742,17 +742,17 @@ def test_tridiagonal_is_the_sum_of_its_diagonals(m):
     alpha[0] = -0.0  # the sum reads +0.0 there
     beta = list(np.abs(rng.standard_normal(m - 1)))
     want = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    assert experiments._tridiagonal(alpha, beta).tobytes() == want.tobytes()
+    assert spectral._tridiagonal(alpha, beta).tobytes() == want.tobytes()
 
 
 def dense_solvers():
     """numpy's dense drivers on the Lanczos matrix: the solvers' oracle."""
-    return (lambda alpha, beta: np.linalg.eigvalsh(experiments._tridiagonal(alpha, beta)),
-            lambda alpha, beta: np.linalg.eigh(experiments._tridiagonal(alpha, beta)))
+    return (lambda alpha, beta: np.linalg.eigvalsh(spectral._tridiagonal(alpha, beta)),
+            lambda alpha, beta: np.linalg.eigh(spectral._tridiagonal(alpha, beta)))
 
 
 def assert_solvers_give_dense_bytes(alpha, beta):
-    eigvalsh, eigh = experiments._tridiagonal_solvers()
+    eigvalsh, eigh = spectral._tridiagonal_solvers()
     want_eigvalsh, want_eigh = dense_solvers()
     assert eigvalsh(alpha, beta).tobytes() == want_eigvalsh(alpha, beta).tobytes()
     theta, s = eigh(alpha, beta)
@@ -775,7 +775,7 @@ def test_tridiagonal_solvers_give_the_dense_bytes_on_an_aging_run(monkeypatch):
     # the Lanczos matrices of a size-40 aging run: two convergence checks
     # (m = 16, 32) and the final rule (m = 40) per replica-arm
     seen = []
-    eigvalsh, eigh = experiments._tridiagonal_solvers()
+    eigvalsh, eigh = spectral._tridiagonal_solvers()
 
     def recorded(solve):
         def run(alpha, beta):
@@ -784,7 +784,7 @@ def test_tridiagonal_solvers_give_the_dense_bytes_on_an_aging_run(monkeypatch):
         return run
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_tridiagonal_solvers",
+        patch.setattr(spectral, "_tridiagonal_solvers",
                       lambda: (recorded(eigvalsh), recorded(eigh)))
         run_aging(experiment_config(parse_config(
             "[system]\nbeta = inf\n[experiment]\nsizes = 40\nreplicas = 2\n")))
@@ -804,7 +804,7 @@ def test_tridiagonal_solvers_skip_the_dense_drivers(monkeypatch):
         raise AssertionError("a dense driver ran")
 
     alpha, beta = [1.0, 2.0, 3.0], [0.5, 0.25]
-    eigvalsh, eigh = experiments._tridiagonal_solvers()
+    eigvalsh, eigh = spectral._tridiagonal_solvers()
     monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     monkeypatch.setattr(np.linalg, "eigh", dense)
     assert len(eigvalsh(alpha, beta)) == 3 and len(eigh(alpha, beta)[0]) == 3
@@ -813,7 +813,7 @@ def test_tridiagonal_solvers_skip_the_dense_drivers(monkeypatch):
 @pytest.mark.parametrize("lib", [None, object()], ids=["no-library", "no-symbols"])
 def test_tridiagonal_solvers_fall_back_to_the_dense_drivers(monkeypatch, openblas, lib):
     openblas(lib)
-    assert experiments._blas_threads() is None
+    assert spectral._blas_threads() is None
     alpha, beta = [1.0, -0.0, 3.0], [0.5, 0.25]
     want = [solve(alpha, beta) for solve in dense_solvers()]
     calls = []
@@ -821,7 +821,7 @@ def test_tridiagonal_solvers_fall_back_to_the_dense_drivers(monkeypatch, openbla
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda t, real=real, name=name: calls.append(name) or real(t))
-    eigvalsh, eigh = experiments._tridiagonal_solvers()
+    eigvalsh, eigh = spectral._tridiagonal_solvers()
     assert eigvalsh(alpha, beta).tobytes() == want[0].tobytes()
     assert [x.tobytes() for x in eigh(alpha, beta)] == [x.tobytes() for x in want[1]]
     assert calls == ["eigvalsh", "eigh"]

@@ -11,7 +11,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(rmsde.__path__))
 
 
 def test_every_module_is_listed():
-    assert {"cli", "dynamics", "ensembles", "experiments", "generator"} <= set(MODULES)
+    assert {"cli", "dynamics", "ensembles", "experiments", "generator", "spectral"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
