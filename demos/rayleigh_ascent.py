@@ -40,9 +40,10 @@ def main() -> None:
                            sizes=(64,), seed=2, rayleigh_horizon=12.0,
                            rayleigh_points=25, rayleigh_replicas=4)
     rep = run_rayleigh(cfg)
+    summary = dict(rep.summary)
     print(f"\n{len(rep.rows)} replica curves across both laws: "
-          f"mean final deficit {rep.mean_gap:.4f}, "
-          f"all monotone: {all(r.monotone for r in rep.rows)}")
+          f"mean final deficit {summary['mean_gap']:.4f}, "
+          f"all monotone: {summary['all_monotone']}")
 
 
 if __name__ == "__main__":

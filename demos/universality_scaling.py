@@ -26,12 +26,15 @@ def main() -> None:
         print(f"{r.n:>4} {r.observable:<18} {abs(r.delta):>10.5f} "
               f"{r.se:>10.5f}")
     print()
-    for name, fit in sorted(rep.slopes.items()):
-        if fit is None:
+    summary = dict(rep.summary)
+    for name in sorted({r.observable for r in rep.rows}):
+        slope = summary[f"slope[{name}]"]
+        if slope == "n/a":
             print(f"{name}: too few points above the noise floor for a fit")
         else:
-            print(f"{name}: |delta| ~ n^{fit.slope:.2f} "
-                  f"(95% band {fit.lo:.2f} .. {fit.hi:.2f})")
+            print(f"{name}: |delta| ~ n^{slope:.2f} "
+                  f"(95% band {summary[f'slope_lo[{name}]']:.2f} .. "
+                  f"{summary[f'slope_hi[{name}]']:.2f})")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .dynamics import ParameterError, SimulationBlowupError, simulate
 from .ensembles import (EnsembleError, EntryDistribution, InitialLaw,
                         entry_moment, sample_couplings, sample_entries,
                         sample_initial)
-from .experiments import (ExperimentError, run_aging, run_concentration,
+from .experiments import (ExperimentError, Report, run_aging, run_concentration,
                           run_hopfield, run_rayleigh, run_taylor_vs_mc,
                           run_universality)
 from .observables import ObservableError
@@ -46,86 +46,6 @@ def _error_record(message: str, status: int, out: str = "") -> None:
             pass
 
 
-def _slope_pairs(report) -> list:
-    pairs = []
-    for name, fit in sorted(report.slopes.items()):
-        if fit is None:
-            pairs.append((f"slope[{name}]", "n/a"))
-        else:
-            pairs.append((f"slope[{name}]", fit.slope))
-            pairs.append((f"slope_lo[{name}]", fit.lo))
-            pairs.append((f"slope_hi[{name}]", fit.hi))
-    return pairs
-
-
-def _universality_artifacts(rep) -> tuple:
-    header = ("n", "observable", "delta", "se", "mean_a", "mean_b", "replicas")
-    rows = [(r.n, r.observable, r.delta, r.se, r.mean_a, r.mean_b, r.replicas)
-            for r in rep.rows]
-    return header, rows, _slope_pairs(rep)
-
-
-def _run_universality(rc: RunConfig):
-    rep = run_universality(experiment_config(rc))
-    header, rows, summary = _universality_artifacts(rep)
-    return "universality.csv", header, rows, summary
-
-
-def _run_hopfield(rc: RunConfig):
-    rep = run_hopfield(experiment_config(rc))
-    header, rows, summary = _universality_artifacts(rep)
-    return "hopfield.csv", header, rows, summary
-
-
-def _run_concentration(rc: RunConfig):
-    cfg = experiment_config(rc)
-    rep = run_concentration(cfg)
-    header = ["n", "observable", "sup_std", "dev_std", "dev_mean", "replicas"]
-    header += [f"tail[{lam:g}]" for lam in cfg.tail_thresholds]
-    rows = []
-    for r in rep.rows:
-        rows.append((r.n, r.observable, r.sup_std, r.dev_std, r.dev_mean, r.replicas)
-                    + tuple(count for _, count in r.tails))
-    ratio = rep.rows[-1].sup_std / rep.rows[0].sup_std if rep.rows[0].sup_std else math.inf
-    summary = [("sup_std_ratio_last_over_first", ratio)]
-    return "concentration.csv", header, rows, summary
-
-
-def _run_aging(rc: RunConfig):
-    rep = run_aging(experiment_config(rc))
-    header = ("n", "s", "lambda", "mean_a", "se_a", "mean_b", "se_b", "gap")
-    rows = [(r.n, r.s, r.lam, r.mean_a, r.se_a, r.mean_b, r.se_b, r.gap)
-            for r in rep.rows]
-    summary = [("dropped_a", rep.dropped_a), ("dropped_b", rep.dropped_b),
-               ("max_gap", max((r.gap for r in rep.rows), default=0.0))]
-    return "aging.csv", header, rows, summary
-
-
-def _run_rayleigh(rc: RunConfig):
-    rep = run_rayleigh(experiment_config(rc))
-    header = ("arm", "replica", "top_eigenvalue", "final_quotient", "deficit", "monotone")
-    rows = [(r.arm, r.replica, r.top_eigenvalue, r.final_quotient, r.deficit, r.monotone)
-            for r in rep.rows]
-    summary = [("mean_gap", rep.mean_gap),
-               ("all_monotone", all(r.monotone for r in rep.rows))]
-    return "rayleigh.csv", header, rows, summary
-
-
-def _run_taylor_check(rc: RunConfig):
-    rep = run_taylor_vs_mc(experiment_config(rc))
-    by_name = {r.observable: r for r in rep.rows}
-    header = ("observable", "k", "term", "partial_sum", "mc_reference", "mc_se")
-    rows = []
-    for o in rep.orders:
-        ref = by_name[o.observable]
-        rows.append((o.observable, o.order, o.term, o.partial_sum, ref.mc_mean, ref.mc_se))
-    summary = [("any_diverging", rep.any_diverging)]
-    for r in rep.rows:
-        summary.append((f"value[{r.observable}]", r.value))
-        summary.append((f"z[{r.observable}]", r.z))
-    return "taylor.csv", header, rows, summary
-
-
 def _run_moments_check(rc: RunConfig):
     """Exact entry moments against a sampling estimate, all entry laws."""
     cfg = experiment_config(rc)
@@ -143,7 +63,7 @@ def _run_moments_check(rc: RunConfig):
             z = (est - exact) / se if se else 0.0
             worst = max(worst, abs(z))
             rows.append((dist.value, ell, exact, est, se, z))
-    return "moments.csv", header, rows, [("max_abs_z", worst)]
+    return Report("moments.csv", header, rows, [("max_abs_z", worst)])
 
 
 def _run_simulate(rc: RunConfig):
@@ -173,18 +93,21 @@ def _run_simulate(rc: RunConfig):
                ("snapshot_rounding", icfg.rounding),
                ("decomposition_residual", residual),
                ("final_norm_sq_density", norm_sq)]
-    return "trajectory.csv", header, rows, summary
+    return Report("trajectory.csv", header, rows, summary)
 
 
-_HANDLERS = {
+# kind -> its Report from a RunConfig.  Each lambda names its experiment, so
+# the name is looked up when the run starts and a wrapper set on this
+# module's attribute after import (perfbench/spans.py) sees the call.
+_RUNNERS = {
     "simulate": _run_simulate,
-    "universality": _run_universality,
-    "concentration": _run_concentration,
-    "aging": _run_aging,
-    "taylor-check": _run_taylor_check,
+    "universality": lambda rc: run_universality(experiment_config(rc)),
+    "concentration": lambda rc: run_concentration(experiment_config(rc)),
+    "aging": lambda rc: run_aging(experiment_config(rc)),
+    "taylor-check": lambda rc: run_taylor_vs_mc(experiment_config(rc)),
     "moments-check": _run_moments_check,
-    "hopfield": _run_hopfield,
-    "rayleigh": _run_rayleigh,
+    "hopfield": lambda rc: run_hopfield(experiment_config(rc)),
+    "rayleigh": lambda rc: run_rayleigh(experiment_config(rc)),
 }
 
 
@@ -199,13 +122,13 @@ def run(rc: RunConfig) -> int:
     """
     out = rc.get("run", "out")
     kind = rc.get("run", "experiment")
-    handler = _HANDLERS.get(kind)
-    if handler is None:
+    runner = _RUNNERS.get(kind)
+    if runner is None:
         _error_record(f"unknown experiment kind {kind!r}", 2, out)
         return 2
     digest = config_hash(rc)
     try:
-        csv_name, header, rows, summary = handler(rc)
+        report = runner(rc)
     except (ConfigError, EnsembleError, ParameterError, ObservableError) as exc:
         _error_record(str(exc), 2, out)
         return 2
@@ -213,9 +136,9 @@ def run(rc: RunConfig) -> int:
         _error_record(str(exc), 1, out)
         return 1
     base = out.rstrip("/")
-    atomic_write_text(f"{base}/{csv_name}", render_csv(digest, header, rows))
+    atomic_write_text(f"{base}/{report.csv}", render_csv(digest, report.header, report.rows))
     write_summary(f"{base}/summary.txt",
-                  [("experiment", kind), ("config-hash", digest)] + list(summary))
+                  [("experiment", kind), ("config-hash", digest)] + list(report.summary))
     atomic_write_text(f"{base}/config.txt", serialize(rc))
     Path(f"{base}/error.txt").unlink(missing_ok=True)  # an earlier failed run's record
     return 0

@@ -510,24 +510,13 @@ def experiment_config(rc: RunConfig) -> ExperimentConfig:
             init_dist=_dist(rc.get("ensemble", "init")),
             template=system_template(rc),
             suite=observable_suite(rc),
-            sizes=rc.get("experiment", "sizes"),
-            replicas=rc.get("experiment", "replicas"),
             dt=rc.get("integrator", "dt"),
             horizon=rc.get("integrator", "horizon"),
             seed=rc.get("run", "seed"),
             coupling_seed=None if ens_seed < 0 else ens_seed,
             threads=rc.get("run", "threads"),
-            s_values=rc.get("experiment", "s_values"),
-            lambdas=rc.get("experiment", "lambdas"),
-            confinement_mode=rc.get("experiment", "confinement_mode"),
-            tail_thresholds=rc.get("experiment", "tail_thresholds"),
-            grid_points=rc.get("experiment", "grid_points"),
-            truncation=rc.get("experiment", "truncation"),
-            time=rc.get("experiment", "time"),
-            mc_paths=rc.get("experiment", "mc_paths"),
-            rayleigh_horizon=rc.get("experiment", "rayleigh_horizon"),
-            rayleigh_points=rc.get("experiment", "rayleigh_points"),
-            rayleigh_replicas=rc.get("experiment", "rayleigh_replicas"),
+            # every [experiment] key is the ExperimentConfig field of its name
+            **{key: rc.get("experiment", key) for key in _SCHEMA["experiment"]},
         )
         check_preconditions(rc.get("run", "experiment"), cfg)
     except (ExperimentError, EnsembleError) as exc:

@@ -26,6 +26,7 @@ import math
 import os
 import pickle
 import signal
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -44,11 +45,7 @@ from .spectral import _aging_ratios_one, _blas_threads, _gauss_rule
 __all__ = [
     "SystemTemplate",
     "ExperimentConfig",
-    "UniversalityReport",
-    "ConcentrationReport",
-    "AgingReport",
-    "TaylorVsMcReport",
-    "RayleighReport",
+    "Report",
     "run_universality",
     "run_concentration",
     "run_aging",
@@ -87,6 +84,14 @@ DEFAULT_TRUNCATION_CAP = 16
 # concentration lay out their time grids with np.linspace.
 _WHOLE_COUNTS = {"moments-check": "mc_paths", "rayleigh": "rayleigh_points",
                  "concentration": "grid_points"}
+
+Report = namedtuple("Report", "csv header rows summary")
+Report.__doc__ = """One run's result: the CSV file name, its header, its rows (tuples in
+header order) and the ordered ``(key, value)`` pairs of ``summary.txt``.
+
+A row type's fields are the CSV columns, except where a column name is
+not an identifier (aging's ``lambda``, concentration's ``tail[x]``), so
+the header travels with the rows."""
 
 
 # ---------------------------------------------------------------------------
@@ -503,31 +508,13 @@ def _paired_values(cfg: ExperimentConfig, n: int, arms: tuple = ("a", "b")) -> l
 # universality
 
 
-@dataclass(frozen=True)
-class UniversalityRow:
-    n: int
-    observable: str
-    delta: float
-    se: float
-    mean_a: float
-    mean_b: float
-    replicas: int
+_Universality = namedtuple("_Universality", "n observable delta se mean_a mean_b replicas")
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class UniversalityReport:
-    rows: tuple
-    slopes: dict
-
-
-def _fit_loglog(ns, values) -> Optional[SlopeFit]:
+def _fit_loglog(ns, values) -> Optional[tuple]:
+    """``(slope, lo, hi)`` of log ``values`` against log ``ns``, the 95 %
+    band included; ``None`` with fewer than three positive values or a
+    single size."""
     pts = [(math.log(n), math.log(v)) for n, v in zip(ns, values) if v > 0]
     if len(pts) < 3:
         return None
@@ -541,13 +528,13 @@ def _fit_loglog(ns, values) -> Optional[SlopeFit]:
     resid = y - (y.mean() + slope * xc)
     dof = len(pts) - 2  # >= 1: fewer than three points returned above
     stderr = math.sqrt(float(resid @ resid) / dof / sxx)
-    return SlopeFit(slope, slope - 1.96 * stderr, slope + 1.96 * stderr)
+    return slope, slope - 1.96 * stderr, slope + 1.96 * stderr
 
 
-def _finite_rows(rows: list) -> tuple:
+def _finite_rows(header: tuple, rows: list) -> tuple:
     """``rows`` as a tuple; :class:`ExperimentError` if a statistic is not finite."""
     for row in rows:
-        for name, value in vars(row).items():
+        for name, value in zip(header, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ExperimentError(
                     f"non-finite {name} = {value} at n={row.n} for {row.observable}: "
@@ -555,12 +542,15 @@ def _finite_rows(rows: list) -> tuple:
     return tuple(rows)
 
 
-def run_universality(cfg: ExperimentConfig) -> UniversalityReport:
+def run_universality(cfg: ExperimentConfig) -> Report:
     """Paired-arm expectation differences across sizes.
 
     Per replica the initial condition and the noise are shared between
     arms and only the coupling is redrawn, so with identical entry
-    distributions the per-replica difference is exactly zero.
+    distributions the per-replica difference is exactly zero.  The
+    summary gives, per observable in name order, the log-log slope of
+    ``|delta|`` against N and its 95 % band, or ``n/a`` when fewer than
+    three sizes have a positive ``|delta|``.
     """
     check_preconditions("universality", cfg)
     cfg = replace(cfg, suite=_suite("universality", cfg))
@@ -575,95 +565,74 @@ def run_universality(cfg: ExperimentConfig) -> UniversalityReport:
                 d = diffs[:, q]
                 delta = float(d.mean())
                 se = float(d.std(ddof=1)) / math.sqrt(len(d))
-                rows.append(UniversalityRow(n, item.name, delta, se,
-                                            float(va[:, q].mean()), float(vb[:, q].mean()),
-                                            len(d)))
+                rows.append(_Universality(n, item.name, delta, se,
+                                          float(va[:, q].mean()), float(vb[:, q].mean()),
+                                          len(d)))
                 per_obs_delta[item.name].append(abs(delta))
-    slopes = {name: _fit_loglog(cfg.sizes, deltas)
-              for name, deltas in per_obs_delta.items()}
-    return UniversalityReport(_finite_rows(rows), slopes)
+    summary = []
+    for name, deltas in sorted(per_obs_delta.items()):
+        fit = _fit_loglog(cfg.sizes, deltas)
+        if fit is None:
+            summary.append((f"slope[{name}]", "n/a"))
+        else:
+            summary += zip((f"slope[{name}]", f"slope_lo[{name}]", f"slope_hi[{name}]"), fit)
+    header = _Universality._fields
+    return Report("universality.csv", header, _finite_rows(header, rows), summary)
 
 
-def run_hopfield(cfg: ExperimentConfig) -> UniversalityReport:
+def run_hopfield(cfg: ExperimentConfig) -> Report:
     """Universality for the thresholded gradient flow.
 
     Forces the gradient-flow drift with the configured thresholds and
     the four-observable suite (autocorrelation, energy density, squared
     field strength, overlap with the start); otherwise identical to
-    :func:`run_universality`, to which it delegates.
+    :func:`run_universality`, to which it delegates, apart from the CSV
+    name.
     """
     template = cfg.template
     if not template.langevin:
         template = replace(template, langevin=True)
     forced = replace(cfg, template=template, suite=_suite("hopfield", cfg))
-    return run_universality(forced)
+    return run_universality(forced)._replace(csv="hopfield.csv")
 
 
 # ---------------------------------------------------------------------------
 # concentration
 
 
-@dataclass(frozen=True)
-class ConcentrationRow:
-    n: int
-    observable: str
-    sup_std: float
-    dev_std: float
-    dev_mean: float
-    replicas: int
-    tails: tuple  # ((threshold, count), ...)
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    rows: tuple
-
-
-def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
+def run_concentration(cfg: ExperimentConfig) -> Report:
     """Replica spread of sup-over-grid observables, single arm.
 
     Every template's noise is additive, which the concentration statement
     this checks assumes.  The deviation statistics center each grid point
-    at its replica mean and take the sup over the grid per replica.
+    at its replica mean and take the sup over the grid per replica; the
+    ``tail[x]`` columns count the replicas whose deviation exceeds ``x``
+    (row fields ``_6``, ``_7``, ...).
     """
     check_preconditions("concentration", cfg)
     sub = replace(cfg, suite=_suite("concentration", cfg))
+    header = (("n", "observable", "sup_std", "dev_std", "dev_mean", "replicas")
+              + tuple(f"tail[{lam:g}]" for lam in cfg.tail_thresholds))
+    row = namedtuple("_Concentration", header, rename=True)
     rows = []
     for n in cfg.sizes:
         (curve,) = _paired_values(sub, n, arms=("a",))  # (replicas, grid)
         with np.errstate(over="ignore", invalid="ignore"):  # see run_universality
             sups = curve.max(axis=1)
             dev = np.abs(curve - curve.mean(axis=0)).max(axis=1)
-            tails = tuple((lam, int((dev > lam).sum())) for lam in cfg.tail_thresholds)
-            rows.append(ConcentrationRow(n, "autocorr[t,t]",
-                                         float(sups.std(ddof=1)),
-                                         float(dev.std(ddof=1)),
-                                         float(dev.mean()),
-                                         sub.replicas, tails))
-    return ConcentrationReport(_finite_rows(rows))
+            tails = tuple(int((dev > lam).sum()) for lam in cfg.tail_thresholds)
+            rows.append(row(n, "autocorr[t,t]", float(sups.std(ddof=1)),
+                            float(dev.std(ddof=1)), float(dev.mean()), sub.replicas, *tails))
+    rows = _finite_rows(header, rows)
+    ratio = rows[-1].sup_std / rows[0].sup_std if rows[0].sup_std else math.inf
+    return Report("concentration.csv", header, rows, [("sup_std_ratio_last_over_first", ratio)])
 
 
 # ---------------------------------------------------------------------------
 # aging (noise-free flow, a Gauss rule of the spectral measure)
 
 
-@dataclass(frozen=True)
-class AgingRow:
-    n: int
-    s: float
-    lam: float
-    mean_a: float
-    se_a: float
-    mean_b: float
-    se_b: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class AgingReport:
-    rows: tuple
-    dropped_a: int
-    dropped_b: int
+_Aging = namedtuple("_Aging", "n s lam mean_a se_a mean_b se_b gap")
 
 
 def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
@@ -704,7 +673,7 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
     return [done[i % workers][i // workers] for i in range(len(jobs))]
 
 
-def run_aging(cfg: ExperimentConfig) -> AgingReport:
+def run_aging(cfg: ExperimentConfig) -> Report:
     """Two-time autocorrelation ratios of the noise-free gradient flow.
 
     The flow is always the gradient flow ``2J - K I``, as for
@@ -716,7 +685,7 @@ def run_aging(cfg: ExperimentConfig) -> AgingReport:
     ``theta[-1]`` are Ritz values and a row can differ in its last bits
     between configs with different ``(s, lambda)`` sets; with a fixed
     confinement, replicas whose sampled operator norm reaches it are
-    dropped and counted.
+    dropped and counted in the summary's ``dropped_a`` and ``dropped_b``.
     """
     check_preconditions("aging", cfg)
     pairs = [(float(s), float(lam)) for s in cfg.s_values for lam in cfg.lambdas]
@@ -746,40 +715,20 @@ def run_aging(cfg: ExperimentConfig) -> AgingReport:
                 col = per_arm[arm][:, q]
                 stats[arm] = (float(col.mean()),
                               float(col.std(ddof=1)) / math.sqrt(len(col)))
-            rows.append(AgingRow(n, s, lam, stats["a"][0], stats["a"][1],
-                                 stats["b"][0], stats["b"][1],
-                                 abs(stats["a"][0] - stats["b"][0])))
-    return AgingReport(tuple(rows), dropped["a"], dropped["b"])
+            rows.append(_Aging(n, s, lam, stats["a"][0], stats["a"][1],
+                               stats["b"][0], stats["b"][1],
+                               abs(stats["a"][0] - stats["b"][0])))
+    summary = [("dropped_a", dropped["a"]), ("dropped_b", dropped["b"]),
+               ("max_gap", max((r.gap for r in rows), default=0.0))]
+    header = ("n", "s", "lambda", "mean_a", "se_a", "mean_b", "se_b", "gap")
+    return Report("aging.csv", header, tuple(rows), summary)
 
 
 # ---------------------------------------------------------------------------
 # truncated series vs Monte Carlo
 
 
-@dataclass(frozen=True)
-class TaylorRow:
-    observable: str
-    value: float
-    tail_bound: float
-    diverging: bool
-    mc_mean: float
-    mc_se: float
-    z: float
-
-
-@dataclass(frozen=True)
-class OrderRow:
-    observable: str
-    order: int
-    term: float
-    partial_sum: float
-
-
-@dataclass(frozen=True)
-class TaylorVsMcReport:
-    rows: tuple
-    orders: tuple
-    any_diverging: bool
+_Order = namedtuple("_Order", "observable k term partial_sum mc_reference mc_se")
 
 
 def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
@@ -830,14 +779,15 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
     return mean, se
 
 
-def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
+def run_taylor_vs_mc(cfg: ExperimentConfig) -> Report:
     """Symbolic truncated means against a full Monte Carlo, small systems.
 
     Uses the first configured size (must be at most 4) and the
-    configured time (at most 0.5).  The report carries per-order terms
-    for the single-time observables plus z-scores, and propagates the
-    divergence warning of the symbolic engine for every row, the
-    multi-time one included.
+    configured time (at most 0.5).  The rows are the per-order terms of
+    the single-time observables beside their Monte Carlo reference.  The
+    summary propagates the divergence warning of the symbolic engine over
+    every series, the multi-time one included, then gives each series'
+    value and z-score.
     """
     check_preconditions("taylor-check", cfg)
     # the symbolic engine loads only for the kind that expands a series
@@ -861,46 +811,30 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> TaylorVsMcReport:
     specs = [([f], (t,)) for _, f in singles] + [(multi_fs, multi_ts)]
     mean, se = _mc_moments(cfg, n, specs)
 
-    rows = []
+    series = []  # (name, result) per observable, the multi-time one last
     orders = []
     memos = ({}, {}, {})  # every series of the run reads the same params and oracle
     for q, (name, f) in enumerate(singles):
         res = taylor_mean(f, params, oracle, t, cfg.truncation, memos=memos)
-        z = (res.value - mean[q]) / se[q] if se[q] > 0 else 0.0
-        rows.append(TaylorRow(name, res.value, res.tail_bound, res.diverging,
-                              float(mean[q]), float(se[q]), float(z)))
+        series.append((name, res))
         partial = 0.0
         for k, term in enumerate(res.terms):
             partial += term
-            orders.append(OrderRow(name, k, term, partial))
-    mv = taylor_mean_multitime(multi_fs, multi_ts, params, oracle, cfg.truncation,
-                               memos=memos)
-    q = len(singles)
-    z = (mv.value - mean[q]) / se[q] if se[q] > 0 else 0.0
-    rows.append(TaylorRow(multi_name, mv.value, mv.tail_bound, mv.diverging, float(mean[q]),
-                          float(se[q]), float(z)))
-    return TaylorVsMcReport(tuple(rows), tuple(orders), any(r.diverging for r in rows))
+            orders.append(_Order(name, k, term, partial, float(mean[q]), float(se[q])))
+    series.append((multi_name, taylor_mean_multitime(multi_fs, multi_ts, params, oracle,
+                                                     cfg.truncation, memos=memos)))
+    summary = [("any_diverging", any(res.diverging for _, res in series))]
+    for q, (name, res) in enumerate(series):
+        z = (res.value - mean[q]) / se[q] if se[q] > 0 else 0.0
+        summary += [(f"value[{name}]", res.value), (f"z[{name}]", float(z))]
+    return Report("taylor.csv", _Order._fields, tuple(orders), summary)
 
 
 # ---------------------------------------------------------------------------
 # rayleigh quotient along the noise-free flow
 
 
-@dataclass(frozen=True)
-class RayleighRow:
-    arm: str
-    replica: int
-    top_eigenvalue: float
-    final_quotient: float
-    deficit: float
-    monotone: bool
-
-
-@dataclass(frozen=True)
-class RayleighReport:
-    rows: tuple
-    times: tuple
-    mean_gap: float
+_Rayleigh = namedtuple("_Rayleigh", "arm replica top_eigenvalue final_quotient deficit monotone")
 
 
 def rayleigh_quotient_curve(eigvals: np.ndarray, coeffs_sq: np.ndarray,
@@ -925,7 +859,7 @@ def rayleigh_quotient_curve(eigvals: np.ndarray, coeffs_sq: np.ndarray,
     return out
 
 
-def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
+def run_rayleigh(cfg: ExperimentConfig) -> Report:
     """Gradient ascent of the quotient toward the spectral top.
 
     The flow is always the gradient flow ``2J - K I``, as for
@@ -933,7 +867,8 @@ def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
     only; per replica the quotient curve is a sum over the Gauss rule of
     :func:`_spectra` and is compared with the top eigenvalue of the
     sampled coupling, the rule's top node.  Monotonicity is recorded per
-    replica as a strict step-by-step check.
+    replica as a strict step-by-step check.  The summary's ``mean_gap``
+    is the distance between the arms' mean final quotients.
     """
     check_preconditions("rayleigh", cfg)
     n = cfg.sizes[0]
@@ -950,7 +885,8 @@ def run_rayleigh(cfg: ExperimentConfig) -> RayleighReport:
         monotone = bool(np.all(np.diff(curve) >= -tol))
         top = float(lam[-1])
         final = float(curve[-1])
-        rows.append(RayleighRow(arm, r, top, final, top - final, monotone))
+        rows.append(_Rayleigh(arm, r, top, final, top - final, monotone))
         finals[arm].append(final)
     gap = abs(float(np.mean(finals["a"])) - float(np.mean(finals["b"])))
-    return RayleighReport(tuple(rows), tuple(times), gap)
+    summary = [("mean_gap", gap), ("all_monotone", all(r.monotone for r in rows))]
+    return Report("rayleigh.csv", _Rayleigh._fields, tuple(rows), summary)

@@ -103,6 +103,24 @@ CSV_NAMES = {
 }
 
 
+# summary.txt keys after "experiment" and "config-hash", in order, at the FAST
+# configs: the record tests and demos read, beside the CSV
+SUMMARY_KEYS = {
+    "simulate": ["n", "steps", "dt", "snapshot_rounding", "decomposition_residual",
+                 "final_norm_sq_density"],
+    "universality": ["slope[autocorr[0.04,0.04]]", "slope[hamiltonian[0.04]]"],
+    "concentration": ["sup_std_ratio_last_over_first"],
+    "aging": ["dropped_a", "dropped_b", "max_gap"],
+    "taylor-check": ["any_diverging"] + [f"{key}[{name}]" for name in
+                                         ("x1", "x1^2", "x1*x2", "x1(t/2)*x1(t)")
+                                         for key in ("value", "z")],
+    "moments-check": ["max_abs_z"],
+    "hopfield": ["slope[autocorr[0.04,0.04]]", "slope[gradsq[0.04]]",
+                 "slope[hamiltonian[0.04]]", "slope[overlap[0.04]]"],
+    "rayleigh": ["mean_gap", "all_monotone"],
+}
+
+
 def invoke(tmp_path, kind, text, extra=()):
     tmp_path.mkdir(exist_ok=True)
     cfg = tmp_path / "run.cfg"
@@ -126,6 +144,8 @@ def test_subcommand_writes_artifacts(tmp_path, kind):
     summary = (out / "summary.txt").read_text().split("\n")
     assert summary[0] == f"experiment = {kind}"
     assert summary[1] == f"config-hash = {digest}"
+    assert [line.split(" = ")[0] for line in summary[2:-1]] == SUMMARY_KEYS[kind]
+    assert summary[-1] == ""
 
     resolved = parse_config((out / "config.txt").read_text())
     assert resolved.get("run", "experiment") == kind
@@ -612,7 +632,10 @@ def test_benchmark_spans_find_their_targets(tmp_path):
     # experiments import, ...); a renamed target must fail here, not first
     # in the benchmark's traced run, where its layer would just read zero.
     # The paired runs build no Trajectory, so its wrapper records no span
-    assert {"cli.run", "experiments.chunk", "ensembles.sample_couplings",
+    # cli looks its experiment up when the run starts, so the wrappers that
+    # perfbench/spans.py sets on cli's names after import see the call
+    assert {"cli.run", "config.experiment_config", "experiments.run_universality",
+            "experiments.chunk", "ensembles.sample_couplings",
             "dynamics.system_params",
             "observables.evaluate"} <= traced_span_names(tmp_path, "universality")
 
@@ -622,7 +645,8 @@ def test_benchmark_spans_find_the_spectral_targets(tmp_path):
     # spectral layer; its tridiagonal solves go to LAPACK's tridiagonal
     # drivers, not through numpy's eigh
     names = traced_span_names(tmp_path, "aging")
-    assert {"cli.run", "ensembles.sample_couplings", "ensembles.sample_initial",
+    assert {"cli.run", "config.experiment_config", "experiments.run_aging",
+            "ensembles.sample_couplings", "ensembles.sample_initial",
             "spectral._gauss_rule"} <= names
     assert "numpy.eigh" not in names
 

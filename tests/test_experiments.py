@@ -18,7 +18,7 @@ from rmsde.config import experiment_config, parse_config
 from rmsde.dynamics import ParameterError, SimulationBlowupError, SystemParams
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile, sample_couplings,
                              sample_initial)
-from rmsde.experiments import (AgingReport, ExperimentConfig, ExperimentError,
+from rmsde.experiments import (ExperimentConfig, ExperimentError, Report,
                                SystemTemplate, autocorr_item, default_suite,
                                gradsq_item, hamiltonian_item, hopfield_suite,
                                overlap_item, rayleigh_quotient_curve,
@@ -137,7 +137,7 @@ def test_identical_distributions_pair_exactly():
         assert row.se == 0.0
         assert row.mean_a == row.mean_b
     # no positive deltas, so no slope can be fit
-    assert all(fit is None for fit in report.slopes.values())
+    assert dict(report.summary) == {f"slope[{r.observable}]": "n/a" for r in report.rows}
 
 
 def test_zero_profile_pairs_exactly_across_distributions():
@@ -173,9 +173,10 @@ def test_universality_row_lookup():
 def test_universality_slope_fit_with_three_sizes():
     cfg = small_cfg(sizes=(4, 8, 16), replicas=60)
     report = run_universality(cfg)
-    for fit in report.slopes.values():
-        assert fit is not None
-        assert fit.lo <= fit.slope <= fit.hi
+    summary = dict(report.summary)
+    for name in {r.observable for r in report.rows}:
+        assert (summary[f"slope_lo[{name}]"] <= summary[f"slope[{name}]"]
+                <= summary[f"slope_hi[{name}]"])
 
 
 def test_universality_builds_one_system_per_arm_and_chunk(monkeypatch):
@@ -494,10 +495,12 @@ def test_concentration_shrinks_with_size():
 def test_concentration_tail_counts_decrease():
     cfg = small_cfg(sizes=(8,), replicas=50, grid_points=5,
                     tail_thresholds=(0.01, 0.1, 0.5, 5.0))
-    row = run_concentration(cfg).rows[0]
-    counts = [c for _, c in row.tails]
+    report = run_concentration(cfg)
+    assert report.header[6:] == ("tail[0.01]", "tail[0.1]", "tail[0.5]", "tail[5]")
+    row = report.rows[0]
+    counts = list(row[6:])
     assert counts == sorted(counts, reverse=True)
-    assert row.tails[-1][1] == 0  # nothing deviates by 5 in so tame a system
+    assert row[-1] == 0  # nothing deviates by 5 in so tame a system
     assert row.dev_mean >= 0.0
 
 
@@ -564,7 +567,8 @@ def test_aging_ratios_are_correlation_bounded():
 def test_aging_identical_arms_gap_zero():
     report = run_aging(aging_cfg(dist_b=GAUSSIAN))
     assert all(row.gap == 0.0 for row in report.rows)
-    assert (report.dropped_a, report.dropped_b) == (0, 0)
+    summary = dict(report.summary)
+    assert (summary["dropped_a"], summary["dropped_b"]) == (0, 0)
 
 
 def test_aging_confinement_cancels_exactly():
@@ -574,7 +578,7 @@ def test_aging_confinement_cancels_exactly():
                                                         langevin=True,
                                                         confinement=1e6)))
     assert auto.rows == fixed.rows
-    assert fixed.dropped_a == 0
+    assert dict(fixed.summary)["dropped_a"] == 0
 
 
 def test_aging_drops_all_replicas_is_an_error():
@@ -599,7 +603,7 @@ def test_aging_drop_message_counts_at_the_failing_size():
 
 def test_aging_report_lookup():
     report = run_aging(aging_cfg())
-    assert isinstance(report, AgingReport)
+    assert isinstance(report, Report) and report.csv == "aging.csv"
     assert not [r for r in report.rows if (r.n, r.s, r.lam) == (8, 3.0, 1.0)]
 
 
@@ -632,10 +636,18 @@ def test_rayleigh_quotient_needs_mass():
         rayleigh_quotient_curve(np.array([1.0]), np.array([0.0]), np.array([0.0]))
 
 
-def test_rayleigh_run_converges_upward():
+def test_rayleigh_run_converges_upward(monkeypatch):
+    grids = []
+    real = experiments.rayleigh_quotient_curve
+
+    def recording(eigvals, coeffs_sq, times):
+        grids.append(len(times))
+        return real(eigvals, coeffs_sq, times)
+
+    monkeypatch.setattr(experiments, "rayleigh_quotient_curve", recording)
     report = run_rayleigh(rayleigh_cfg())
     assert len(report.rows) == 10  # two arms, five replicas
-    assert len(report.times) == 31
+    assert grids == [31] * 10
     for row in report.rows:
         assert row.deficit >= -1e-12
         assert row.monotone
@@ -643,7 +655,7 @@ def test_rayleigh_run_converges_upward():
         assert row.deficit < 0.2  # 30 time units get close to the top
     finals_a = [r.final_quotient for r in report.rows if r.arm == "a"]
     finals_b = [r.final_quotient for r in report.rows if r.arm == "b"]
-    assert report.mean_gap == pytest.approx(
+    assert dict(report.summary)["mean_gap"] == pytest.approx(
         abs(float(np.mean(finals_a)) - float(np.mean(finals_b))))
 
 
@@ -892,8 +904,9 @@ def test_fixed_aging_drops_what_the_eigh_oracle_drops(monkeypatch):
     got = run_aging(cfg)
     monkeypatch.setattr(experiments, "_gauss_rule", eigh_rule)
     want = run_aging(cfg)
-    assert (got.dropped_a, got.dropped_b) == (want.dropped_a, want.dropped_b)
-    assert got.dropped_a >= 1 and got.dropped_b >= 1
+    got_a, got_b = (dict(got.summary)[key] for key in ("dropped_a", "dropped_b"))
+    assert (got_a, got_b) == tuple(dict(want.summary)[key] for key in ("dropped_a", "dropped_b"))
+    assert got_a >= 1 and got_b >= 1
     for g, w in zip(got.rows, want.rows):
         np.testing.assert_allclose([g.mean_a, g.mean_b], [w.mean_a, w.mean_b], rtol=1e-12)
 
@@ -1052,22 +1065,27 @@ def test_mc_noise_memory_does_not_grow_with_the_step_count():
 
 
 
+def series_names(report):
+    """The observables a taylor-check summary gives a value for, in order."""
+    return [key[len("value["):-1] for key, _ in report.summary if key.startswith("value[")]
+
+
 def test_taylor_vs_mc_small_system():
     cfg = ExperimentConfig(sizes=(2,), seed=11, truncation=6, time=0.2,
                            mc_paths=6000, dt=2e-3,
                            template=SystemTemplate(beta=math.inf))
     report = run_taylor_vs_mc(cfg)
-    names = [r.observable for r in report.rows]
+    names = series_names(report)
     assert names == ["x1", "x1^2", "x1*x2", "x1(t/2)*x1(t)"]
-    assert not report.any_diverging
-    for row in report.rows:
-        assert abs(row.z) <= 5.0
+    summary = dict(report.summary)
+    assert not summary["any_diverging"]
+    for name in names:
+        assert abs(summary[f"z[{name}]"]) <= 5.0
     # per-order partial sums end at the reported value
     for name in ("x1", "x1^2", "x1*x2"):
-        rows = [o for o in report.orders if o.observable == name]
-        assert rows[-1].partial_sum == pytest.approx(
-            report.rows[names.index(name)].value, rel=1e-12)
-        assert [o.order for o in rows] == list(range(cfg.truncation + 1))
+        rows = [o for o in report.rows if o.observable == name]
+        assert rows[-1].partial_sum == pytest.approx(summary[f"value[{name}]"], rel=1e-12)
+        assert [o.k for o in rows] == list(range(cfg.truncation + 1))
 
 
 def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
@@ -1084,8 +1102,8 @@ def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
     monkeypatch.setattr(rmsde.generator, "taylor_mean_multitime", counting)
     report = run_taylor_vs_mc(ExperimentConfig(sizes=(3,), truncation=2, time=0.2,
                                                mc_paths=50, dt=0.05))
-    assert len(calls) == 4 == len(report.rows)
-    assert len(report.orders) == 3 * 3
+    assert len(calls) == 4 == len(series_names(report))
+    assert len(report.rows) == 3 * 3
 
 
 def test_taylor_vs_mc_series_share_one_memo(monkeypatch):
@@ -1151,13 +1169,23 @@ def test_taylor_vs_mc_series_share_one_expansion_cache(monkeypatch):
     assert results == alone
 
 
-def test_taylor_vs_mc_multitime_row_reads_its_series():
+def test_taylor_vs_mc_multitime_row_reads_its_series(monkeypatch):
+    import rmsde.generator
+    real = rmsde.generator.taylor_mean_multitime
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(rmsde.generator, "taylor_mean_multitime", recording)
     report = run_taylor_vs_mc(ExperimentConfig(sizes=(2,), truncation=4, time=0.2,
                                                mc_paths=50, dt=0.05))
-    row = report.rows[-1]
-    assert row.observable == "x1(t/2)*x1(t)"
-    assert math.isfinite(row.tail_bound)
-    assert not row.diverging
+    multi = results[-1]  # the single-time series reach it too, first
+    assert series_names(report)[-1] == "x1(t/2)*x1(t)"
+    assert dict(report.summary)["value[x1(t/2)*x1(t)]"] == multi.value
+    assert math.isfinite(multi.tail_bound)
+    assert not multi.diverging
 
 
 def test_taylor_vs_mc_preconditions():
