@@ -46,6 +46,19 @@ def _error_record(message: str, status: int, out: str = "") -> None:
             pass
 
 
+def _check_finite(report: Report) -> None:
+    """:class:`ExperimentError` at the first non-finite float of the rows, then of
+    the summary, naming its column or key, its value and its row's leading fields."""
+    cells = [(zip(report.header, row), row) for row in report.rows] + [(report.summary, None)]
+    for pairs, row in cells:
+        for i, (name, value) in enumerate(pairs):
+            if isinstance(value, float) and not math.isfinite(value):
+                at = "in the summary" if row is None else "at " + ", ".join(
+                    f"{h}={v}" for h, v in zip(report.header[:min(i, 3)], row))
+                raise ExperimentError(f"non-finite {name} = {value} {at}: "
+                                      "the run is numerically unstable")
+
+
 def _run_moments_check(rc: RunConfig):
     """Exact entry moments against a sampling estimate, all entry laws."""
     cfg = experiment_config(rc)
@@ -83,16 +96,10 @@ def _run_simulate(rc: RunConfig):
     for row, t in enumerate(traj.times):
         for j in range(n):
             rows.append((float(t), j + 1, float(traj.x[row, j]), float(traj.m[row, j])))
-    with np.errstate(over="ignore", invalid="ignore"):  # a finite state can still overflow these
-        residual = traj.decomposition_residual(params)
-        norm_sq = float(traj.x[-1] @ traj.x[-1]) / n
-    if not (math.isfinite(residual) and math.isfinite(norm_sq)):
-        raise ExperimentError("non-finite trajectory statistic: "
-                              "the integration is numerically unstable")
     summary = [("n", n), ("steps", icfg.n_steps), ("dt", icfg.dt),
                ("snapshot_rounding", icfg.rounding),
-               ("decomposition_residual", residual),
-               ("final_norm_sq_density", norm_sq)]
+               ("decomposition_residual", traj.decomposition_residual(params)),
+               ("final_norm_sq_density", float(traj.x[-1] @ traj.x[-1]) / n)]
     return Report("trajectory.csv", header, rows, summary)
 
 
@@ -115,7 +122,8 @@ def run(rc: RunConfig) -> int:
     """Dispatch a resolved configuration and write its artifacts.
 
     Returns the process exit status: 0 on success, 2 for an unknown
-    experiment kind or configuration problem, 1 for runtime failures.
+    experiment kind or configuration problem, 1 for runtime failures, a
+    non-finite float in the report included (:func:`_check_finite`).
     Every failure path emits a machine-readable ``key = value`` error
     record on stderr (and best-effort as ``error.txt``); a success
     removes the ``error.txt`` an earlier failed run left in ``out``.
@@ -128,7 +136,10 @@ def run(rc: RunConfig) -> int:
         return 2
     digest = config_hash(rc)
     try:
-        report = runner(rc)
+        # the one floating-point scope of every run, which forked workers inherit
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = runner(rc)
+        _check_finite(report)
     except (ConfigError, EnsembleError, ParameterError, ObservableError) as exc:
         _error_record(str(exc), 2, out)
         return 2

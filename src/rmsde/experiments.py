@@ -91,7 +91,11 @@ header order) and the ordered ``(key, value)`` pairs of ``summary.txt``.
 
 A row type's fields are the CSV columns, except where a column name is
 not an identifier (aging's ``lambda``, concentration's ``tail[x]``), so
-the header travels with the rows."""
+the header travels with the rows.
+
+The ``run_*`` functions only compute, in no floating-point scope of their
+own: an overflow or a 0/0 stays in the report as a non-finite value, which
+:func:`rmsde.cli.run`, the one scope of a run, rejects."""
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +434,9 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
     item is one :func:`evaluate` call on the whole stack, its states and the
     coupling the build returned, on rows resolved once per share, and its
     values are split by arm rows; the stacked products keep each
-    replica's bits.  Returns an array of shape (arms, replicas of
-    ``blocks`` in order, len(suite)), and the earliest blow-up step over
-    the worker's replicas and arms, ``inf`` if none.
+    replica's bits, overflows included (:class:`Report`).  Returns an
+    array of shape (arms, replicas of ``blocks`` in order, len(suite)),
+    and the earliest blow-up step over its replicas and arms, ``inf`` if none.
     """
     n, copies = profile.n, len(arms)
     width = max(len(block) for block in blocks)
@@ -464,11 +468,9 @@ def _paired_chunk(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialL
             first = min(first, exc.step)
         if first < math.inf:
             continue  # the run fails; the rest only looks for an earlier step
-        # an overflow leaves a non-finite value, which _finite_rows reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            for q, (item, item_rows) in enumerate(zip(cfg.suite, rows)):
-                values[:, row:row + k, q] = evaluate(item, item_rows, xs, ms,
-                                                     params.coupling).reshape(copies, k)
+        for q, (item, item_rows) in enumerate(zip(cfg.suite, rows)):
+            values[:, row:row + k, q] = evaluate(item, item_rows, xs, ms,
+                                                 params.coupling).reshape(copies, k)
         row += k
     return values, first
 
@@ -531,17 +533,6 @@ def _fit_loglog(ns, values) -> Optional[tuple]:
     return slope, slope - 1.96 * stderr, slope + 1.96 * stderr
 
 
-def _finite_rows(header: tuple, rows: list) -> tuple:
-    """``rows`` as a tuple; :class:`ExperimentError` if a statistic is not finite."""
-    for row in rows:
-        for name, value in zip(header, row):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ExperimentError(
-                    f"non-finite {name} = {value} at n={row.n} for {row.observable}: "
-                    "the integration is numerically unstable")
-    return tuple(rows)
-
-
 def run_universality(cfg: ExperimentConfig) -> Report:
     """Paired-arm expectation differences across sizes.
 
@@ -550,7 +541,7 @@ def run_universality(cfg: ExperimentConfig) -> Report:
     distributions the per-replica difference is exactly zero.  The
     summary gives, per observable in name order, the log-log slope of
     ``|delta|`` against N and its 95 % band, or ``n/a`` when fewer than
-    three sizes have a positive ``|delta|``.
+    three sizes have a positive ``|delta|``.  Only computes (:class:`Report`).
     """
     check_preconditions("universality", cfg)
     cfg = replace(cfg, suite=_suite("universality", cfg))
@@ -558,17 +549,14 @@ def run_universality(cfg: ExperimentConfig) -> Report:
     per_obs_delta: dict = {item.name: [] for item in cfg.suite}
     for n in cfg.sizes:
         va, vb = _paired_values(cfg, n)
-        # an unstable run overflows here; _finite_rows reports it, not numpy
-        with np.errstate(over="ignore", invalid="ignore"):
-            diffs = va - vb
-            for q, item in enumerate(cfg.suite):
-                d = diffs[:, q]
-                delta = float(d.mean())
-                se = float(d.std(ddof=1)) / math.sqrt(len(d))
-                rows.append(_Universality(n, item.name, delta, se,
-                                          float(va[:, q].mean()), float(vb[:, q].mean()),
-                                          len(d)))
-                per_obs_delta[item.name].append(abs(delta))
+        diffs = va - vb
+        for q, item in enumerate(cfg.suite):
+            d = diffs[:, q]
+            delta = float(d.mean())
+            se = float(d.std(ddof=1)) / math.sqrt(len(d))
+            rows.append(_Universality(n, item.name, delta, se,
+                                      float(va[:, q].mean()), float(vb[:, q].mean()), len(d)))
+            per_obs_delta[item.name].append(abs(delta))
     summary = []
     for name, deltas in sorted(per_obs_delta.items()):
         fit = _fit_loglog(cfg.sizes, deltas)
@@ -576,8 +564,7 @@ def run_universality(cfg: ExperimentConfig) -> Report:
             summary.append((f"slope[{name}]", "n/a"))
         else:
             summary += zip((f"slope[{name}]", f"slope_lo[{name}]", f"slope_hi[{name}]"), fit)
-    header = _Universality._fields
-    return Report("universality.csv", header, _finite_rows(header, rows), summary)
+    return Report("universality.csv", _Universality._fields, tuple(rows), summary)
 
 
 def run_hopfield(cfg: ExperimentConfig) -> Report:
@@ -587,7 +574,7 @@ def run_hopfield(cfg: ExperimentConfig) -> Report:
     the four-observable suite (autocorrelation, energy density, squared
     field strength, overlap with the start); otherwise identical to
     :func:`run_universality`, to which it delegates, apart from the CSV
-    name.
+    name.  Only computes (:class:`Report`).
     """
     template = cfg.template
     if not template.langevin:
@@ -607,7 +594,8 @@ def run_concentration(cfg: ExperimentConfig) -> Report:
     this checks assumes.  The deviation statistics center each grid point
     at its replica mean and take the sup over the grid per replica; the
     ``tail[x]`` columns count the replicas whose deviation exceeds ``x``
-    (row fields ``_6``, ``_7``, ...).
+    (row fields ``_6``, ``_7``, ...).  The summary's ``sup_std`` ratio reads
+    ``n/a`` when the first size's is 0.  Only computes (:class:`Report`).
     """
     check_preconditions("concentration", cfg)
     sub = replace(cfg, suite=_suite("concentration", cfg))
@@ -617,15 +605,14 @@ def run_concentration(cfg: ExperimentConfig) -> Report:
     rows = []
     for n in cfg.sizes:
         (curve,) = _paired_values(sub, n, arms=("a",))  # (replicas, grid)
-        with np.errstate(over="ignore", invalid="ignore"):  # see run_universality
-            sups = curve.max(axis=1)
-            dev = np.abs(curve - curve.mean(axis=0)).max(axis=1)
-            tails = tuple(int((dev > lam).sum()) for lam in cfg.tail_thresholds)
-            rows.append(row(n, "autocorr[t,t]", float(sups.std(ddof=1)),
-                            float(dev.std(ddof=1)), float(dev.mean()), sub.replicas, *tails))
-    rows = _finite_rows(header, rows)
-    ratio = rows[-1].sup_std / rows[0].sup_std if rows[0].sup_std else math.inf
-    return Report("concentration.csv", header, rows, [("sup_std_ratio_last_over_first", ratio)])
+        sups = curve.max(axis=1)
+        dev = np.abs(curve - curve.mean(axis=0)).max(axis=1)
+        tails = tuple(int((dev > lam).sum()) for lam in cfg.tail_thresholds)
+        rows.append(row(n, "autocorr[t,t]", float(sups.std(ddof=1)),
+                        float(dev.std(ddof=1)), float(dev.mean()), sub.replicas, *tails))
+    ratio = rows[-1].sup_std / rows[0].sup_std if rows[0].sup_std else "n/a"
+    return Report("concentration.csv", header, tuple(rows),
+                  [("sup_std_ratio_last_over_first", ratio)])
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +673,7 @@ def run_aging(cfg: ExperimentConfig) -> Report:
     between configs with different ``(s, lambda)`` sets; with a fixed
     confinement, replicas whose sampled operator norm reaches it are
     dropped and counted in the summary's ``dropped_a`` and ``dropped_b``.
+    Only computes (:class:`Report`): a ratio of underflowed correlations is NaN.
     """
     check_preconditions("aging", cfg)
     pairs = [(float(s), float(lam)) for s in cfg.s_values for lam in cfg.lambdas]
@@ -760,14 +748,12 @@ def _mc_moments(cfg: ExperimentConfig, n: int, specs: list) -> tuple:
         x0s = sample_entries(cfg.init_dist, (c, n), gen_x0)
         xs, _ = euler_maruyama(params, x0s, icfg, dynamics._noise_source([gen_b], c, n),
                                martingale=False)
-        # an overflow leaves a non-finite sum of squares, which is reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for q, (poly_list, ts) in enumerate(specs):
-                vals = np.ones(c)
-                for f, t in zip(poly_list, ts):
-                    vals *= f.evaluate(None, xs[:, icfg.row(t)].T)
-                sums[q] += vals.sum()
-                sums_sq[q] += (vals * vals).sum()
+        for q, (poly_list, ts) in enumerate(specs):
+            vals = np.ones(c)
+            for f, t in zip(poly_list, ts):
+                vals *= f.evaluate(None, xs[:, icfg.row(t)].T)
+            sums[q] += vals.sum()
+            sums_sq[q] += (vals * vals).sum()
         total += c
         cid += 1
     if not np.all(np.isfinite(sums_sq)):  # then the sums and moments are finite too
@@ -787,7 +773,8 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> Report:
     the single-time observables beside their Monte Carlo reference.  The
     summary propagates the divergence warning of the symbolic engine over
     every series, the multi-time one included, then gives each series'
-    value and z-score.
+    value and z-score.  Only computes (:class:`Report`), but
+    :func:`_mc_moments` raises before any series is expanded.
     """
     check_preconditions("taylor-check", cfg)
     # the symbolic engine loads only for the kind that expands a series
@@ -868,7 +855,8 @@ def run_rayleigh(cfg: ExperimentConfig) -> Report:
     :func:`_spectra` and is compared with the top eigenvalue of the
     sampled coupling, the rule's top node.  Monotonicity is recorded per
     replica as a strict step-by-step check.  The summary's ``mean_gap``
-    is the distance between the arms' mean final quotients.
+    is the distance between the arms' mean final quotients.  Only computes
+    (:class:`Report`).
     """
     check_preconditions("rayleigh", cfg)
     n = cfg.sizes[0]

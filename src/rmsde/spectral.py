@@ -142,11 +142,11 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray, watch: Callable | None = None) ->
     of the rule so far are compared with the last check's; the run stops
     when each moved by at most ``1e-14`` times their largest magnitude,
     when the Krylov space closes (the next ``beta`` is at rounding
-    level), or at ``m = N``.  With no ``watch`` they are the extreme Ritz
-    values, from ``dsterf``; with one, each check solves the rule with
-    ``dstedc`` and the stopping check's solve is the final rule.  ``T``
-    is solved from its diagonals with the bytes of numpy's dense solves
-    (:func:`_tridiagonal_solvers`).
+    level; the first step runs for any nonzero ``x0``), or at ``m = N``.
+    With no ``watch`` they are the extreme Ritz values, from ``dsterf``;
+    with one, each check solves the rule with ``dstedc`` and the stopping
+    check's solve is the final rule.  ``T`` is solved from its diagonals
+    with the bytes of numpy's dense solves (:func:`_tridiagonal_solvers`).
 
     Scaling by a power of two commutes with the roundings of Lanczos and
     of those solves, so the rule of ``2 * a`` is the rule of ``a`` with
@@ -168,7 +168,7 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray, watch: Callable | None = None) ->
     basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))
     alpha, beta = [], []
     r, b, last, rule = x0, math.sqrt(mass), None, None
-    while len(alpha) < n and b > tol:
+    while len(alpha) < n and b > (tol if alpha else 0.0):
         m = len(alpha)
         if m == len(basis):
             basis = np.concatenate([basis, np.empty((min(n, 2 * m) - m, n))])
@@ -225,5 +225,5 @@ def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
         t = lam * s
         num = corr(s + t)
         den = math.sqrt(corr(2 * s) * corr(2 * t))
-        out.append(num / den)
+        out.append(np.float64(num) / den)  # 0/0 if both underflow: NaN, not an exception
     return out

@@ -1,8 +1,10 @@
 """End-to-end command line runs: artifacts, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +121,19 @@ SUMMARY_KEYS = {
                  "slope[hamiltonian[0.04]]", "slope[overlap[0.04]]"],
     "rayleigh": ["mean_gap", "all_monotone"],
 }
+
+
+def assert_finite_tables(out, kind):
+    """Every numeric CSV field and summary value of a successful run is finite."""
+    lines = (out / CSV_NAMES[kind]).read_text().splitlines()[2:]  # past the hash and header
+    fields = [field for row in csv.reader(lines) for field in row]
+    fields += [line.split(" = ", 1)[1] for line in (out / "summary.txt").read_text().splitlines()]
+    for field in fields:
+        try:
+            value = float(field)
+        except ValueError:
+            continue
+        assert math.isfinite(value), field
 
 
 def invoke(tmp_path, kind, text, extra=()):
@@ -377,7 +392,8 @@ def test_off_grid_times_are_status_2(tmp_path, capsys, kind):
     assert not (out / CSV_NAMES[kind]).exists()
 
 
-UNSTABLE = """
+# dt = 5 without confinement overflows the squared deviations but not the state
+PAIRED_UNSTABLE = """
 [system]
 confinement = 0
 [experiment]
@@ -387,14 +403,34 @@ replicas = 20
 dt = 5
 horizon = 500
 """
+# at s = 1e20 a ratio's correlations can both underflow: 0/0 in the ratio at
+# seed 0, and NaN rows at seed 4
+AGING_UNDERFLOW = """
+[system]
+beta = inf
+[experiment]
+sizes = 3
+replicas = 4
+s_values = 1e20
+"""
+UNSTABLE = {
+    "universality": ("universality", PAIRED_UNSTABLE),
+    "hopfield": ("hopfield", PAIRED_UNSTABLE),
+    "concentration": ("concentration", PAIRED_UNSTABLE),
+    "aging-seed-0": ("aging", AGING_UNDERFLOW),
+    "aging-seed-4": ("aging", "[run]\nseed = 4\n" + AGING_UNDERFLOW),
+    # a rule whose Krylov space closed early tops out on a zero-weight node,
+    # so at a late time every weight of the quotient underflows
+    "rayleigh": ("rayleigh", "[system]\nbeta = inf\n[experiment]\nsizes = 3\n"
+                 "rayleigh_replicas = 4\nrayleigh_horizon = 1e300\n"),
+}
 
 
-@pytest.mark.parametrize("kind", ["universality", "hopfield", "concentration"])
-def test_non_finite_statistics_are_status_1(tmp_path, capsys, kind):
-    # dt = 5 without confinement overflows the squared deviations but not the state
+@pytest.mark.parametrize("kind,text", UNSTABLE.values(), ids=UNSTABLE)
+def test_non_finite_statistics_are_status_1(tmp_path, capsys, kind, text):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        status, out = invoke(tmp_path, kind, UNSTABLE)
+        status, out = invoke(tmp_path, kind, text)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert status == 1
     err = capsys.readouterr().err
@@ -402,6 +438,29 @@ def test_non_finite_statistics_are_status_1(tmp_path, capsys, kind):
     assert "non-finite" in err
     assert (out / "error.txt").read_text().startswith("status = 1\n")
     assert not (out / CSV_NAMES[kind]).exists()
+
+
+@pytest.mark.parametrize("kind", ["aging", "rayleigh"])
+def test_spectral_runs_on_a_large_norm_profile(tmp_path, kind):
+    # the start's norm lies below the Lanczos closing test's rounding level
+    # N eps |J|_F, which must not stop the first step
+    profile = tmp_path / "profile.csv"
+    profile.write_text("1e40,1e40,1e40,1e40\n" * 4)
+    status, out = invoke(tmp_path, kind, f"[system]\nbeta = inf\n[ensemble]\nprofile = {profile}\n"
+                         "[experiment]\nsizes = 4\nreplicas = 4\nrayleigh_replicas = 4\n")
+    assert status == 0
+    assert_finite_tables(out, kind)
+
+
+def test_concentration_without_a_first_spread_reads_n_a(tmp_path):
+    # every replica's C(0, 0) is 1, so the first size has no spread and the
+    # sup_std ratio is undefined
+    status, out = invoke(tmp_path, "concentration",
+                         FAST["concentration"].replace("horizon = 0.04", "horizon = 0")
+                         + "[ensemble]\ninit = rademacher\n")
+    assert status == 0
+    assert "sup_std_ratio_last_over_first = n/a\n" in (out / "summary.txt").read_text()
+    assert_finite_tables(out, "concentration")
 
 
 PRECONDITIONS = {
@@ -542,7 +601,7 @@ FUZZ_REGRESSIONS = {
         ("hopfield", FAST["hopfield"] + "[system]\nthresholds = 1e300\n", 1, "non-finite"),
     "simulate-statistic-overflow":
         ("simulate", FAST["simulate"] + "[system]\nthresholds = 1e300\n", 1,
-         "non-finite trajectory statistic"),
+         "non-finite final_norm_sq_density = inf in the summary"),
     "taylor-check-moment-overflow":
         ("taylor-check", FAST["taylor-check"] + "[system]\nbeta = 1e-300\n", 1,
          "non-finite Monte Carlo moment"),
@@ -815,4 +874,4 @@ def test_fuzzed_configs_exit_0_1_or_2_with_a_record(case):
             assert err.getvalue().startswith(record)
             assert (out / "error.txt").read_text().startswith(record)
         else:
-            assert (out / "summary.txt").exists()
+            assert_finite_tables(out, kind)

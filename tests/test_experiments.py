@@ -898,6 +898,19 @@ def test_gauss_rule_of_2j_is_the_rule_of_j_with_doubled_nodes(case):
     assert (len(theta) < len(x0)) == (closed or case == "gaussian-512")
 
 
+def test_gauss_rule_of_a_large_norm_coupling_scales_its_nodes():
+    # |x0| lies far below the rounding level N eps |1e20 J|_F of the closing
+    # test, which must not stop the first step
+    j = scaled_coupling(64)
+    x0 = sample_initial(InitialLaw(GAUSSIAN, 64), RngStream(0, 0, PURPOSE_INITIAL))
+    theta, weights = _gauss_rule(j, x0)
+    big_theta, big_weights = _gauss_rule(1e20 * j, x0)
+    assert len(big_theta) == len(theta)
+    np.testing.assert_allclose(big_theta, 1e20 * theta, rtol=0,
+                               atol=1e-12 * 1e20 * np.abs(theta).max())
+    np.testing.assert_allclose(big_weights, weights, rtol=0, atol=1e-12 * weights.max())
+
+
 def test_fixed_aging_drops_what_the_eigh_oracle_drops(monkeypatch):
     from test_golden import FIXED_AGING
     cfg = experiment_config(parse_config(FIXED_AGING))
