@@ -273,11 +273,15 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
 
     ``out``, when given, is a C-contiguous float64 array of shape
     (C, N, N) that receives the stack and is returned; every entry is
-    overwritten, with the same bytes as a fresh draw.
+    overwritten, with the same bytes as a fresh draw.  An ``out`` of
+    shape (C, N(N+1)/2) takes a symmetric ensemble's packed upper
+    triangles instead (:func:`_sample_packed`).
     """
     n = profile.n
     if symmetric and not profile.is_symmetric:
         raise EnsembleError("symmetric ensemble requires a symmetric variance profile")
+    if out is not None and out.ndim == 2:
+        return _sample_packed(dist, profile, symmetric, gens, out)
     shape = (len(gens), n, n)
     if out is None:
         out = np.empty(shape)
@@ -341,6 +345,43 @@ def sample_couplings(dist: EntryDistribution, profile: VarianceProfile, symmetri
             diagonal[...] = 0.0
         else:
             diagonal *= 0.0
+    return out
+
+
+def _sample_packed(dist: EntryDistribution, profile: VarianceProfile, symmetric: bool,
+                   gens: list, out: np.ndarray) -> np.ndarray:
+    """:func:`sample_couplings` into ``out``, of shape (C, N(N+1)/2): each
+    matrix's packed upper triangle, row i from column i on, row after
+    row, which is LAPACK's column-major ``'L'`` packed layout of the
+    symmetric matrix.  A tile's upper staircase is one contiguous segment
+    of it, so each generator draws its tiles straight into their
+    segments, with no mask and no mirror, and each tile is finished with
+    the same operations per entry as in the full matrix.  So the entries
+    are byte for byte the full matrices' upper triangles.
+    """
+    n = profile.n
+    if not symmetric:
+        raise EnsembleError("a packed out takes the couplings of a symmetric ensemble")
+    shape = (len(gens), n * (n + 1) // 2)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise EnsembleError(f"out must be a C-contiguous float64 array of shape {shape}")
+    tiles, counts = _tile_plan(n, True)
+    offsets = np.cumsum((0,) + counts)
+    for a, gen in zip(out, gens):
+        for start, stop in zip(offsets, offsets[1:]):
+            a[start:stop] = sample_entries(dist, stop - start, gen)
+    root = math.sqrt(n)
+    upper = np.arange(n) >= np.arange(min(_TILE, n))[:, None]
+    for (lo, hi), start, stop in zip(tiles, offsets, offsets[1:]):
+        part = out[:, start:stop]
+        if profile.m is not None:
+            part *= np.sqrt(profile.m[lo:hi, lo:])[upper[:hi - lo, :n - lo]]
+            # + 0.0 turns the -0.0 of a zero variance times a negative draw into +0.0
+            part += 0.0
+        part /= root
+    if profile.m is None and profile.diagonal == 0.0:
+        rows = np.arange(n)
+        out[:, rows * n - rows * (rows - 1) // 2] = 0.0  # each row's first entry
     return out
 
 

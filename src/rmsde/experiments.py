@@ -636,17 +636,18 @@ def _spectra(cfg: ExperimentConfig, profile: VarianceProfile, law: InitialLaw,
     The arm-replica pairs are dealt round-robin to ``threads`` worker
     processes (:func:`_fan_out`) and come back in order, arm ``a``
     first.  Each worker keeps one replica in flight: it draws every
-    replica-arm into one reused (1, N, N) coupling through
-    ``sample_couplings(..., out=)``, which streams the draw in tiles of
-    rows, and runs one Lanczos basis of at most ``N`` rows on it.  So a
-    replica-arm holds one coupling, its basis and a few tiles of rows.
+    replica-arm into one reused packed upper triangle, of shape
+    (1, N(N+1)/2), through ``sample_couplings(..., out=)``, which streams
+    the draw in tiles of rows, and runs one Lanczos basis of at most
+    ``N`` rows on it, whose matvec is ``dspmv`` on that triangle.  So a
+    replica-arm holds half a coupling, its basis and a few tiles of rows.
     """
     jobs = [(arm, dist, r) for arm, dist in (("a", cfg.dist_a), ("b", cfg.dist_b))
             for r in range(replicas)]
 
     def work(share: list) -> list:
         out = []
-        coupling = np.empty((1, profile.n, profile.n))
+        coupling = np.empty((1, profile.n * (profile.n + 1) // 2))
         for arm, dist, r in share:
             j = sample_couplings(dist, profile, cfg.symmetric,
                                  [RngStream(cfg.jseed, r, PURPOSE_COUPLING).generator()],
@@ -831,17 +832,22 @@ def rayleigh_quotient_curve(eigvals: np.ndarray, coeffs_sq: np.ndarray,
     ``eigvals`` and ``coeffs_sq`` are the nodes and weights of the
     spectral measure of the coupling itself seen from the start: its
     eigenvalues and squared eigenbasis coefficients, or a Gauss rule.
-    Weights are shifted by the top eigenvalue so late times never
-    overflow; the confinement cancels identically.
+    Over the nodes of positive weight, each time ``t`` shifts the
+    exponents ``log c2 + 4 lam t`` by their largest, so no time
+    overflows and the weights never all underflow; the confinement
+    cancels identically.
     """
     lam = np.asarray(eigvals, dtype=np.float64)
     c2 = np.asarray(coeffs_sq, dtype=np.float64)
     if c2.sum() <= 0:
         raise ExperimentError("start vector has no component in the eigenbasis")
-    shifted = lam - lam.max()
+    keep = c2 > 0.0
+    lam, lc = lam[keep], np.log(c2[keep])
+    rate = 4.0 * lam
     out = np.empty(len(times))
     for k, t in enumerate(times):
-        w = c2 * np.exp(4.0 * shifted * t)
+        e = lc + rate * t
+        w = np.exp(e - e.max())
         out[k] = float((lam * w).sum() / w.sum())
     return out
 

@@ -1,7 +1,9 @@
-"""The Lanczos-Gauss rule of a symmetric matrix seen from a vector, the
-LAPACK drivers that solve its tridiagonal, the aging ratios read off such
-a rule, and :func:`_openblas`, the bundled OpenBLAS through which every
-foreign-library call of the package goes.  Imports no other ``rmsde`` module.
+"""The Lanczos-Gauss rule of a symmetric matrix, held as its packed upper
+triangle, seen from a vector; the BLAS matvec on that triangle and the
+LAPACK drivers that solve the rule's tridiagonal; the aging ratios read
+off such a rule; and :func:`_openblas`, the bundled OpenBLAS through
+which every foreign-library call of the package goes.  Imports no other
+``rmsde`` module.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ __all__: list = []  # private to the package: callers import the names they use
 @functools.cache
 def _openblas():
     """The OpenBLAS bundled with numpy's wheels, opened through ``ctypes``;
-    None where that library is missing.  It serves :func:`_blas_threads`
-    and :func:`_tridiagonal_solvers`; ``ctypes`` loads on the first call."""
+    None where that library is missing.  It serves :func:`_blas_threads`,
+    :func:`_packed_matvec` and :func:`_tridiagonal_solvers`; ``ctypes``
+    loads on the first call."""
     import ctypes
     import glob
 
@@ -46,6 +49,61 @@ def _blas_threads() -> Optional[tuple]:
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
+
+
+@functools.cache
+def _packed_matvec() -> Callable:
+    """``bind(ap)``, which gives ``matvec(x) = a @ x`` for the symmetric
+    ``a`` whose packed upper triangle is ``ap`` (row i from column i on,
+    row after row: LAPACK's column-major ``'L'`` packed layout of ``a``).
+    ``matvec`` may return one buffer that its next call overwrites.
+
+    The product is BLAS ``dspmv`` of :func:`_openblas` (ILP64), bound once
+    per matrix, with its output buffer, so that a Lanczos step pays one
+    foreign call and allocates no array.  Where that library or the
+    symbol is missing, scipy's own ``dspmv`` serves, with the same bytes;
+    scipy is imported only then.  ``dspmv`` gives the same bytes at any
+    OpenBLAS thread count.  ``dsymv`` on the full matrix, which also
+    reads one triangle, does not: at N >= 256 one thread and two gave
+    different bytes, which would break byte-identical reruns at any
+    thread count.
+    """
+    import ctypes
+
+    lib = _openblas()
+    try:
+        dspmv = lib.scipy_dspmv_64_
+    except AttributeError:  # no library (None), or no such symbol
+        from scipy.linalg.blas import dspmv as scipy_dspmv
+
+        return lambda ap: lambda x: scipy_dspmv(len(x), 1.0, ap, x, lower=1)
+    ptr = ctypes.c_void_p
+    # the CHARACTER argument's hidden length comes last, by value
+    dspmv.argtypes, dspmv.restype = [ctypes.c_char_p] + [ptr] * 8 + [ctypes.c_size_t], None
+    one, zero, inc = (ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0)),
+                      ctypes.byref(ctypes.c_int64(1)))
+
+    def bind(ap: np.ndarray) -> Callable:
+        n = (math.isqrt(8 * len(ap) + 1) - 1) // 2
+        y = np.empty(n)
+        size = ctypes.byref(ctypes.c_int64(n))
+        data, out = ap.ctypes.data_as(ptr), y.ctypes.data_as(ptr)  # they keep ap and y alive
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            dspmv(b"L", size, one, data, x.ctypes.data, inc, zero, out, inc, 1)
+            return y
+
+        return matvec
+
+    return bind
+
+
+def _unpacked(ap: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric (N, N) matrix whose packed upper triangle is ``ap``."""
+    a = np.empty((n, n))
+    upper = np.triu_indices(n)
+    a[upper] = a[upper[::-1]] = ap
+    return a
 
 
 # Lanczos steps between two convergence checks of the Gauss rule.
@@ -128,25 +186,29 @@ def _tridiagonal_solvers() -> tuple:
     return eigvalsh, eigh
 
 
-def _gauss_rule(a: np.ndarray, x0: np.ndarray, watch: Callable | None = None) -> tuple:
+def _gauss_rule(ap: np.ndarray, x0: np.ndarray, watch: Callable | None = None) -> tuple:
     """Gauss rule ``(theta, weights)`` of the spectral measure of the
     symmetric ``a`` seen from ``x0``: ``sum(weights * f(theta))`` equals
     ``x0^T f(a) x0`` for every polynomial ``f`` of degree below ``2m``,
     with ``m`` Lanczos steps (Golub & Welsch 1969; Golub & Meurant 2010).
 
-    Lanczos from ``x0`` runs with full reorthogonalization (classical
-    Gram-Schmidt, twice) and builds the tridiagonal ``T``.  The nodes are
-    its eigenvalues, the Ritz values, ascending; the weights are
-    ``|x0|^2`` times the squared first components of its eigenvectors.
-    Every ``_LANCZOS_CHECK`` steps the numbers ``watch(theta, weights)``
-    of the rule so far are compared with the last check's; the run stops
-    when each moved by at most ``1e-14`` times their largest magnitude,
-    when the Krylov space closes (the next ``beta`` is at rounding
-    level; the first step runs for any nonzero ``x0``), or at ``m = N``.
-    With no ``watch`` they are the extreme Ritz values, from ``dsterf``;
-    with one, each check solves the rule with ``dstedc`` and the stopping
-    check's solve is the final rule.  ``T`` is solved from its diagonals
-    with the bytes of numpy's dense solves (:func:`_tridiagonal_solvers`).
+    ``a`` comes as its packed upper triangle ``ap``, N(N+1)/2 entries in
+    the layout of :func:`_packed_matvec`, which forms each step's product
+    with BLAS ``dspmv``.  Lanczos from ``x0`` runs with full
+    reorthogonalization (classical Gram-Schmidt, twice) and builds the
+    tridiagonal ``T``.  The nodes are its eigenvalues, the Ritz values,
+    ascending; the weights are ``|x0|^2`` times the squared first
+    components of its eigenvectors.  Every ``_LANCZOS_CHECK`` steps the
+    numbers ``watch(theta, weights)`` of the rule so far are compared with
+    the last check's; the run stops when each moved by at most ``1e-14``
+    times their largest magnitude, when the Krylov space closes (the next
+    ``beta`` is at the rounding level ``N eps |a|_F``, with
+    ``|a|_F^2 = 2 |ap|^2 - |diag a|^2``; the first step runs for any
+    nonzero ``x0``), or at ``m = N``.  With no ``watch`` they are the
+    extreme Ritz values, from ``dsterf``; with one, each check solves the
+    rule with ``dstedc`` and the stopping check's solve is the final
+    rule.  ``T`` is solved from its diagonals with the bytes of numpy's
+    dense solves (:func:`_tridiagonal_solvers`).
 
     Scaling by a power of two commutes with the roundings of Lanczos and
     of those solves, so the rule of ``2 * a`` is the rule of ``a`` with
@@ -155,28 +217,36 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray, watch: Callable | None = None) ->
 
     Ritz values lie inside the spectrum.  When the space closes before
     ``N`` steps the rule is exact, but its extremes need not be the
-    spectrum's ends: those ends, from ``eigvalsh``, then join the rule as
-    two zero-weight nodes.  So ``theta[0]`` and ``theta[-1]`` are the
-    spectrum's ends either way, to the stopping tolerance when the run
-    stopped on convergence, unless a watch stopped it: then they are
-    Ritz values.
+    spectrum's ends: those ends, from ``eigvalsh`` of the unpacked
+    matrix, then join the rule as two zero-weight nodes.  So
+    ``theta[0]`` and ``theta[-1]`` are the spectrum's ends either way, to
+    the stopping tolerance when the run stopped on convergence, unless a
+    watch stopped it: then they are Ritz values.
     """
     n = len(x0)
+    if ap.shape != (n * (n + 1) // 2,) or ap.dtype != np.float64 or not ap.flags.c_contiguous:
+        raise ValueError(f"a start of {n} entries needs a packed triangle of "
+                         f"{n * (n + 1) // 2} contiguous float64 entries, got {ap.shape}")
     mass = float(x0 @ x0)
-    tol = n * np.finfo(np.float64).eps * float(np.linalg.norm(a))
+    rows = np.arange(n)
+    diagonal = ap[rows * n - rows * (rows - 1) // 2]  # each row's first entry
+    tol = n * np.finfo(np.float64).eps * math.sqrt(2.0 * (ap @ ap) - diagonal @ diagonal)
+    matvec = _packed_matvec()(ap)
     eigvalsh, eigh = _tridiagonal_solvers()
     basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))
     alpha, beta = [], []
     r, b, last, rule = x0, math.sqrt(mass), None, None
     while len(alpha) < n and b > (tol if alpha else 0.0):
         m = len(alpha)
-        if m == len(basis):
-            basis = np.concatenate([basis, np.empty((min(n, 2 * m) - m, n))])
+        if m == len(basis):  # grown by a copy, which holds no third block
+            grown = np.empty((min(n, 2 * m), n))
+            grown[:m] = basis
+            basis = grown
         if m:
             beta.append(b)
         np.divide(r, b, out=basis[m])
         q = basis[:m + 1]
-        r = a @ basis[m]
+        r = matvec(basis[m])
         h = q @ r
         r -= h @ q
         h2 = q @ r
@@ -197,10 +267,14 @@ def _gauss_rule(a: np.ndarray, x0: np.ndarray, watch: Callable | None = None) ->
     theta, s = rule
     weights = mass * s[0] ** 2
     if len(alpha) < n and b <= tol:
-        lo, hi = np.linalg.eigvalsh(a)[[0, -1]]
+        lo, hi = np.linalg.eigvalsh(_unpacked(ap, n))[[0, -1]]
         theta = np.concatenate([[lo], theta, [hi]])
         weights = np.concatenate([[0.0], weights, [0.0]])
     return theta, weights
+
+
+# exponents formed at once by _aging_ratios_one: three times per pair, one per node
+_RATIO_EXPONENTS = 1 << 16
 
 
 def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
@@ -208,22 +282,32 @@ def _aging_ratios_one(w: np.ndarray, c2: np.ndarray, pairs: list) -> list:
 
     The flow ``x_t = exp((2J - K I) t) x0`` gives
     ``C(s, t) = (1/N) sum_i c_i^2 exp((mu_i - K)(s + t))`` over the
-    nodes ``w = mu`` (ascending) and weights ``c2`` of the spectral
-    measure of ``2J`` seen from ``x0``: its eigenvalues and squared
-    eigenbasis coefficients, or a Gauss rule.  The confinement cancels
-    from the normalized ratio exactly, so the computation shifts all
-    exponents by the spectral top and never forms the (possibly huge or
-    tiny) bare correlations.
+    nodes ``w = mu`` and weights ``c2`` of the spectral measure of ``2J``
+    seen from ``x0``: its eigenvalues and squared eigenbasis
+    coefficients, or a Gauss rule.  The confinement and ``1/N`` cancel
+    from the normalized ratio exactly, so the computation never forms
+    the (possibly huge or tiny) bare correlations.  Over the nodes of
+    positive weight, each time ``tau`` shifts the exponents
+    ``e = log c2 + mu tau`` by their largest, ``m(tau)``, so each sum is
+    at least 1, and the ratio of the shifted sums is multiplied by
+    ``exp(m(s + t) - (m(2s) + m(2t)) / 2)``.  That exponent is formed from
+    the differences of the three leading nodes' logs and nodes, so it is
+    exactly 0 when one node leads at all three times: at large times
+    the ratio tends to 1, finite, where unshifted sums under- or
+    overflow.
     """
-    shifted = w - w[-1]
-
-    def corr(sum_t: float) -> float:
-        return float(c2 @ np.exp(shifted * sum_t))
-
+    keep = c2 > 0.0
+    w, lc = w[keep], np.log(c2[keep])
     out = []
-    for s, lam in pairs:
+    step = max(1, _RATIO_EXPONENTS // (3 * len(w)))
+    for lo in range(0, len(pairs), step):
+        s, lam = np.array(pairs[lo:lo + step]).T
         t = lam * s
-        num = corr(s + t)
-        den = math.sqrt(corr(2 * s) * corr(2 * t))
-        out.append(np.float64(num) / den)  # 0/0 if both underflow: NaN, not an exception
+        times = np.concatenate([s + t, 2 * s, 2 * t])
+        e = lc + w * times[:, None]  # one row per time
+        top = e.argmax(axis=1)
+        sums = np.exp(e - e[np.arange(len(times)), top][:, None]).sum(axis=1)
+        (num, den_s, den_t), (i, j, k) = sums.reshape(3, -1), top.reshape(3, -1)
+        shift = lc[i] - (lc[j] + lc[k]) / 2 + (w[i] - w[j]) * s + (w[i] - w[k]) * t
+        out.extend(num / np.sqrt(den_s * den_t) * np.exp(shift))
     return out

@@ -38,7 +38,7 @@ def openblas(monkeypatch):
     what they found in it are cleared around the test."""
     from rmsde import spectral
 
-    helpers = (spectral._blas_threads, spectral._tridiagonal_solvers)
+    helpers = (spectral._blas_threads, spectral._packed_matvec, spectral._tridiagonal_solvers)
 
     def use(lib):
         monkeypatch.setattr(spectral, "_openblas", lambda: lib)

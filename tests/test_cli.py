@@ -403,26 +403,10 @@ replicas = 20
 dt = 5
 horizon = 500
 """
-# at s = 1e20 a ratio's correlations can both underflow: 0/0 in the ratio at
-# seed 0, and NaN rows at seed 4
-AGING_UNDERFLOW = """
-[system]
-beta = inf
-[experiment]
-sizes = 3
-replicas = 4
-s_values = 1e20
-"""
 UNSTABLE = {
     "universality": ("universality", PAIRED_UNSTABLE),
     "hopfield": ("hopfield", PAIRED_UNSTABLE),
     "concentration": ("concentration", PAIRED_UNSTABLE),
-    "aging-seed-0": ("aging", AGING_UNDERFLOW),
-    "aging-seed-4": ("aging", "[run]\nseed = 4\n" + AGING_UNDERFLOW),
-    # a rule whose Krylov space closed early tops out on a zero-weight node,
-    # so at a late time every weight of the quotient underflows
-    "rayleigh": ("rayleigh", "[system]\nbeta = inf\n[experiment]\nsizes = 3\n"
-                 "rayleigh_replicas = 4\nrayleigh_horizon = 1e300\n"),
 }
 
 
@@ -438,6 +422,48 @@ def test_non_finite_statistics_are_status_1(tmp_path, capsys, kind, text):
     assert "non-finite" in err
     assert (out / "error.txt").read_text().startswith("status = 1\n")
     assert not (out / CSV_NAMES[kind]).exists()
+
+
+# at s = 1e20 every unshifted correlation of a ratio under- or overflows, and
+# seed 4 has a rule whose zero-weight end node sits an ulp above its top Ritz node
+AGING_LATE = """
+[system]
+beta = inf
+[experiment]
+sizes = 3
+replicas = 4
+s_values = 1e20
+"""
+SPECTRAL_LATE = {
+    "aging-seed-0": ("aging", AGING_LATE),
+    "aging-seed-4": ("aging", "[run]\nseed = 4\n" + AGING_LATE),
+    # a rule whose Krylov space closed early tops out on a zero-weight node
+    "rayleigh": ("rayleigh", "[system]\nbeta = inf\n[experiment]\nsizes = 3\n"
+                 "rayleigh_replicas = 4\nrayleigh_horizon = 1e300\n"),
+}
+
+
+@pytest.mark.parametrize("kind,text", SPECTRAL_LATE.values(), ids=SPECTRAL_LATE)
+def test_spectral_runs_reach_their_large_time_limits(tmp_path, kind, text):
+    # each time's sums are shifted by their largest weighted exponent, so the
+    # top weighted node leads them: every aging ratio is 1 and every quotient
+    # is the top of the spectrum, to rounding
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, out = invoke(tmp_path, kind, text)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert status == 0
+    assert_finite_tables(out, kind)
+    rows = list(csv.DictReader((out / CSV_NAMES[kind]).read_text().splitlines()[1:]))
+    assert len(rows) == (8 if kind == "rayleigh" else 2)
+    for row in rows:
+        if kind == "aging":
+            assert [float(row[key]) for key in ("mean_a", "se_a", "mean_b", "se_b")] == \
+                [1.0, 0.0, 1.0, 0.0]
+        else:
+            top = float(row["top_eigenvalue"])
+            assert abs(float(row["deficit"])) <= 4 * sys.float_info.epsilon * max(1.0, abs(top))
+            assert row["monotone"] == "true"
 
 
 @pytest.mark.parametrize("kind", ["aging", "rayleigh"])

@@ -8,6 +8,7 @@ one-matrix-at-a-time algorithm it replaced, which pins the draw order.
 
 import math
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +362,58 @@ def test_sampler_fills_a_workspace_like_fresh_draws():
                     assert not np.signbit(got[:, zero]).any()
 
 
+def packed_draws(dist, profile, gens):
+    """Packed upper triangles of the symmetric draws of ``gens()``, and the
+    full draws' upper triangles, row-major."""
+    n = profile.n
+    got = sample_couplings(dist, profile, True, gens(),
+                           out=np.full((len(gens()), n * (n + 1) // 2), np.nan))
+    upper = np.triu_indices(n)
+    return got, sample_couplings(dist, profile, True, gens())[:, upper[0], upper[1]]
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 65, 200])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.value)
+def test_packed_draw_is_the_full_draws_upper_triangle(dist, n):
+    # per-replica streams, and one stream repeated, which the full draw takes as one group
+    def per_replica():
+        return [RngStream(5, r, PURPOSE_COUPLING).generator() for r in range(3)]
+
+    def shared():
+        return [RngStream(5, 0, PURPOSE_COUPLING).generator()] * 3
+
+    for profile in (VarianceProfile.offdiagonal(n), VarianceProfile.full(n), banded(n)):
+        for gens in (per_replica, shared):
+            got, want = packed_draws(dist, profile, gens)
+            assert got.shape == (3, n * (n + 1) // 2)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["profile_3x3.csv", "profile_4x4_band.csv"])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.value)
+def test_packed_draw_of_a_profile_file(dist, name):
+    # the banded file's zero variances come out +0.0 in the packed layout too
+    m = np.loadtxt(Path(__file__).with_name(name), delimiter=",", ndmin=2)
+    profile = VarianceProfile(m)
+    got, want = packed_draws(dist, profile,
+                             lambda: [RngStream(2, r, PURPOSE_COUPLING).generator()
+                                      for r in range(4)])
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[:, m[np.triu_indices(len(m))] == 0.0]).any()
+
+
+def test_packed_workspace_needs_a_symmetric_ensemble_and_its_length():
+    gens = [RngStream(0, r, PURPOSE_COUPLING).generator() for r in range(2)]
+    with pytest.raises(EnsembleError, match="symmetric"):
+        sample_couplings(EntryDistribution.GAUSSIAN, VarianceProfile.full(3), False, gens,
+                         out=np.empty((2, 6)))
+    for out in (np.empty((2, 5)), np.empty((2, 9)), np.empty((1, 6)),
+                np.empty((2, 6), dtype=np.float32), np.empty((2, 12))[:, ::2]):
+        with pytest.raises(EnsembleError, match=r"out must be .* shape \(2, 6\)"):
+            sample_couplings(EntryDistribution.GAUSSIAN, VarianceProfile.full(3), True, gens,
+                             out=out)
+
+
 def test_sampler_rejects_a_workspace_of_the_wrong_layout():
     profile = VarianceProfile.full(3)
     gens = [RngStream(0, r, PURPOSE_COUPLING).generator() for r in range(2)]
@@ -428,20 +481,21 @@ def test_monte_carlo_samples_once_per_chunk(monkeypatch):
 
 @pytest.mark.parametrize("scale", [2.0, 1.0], ids=["aging", "rayleigh"])
 def test_spectra_draw_every_replica_arm_into_one_coupling(monkeypatch, scale):
-    # one worker's 2 * 3 replica-arms at n = 9 reuse one (1, N, N) coupling, and
-    # their rules, with aging's doubled nodes, have the bytes of the rules of
-    # fresh draws of scale * J
+    # one worker's 2 * 3 replica-arms at n = 9 reuse one packed (1, N(N+1)/2)
+    # coupling, and their rules, with aging's doubled nodes, have the bytes of
+    # the rules of fresh packed draws of scale * J
     n, replicas = 9, 3
     cfg = experiments.ExperimentConfig(sizes=(n,), replicas=replicas)
     args = (cfg, cfg.make_profile(n), InitialLaw(cfg.init_dist, n), replicas)
     calls = counting_sampler(monkeypatch)
     got = experiments._spectra(*args)
     outs = [out for _, out in calls]
-    assert len(outs) == 2 * replicas and outs[0].shape == (1, n, n)
+    assert len(outs) == 2 * replicas and outs[0].shape == (1, n * (n + 1) // 2)
     assert all(out is outs[0] for out in outs)
     monkeypatch.setattr(experiments, "sample_couplings",
                         lambda dist, profile, symmetric, gens, out=None:
-                        scale * sample_couplings(dist, profile, symmetric, gens))
+                        scale * sample_couplings(dist, profile, symmetric, gens,
+                                                 out=np.empty(out.shape)))
     want = experiments._spectra(*args)
     assert [(arm, r, (scale * theta).tobytes(), w.tobytes()) for arm, r, theta, w in got] == \
         [(arm, r, theta.tobytes(), w.tobytes()) for arm, r, theta, w in want]

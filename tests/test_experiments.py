@@ -666,9 +666,20 @@ def test_rayleigh_needs_noise_free_flow():
 
 # ------------------------------------------- Lanczos-Gauss rule vs eigh oracle
 
-def eigh_rule(a, x0, watch=None):
-    """The oracle: all eigenvalues and the squared eigenbasis coefficients.
-    It takes :func:`_gauss_rule`'s ``watch`` and ignores it."""
+def packed(a):
+    """The packed upper triangle of the symmetric ``a``, as :func:`_gauss_rule`
+    takes it: row i from column i on, row after row."""
+    return a[np.triu_indices(len(a))]
+
+
+def eigh_rule(ap, x0, watch=None):
+    """The oracle: all eigenvalues and the squared eigenbasis coefficients of
+    the symmetric matrix whose packed upper triangle is ``ap``, unpacked
+    first.  It takes :func:`_gauss_rule`'s ``watch`` and ignores it."""
+    n = len(x0)
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = ap
+    a += np.triu(a, 1).T
     w, v = np.linalg.eigh(a)
     return w, (v.T @ x0) ** 2
 
@@ -708,8 +719,8 @@ def test_gauss_rule_matches_eigh(n, watched, dist, scale):
                          [RngStream(11, 0, PURPOSE_COUPLING).generator()])[0]
     x0 = sample_initial(InitialLaw(GAUSSIAN, n), RngStream(11, 0, PURPOSE_INITIAL))
     a = scale * j
-    theta, weights = _gauss_rule(a, x0, aging_watch if watched else None)
-    w, c2 = eigh_rule(a, x0)
+    theta, weights = _gauss_rule(packed(a), x0, aging_watch if watched else None)
+    w, c2 = eigh_rule(packed(a), x0)
     m = len(theta)
     assert m <= n and (m == n or m % 16 == 0)
     assert np.all(np.diff(theta) >= 0) and np.all(weights >= 0)
@@ -718,7 +729,7 @@ def test_gauss_rule_matches_eigh(n, watched, dist, scale):
         np.testing.assert_allclose(aging_watch(theta, weights), aging_watch(w, c2),
                                    rtol=1e-12, atol=0)
         if n == 512:
-            assert m + 16 <= len(_gauss_rule(a, x0)[0])
+            assert m + 16 <= len(_gauss_rule(packed(a), x0)[0])
         return
     pairs = [(s, lam) for s in (1.0, 2.0, 4.0, 8.0) for lam in (1.0, 2.0, 3.0)]
     np.testing.assert_allclose(_aging_ratios_one(theta, weights, pairs),
@@ -733,9 +744,10 @@ def test_gauss_rule_matches_eigh(n, watched, dist, scale):
 
 def test_one_replica_arm_holds_its_coupling_and_half_a_coupling_more():
     # one N = 2048 aging replica-arm: the profile, built as a run builds it per
-    # size, the draw into a reused coupling, then the Gauss rule
+    # size, the draw into a reused packed coupling, then the Gauss rule.  The
+    # packed triangle is about half an (N, N) matrix, and no call holds one
     n = 2048
-    coupling = np.empty((1, n, n))
+    coupling = np.empty((1, n * (n + 1) // 2))
     x0 = sample_initial(InitialLaw(GAUSSIAN, n), RngStream(3, 0, PURPOSE_INITIAL))
 
     def replica_arm():
@@ -745,6 +757,52 @@ def test_one_replica_arm_holds_its_coupling_and_half_a_coupling_more():
         return _gauss_rule(j, x0)
 
     assert traced_peak(replica_arm) + coupling.nbytes <= 1.5 * coupling.nbytes
+
+
+def random_symmetric(n):
+    """A symmetric Gaussian (N, N) matrix and a vector."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    return a + a.T, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 200, 512])
+def test_packed_matvec_gives_the_bytes_of_scipys_dspmv(openblas, n):
+    # the bundled OpenBLAS's dspmv, and without that library scipy's own
+    a, x = random_symmetric(n)
+    assert spectral._openblas() is not None  # numpy's wheels bundle OpenBLAS
+    got = spectral._packed_matvec()(packed(a))(x)
+    openblas(None)
+    want = spectral._packed_matvec()(packed(a))(x)
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, a @ x, rtol=0, atol=1e-13 * n * np.abs(a).max())
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_packed_matvec_bytes_do_not_depend_on_the_blas_thread_count(n):
+    # dspmv, not dsymv: dsymv on the full matrix also reads one triangle, but
+    # at N >= 256 its bytes at one OpenBLAS thread and at two differed, which
+    # would break byte-identical reruns at any thread count
+    a, x = random_symmetric(n)
+    matvec = spectral._packed_matvec()(packed(a))
+    get, set_threads = spectral._blas_threads()
+    saved = get()
+    try:
+        products = []
+        for threads in (1, 2):
+            set_threads(threads)
+            products.append(matvec(x).tobytes())
+    finally:
+        set_threads(saved)
+    assert products[0] == products[1]
+
+
+def test_gauss_rule_takes_only_a_packed_triangle():
+    j = scaled_coupling(4)
+    x0 = np.ones(4)
+    for a in (j, packed(j)[:-1], packed(j).astype(np.float32), np.repeat(packed(j), 2)[::2]):
+        with pytest.raises(ValueError, match="packed triangle of 10"):
+            _gauss_rule(a, x0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 128])
@@ -865,8 +923,8 @@ def test_gauss_rule_closes_early_with_exact_ends(case):
     # so the drop radius of a fixed confinement is the one eigh gives
     a, x0 = case()
     with np.errstate(all="raise"):
-        theta, weights = _gauss_rule(a, x0)
-    w, _ = eigh_rule(a, x0)
+        theta, weights = _gauss_rule(packed(a), x0)
+    w, _ = eigh_rule(packed(a), x0)
     assert len(theta) < len(x0)
     assert np.all(np.isfinite(theta)) and np.all(np.isfinite(weights))
     assert (weights[0], weights[-1]) == (0.0, 0.0)
@@ -888,8 +946,8 @@ def test_gauss_rule_of_2j_is_the_rule_of_j_with_doubled_nodes(case):
         j = sample_couplings(EntryDistribution[name.upper()], VarianceProfile.offdiagonal(int(n)),
                              True, [RngStream(5, 0, PURPOSE_COUPLING).generator()])[0]
         x0 = sample_initial(InitialLaw(GAUSSIAN, int(n)), RngStream(5, 0, PURPOSE_INITIAL))
-    theta, weights = _gauss_rule(j, x0)
-    theta2, weights2 = _gauss_rule(2.0 * j, x0)
+    theta, weights = _gauss_rule(packed(j), x0)
+    theta2, weights2 = _gauss_rule(packed(2.0 * j), x0)
     assert (theta2.tobytes(), weights2.tobytes()) == ((2.0 * theta).tobytes(), weights.tobytes())
     # each case takes the branch it names: the closed ones end on zero-weight
     # nodes, and only gaussian-512 stops on the check, after 96 steps
@@ -903,8 +961,8 @@ def test_gauss_rule_of_a_large_norm_coupling_scales_its_nodes():
     # test, which must not stop the first step
     j = scaled_coupling(64)
     x0 = sample_initial(InitialLaw(GAUSSIAN, 64), RngStream(0, 0, PURPOSE_INITIAL))
-    theta, weights = _gauss_rule(j, x0)
-    big_theta, big_weights = _gauss_rule(1e20 * j, x0)
+    theta, weights = _gauss_rule(packed(j), x0)
+    big_theta, big_weights = _gauss_rule(packed(1e20 * j), x0)
     assert len(big_theta) == len(theta)
     np.testing.assert_allclose(big_theta, 1e20 * theta, rtol=0,
                                atol=1e-12 * 1e20 * np.abs(theta).max())

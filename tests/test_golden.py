@@ -11,8 +11,9 @@ long enough to span two noise blocks, a banded profile file with zero
 variances off the diagonal, aging with a fixed confinement that
 drops replicas in both arms, and aging at N = 128 whose Lanczos rules
 stop when their aging ratios converge.  The spectral cases also run without
-numpy's bundled OpenBLAS, whose LAPACK solves the Lanczos tridiagonal:
-numpy's dense drivers must then give the same bytes.  Two universality
+numpy's bundled OpenBLAS, whose ``dspmv`` forms the Lanczos matvec and whose
+LAPACK solves the Lanczos tridiagonal: scipy's ``dspmv`` and numpy's dense
+drivers must then give the same bytes.  Two universality
 cases run the weighted observables of the ``[observable]`` block: a
 quadratic read from a weight file and an arity-2 tensor over two times.
 Runs start in this directory, so a profile file is named relative to it and the pinned config hash does
@@ -214,11 +215,11 @@ replicas = 5
 s_values = 1, 4
 lambdas = 1, 3
 """,
-        "93c393f385b63c3c205b40621bd3d9328146cbddfe4e7e64a5acbb332fdaa324"),
+        "c96bc3955b9ab3869846ca14641b5036bab5380d4e5ac0c6aab55943714e518f"),
     "aging-n128": ("aging", "aging.csv", AGING_N128,
-        "4f8cbb90ef25e14fd13c16ebc6cc6ce8f5a2f1b7493724f5c24f30deedf410f2"),
+        "af5496aeb650131871b2eaca19b54fc1ad04ee65fb77083ac5d00ff26e0b64a3"),
     "aging-fixed": ("aging", "aging.csv", FIXED_AGING,
-        "0029e06cab3c5c1f3dcffaeca1b6e17eaa246ba5795260dbd69b37e88283c3ad"),
+        "bc494c4d14f5b07afd55fec339d15b12a5959db92422195a058d8375539f287a"),
     "rayleigh": ("rayleigh", "rayleigh.csv", """
 [system]
 beta = inf
@@ -230,7 +231,7 @@ rayleigh_replicas = 3
 rayleigh_points = 9
 rayleigh_horizon = 5.0
 """,
-        "1e5bf0e23313d027714ff031a560ebff8c1bb60704c1678e71f98643b445aaee"),
+        "003c521eb335089ccef6269cff721a07da29c39179a9447c4ddfd60797c3bd5a"),
 }
 
 
