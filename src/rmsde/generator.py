@@ -23,8 +23,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import (AlgebraError, Monomial, MomentOracle, Polynomial, _expectations,
-                      state_counts)
+from .algebra import (AlgebraError, Monomial, MomentOracle, Polynomial, _canonical_counts,
+                      _expectations, state_counts)
 from .dynamics import SystemParams
 from .experiments import DEFAULT_TRUNCATION_CAP  # with the precondition that reads it
 
@@ -229,6 +229,21 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _deficit(j_pairs: tuple, oracle: MomentOracle, cap: int) -> int:
+    """Fewest coupling entries whose addition to ``j_pairs`` makes every
+    coupling moment nonzero, capped at ``cap``.
+
+    It sums, over the distinct canonical pairs, the fewest extra copies
+    of the pair with a nonzero ``oracle.entry_moment``; a zero-variance
+    pair has none, so it reaches the cap.
+    """
+    total = 0
+    for pair, mult in _canonical_counts(j_pairs, oracle.symmetric).items():
+        while total < cap and oracle.entry_moment(pair, mult) == 0.0:
+            total, mult = total + 1, mult + 1
+    return total
+
+
 def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
                           oracle: MomentOracle, k: int,
                           cap: int = DEFAULT_TRUNCATION_CAP,
@@ -243,10 +258,21 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     series is exact at order 0 and its tail is 0.
 
     Each key's letter actions and expectation factors, and ``L p`` of each
-    expanded ``p`` (keyed by its terms), are memoized for the call.
-    ``memos``, a triple of dicts ``(actions, factors, expansions)``, makes
-    the calls that pass it share them; they must all pass the same
+    expanded ``p`` (keyed by its terms and budget), are memoized for the
+    call.  ``memos``, a triple of dicts ``(actions, factors, expansions)``,
+    makes the calls that pass it share them; they must all pass the same
     ``params`` and ``oracle``.  The terms are the same bits either way.
+
+    Only the terms whose expectation can still be nonzero are expanded.
+    ``L^{ks[0]} (f_level * ...)`` meets at most ``k - sum(ks)`` more
+    letters, its budget, and only the coupling letter adds an entry, one
+    per application, so a letter lowers a :func:`_deficit` by at most one
+    and a term whose deficit exceeds its budget reaches only terms of
+    expectation 0.  While the outer ``fs[:level]`` add no coupling entry,
+    such terms are dropped.  Dead terms only come from dead terms, so
+    every kept key sums the same values in the same order, and the
+    dropped ones would only have added ``+0.0`` to sums that start at
+    ``+0.0``.
     """
     fs = list(fs)
     times = [float(t) for t in np.atleast_1d(np.asarray(ts, dtype=np.float64))]
@@ -262,24 +288,42 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     _check_indices((m for f in fs for m in f), params)
     levels = len(fs)
     gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
+    # the last level pruned: the outer observables of each level up to it
+    # hold no coupling entry
+    last_pruned = next((level for level, f in enumerate(fs) if any(j for (j, _), _ in f._terms)),
+                       levels)
+    deficits: dict = {}  # by coupling pairs, capped at k + 1
+
+    def live(poly: Polynomial, budget: int | None) -> Polynomial:
+        if budget is None:
+            return poly
+        kept = {}
+        for key, coeff in poly._terms:
+            got = deficits.get(key[0])
+            if got is None:
+                got = deficits[key[0]] = _deficit(key[0], oracle, k + 1)
+            if got <= budget:
+                kept[key] = coeff
+        return Polynomial._from_sums(kept)
 
     # memoized suffix expansions: poly(level, ks) = L^{ks[0]} (f_level * poly(level+1, ks[1:]))
     memo: dict = {(levels, ()): Polynomial.one()}
     actions, factors, expansions = ({}, {}, {}) if memos is None else memos
 
     def suffix(level: int, ks: tuple) -> Polynomial:
-        key = (level, ks)
-        got = memo.get(key)
+        got = memo.get((level, ks))
         if got is not None:
             return got
+        budget = k - sum(ks) if level <= last_pruned else None
         if ks[0] == 0:
-            poly = fs[level] * suffix(level + 1, ks[1:])
+            poly = live(fs[level] * suffix(level + 1, ks[1:]), budget)
         else:
             inner = suffix(level, (ks[0] - 1,) + ks[1:])
-            poly = expansions.get(inner._terms)
+            poly = expansions.get((inner._terms, budget))
             if poly is None:
-                poly = expansions[inner._terms] = _apply(inner, Letter, params, actions)
-        memo[key] = poly
+                poly = expansions[inner._terms, budget] = live(
+                    _apply(inner, Letter, params, actions), budget)
+        memo[level, ks] = poly
         return poly
 
     by_order: dict = {}

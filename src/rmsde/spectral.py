@@ -56,7 +56,9 @@ def _packed_matvec() -> Callable:
     """``bind(ap)``, which gives ``matvec(x) = a @ x`` for the symmetric
     ``a`` whose packed upper triangle is ``ap`` (row i from column i on,
     row after row: LAPACK's column-major ``'L'`` packed layout of ``a``).
-    ``matvec`` may return one buffer that its next call overwrites.
+    ``matvec`` may return one buffer that its next call overwrites.  Its
+    optional ``at``, the address of ``x``'s data, saves forming that
+    address through ``x.ctypes``, which costs more than a small product.
 
     The product is BLAS ``dspmv`` of :func:`_openblas` (ILP64), bound once
     per matrix, with its output buffer, so that a Lanczos step pays one
@@ -76,7 +78,7 @@ def _packed_matvec() -> Callable:
     except AttributeError:  # no library (None), or no such symbol
         from scipy.linalg.blas import dspmv as scipy_dspmv
 
-        return lambda ap: lambda x: scipy_dspmv(len(x), 1.0, ap, x, lower=1)
+        return lambda ap: lambda x, at=None: scipy_dspmv(len(x), 1.0, ap, x, lower=1)
     ptr = ctypes.c_void_p
     # the CHARACTER argument's hidden length comes last, by value
     dspmv.argtypes, dspmv.restype = [ctypes.c_char_p] + [ptr] * 8 + [ctypes.c_size_t], None
@@ -89,8 +91,9 @@ def _packed_matvec() -> Callable:
         size = ctypes.byref(ctypes.c_int64(n))
         data, out = ap.ctypes.data_as(ptr), y.ctypes.data_as(ptr)  # they keep ap and y alive
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            dspmv(b"L", size, one, data, x.ctypes.data, inc, zero, out, inc, 1)
+        def matvec(x: np.ndarray, at: int | None = None) -> np.ndarray:
+            dspmv(b"L", size, one, data, x.ctypes.data if at is None else at, inc, zero, out,
+                  inc, 1)
             return y
 
         return matvec
@@ -234,6 +237,7 @@ def _gauss_rule(ap: np.ndarray, x0: np.ndarray, watch: Callable | None = None) -
     matvec = _packed_matvec()(ap)
     eigvalsh, eigh = _tridiagonal_solvers()
     basis = np.empty((min(n, 2 * _LANCZOS_CHECK), n))
+    address = basis.ctypes.data  # of row 0; a row's product takes its address
     alpha, beta = [], []
     r, b, last, rule = x0, math.sqrt(mass), None, None
     while len(alpha) < n and b > (tol if alpha else 0.0):
@@ -242,11 +246,13 @@ def _gauss_rule(ap: np.ndarray, x0: np.ndarray, watch: Callable | None = None) -
             grown = np.empty((min(n, 2 * m), n))
             grown[:m] = basis
             basis = grown
+            address = basis.ctypes.data
         if m:
             beta.append(b)
-        np.divide(r, b, out=basis[m])
+        row = basis[m]
+        np.divide(r, b, out=row)
         q = basis[:m + 1]
-        r = matvec(basis[m])
+        r = matvec(row, address + m * basis.strides[0])
         h = q @ r
         r -= h @ q
         h2 = q @ r

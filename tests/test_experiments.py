@@ -1178,8 +1178,9 @@ def test_taylor_vs_mc_expands_each_observable_once(monkeypatch):
 
 
 def test_taylor_vs_mc_series_share_one_memo(monkeypatch):
-    # at n = 3, k = 5 the four series meet 539 distinct keys and 1323 distinct
-    # factor keys; with a memo per series they computed 808 and 1755
+    # at n = 3, k = 5 the four series expand 100 distinct keys and take the
+    # factors of 113; unpruned they met 539 and 1323, and with a memo per
+    # series they computed 808 and 1755
     import rmsde.algebra
     import rmsde.generator
     real_actions = rmsde.generator._letter_actions
@@ -1197,8 +1198,8 @@ def test_taylor_vs_mc_series_share_one_memo(monkeypatch):
     monkeypatch.setattr(rmsde.generator, "_letter_actions", counting_actions)
     monkeypatch.setattr(rmsde.algebra, "_expectation_factors", counting_factors)
     run_taylor_vs_mc(ExperimentConfig(sizes=(3,), truncation=5, seed=1, mc_paths=50))
-    assert len(actions) == 4 * len(set(actions)) == 4 * 539  # one call per letter
-    assert len(factors) == len(set(factors)) == 1323
+    assert len(actions) == 4 * len(set(actions)) == 4 * 100  # one call per letter
+    assert len(factors) == len(set(factors)) == 113
 
 
 def test_taylor_vs_mc_series_share_one_expansion_cache(monkeypatch):

@@ -9,6 +9,7 @@ observable.
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from rmsde.dynamics import (IntegratorConfig, SystemParams, SystemTemplate,
 from rmsde.ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
                              sample_couplings, sample_initial)
 from rmsde.generator import (DEFAULT_TRUNCATION_CAP, Letter, TruncationError,
-                             apply_generator, apply_letter, count_bound_check,
-                             taylor_mean, taylor_mean_multitime,
+                             _deficit, _letter_actions, apply_generator, apply_letter,
+                             count_bound_check, taylor_mean, taylor_mean_multitime,
                              taylor_mean_numericJ)
 from rmsde.rng import (PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE,
                        RngStream)
@@ -397,6 +398,114 @@ def test_back_to_back_expansions_share_nothing():
     (p1, o1), (p2, o2) = cases[:2]
     assert (taylor_mean_multitime(fs, ts, p1, o1, k).terms
             != taylor_mean_multitime(fs, ts, p2, o2, k).terms)
+
+
+def _series_bits(res):
+    """A series result as exact bits: -0.0 and each NaN payload tell apart."""
+    return [x.hex() for x in (res.value, res.tail_bound, *res.terms)] + [res.diverging]
+
+
+def _pruning_oracle(dist, symmetric, n, profile):
+    if profile == "band":
+        profile = VarianceProfile(np.loadtxt(Path(__file__).with_name("profile_4x4_band.csv"),
+                                             delimiter=","))
+    else:
+        profile = getattr(VarianceProfile, profile)(n)
+    return MomentOracle.from_ensemble(dist, profile, InitialLaw(GAUSSIAN, n), symmetric)
+
+
+# every law at both symmetries, each at one (n, k) of n = 1..4; then the
+# banded profile file and a full asymmetric profile under langevin thresholds
+_PRUNING_CASES = [
+    (dist, symmetric, n, k, "offdiagonal", SystemTemplate())
+    for (dist, symmetric), (n, k) in zip(
+        itertools.product(EntryDistribution, (True, False)),
+        itertools.cycle([(1, 6), (2, 6), (3, 5), (4, 4)]))
+] + [
+    (GAUSSIAN, True, 4, 6, "band", SystemTemplate(langevin=True, thresholds=0.3)),
+    (EntryDistribution.EXPONENTIAL_CENTERED, False, 3, 6, "full",
+     SystemTemplate(langevin=True, thresholds=(0.3, -0.2, 0.1))),
+]
+
+
+@pytest.mark.parametrize("dist,symmetric,n,k,profile,template", _PRUNING_CASES)
+def test_pruned_series_are_bitwise_the_unpruned_ones(monkeypatch, dist, symmetric, n, k,
+                                                     profile, template):
+    # the series of a taylor-check run, sharing one memo, with and without
+    # dropping the terms that can no longer reach a nonzero expectation
+    import rmsde.generator
+    oracle = _pruning_oracle(dist, symmetric, n, profile)
+    params = template.build(np.zeros((n, n)))
+    x1 = Polynomial.from_x(1)
+    specs = [([x1], [0.2]), ([Polynomial.from_x(1, 1)], [0.2]),
+             ([x1, x1], [0.1, 0.2]), ([x1, Polynomial.from_x(1, n)], [0.0, 0.3])]
+    if n >= 2:
+        specs.append(([Polynomial.from_x(1, 2)], [0.2]))
+
+    def run():
+        memos = ({}, {}, {})
+        return [_series_bits(taylor_mean_multitime(fs, ts, params, oracle, k, memos=memos))
+                for fs, ts in specs]
+
+    pruned = run()
+    monkeypatch.setattr(rmsde.generator, "_deficit", lambda *args: 0)
+    assert pruned == run()
+
+
+def test_series_of_two_truncations_can_share_memos():
+    # an expansion kept for truncation 3 drops keys that truncation 5 still
+    # needs, so the shared expansions are told apart by budget
+    p, oracle = _series_case(3, True, False, seed=5)
+    f = Polynomial.from_x(1, 2)
+    memos = ({}, {}, {})
+    for k in (3, 5, 3):
+        shared = taylor_mean(f, p, oracle, 0.2, k, memos=memos)
+        assert _series_bits(shared) == _series_bits(taylor_mean(f, p, oracle, 0.2, k))
+
+
+def test_pruning_keeps_every_key_that_an_outer_coupling_can_revive(monkeypatch):
+    # an outer observable that holds a coupling entry can complete a pair's
+    # moment, so the levels inside it are not pruned
+    import rmsde.generator
+    p, oracle = _series_case(2, True, False, seed=3)
+    j12 = Polynomial([Monomial(1.0, ((1, 2),), (1,))])
+    fs, ts = [j12, Polynomial.from_x(2)], [0.1, 0.2]
+    pruned = taylor_mean_multitime(fs, ts, p, oracle, 4)
+    assert pruned.terms == reference_multitime_terms(fs, ts, p, oracle, 4)
+    assert any(pruned.terms)
+    monkeypatch.setattr(rmsde.generator, "_deficit", lambda *args: 0)
+    assert _series_bits(pruned) == _series_bits(taylor_mean_multitime(fs, ts, p, oracle, 4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dist", list(EntryDistribution), ids=lambda d: d.value)
+def test_a_dead_key_reaches_only_zero_expectations(dist, n):
+    # brute force over the letters: every key of at most three coupling
+    # entries whose deficit exceeds a budget b <= 3 reaches, by at most b
+    # letters, only terms whose expectation is exactly 0; every letter
+    # acts, the drift and diffusion ones without mixing coordinates, and at
+    # n = 3 the profile file's diagonal has zero variance
+    sigma = np.zeros((n + 1, n))
+    sigma[0], sigma[1:] = 0.4, 0.2 * np.eye(n)
+    p = params_with(n, lam=-np.eye(n), h=np.full(n, 0.3), sigma=sigma)
+    profile = (VarianceProfile(np.loadtxt(Path(__file__).with_name("profile_3x3.csv"),
+                                          delimiter=",")) if n == 3 else VarianceProfile.full(n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    j_keys = [j for size in range(4) for j in itertools.combinations_with_replacement(pairs, size)]
+    dead_seen = 0
+    for symmetric in (True, False):
+        oracle = MomentOracle.from_ensemble(dist, profile, InitialLaw(GAUSSIAN, n), symmetric)
+        deficits = {j: _deficit(j, oracle, 4) for j in j_keys}
+        for budget in range(4):
+            keys = {(j, (1, n)) for j, d in deficits.items() if d > budget}
+            dead_seen += len(keys)
+            for letters in range(budget + 1):
+                if letters:
+                    keys = {new for key in keys for letter in Letter
+                            for _, new in _letter_actions(key, letter, p)}
+                for key in keys:
+                    assert expected_value(Monomial._trusted(1.0, *key), oracle) == 0.0
+    assert dead_seen > 0
 
 
 def test_taylor_at_time_zero():
