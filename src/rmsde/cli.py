@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -122,8 +123,10 @@ def run(rc: RunConfig) -> int:
     """Dispatch a resolved configuration and write its artifacts.
 
     Returns the process exit status: 0 on success, 2 for an unknown
-    experiment kind or configuration problem, 1 for runtime failures, a
-    non-finite float in the report included (:func:`_check_finite`).
+    experiment kind or configuration problem, an ``out`` that is empty or
+    cannot be made a directory included, 1 for runtime failures, a
+    non-finite float in the report or a failed artifact write included
+    (:func:`_check_finite`).  ``out`` is made before the run starts.
     Every failure path emits a machine-readable ``key = value`` error
     record on stderr (and best-effort as ``error.txt``); a success
     removes the ``error.txt`` an earlier failed run left in ``out``.
@@ -133,6 +136,14 @@ def run(rc: RunConfig) -> int:
     runner = _RUNNERS.get(kind)
     if runner is None:
         _error_record(f"unknown experiment kind {kind!r}", 2, out)
+        return 2
+    if not out:
+        _error_record("run.out must name an output directory", 2)
+        return 2
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        _error_record(f"run.out: cannot make the output directory: {exc}", 2, out)
         return 2
     digest = config_hash(rc)
     try:
@@ -147,11 +158,15 @@ def run(rc: RunConfig) -> int:
         _error_record(str(exc), 1, out)
         return 1
     base = out.rstrip("/")
-    atomic_write_text(f"{base}/{report.csv}", render_csv(digest, report.header, report.rows))
-    write_summary(f"{base}/summary.txt",
-                  [("experiment", kind), ("config-hash", digest)] + list(report.summary))
-    atomic_write_text(f"{base}/config.txt", serialize(rc))
-    Path(f"{base}/error.txt").unlink(missing_ok=True)  # an earlier failed run's record
+    try:
+        atomic_write_text(f"{base}/{report.csv}", render_csv(digest, report.header, report.rows))
+        write_summary(f"{base}/summary.txt",
+                      [("experiment", kind), ("config-hash", digest)] + list(report.summary))
+        atomic_write_text(f"{base}/config.txt", serialize(rc))
+        Path(f"{base}/error.txt").unlink(missing_ok=True)  # an earlier failed run's record
+    except OSError as exc:
+        _error_record(f"cannot write the artifacts: {exc}", 1, out)
+        return 1
     return 0
 
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleError, EntryDistribution, VarianceProfile
-from .experiments import ExperimentConfig, ExperimentError, check_preconditions
 from .dynamics import IntegratorConfig, SystemTemplate
+from .ensembles import PROFILE_PRESETS, EnsembleError, EntryDistribution, VarianceProfile
+from .experiments import (CONFINEMENT_MODES, ExperimentConfig, ExperimentError, autocorr_item,
+                          check_preconditions, gradsq_item, hamiltonian_item, overlap_item)
 from .observables import BuildingBlock, SuiteItem
-from .experiments import autocorr_item, gradsq_item, hamiltonian_item, overlap_item
 
 __all__ = [
     "ConfigError",
@@ -46,11 +46,19 @@ __all__ = [
 EXPERIMENT_KINDS = ("simulate", "universality", "concentration", "aging",
                     "taylor-check", "moments-check", "hopfield", "rayleigh")
 
-_PROFILE_PRESETS = ("offdiagonal", "full")
+# Each vocabulary of names is one table that both checks a name and maps it.
+# ensemble.dist, ensemble.init and ensemble_b.dist name -> the entry law
+_DISTS = {"gaussian": EntryDistribution.GAUSSIAN, "rademacher": EntryDistribution.RADEMACHER,
+          "uniform": EntryDistribution.UNIFORM_CENTERED,
+          "exponential": EntryDistribution.EXPONENTIAL_CENTERED}
 
-_DIST_NAMES = ("gaussian", "rademacher", "uniform", "exponential")
+# system.template name -> SystemTemplate.langevin
+_TEMPLATES = {"plain": False, "langevin": True}
 
-_OBSERVABLE_KINDS = ("", "quadratic", "tensor", "autocorr", "hamiltonian", "gradsq", "overlap")
+# observable.kind of one suite item per time -> the item at a time
+_PER_TIME_ITEMS = {"hamiltonian": hamiltonian_item, "gradsq": gradsq_item, "overlap": overlap_item}
+
+_OBSERVABLE_KINDS = ("quadratic", "tensor", "autocorr", *_PER_TIME_ITEMS)
 
 
 class ConfigError(ValueError):
@@ -211,11 +219,12 @@ class RunConfig:
         return self.values[section][key]
 
     def replaced(self, section: str, key: str, value) -> "RunConfig":
+        """This config with ``section.key`` set to ``value``, validated."""
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key {section}.{key}")
         values = {s: dict(kv) for s, kv in self.values.items()}
         values[section][key] = value
-        return RunConfig(values)
+        return _validate(RunConfig(values))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -268,9 +277,7 @@ def parse_config(text: str) -> RunConfig:
         for key, (_, default) in keys.items():
             values[sec].setdefault(key, default)
 
-    rc = RunConfig(values)
-    _validate(rc)
-    return rc
+    return _validate(RunConfig(values))
 
 
 def max_threads() -> int:
@@ -284,7 +291,8 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _validate(rc: RunConfig) -> None:
+def _validate(rc: RunConfig) -> RunConfig:
+    """``rc``, if every value is valid; else a :class:`ConfigError`."""
     g = rc.get
     cap = max_threads()
     _require(1 <= g("run", "threads") <= cap, f"run.threads must be >= 1 and <= {cap}")
@@ -294,14 +302,15 @@ def _validate(rc: RunConfig) -> None:
     for sec in ("ensemble", "ensemble_b"):
         for key in ("dist",) if sec == "ensemble_b" else ("dist", "init"):
             name = g(sec, key)
-            _require(name in _DIST_NAMES,
-                     f"{sec}.{key} must be one of {_DIST_NAMES}, got {name!r}")
+            _require(name in _DISTS,
+                     f"{sec}.{key} must be one of {tuple(_DISTS)}, got {name!r}")
     profile = g("ensemble", "profile")
-    if profile not in _PROFILE_PRESETS:
+    if profile not in PROFILE_PRESETS:
         _require(os.path.exists(profile),
                  f"ensemble.profile: no preset or file named {profile!r}")
-    _require(g("system", "template") in ("plain", "langevin"),
-             f"system.template must be 'plain' or 'langevin', got {g('system', 'template')!r}")
+    _require(g("system", "template") in _TEMPLATES,
+             f"system.template must be {' or '.join(map(repr, _TEMPLATES))}, "
+             f"got {g('system', 'template')!r}")
     _require(g("system", "beta") > 0, "system.beta must be positive (inf allowed)")
     _require(0 <= g("system", "confinement") < math.inf,
              "system.confinement must be finite and >= 0")
@@ -313,8 +322,8 @@ def _validate(rc: RunConfig) -> None:
     _require(all(n >= 1 for n in g("experiment", "sizes")),
              "experiment.sizes entries must be >= 1")
     _require(g("experiment", "replicas") >= 1, "experiment.replicas must be >= 1")
-    _require(g("experiment", "confinement_mode") in ("auto", "fixed"),
-             "experiment.confinement_mode must be 'auto' or 'fixed'")
+    _require(g("experiment", "confinement_mode") in CONFINEMENT_MODES,
+             f"experiment.confinement_mode must be {' or '.join(map(repr, CONFINEMENT_MODES))}")
     _require(g("experiment", "grid_points") >= 2, "experiment.grid_points must be >= 2")
     _require(g("experiment", "truncation") >= 0, "experiment.truncation must be >= 0")
     _require(g("experiment", "mc_paths") >= 2, "experiment.mc_paths must be >= 2")
@@ -341,8 +350,8 @@ def _validate(rc: RunConfig) -> None:
                      f"{label}: time {t!r} is not a multiple of integrator.dt")
 
     kind = g("observable", "kind")
-    _require(kind in _OBSERVABLE_KINDS,
-             f"observable.kind must be one of {_OBSERVABLE_KINDS[1:]}, got {kind!r}")
+    _require(kind == "" or kind in _OBSERVABLE_KINDS,
+             f"observable.kind must be one of {_OBSERVABLE_KINDS}, got {kind!r}")
     if kind:
         _require(len(g("observable", "times")) > 0,
                  "observable.times must be set when observable.kind is")
@@ -358,6 +367,7 @@ def _validate(rc: RunConfig) -> None:
             _require(g("observable", key) == unset,
                      f"observable.{key} is read only by kind = quadratic or tensor, "
                      f"not by kind = {kind!r}")
+    return rc
 
 
 def serialize(rc: RunConfig) -> str:
@@ -391,10 +401,6 @@ def config_hash(rc: RunConfig) -> str:
 # builders
 
 
-def _dist(name: str) -> EntryDistribution:
-    return EntryDistribution.from_name(name)
-
-
 def _load_csv(key: str, spec: str, ndmin: int) -> np.ndarray:
     """The numbers in CSV file ``spec``; a :class:`ConfigError` naming ``key``
     if the file cannot be read or holds no data."""
@@ -411,7 +417,7 @@ def _load_csv(key: str, spec: str, ndmin: int) -> np.ndarray:
 def _profile_value(rc: RunConfig):
     """Preset name, or a VarianceProfile loaded from a CSV matrix."""
     profile = rc.get("ensemble", "profile")
-    if profile in _PROFILE_PRESETS:
+    if profile in PROFILE_PRESETS:
         return profile
     m = _load_csv("ensemble.profile", profile, 2)
     try:
@@ -424,7 +430,7 @@ def system_template(rc: RunConfig) -> SystemTemplate:
     return SystemTemplate(
         confinement=rc.get("system", "confinement"),
         beta=rc.get("system", "beta"),
-        langevin=rc.get("system", "template") == "langevin",
+        langevin=_TEMPLATES[rc.get("system", "template")],
         thresholds=rc.get("system", "thresholds"),
     )
 
@@ -463,12 +469,8 @@ def observable_suite(rc: RunConfig) -> tuple:
         if len(times) != 2:
             raise ConfigError("observable.times must list two times for kind=autocorr")
         return (autocorr_item(times[0], times[1]),)
-    if kind == "hamiltonian":
-        return tuple(hamiltonian_item(t) for t in times)
-    if kind == "gradsq":
-        return tuple(gradsq_item(t) for t in times)
-    if kind == "overlap":
-        return tuple(overlap_item(t) for t in times)
+    if kind in _PER_TIME_ITEMS:
+        return tuple(_PER_TIME_ITEMS[kind](t) for t in times)
 
     blocks = tuple(BuildingBlock.from_name(b) for b in rc.get("observable", "blocks"))
     a_spec = rc.get("observable", "a")
@@ -481,12 +483,10 @@ def observable_suite(rc: RunConfig) -> tuple:
         if weights is not None and weights.ndim != 1:
             raise ConfigError("observable.a: kind=quadratic needs one row or column of weights")
         name = f"quadratic[{times[0]:g},{times[1]:g}]"
-    elif kind == "tensor":
+    else:  # tensor, the one kind left
         if not blocks or len(blocks) % len(times):
             raise ConfigError("kind=tensor needs blocks as m rows flattened over p times")
         name = f"tensor[{','.join(f'{t:g}' for t in times)}]"
-    else:
-        raise ConfigError(f"unhandled observable kind {kind!r}")
     m = len(blocks) // len(times)
     if m > 3:
         raise ConfigError(f"kind=tensor supports arity <= 3, got {m} block rows")
@@ -503,11 +503,11 @@ def experiment_config(rc: RunConfig) -> ExperimentConfig:
     ens_seed = rc.get("ensemble", "seed")
     try:
         cfg = ExperimentConfig(
-            dist_a=_dist(rc.get("ensemble", "dist")),
-            dist_b=_dist(rc.get("ensemble_b", "dist")),
+            dist_a=_DISTS[rc.get("ensemble", "dist")],
+            dist_b=_DISTS[rc.get("ensemble_b", "dist")],
             symmetric=rc.get("ensemble", "symmetric"),
             profile=_profile_value(rc),
-            init_dist=_dist(rc.get("ensemble", "init")),
+            init_dist=_DISTS[rc.get("ensemble", "init")],
             template=system_template(rc),
             suite=observable_suite(rc),
             dt=rc.get("integrator", "dt"),

@@ -620,6 +620,12 @@ class SystemTemplate:
         # the shared parts of the last size built, on a zero-stride zero coupling
         object.__setattr__(self, "_shared", None)
 
+    @property
+    def coupling_scale(self) -> float:
+        """The factor ``c`` of the coupling ``c J`` in the drift: 2 under
+        ``langevin``, else 1."""
+        return 2.0 if self.langevin else 1.0
+
     def build(self, coupling) -> SystemParams:
         """Parameters for the scaled coupling ``J = A / sqrt(N)`` from
         ``sample_couplings``: one (N, N) matrix, or a (C, N, N) stack
@@ -636,8 +642,9 @@ class SystemTemplate:
         if not self.beta > 0:
             raise ParameterError("beta must be positive (use math.inf for zero noise)")
         j = np.asarray(coupling, dtype=np.float64)
-        if self.langevin:
-            j = np.multiply(j, 2.0, out=j if j.flags.writeable else None)
+        scale = self.coupling_scale
+        if scale != 1.0:
+            j = np.multiply(j, scale, out=j if j.flags.writeable else None)
         n = j.shape[-1]
         shared = self._shared
         if shared is not None and shared.n == n:

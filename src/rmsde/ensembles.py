@@ -48,6 +48,7 @@ __all__ = [
     "entry_moment",
     "moment_growth_constant",
     "VarianceProfile",
+    "PROFILE_PRESETS",
     "sample_couplings",
     "InitialLaw",
     "sample_initial",
@@ -220,6 +221,10 @@ class VarianceProfile:
     @classmethod
     def full(cls, n: int) -> "VarianceProfile":
         return cls(None, n, 1.0)
+
+
+# preset name -> its profile at size n; ensemble.profile names one or a file
+PROFILE_PRESETS = {"offdiagonal": VarianceProfile.offdiagonal, "full": VarianceProfile.full}
 
 
 # rows per tile of a coupling draw: a tile's entries, mask and scales are all

@@ -36,7 +36,7 @@ from . import dynamics
 # Trajectory is unused here, but perfbench/spans.py wraps experiments.Trajectory
 from .dynamics import (IntegratorConfig, ParameterError, SimulationBlowupError, SystemTemplate,
                        Trajectory, euler_maruyama)
-from .ensembles import (EntryDistribution, InitialLaw, VarianceProfile,
+from .ensembles import (PROFILE_PRESETS, EntryDistribution, InitialLaw, VarianceProfile,
                         sample_couplings, sample_entries, sample_initial)
 from .observables import BuildingBlock, SuiteItem, evaluate
 from .rng import PURPOSE_COUPLING, PURPOSE_INITIAL, PURPOSE_NOISE, RngStream
@@ -60,6 +60,7 @@ __all__ = [
     "overlap_item",
     "rayleigh_quotient_curve",
     "check_preconditions",
+    "CONFINEMENT_MODES",
     "ExperimentError",
 ]
 
@@ -75,9 +76,12 @@ class ExperimentError(ValueError):
 # below.
 _NOISE_CAP = 2 ** 28
 
-# Highest truncation order a series-vs-MC run may ask for; the symbolic
-# engine's series take it as their default cap.
+# Highest truncation order a series-vs-MC run may ask for, the one
+# truncation cap: the symbolic engine's series take any order.
 DEFAULT_TRUNCATION_CAP = 16
+
+# confinement_mode name -> whether aging holds the confinement fixed
+CONFINEMENT_MODES = {"auto": False, "fixed": True}
 
 # Count keys whose whole array an experiment allocates at once:
 # moments-check draws every sample in one call, and rayleigh and
@@ -188,19 +192,19 @@ class ExperimentConfig:
             raise ExperimentError("need at least one system size")
         if self.threads < 1:
             raise ExperimentError("worker count must be positive")
+        if not isinstance(self.profile, VarianceProfile) and self.profile not in PROFILE_PRESETS:
+            raise ExperimentError(f"unknown profile preset {self.profile!r}")
+        if self.confinement_mode not in CONFINEMENT_MODES:
+            raise ExperimentError(f"confinement_mode must be one of {tuple(CONFINEMENT_MODES)}, "
+                                  f"got {self.confinement_mode!r}")
 
     def make_profile(self, n: int) -> VarianceProfile:
-        if isinstance(self.profile, VarianceProfile):
-            if self.profile.n != n:
-                raise ExperimentError(
-                    f"fixed variance profile is {self.profile.n}x{self.profile.n}, "
-                    f"cannot run at size {n}")
-            return self.profile
-        if self.profile == "offdiagonal":
-            return VarianceProfile.offdiagonal(n)
-        if self.profile == "full":
-            return VarianceProfile.full(n)
-        raise ExperimentError(f"unknown profile preset {self.profile!r}")
+        if not isinstance(self.profile, VarianceProfile):
+            return PROFILE_PRESETS[self.profile](n)
+        if self.profile.n != n:
+            raise ExperimentError(f"fixed variance profile is {self.profile.n}x{self.profile.n}, "
+                                  f"cannot run at size {n}")
+        return self.profile
 
     @property
     def jseed(self) -> int:
@@ -678,7 +682,7 @@ def run_aging(cfg: ExperimentConfig) -> Report:
     """
     check_preconditions("aging", cfg)
     pairs = [(float(s), float(lam)) for s in cfg.s_values for lam in cfg.lambdas]
-    fixed = cfg.confinement_mode != "auto"
+    fixed = CONFINEMENT_MODES[cfg.confinement_mode]
     watch = None if fixed else lambda theta, c2: _aging_ratios_one(2.0 * theta, c2, pairs)
     rows = []
     dropped = {"a": 0, "b": 0}
@@ -772,10 +776,14 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> Report:
     Uses the first configured size (must be at most 4) and the
     configured time (at most 0.5).  The rows are the per-order terms of
     the single-time observables beside their Monte Carlo reference.  The
-    summary propagates the divergence warning of the symbolic engine over
-    every series, the multi-time one included, then gives each series'
-    value and z-score.  Only computes (:class:`Report`), but
-    :func:`_mc_moments` raises before any series is expanded.
+    series expand the coupling the Monte Carlo runs, ``c J`` with ``c`` the
+    template's :attr:`~rmsde.dynamics.SystemTemplate.coupling_scale`: the
+    oracle's entry moments of order ``ell`` are scaled by ``c ** ell``,
+    exactly for ``c = 2``.  The summary propagates the divergence warning
+    of the symbolic engine over every series, the multi-time one included,
+    then gives each series' value and z-score, then the largest ``|z|``.
+    Only computes (:class:`Report`), but :func:`_mc_moments` raises
+    before any series is expanded.
     """
     check_preconditions("taylor-check", cfg)
     # the symbolic engine loads only for the kind that expands a series
@@ -787,6 +795,10 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> Report:
     profile = cfg.make_profile(n)
     law = InitialLaw(cfg.init_dist, n)
     oracle = MomentOracle.from_ensemble(cfg.dist_a, profile, law, cfg.symmetric)
+    scale = cfg.template.coupling_scale
+    if scale != 1.0:
+        moment = oracle.entry_moment
+        oracle = replace(oracle, entry_moment=lambda pair, ell: scale ** ell * moment(pair, ell))
     # the symbolic engine reads only the deterministic parts of the template
     params = cfg.template.build(np.zeros((n, n)))
 
@@ -812,9 +824,12 @@ def run_taylor_vs_mc(cfg: ExperimentConfig) -> Report:
     series.append((multi_name, taylor_mean_multitime(multi_fs, multi_ts, params, oracle,
                                                      cfg.truncation, memos=memos)))
     summary = [("any_diverging", any(res.diverging for _, res in series))]
+    worst = 0.0
     for q, (name, res) in enumerate(series):
-        z = (res.value - mean[q]) / se[q] if se[q] > 0 else 0.0
-        summary += [(f"value[{name}]", res.value), (f"z[{name}]", float(z))]
+        z = float((res.value - mean[q]) / se[q]) if se[q] > 0 else 0.0
+        summary += [(f"value[{name}]", res.value), (f"z[{name}]", z)]
+        worst = max(worst, abs(z))
+    summary.append(("max_abs_z", worst))
     return Report("taylor.csv", _Order._fields, tuple(orders), summary)
 
 

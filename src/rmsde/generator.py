@@ -26,7 +26,6 @@ import numpy as np
 from .algebra import (AlgebraError, Monomial, MomentOracle, Polynomial, _canonical_counts,
                       _expectations, state_counts)
 from .dynamics import SystemParams
-from .experiments import DEFAULT_TRUNCATION_CAP  # with the precondition that reads it
 
 __all__ = [
     "Letter",
@@ -37,7 +36,6 @@ __all__ = [
     "taylor_mean_numericJ",
     "taylor_mean_multitime",
     "count_bound_check",
-    "DEFAULT_TRUNCATION_CAP",
     "SYMBOLIC_DIMENSION_CAP",
     "TruncationError",
 ]
@@ -46,7 +44,7 @@ SYMBOLIC_DIMENSION_CAP = 8
 
 
 class TruncationError(ValueError):
-    """Requested order or dimension beyond the configured caps."""
+    """A negative truncation order, or a symbolic dimension beyond its cap."""
 
 
 class Letter(enum.Enum):
@@ -167,19 +165,16 @@ def _tail_estimate(terms: tuple) -> tuple:
     return last * ratio / (1.0 - ratio), False
 
 
-def _validate_caps(k: int, cap: int, params: SystemParams, symbolic: bool) -> None:
+def _validate_caps(k: int, params: SystemParams, symbolic: bool) -> None:
     if k < 0:
         raise TruncationError("truncation order must be non-negative")
-    if k > cap:
-        raise TruncationError(f"truncation order {k} exceeds the cap {cap}")
     if symbolic and params.n > SYMBOLIC_DIMENSION_CAP:
         raise TruncationError(
             f"symbolic expansion supports dimension <= {SYMBOLIC_DIMENSION_CAP}, got {params.n}")
 
 
 def taylor_mean(f: Polynomial, params: SystemParams, oracle: MomentOracle,
-                t: float, k: int, cap: int = DEFAULT_TRUNCATION_CAP,
-                memos: tuple | None = None) -> TaylorResult:
+                t: float, k: int, memos: tuple | None = None) -> TaylorResult:
     """Truncated expansion of ``E[f(X_t)]`` over coupling and initial law.
 
     Computes ``sum_{k'=0..k} t^k'/k'! * E[L^k' f(X_0)]`` with the
@@ -187,11 +182,10 @@ def taylor_mean(f: Polynomial, params: SystemParams, oracle: MomentOracle,
     :func:`taylor_mean_multitime`, which documents ``memos``.  Intended
     for small dimension; the coupling stays symbolic.
     """
-    return taylor_mean_multitime([f], [t], params, oracle, k, cap, memos)
+    return taylor_mean_multitime([f], [t], params, oracle, k, memos)
 
 
-def taylor_mean_numericJ(f: Polynomial, params: SystemParams, x, t: float,
-                         k: int, cap: int = DEFAULT_TRUNCATION_CAP) -> float:
+def taylor_mean_numericJ(f: Polynomial, params: SystemParams, x, t: float, k: int) -> float:
     """Truncated conditional mean ``E[f(X_t) | X_0 = x]`` at fixed coupling.
 
     The numeric coupling folds into the drift letter, which then reads
@@ -199,7 +193,7 @@ def taylor_mean_numericJ(f: Polynomial, params: SystemParams, x, t: float,
     monomials remain, so this scales to higher truncation orders than
     the symbolic path.
     """
-    _validate_caps(k, cap, params, symbolic=False)
+    _validate_caps(k, params, symbolic=False)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.n,):
         raise AlgebraError(f"state must have shape ({params.n},), got {x.shape}")
@@ -246,7 +240,6 @@ def _deficit(j_pairs: tuple, oracle: MomentOracle, cap: int) -> int:
 
 def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
                           oracle: MomentOracle, k: int,
-                          cap: int = DEFAULT_TRUNCATION_CAP,
                           memos: tuple | None = None) -> TaylorResult:
     """Truncated multi-time moment ``E[f1(X_{t1}) f2(X_{t2}) ...]``.
 
@@ -282,7 +275,7 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
         raise AlgebraError("times must be non-decreasing")
     if any(t < 0 for t in times):
         raise AlgebraError("times must be non-negative")
-    _validate_caps(k, cap, params, symbolic=True)
+    _validate_caps(k, params, symbolic=True)
     if oracle.n != params.n:
         raise AlgebraError("oracle and system dimensions differ")
     _check_indices((m for f in fs for m in f), params)
@@ -342,8 +335,7 @@ def taylor_mean_multitime(fs: Iterable, ts, params: SystemParams,
     return TaylorResult(sum(terms), tail, diverging, terms)
 
 
-def count_bound_check(word: Iterable, f0: Monomial, params: SystemParams,
-                      cap: int = DEFAULT_TRUNCATION_CAP) -> tuple:
+def count_bound_check(word: Iterable, f0: Monomial, params: SystemParams) -> tuple:
     """Raw term count of a letter word against the a-priori product bound.
 
     Expands ``word`` applied to ``f0`` without collecting like terms and
@@ -353,9 +345,6 @@ def count_bound_check(word: Iterable, f0: Monomial, params: SystemParams,
     generates more terms than the ungrouped sums the bound counts, and
     a violation raises.
     """
-    word = list(word)
-    if len(word) > cap:
-        raise TruncationError(f"word length {len(word)} exceeds the cap {cap}")
     _check_indices(Polynomial([f0]), params)
     r = f0.degree
     factors = {Letter.CONSTANT: r, Letter.COUPLING: r * params.n,

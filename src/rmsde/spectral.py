@@ -141,49 +141,49 @@ def _tridiagonal_solvers() -> tuple:
     numpy's dense drivers first reduce their input to tridiagonal form,
     which on a tridiagonal input changes nothing (every Householder
     ``tau`` is 0), and then call LAPACK's ``dsterf`` (eigenvalues) or
-    ``dstedc('I')`` (eigenvectors too).  Here those two run directly on
-    ``(alpha, beta)`` from :func:`_openblas` (ILP64), which gives the
-    same bytes without the O(m^3) reduction.  Where that library or the
-    symbols are missing, the dense solves on ``_tridiagonal`` serve.
+    ``dstedc('I')`` (eigenvectors too).  Here ``dstedc`` of
+    :func:`_openblas` (ILP64), the one tridiagonal routine bound, runs
+    directly on ``(alpha, beta)``, which gives the same bytes without the
+    O(m^3) reduction: with ``COMPZ = 'N'`` it calls ``dsterf`` itself, on
+    workspaces of one entry.  Where that library or the symbol is missing,
+    the dense solves on ``_tridiagonal`` serve.
     """
     import ctypes
 
     lib = _openblas()
     try:
-        dsterf, dstedc = lib.scipy_dsterf_64_, lib.scipy_dstedc_64_
+        dstedc = lib.scipy_dstedc_64_
     except AttributeError:  # no library (None), or no such symbol
         return (lambda alpha, beta: np.linalg.eigvalsh(_tridiagonal(alpha, beta)),
                 lambda alpha, beta: np.linalg.eigh(_tridiagonal(alpha, beta)))
     ptr = ctypes.c_void_p
-    dsterf.argtypes, dsterf.restype = [ptr] * 4, None
     # the CHARACTER argument's hidden length comes last, by value
     dstedc.argtypes, dstedc.restype = [ctypes.c_char_p] + [ptr] * 10 + [ctypes.c_size_t], None
 
     def ref(value: int):
         return ctypes.byref(ctypes.c_int64(value))
 
-    def checked(info) -> None:
+    def solve(compz: bytes, d: np.ndarray, e: np.ndarray, z: np.ndarray, work: np.ndarray,
+              iwork: np.ndarray) -> None:
+        """``dstedc(compz)`` on the diagonals ``d`` and ``e``, in place."""
+        info = ctypes.c_int64()
+        dstedc(compz, ref(len(d)), d.ctypes.data, e.ctypes.data, z.ctypes.data,
+               ref(max(1, len(z))), work.ctypes.data, ref(len(work)), iwork.ctypes.data,
+               ref(len(iwork)), ctypes.byref(info), 1)
         if info.value:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def eigvalsh(alpha: list, beta: list) -> np.ndarray:
         d, e = _diagonals(alpha, beta)
-        info = ctypes.c_int64()
-        dsterf(ref(len(d)), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
-        checked(info)
+        # LDZ = LWORK = LIWORK = 1: Z and the workspaces are not read
+        solve(b"N", d, e, np.empty(1), np.empty(1), np.empty(1, dtype=np.int64))
         return d
 
     def eigh(alpha: list, beta: list) -> tuple:
         d, e = _diagonals(alpha, beta)
         m = len(d)
         z = np.empty((m, m))  # column-major: row k is the k-th eigenvector
-        work = np.empty(1 + 4 * m + m * m)
-        iwork = np.empty(3 + 5 * m, dtype=np.int64)
-        info = ctypes.c_int64()
-        dstedc(b"I", ref(m), d.ctypes.data, e.ctypes.data, z.ctypes.data, ref(max(1, m)),
-               work.ctypes.data, ref(len(work)), iwork.ctypes.data, ref(len(iwork)),
-               ctypes.byref(info), 1)
-        checked(info)
+        solve(b"I", d, e, z, np.empty(1 + 4 * m + m * m), np.empty(3 + 5 * m, dtype=np.int64))
         return d, z.T
 
     return eigvalsh, eigh
@@ -208,10 +208,11 @@ def _gauss_rule(ap: np.ndarray, x0: np.ndarray, watch: Callable | None = None) -
     ``beta`` is at the rounding level ``N eps |a|_F``, with
     ``|a|_F^2 = 2 |ap|^2 - |diag a|^2``; the first step runs for any
     nonzero ``x0``), or at ``m = N``.  With no ``watch`` they are the
-    extreme Ritz values, from ``dsterf``; with one, each check solves the
-    rule with ``dstedc`` and the stopping check's solve is the final
-    rule.  ``T`` is solved from its diagonals with the bytes of numpy's
-    dense solves (:func:`_tridiagonal_solvers`).
+    extreme Ritz values, from ``dstedc('N')``, which calls ``dsterf``;
+    with one, each check solves the rule with ``dstedc('I')`` and the
+    stopping check's solve is the final rule.  ``T`` is solved from its
+    diagonals with the bytes of numpy's dense solves
+    (:func:`_tridiagonal_solvers`).
 
     Scaling by a power of two commutes with the roundings of Lanczos and
     of those solves, so the rule of ``2 * a`` is the rule of ``a`` with

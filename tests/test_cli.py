@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rmsde import dynamics, experiments
+from rmsde import cli, dynamics, experiments
 from rmsde.cli import main, run
 from rmsde.dynamics import ParameterError, euler_maruyama
 from rmsde.config import _SCHEMA, EXPERIMENT_KINDS, config_hash, parse_config
@@ -115,7 +115,7 @@ SUMMARY_KEYS = {
     "aging": ["dropped_a", "dropped_b", "max_gap"],
     "taylor-check": ["any_diverging"] + [f"{key}[{name}]" for name in
                                          ("x1", "x1^2", "x1*x2", "x1(t/2)*x1(t)")
-                                         for key in ("value", "z")],
+                                         for key in ("value", "z")] + ["max_abs_z"],
     "moments-check": ["max_abs_z"],
     "hopfield": ["slope[autocorr[0.04,0.04]]", "slope[gradsq[0.04]]",
                  "slope[hamiltonian[0.04]]", "slope[overlap[0.04]]"],
@@ -355,6 +355,107 @@ def test_a_successful_run_removes_an_earlier_failure_record(tmp_path):
     assert status == 1 and (out / "error.txt").exists()
     assert invoke(tmp_path, "aging", FAST["aging"]) == (0, out)
     assert (out / "summary.txt").exists() and not (out / "error.txt").exists()
+
+
+def test_every_experiment_kind_has_a_runner():
+    # two lists, as perfbench wraps the runners by their attribute on cli
+    assert set(cli._RUNNERS) == set(EXPERIMENT_KINDS)
+
+
+def runner_calls(monkeypatch, kind):
+    """Replace ``kind``'s runner by one that records its calls; the list it fills."""
+    calls = []
+    monkeypatch.setitem(cli._RUNNERS, kind, lambda rc: calls.append(rc))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["empty", "a-file", "below-a-file"])
+def test_an_output_directory_that_cannot_be_made_is_status_2(tmp_path, monkeypatch, capsys,
+                                                            case):
+    # an empty out would write the artifacts into / and unlink /error.txt
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    out = {"empty": "", "a-file": str(a_file), "below-a-file": str(a_file / "sub")}[case]
+    calls = runner_calls(monkeypatch, "moments-check")
+    assert main(["moments-check", "--out", out]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("status = 2\nerror = run.out")
+    assert a_file.read_text() == ""
+
+
+def test_an_artifact_that_cannot_be_written_is_status_1(tmp_path, monkeypatch, capsys):
+    def full(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "atomic_write_text", full)
+    status, out = invoke(tmp_path, "moments-check", FAST["moments-check"])
+    assert status == 1
+    assert capsys.readouterr().err == ("status = 1\nerror = cannot write the artifacts: "
+                                       "[Errno 28] No space left on device\n")
+    assert list(out.iterdir()) == []
+
+
+def test_a_negative_ensemble_seed_other_than_minus_one_is_status_2(tmp_path, monkeypatch, capsys):
+    calls = runner_calls(monkeypatch, "simulate")
+    status, _ = invoke(tmp_path, "simulate", "[ensemble]\nseed = -2\n")
+    assert status == 2 and calls == []
+    assert "line 2: bad value for ensemble.seed" in capsys.readouterr().err
+
+
+def test_a_profile_that_names_a_directory_is_status_2(tmp_path, capsys):
+    # the path exists, so it passes parsing, and fails when it is loaded
+    status, out = invoke(tmp_path, "simulate", f"[ensemble]\nprofile = {tmp_path}\n")
+    assert status == 2 and not (out / "trajectory.csv").exists()
+    assert f"ensemble.profile: cannot load {str(tmp_path)!r}" in capsys.readouterr().err
+
+
+# The Langevin template runs 2J - K I, so the series of taylor-check must
+# expand the coupling 2J: their entry moments of order l scale by 2^l.
+LANGEVIN_TAYLOR = """
+[system]
+template = langevin
+[experiment]
+sizes = 2
+time = 0.3
+truncation = 8
+mc_paths = 40000
+[integrator]
+dt = 0.005
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 2], ids=["taylor-check-seed-1", "taylor-check-seed-2"])
+def test_langevin_series_match_the_monte_carlo_of_2j(tmp_path, seed):
+    # a series of J against this Monte Carlo of 2J reads z[x1^2] = -25.0 / -23.6
+    # and z[x1(t/2)*x1(t)] = -16.4 / -15.9 at these seeds
+    status, out = invoke(tmp_path, "taylor-check", LANGEVIN_TAYLOR, ["--seed", str(seed)])
+    assert status == 0
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    assert summary["any_diverging"] == "false"
+    zs = [abs(float(v)) for key, v in summary.items() if key.startswith("z[")]
+    assert float(summary["max_abs_z"]) == max(zs) < 4.0
+
+
+@pytest.mark.parametrize("kind", ["taylor-check"])
+def test_langevin_taylor_check_is_plain_on_a_variance_4_profile(tmp_path, kind):
+    # 2J of the offdiagonal preset is, bit for bit, the coupling of a profile
+    # with variance 4 off the diagonal: the Monte Carlo and the series agree
+    profile = tmp_path / "profile.csv"
+    profile.write_text("0,4\n4,0\n")
+    common = ("[run]\nseed = 4\n[experiment]\nsizes = 2\ntime = 0.3\ntruncation = 8\n"
+              "mc_paths = 4000\n[integrator]\ndt = 0.005\n")
+    system = "[system]\nthresholds = 0.2\nconfinement = 1.5\n"
+    runs = [invoke(tmp_path / name, kind, common + system + extra) for name, extra in
+            (("langevin", "template = langevin\n"),
+             ("plain", f"[ensemble]\nprofile = {profile}\n"))]
+    assert [status for status, _ in runs] == [0, 0]
+    tables = [(out / "taylor.csv").read_text().split("\n", 1) for _, out in runs]
+    summaries = [(out / "summary.txt").read_text().splitlines() for _, out in runs]
+    assert tables[0][0] != tables[1][0]  # the config hashes differ
+    assert tables[0][1] == tables[1][1]
+    assert summaries[0][1] != summaries[1][1]
+    assert summaries[0][:1] + summaries[0][2:] == summaries[1][:1] + summaries[1][2:]
 
 
 OFF_GRID = {

@@ -1,6 +1,7 @@
 """Run-configuration parsing: strict schema, canonical serialization,
 determinism hash, and the builder glue into experiment objects."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rmsde import config
+from rmsde.cli import main
 from rmsde.config import (EXPERIMENT_KINDS, ConfigError, config_hash,
                           experiment_config, integrator_config,
                           observable_suite, parse_config, serialize,
                           system_template)
 from rmsde.dynamics import IntegratorConfig, SystemParams, simulate
-from rmsde.ensembles import EntryDistribution, VarianceProfile
-from rmsde.experiments import ExperimentConfig
+from rmsde.ensembles import PROFILE_PRESETS, EntryDistribution, VarianceProfile
+from rmsde.experiments import CONFINEMENT_MODES, ExperimentConfig
 from rmsde.observables import SuiteItem, _constant, evaluate
 from rmsde.rng import RngStream
 
@@ -156,6 +159,68 @@ def test_replaced():
     assert rc.get("run", "seed") == 0
     with pytest.raises(ConfigError, match="unknown key"):
         rc.replaced("run", "sed", 5)
+
+
+def test_replaced_validates_what_it_returns():
+    # a builder never sees an unchecked name: this one would build the plain template
+    with pytest.raises(ConfigError, match="system.template"):
+        parse("").replaced("system", "template", "hopfield-typo")
+    with pytest.raises(ConfigError, match="experiment.replicas"):
+        parse("").replaced("experiment", "replicas", 0)
+
+
+# ------------------------------------------------------------ vocabularies
+
+# observable.kind name -> the rest of an [observable] block it runs with
+OBSERVABLE_TEXTS = {
+    "quadratic": "times = 0.5, 1.0\nblocks = x, g\n",
+    "tensor": "times = 0.5\nblocks = x, g\n",
+    "autocorr": "times = 0.5, 1.0\n",
+    "hamiltonian": "times = 0.5\n",
+    "gradsq": "times = 0.5\n",
+    "overlap": "times = 0.5\n",
+}
+
+# each key that takes a name from a vocabulary -> (its names, what a name builds)
+VOCABULARIES = {
+    ("ensemble", "dist"): (tuple(config._DISTS), lambda rc: experiment_config(rc).dist_a),
+    ("ensemble", "init"): (tuple(config._DISTS), lambda rc: experiment_config(rc).init_dist),
+    ("ensemble_b", "dist"): (tuple(config._DISTS), lambda rc: experiment_config(rc).dist_b),
+    ("ensemble", "profile"): (tuple(PROFILE_PRESETS),
+                              lambda rc: experiment_config(rc).make_profile(3)),
+    ("system", "template"): (tuple(config._TEMPLATES),
+                             lambda rc: system_template(rc).coupling_scale),
+    ("experiment", "confinement_mode"): (
+        tuple(CONFINEMENT_MODES),
+        lambda rc: CONFINEMENT_MODES[experiment_config(rc).confinement_mode]),
+    ("observable", "kind"): (
+        config._OBSERVABLE_KINDS,
+        lambda rc: [(item.blocks, item.times) for item in observable_suite(rc)]),
+}
+
+
+def vocabulary_text(section, key, name):
+    rest = OBSERVABLE_TEXTS.get(name, "") if key == "kind" else ""
+    return f"[{section}]\n{key} = {name}\n{rest}"
+
+
+@pytest.mark.parametrize("section,key", VOCABULARIES)
+def test_every_name_of_a_vocabulary_builds_a_distinct_object(section, key):
+    names, build = VOCABULARIES[section, key]
+    if key == "kind":
+        assert set(names) == set(OBSERVABLE_TEXTS)
+    built = [build(parse(vocabulary_text(section, key, name))) for name in names]
+    assert len(built) >= 2
+    assert all(a != b for a, b in itertools.combinations(built, 2))
+
+
+@pytest.mark.parametrize("section,key", VOCABULARIES)
+def test_any_other_name_exits_2_naming_its_key(tmp_path, capsys, section, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(vocabulary_text(section, key, "hopfield-typo"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("status = 2\n") and f"{section}.{key}" in err
 
 
 def test_equality_ignores_defaulted():

@@ -110,6 +110,12 @@ def test_make_profile_presets():
         ExperimentConfig(profile="banded").make_profile(3)
 
 
+def test_an_unknown_confinement_mode_fails_before_any_work():
+    # it would otherwise run aging as a fixed confinement
+    with pytest.raises(ExperimentError, match="confinement_mode must be one of"):
+        ExperimentConfig(confinement_mode="spherical")
+
+
 def test_make_profile_fixed_matrix():
     fixed = VarianceProfile.offdiagonal(4)
     cfg = ExperimentConfig(profile=fixed, sizes=(4,))

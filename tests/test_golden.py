@@ -179,7 +179,7 @@ mc_paths = 3000
 dt = 0.01
 horizon = 0.2
 """,
-        "5d952a918216c44ec99f54efead707316f0b193a659a7bb54e5a4d31e5c2f6a3"),
+        "c62daafd2ca1e7823c4a13b242d50c9ff02e8f4a330cae7962c1d53940f82471"),
     "taylor-check-asymmetric": ("taylor-check", "taylor.csv", """
 [ensemble]
 dist = exponential
